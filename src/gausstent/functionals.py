@@ -17,6 +17,17 @@ rely on.  At radii of a few cells or more the two gamma evaluations agree to
 O(cell/r); at sub-cell radii (small t) the grid sum is the only convention
 under which the identity can hold at all.
 
+Cone sections, influence balls and the centered ladder balls are windows
+{k : |x_k - x_c| < r} around a spatial node c, and one private layer
+(_Windows) evaluates them all: gather sums node values over each window,
+scatter gives each node the sum or max of the weights of the windows that
+hold it.  In 1-D a window is the index range [lo, hi), found with the same
+float predicate as a dense distance mask so the node sets are identical, and
+its sums run over the O(log N) canonical nodes of a segment tree.  A call
+costs O(nnz(f) log N) with no cache, and every sum adds nonnegative terms
+only: a prefix-sum difference would cancel away the e^{-|y|^2} tails.  On
+2-D grids the layer keeps dense distance rows.
+
 Suprema over ball families (Carleson functional, maximal functions) range
 over a finite BallDictionary and therefore return certified lower bounds.
 """
@@ -40,7 +51,6 @@ __all__ = [
     "cone_caps",
     "default_dictionary",
     "grid_gamma_den",
-    "grid_gamma_window",
     "maximal_centered",
     "maximal_noncentered",
     "stopping_time",
@@ -107,45 +117,159 @@ def cone_caps(grid: HalfSpaceGrid, spec: ConeSpec) -> np.ndarray:
     return np.minimum(spec.alpha * grid.t[None, :], spec.beta * grid.m_y[:, None])
 
 
-_den_cache: dict = {}
+# -- window layer (see the module docstring) ----------------------------------
 
 
-def _grid_key(grid: HalfSpaceGrid) -> tuple:
-    return (grid.spatial_box, grid.nx, grid.t_min, grid.t_max, grid.nt)
+def _tree_levels(n: int) -> list:
+    """Internal-node ranges [lo, hi) of the bottom-up segment tree over n
+    leaves (leaves at n..2n-1), children's ranges first."""
+    levels = []
+    hi = n
+    while hi > 1:
+        lo = (hi + 1) // 2
+        levels.append((lo, hi))
+        hi = lo
+    return levels
+
+
+def _canonical_nodes(n: int, lo: np.ndarray, hi: np.ndarray):
+    """Yield (windows, nodes): the canonical tree nodes of every [lo, hi),
+    one half-level at a time; each yield holds a window at most once."""
+    left, right = lo + n, hi + n
+    idx = np.nonzero(left < right)[0]
+    left, right = left[idx], right[idx]
+    while idx.size:
+        take = (left & 1).astype(bool)
+        yield idx[take], left[take]
+        left += take
+        take = (right & 1).astype(bool)
+        right -= take
+        yield idx[take], right[take]
+        left //= 2
+        right //= 2
+        open_ = left < right
+        idx, left, right = idx[open_], left[open_], right[open_]
+
+
+def _window_end(axis: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Exclusive end of {k >= c : |axis[k] - axis[c]| < r} for each (c, r).
+
+    A searchsorted guess is corrected against the dense predicate itself,
+    which is monotone in k >= c; each pass re-examines only moved ends.
+    """
+    xc = axis[centers]
+    last = len(axis) - 1
+    hi = np.maximum(np.searchsorted(axis, xc + radii, side="left"), centers)
+    todo = slice(None)
+    while True:
+        h, x, r = hi[todo], xc[todo], radii[todo]
+        grow = (h <= last) & (np.abs(axis[np.minimum(h, last)] - x) < r)
+        shrink = (h > centers[todo]) & ~(np.abs(axis[h - 1] - x) < r)
+        hi[todo] = h + grow - shrink
+        moved = np.flatnonzero(grow | shrink)
+        if moved.size == 0:
+            return hi
+        todo = np.arange(len(hi))[todo][moved]
+
+
+def _window_bounds(axis: np.ndarray, centers: np.ndarray, radii: np.ndarray):
+    """[lo, hi) with range(lo, hi) = {k : |axis[k] - axis[c]| < r}.
+
+    The start is the end on the mirrored axis -axis[::-1], whose distances
+    are bit-identical, so both bounds reproduce the dense node sets.
+    """
+    n = len(axis)
+    hi = _window_end(axis, centers, radii)
+    lo = n - _window_end(-axis[::-1], n - 1 - centers, radii)
+    return lo, hi
+
+
+def _distance_rows(grid: HalfSpaceGrid, centers) -> np.ndarray:
+    """|x_k - x_c| over all nodes k: one row per center (one row for a
+    scalar center) of the dense distance matrix."""
+    p = grid.points
+    if grid.n == 1:
+        return np.abs(p[:, 0] - p[centers, 0][..., None])
+    return np.linalg.norm(p - p[centers][..., None, :], axis=-1)
+
+
+class _Windows:
+    """The windows of (center node, radius) pairs, with gather and scatter.
+
+    1-D: index ranges over a segment tree of size 2N built per call; runs
+    of equal ranges (a center's cone sections as t grows) are summed once.
+    2-D: dense distance rows, a chunk of centers at a time.
+    """
+
+    _CHUNK = 1 << 22                  # dense mask elements per 2-D chunk
+
+    def __init__(self, grid: HalfSpaceGrid, centers: np.ndarray, radii: np.ndarray):
+        self.grid = grid
+        self.centers = np.asarray(centers, dtype=np.intp)
+        self.radii = np.asarray(radii, dtype=float)
+        if grid.n == 1:
+            lo, hi = _window_bounds(grid.axes[0], self.centers, self.radii)
+            first = np.ones(len(lo), dtype=bool)
+            first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+            self.run_starts = np.flatnonzero(first)
+            self.run_of = np.cumsum(first) - 1
+            self.lo, self.hi = lo[first], hi[first]
+
+    def _dense_masks(self):
+        step = max(1, self._CHUNK // self.grid.n_spatial)
+        for s in range(0, len(self.centers), step):
+            sl = slice(s, s + step)
+            yield sl, _distance_rows(self.grid, self.centers[sl]) < self.radii[sl, None]
+
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """Sum of values[k] (shape (N,) or (N, m)) over each window."""
+        n = self.grid.n_spatial
+        if self.grid.n != 1:
+            out = np.zeros((len(self.centers),) + values.shape[1:])
+            for sl, mask in self._dense_masks():
+                out[sl] = mask @ values
+            return out
+        tree = np.zeros((2 * n,) + values.shape[1:])
+        tree[n:] = values
+        for lo, hi in _tree_levels(n):
+            tree[lo:hi] = tree[2 * lo:2 * hi:2] + tree[2 * lo + 1:2 * hi:2]
+        out = np.zeros((len(self.lo),) + values.shape[1:])
+        for w, nodes in _canonical_nodes(n, self.lo, self.hi):
+            out[w] += tree[nodes]
+        return out[self.run_of]
+
+    def scatter(self, weights: np.ndarray, op=np.add) -> np.ndarray:
+        """Per node, op-reduction (np.add or np.maximum) of the weights of
+        the windows that hold it; 0 where no window does."""
+        n = self.grid.n_spatial
+        if self.grid.n != 1:
+            out = np.zeros(n)
+            for sl, mask in self._dense_masks():
+                op(out, op.reduce(np.where(mask, weights[sl, None], 0.0), axis=0), out=out)
+            return out
+        per_run = op.reduceat(weights, self.run_starts)
+        acc = np.zeros(2 * n)
+        for w, nodes in _canonical_nodes(n, self.lo, self.hi):
+            op.at(acc, nodes, per_run[w])
+        for lo, hi in reversed(_tree_levels(n)):
+            for child in (acc[2 * lo:2 * hi:2], acc[2 * lo + 1:2 * hi:2]):
+                op(child, acc[lo:hi], out=child)
+        return acc[n:]
+
+
+def _cone_windows(f_values: np.ndarray, grid: HalfSpaceGrid, spec: ConeSpec):
+    """(y, t) indices of the nonzero nodes and the windows of their cones."""
+    ys, js = np.nonzero(f_values)
+    return ys, js, _Windows(grid, ys, cone_caps(grid, spec)[ys, js])
 
 
 def grid_gamma_den(grid: HalfSpaceGrid, spec: ConeSpec) -> np.ndarray:
     """gamma of B(y_i, cap_ij) by the grid quadrature sum, shape (N, nt).
 
-    Shared by every vertex whose cone contains (y_i, t_j); cached per
-    (grid, alpha, beta).
+    Shared by every vertex whose cone contains (y_i, t_j).
     """
-    key = (_grid_key(grid), spec.alpha, spec.beta)
-    den = _den_cache.get(key)
-    if den is None:
-        caps = cone_caps(grid, spec)
-        D = grid.pairwise_dist
-        gw = grid.gamma_y
-        den = np.empty_like(caps)
-        for j in range(grid.nt):
-            den[:, j] = (D < caps[:, j][:, None]) @ gw
-        _den_cache[key] = den
-    return den
-
-
-def grid_gamma_window(grid: HalfSpaceGrid, centers: np.ndarray, radii: np.ndarray,
-                      node_values: np.ndarray | None = None) -> np.ndarray:
-    """Sum of node_values (default: the gamma weights) over |x - c| < r.
-
-    centers: node indices, radii: matching radii; strict inequality to match
-    the cone predicate.
-    """
-    vals = grid.gamma_y if node_values is None else node_values
-    D = grid.pairwise_dist
-    out = np.empty(len(centers))
-    for k, (i, r) in enumerate(zip(centers, radii)):
-        out[k] = vals[D[i] < r].sum()
-    return out
+    _, _, win = _cone_windows(np.ones((grid.n_spatial, grid.nt)), grid, spec)
+    return win.gather(grid.gamma_y).reshape(grid.n_spatial, grid.nt)
 
 
 def _check_area_args(f: GridFunction, spec: ConeSpec):
@@ -160,18 +284,11 @@ def area_S(f: GridFunction, q: float, spec: ConeSpec) -> SpatialFunction:
     if not (1.0 <= q < np.inf):
         raise ValueError("q must lie in [1, inf)")
     g = f.grid
-    caps = cone_caps(g, spec)
-    den = grid_gamma_den(g, spec)
-    D = g.pairwise_dist
     absq = np.abs(f.values) ** q
-    Sq = np.zeros(g.n_spatial)
-    for j in range(g.nt):
-        rows = np.nonzero(absq[:, j])[0]
-        if rows.size == 0:
-            continue
-        mask = D[rows] < caps[rows, j][:, None]
-        contrib = absq[rows, j] * g.gamma_y[rows] * g.wt[j] / den[rows, j]
-        Sq += contrib @ mask
+    ys, js, win = _cone_windows(absq, g, spec)
+    den = win.gather(g.gamma_y)
+    contrib = absq[ys, js] * g.gamma_y[ys] * g.wt[js] / den
+    Sq = win.scatter(contrib)
     return SpatialFunction(g, Sq ** (1.0 / q))
 
 
@@ -179,16 +296,9 @@ def area_S_sup(f: GridFunction, spec: ConeSpec) -> SpatialFunction:
     """S_inf: pointwise sup of |f| over the cone nodes."""
     _check_area_args(f, spec)
     g = f.grid
-    caps = cone_caps(g, spec)
-    D = g.pairwise_dist
     absf = np.abs(f.values)
-    S = np.zeros(g.n_spatial)
-    for j in range(g.nt):
-        rows = np.nonzero(absf[:, j])[0]
-        if rows.size == 0:
-            continue
-        mask = D[rows] < caps[rows, j][:, None]
-        S = np.maximum(S, (absf[rows, j][:, None] * mask).max(axis=0))
+    ys, js, win = _cone_windows(absf, g, spec)
+    S = win.scatter(absf[ys, js], np.maximum)
     return SpatialFunction(g, S)
 
 
@@ -272,16 +382,13 @@ def maximal_centered(g: SpatialFunction, level: float,
                      n_levels: int = 7) -> SpatialFunction:
     """Centered maximal function, radius ladder {2^-k level m(x)}, k=0..6."""
     grid = g.grid
-    D = grid.pairwise_dist
     gw = grid.gamma_y
-    absg_w = np.abs(g.values) * gw
+    sums = np.stack([np.abs(g.values) * gw, gw], axis=1)
+    centers = np.arange(grid.n_spatial)
     out = np.zeros(grid.n_spatial)
     base = level * grid.m_y
     for k in range(n_levels):
-        r = base * 2.0 ** (-k)
-        mask = D < r[:, None]
-        num = mask @ absg_w
-        den = mask @ gw
+        num, den = _Windows(grid, centers, base * 2.0 ** (-k)).gather(sums).T
         np.maximum(out, num / den, out=out)
     return SpatialFunction(grid, out)
 

@@ -126,15 +126,6 @@ class HalfSpaceGrid:
         with np.errstate(divide="ignore"):
             return np.minimum(1.0, np.where(r > 0, 1.0 / r, np.inf))
 
-    @cached_property
-    def pairwise_dist(self) -> np.ndarray:
-        """|y_i - x_k| for all spatial node pairs, shape (N, N)."""
-        p = self.points
-        if self.n == 1:
-            return np.abs(p[:, 0][:, None] - p[:, 0][None, :])
-        diff = p[:, None, :] - p[None, :, :]
-        return np.sqrt(np.sum(diff ** 2, axis=-1))
-
     # -- t structure -------------------------------------------------------
 
     @cached_property

@@ -15,7 +15,7 @@ from scipy.ndimage import distance_transform_edt
 
 from .geometry import Ball, ConeSpec, UpperPoint, cutoff_m, gamma_ball, is_admissible
 from .grid import GridFunction, HalfSpaceGrid, RegionMask
-from .functionals import BallDictionary, cone_caps, grid_gamma_den
+from .functionals import BallDictionary, _cone_windows, _distance_rows, _Windows, cone_caps
 
 __all__ = [
     "DyadicCube",
@@ -27,7 +27,6 @@ __all__ = [
     "density_points",
     "doubling_constant",
     "etabar_from_doubling",
-    "is_admissible_whitney",
     "mask_tent_contains",
     "plus_C",
     "region_R_mask",
@@ -110,16 +109,13 @@ def density_points(A: RegionMask, eta: float, level: float,
     if not (0.0 < eta < 1.0):
         raise ValueError("eta must lie in (0, 1)")
     g = A.grid
-    D = g.pairwise_dist
     gw = g.gamma_y
-    in_A = gw * A.mask
+    sums = np.stack([gw * A.mask, gw], axis=1)
+    centers = np.arange(g.n_spatial)
     ok = np.ones(g.n_spatial, dtype=bool)
     base = level * g.m_y
     for k in range(n_levels):
-        r = base * 2.0 ** (-k)
-        mask = D < r[:, None]
-        num = mask @ in_A
-        den = mask @ gw
+        num, den = _Windows(g, centers, base * 2.0 ** (-k)).gather(sums).T
         ok &= num >= eta * den
     return RegionMask(g, ok)
 
@@ -144,14 +140,6 @@ def plus_C(A: RegionMask, level: float,
         if dA[i] < B.radius:
             out[i] = True
     return RegionMask(g, out)
-
-
-def is_admissible_whitney(W: RegionMask, level: float) -> bool:
-    """Every node of W within level*m(x) of the complement."""
-    d = complement_distance(W)
-    m = W.grid.m_y
-    sel = W.mask
-    return bool(np.all(d[sel] <= level * m[sel]))
 
 
 # -- Whitney cube covers ---------------------------------------------------
@@ -313,44 +301,42 @@ def whitney_balls(O: RegionMask, C_overlap: float = 2.0) -> WhitneyCover:
         raise ValueError("O equals the whole box")
     C = float(C_overlap)
     edt = complement_distance(O)
-    D = g.pairwise_dist
     order = np.argsort(-edt, kind="stable")  # stable: lexicographic ties
     covered = np.zeros(g.n_spatial, dtype=bool)
-    balls, radii, centers_idx = [], [], []
+    balls, centers_idx = [], []
     for i in order:
         if covered[i] or not O.mask[i]:
             continue
         r = edt[i] / C
         balls.append(Ball(tuple(g.points[i]), r))
-        radii.append(r)
         centers_idx.append(i)
-        covered |= D[i] < r
+        covered |= _distance_rows(g, i) < r
         covered[i] = True
 
-    audit = _audit_balls(O, balls, centers_idx, edt, C, D)
+    audit = _audit_balls(O, balls, centers_idx, edt, C)
     return WhitneyCover(target=O, balls=tuple(balls), audit=audit)
 
 
-def _audit_balls(O, balls, centers_idx, edt, C, D) -> dict:
+def _audit_balls(O, balls, centers_idx, edt, C) -> dict:
     g = O.grid
     cell = g.cell
     n_balls = len(balls)
     covered = np.zeros(g.n_spatial, dtype=bool)
     overlap = np.zeros(g.n_spatial, dtype=int)
+    gap = np.empty((n_balls, n_balls))      # center-to-center distances
     meets = True
-    for b, i in zip(balls, centers_idx):
-        inside = D[i] <= b.radius
+    for a, (b, i) in enumerate(zip(balls, centers_idx)):
+        dist = _distance_rows(g, i)
+        inside = dist <= b.radius
         covered |= inside
         overlap += inside
+        gap[a] = dist[centers_idx]
         # C*B must reach the complement: nearest complement node at edt[i]
         if edt[i] > C * b.radius + cell:
             meets = False
-    disjoint = True
-    for a in range(n_balls):
-        for b in range(a + 1, n_balls):
-            gap = D[centers_idx[a], centers_idx[b]]
-            if gap < (balls[a].radius + balls[b].radius) / C - 1e-12:
-                disjoint = False
+    radii = np.array([b.radius for b in balls])
+    too_close = gap < (radii[:, None] + radii[None, :]) / C - 1e-12
+    disjoint = not np.triu(too_close, 1).any()
     return {
         "n_balls": n_balls,
         "covers_target": bool(covered[O.mask].all()),
@@ -387,20 +373,9 @@ def _cone_average_over(A_mask: np.ndarray, H: GridFunction,
     """int_A ( iint_{cone(x)} H / gamma(B(y, cap)) dgamma dt/t ) dgamma(x),
     evaluated by the exact grid rearrangement."""
     g = H.grid
-    caps = cone_caps(g, spec)
-    den = grid_gamma_den(g, spec)
-    D = g.pairwise_dist
-    gw_A = g.gamma_y * A_mask
-    total = 0.0
-    Hv = H.values
-    for j in range(g.nt):
-        rows = np.nonzero(Hv[:, j])[0]
-        if rows.size == 0:
-            continue
-        mass_in_A = (D[rows] < caps[rows, j][:, None]) @ gw_A
-        total += float(np.sum(Hv[rows, j] * g.gamma_y[rows] * g.wt[j]
-                              * mass_in_A / den[rows, j]))
-    return total
+    ys, js, win = _cone_windows(H.values, g, spec)
+    den, mass_in_A = win.gather(np.stack([g.gamma_y, g.gamma_y * A_mask], axis=1)).T
+    return float(np.sum(H.values[ys, js] * g.gamma_y[ys] * g.wt[js] * mass_in_A / den))
 
 
 def density_inequality_check(A: RegionMask, H: GridFunction, eta: float,

@@ -7,10 +7,12 @@ from gausstent.grid import (
     lp_gamma_norm,
 )
 from gausstent.functionals import (
-    BallDictionary, ExponentPair, area_S, area_S_sup, area_S_truncated,
-    carleson_C, cone_caps, default_dictionary, grid_gamma_den,
-    maximal_centered, maximal_noncentered, stopping_time, tent_norm,
+    BallDictionary, ExponentPair, _window_bounds, area_S, area_S_sup,
+    area_S_truncated, carleson_C, cone_caps, default_dictionary,
+    grid_gamma_den, maximal_centered, maximal_noncentered, stopping_time,
+    tent_norm,
 )
+from gausstent.duality import check_duality_pq
 
 
 def _bump(grid, y0=0.5, t0=0.1, wy=0.4):
@@ -18,6 +20,49 @@ def _bump(grid, y0=0.5, t0=0.1, wy=0.4):
     vals = np.exp(-((y[:, None] - y0) / wy) ** 2) \
         * np.exp(-np.log(grid.t[None, :] / t0) ** 2)
     vals[np.abs(y - y0) > 2.5 * wy, :] = 0.0
+    return GridFunction(grid, vals)
+
+
+# -- dense references for the window layer ---------------------------------
+
+def _dense_dist(grid):
+    """|x_i - x_k| over all spatial node pairs, shape (N, N)."""
+    p = grid.points
+    if grid.n == 1:
+        return np.abs(p[:, 0][:, None] - p[:, 0][None, :])
+    return np.sqrt(np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1))
+
+
+def _dense_den(grid, spec, D):
+    caps = cone_caps(grid, spec)
+    return np.stack([(D < caps[:, j][:, None]) @ grid.gamma_y
+                     for j in range(grid.nt)], axis=1)
+
+
+def _dense_area(f, q, spec):
+    """(S_q, S_inf) from the N x N cone masks, one t-slice at a time."""
+    g = f.grid
+    D = _dense_dist(g)
+    caps = cone_caps(g, spec)
+    den = _dense_den(g, spec, D)
+    absf = np.abs(f.values)
+    Sq = np.zeros(g.n_spatial)
+    Ssup = np.zeros(g.n_spatial)
+    for j in range(g.nt):
+        mask = D < caps[:, j][:, None]       # row y: vertices whose cone holds (y, t_j)
+        Sq += (absf[:, j] ** q * g.gamma_y * g.wt[j] / den[:, j]) @ mask
+        Ssup = np.maximum(Ssup, (absf[:, j][:, None] * mask).max(axis=0))
+    return Sq ** (1.0 / q), Ssup
+
+
+def _two_bumps(grid):
+    """Bumps of amplitude 1 and 1e-8 whose cone reaches overlap."""
+    y = grid.points[:, 0]
+    t = grid.t[None, :]
+    shape = np.exp(-np.log(t / 0.2) ** 2)
+    vals = (np.exp(-((y + 1.0) / 0.3) ** 2)[:, None]
+            + 1e-8 * np.exp(-((y - 1.2) / 0.3) ** 2)[:, None]) * shape
+    vals[np.abs(y - 0.1) > 2.2, :] = 0.0
     return GridFunction(grid, vals)
 
 
@@ -54,8 +99,8 @@ def test_area_S_bruteforce_oracle(grid_small, rng):
     q = 2.0
     S = area_S(f, q, spec)
     caps = cone_caps(g, spec)
-    den = grid_gamma_den(g, spec)
-    D = g.pairwise_dist
+    D = _dense_dist(g)
+    den = _dense_den(g, spec, D)
     probes = rng.choice(g.n_spatial, size=16, replace=False)
     for i in probes:
         acc = 0.0
@@ -106,7 +151,7 @@ def test_area_sup_is_cone_sup(grid_small):
     f = _bump(g)
     S = area_S_sup(f, spec)
     caps = cone_caps(g, spec)
-    D = g.pairwise_dist
+    D = _dense_dist(g)
     for i in (10, 64, 100):
         best = 0.0
         for k in range(g.n_spatial):
@@ -114,6 +159,86 @@ def test_area_sup_is_cone_sup(grid_small):
             if sel.any():
                 best = max(best, np.abs(f.values[k, sel]).max())
         assert S.values[i] == pytest.approx(best, abs=1e-300)
+
+
+def test_window_bounds_match_dense_predicate(rng):
+    # odd N; radii below one cell, exactly one and a few cells, and wider
+    # than the box
+    g = HalfSpaceGrid(((-8.0, 8.0),), (127,), 1e-3, 8.0, 4)
+    x = g.axes[0]
+    cell = g.cell
+    centers = np.tile(np.arange(127), 7)
+    radii = np.repeat([0.3 * cell, cell, np.nextafter(cell, 1.0), 2.5 * cell,
+                       1.0, 16.0, 40.0], 127)
+    radii = np.concatenate([radii, rng.uniform(0.0, 20.0, 500)])
+    centers = np.concatenate([centers, rng.integers(0, 127, 500)])
+    lo, hi = _window_bounds(x, centers, radii)
+    dense = np.abs(x[None, :] - x[centers][:, None]) < radii[:, None]
+    k = np.arange(127)
+    assert np.array_equal((k >= lo[:, None]) & (k < hi[:, None]), dense)
+
+
+def test_grid_gamma_den_matches_dense(grid_small):
+    g = grid_small
+    for spec in (ConeSpec(1.0, 1.0), ConeSpec(0.5, 2.0), ConeSpec(2.0, 0.5)):
+        want = _dense_den(g, spec, _dense_dist(g))
+        assert np.allclose(grid_gamma_den(g, spec), want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("spec", [ConeSpec(1.0, 1.0), ConeSpec(0.5, 2.0),
+                                  ConeSpec(2.0, 0.5)])
+def test_area_matches_dense_reference_two_bumps(grid_small, spec):
+    # amplitude ratio 1e8: a prefix-sum-difference scatter loses the small
+    # bump's vertices to cancellation; nonnegative tree sums keep them
+    f = _two_bumps(grid_small)
+    for q in (1.0, 2.0, 3.0):
+        want, want_sup = _dense_area(f, q, spec)
+        got = area_S(f, q, spec).values
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert np.array_equal(area_S_sup(f, spec).values, want_sup)
+
+
+def test_area_zero_function_is_zero_everywhere(grid_small):
+    zero = GridFunction.zero(grid_small)
+    spec = ConeSpec(1.0, 1.0)
+    assert np.all(area_S(zero, 2.0, spec).values == 0.0)
+    assert np.all(area_S_sup(zero, spec).values == 0.0)
+
+
+# -- 2-D grids (dense branch of the window layer) --------------------------
+
+@pytest.fixture(scope="module")
+def grid_2d():
+    return HalfSpaceGrid(((-8.0, 8.0), (-8.0, 8.0)), (16, 16), 1e-3, 8.0, 8)
+
+
+def _bump_2d(grid):
+    p = grid.points
+    r2 = np.sum((p - np.array([0.5, -1.0])) ** 2, axis=1)
+    vals = np.exp(-r2 / 2.0)[:, None] * np.exp(-np.log(grid.t[None, :] / 0.5) ** 2)
+    vals[r2 > 9.0, :] = 0.0
+    return GridFunction(grid, vals)
+
+
+def test_area_2d_matches_dense_reference(grid_2d):
+    f = _bump_2d(grid_2d)
+    spec = ConeSpec(1.0, 1.0)
+    want, want_sup = _dense_area(f, 2.0, spec)
+    got = area_S(f, 2.0, spec).values
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert np.array_equal(area_S_sup(f, spec).values, want_sup)
+
+
+def test_area_2d_tpp_identity_and_duality_layer0(grid_2d, rng):
+    g = grid_2d
+    spec = ConeSpec(1.0, 1.0)
+    vals = rng.random((g.n_spatial, g.nt))
+    f = GridFunction(g, vals)
+    lhs = float(np.sum(area_S(f, 2.0, spec).values ** 2 * g.gamma_y))
+    assert lhs == pytest.approx(halfspace_integral(GridFunction(g, vals ** 2)), rel=1e-12)
+    assert check_duality_pq(f, _bump_2d(g), 2.0, 2.0, spec)["identity_ok"]
 
 
 def test_area_truncated_monotone(grid_small):

@@ -47,13 +47,6 @@ def test_gamma_y_total_mass(grid_default):
     assert g.gamma_y.sum() == pytest.approx(np.sqrt(np.pi), rel=1e-10)
 
 
-def test_pairwise_dist(grid_small):
-    D = grid_small.pairwise_dist
-    assert D.shape == (grid_small.n_spatial,) * 2
-    assert np.all(np.diag(D) == 0)
-    assert D[0, -1] == pytest.approx(16.0)
-
-
 def test_nearest_indices(grid_small):
     g = grid_small
     i = g.nearest_spatial_index(0.03)
