@@ -27,7 +27,9 @@ import numpy as np
 
 from .geometry import Ball, ConeSpec, cutoff_m, gamma_ball
 from .grid import GridFunction, RegionMask, halfspace_integral
-from .functionals import area_S, area_S_sup, cone_caps, default_dictionary
+from .functionals import (
+    _ball_tent, _distance_rows, area_S, area_S_sup, cone_caps, default_dictionary,
+)
 from .grid import lp_gamma_norm
 from .whitney import (
     complement_distance,
@@ -86,10 +88,7 @@ def validate_atom(a: Atom, spec: ConeSpec, lemma_slack: float = 0.05) -> dict:
     """Three checks: tent support, the normalization bound, and the
     L^1(gamma) bound on the area function of the atom."""
     g = a.values.grid
-    caps = cone_caps(g, spec)
-    dist_c = np.linalg.norm(g.points - a.ball.center_array, axis=1)
-    depth = np.maximum(a.ball.radius - dist_c, 0.0)
-    in_tent = depth[:, None] >= caps
+    in_tent = _ball_tent(g.points, a.ball.center_array, a.ball.radius, cone_caps(g, spec))
     nz = a.values.values != 0.0
     support_ok = bool(not np.any(nz & ~in_tent))
 
@@ -193,8 +192,7 @@ def decompose(f: GridFunction, q: float, spec: ConeSpec,
             # fit inside the ball tent node-exactly
             r_j = max(C_inflate * d_j, d_j + (dist_q + d_j) / shrink) + cell * 1e-9
             B_j = Ball(tuple(c_j), r_j)
-            depth = np.maximum(r_j - np.linalg.norm(g.points[nodes] - c_j, axis=1), 0.0)
-            piece = band[nodes] & (depth[:, None] >= caps[nodes])
+            piece = band[nodes] & _ball_tent(g.points[nodes], c_j, r_j, caps[nodes])
             vals = f.values[nodes] * piece
             mu = float(np.sum(np.abs(vals) ** q * weights[nodes]))
             assigned[nodes] |= piece
@@ -267,11 +265,8 @@ def decompose_sup(f: GridFunction, spec: ConeSpec, k_range=None,
             "level_set_gamma": float(g.gamma_y[Ok.mask].sum()),
             "n_balls": len(cover.balls),
         })
-        hats = []
-        for B_j in cover.balls:
-            w = np.maximum(B_j.radius - np.linalg.norm(g.points - B_j.center_array,
-                                                       axis=1), 0.0)
-            hats.append(w)
+        hats = [np.maximum(B_j.radius - _distance_rows(g.points, B_j.center_array), 0.0)
+                for B_j in cover.balls]
         hat_total = np.sum(hats, axis=0)
         relevant = band & (absf > 0)
         phi_sum = np.zeros(g.n_spatial)

@@ -40,8 +40,8 @@ from .grid import (
     read_grid_function, write_grid_function,
 )
 from .functionals import (
-    BallDictionary, ExponentPair, area_S, cone_caps, default_dictionary,
-    tent_norm,
+    BallDictionary, ExponentPair, _ball_tent, _distance_rows, area_S, cone_caps,
+    default_dictionary, tent_norm,
 )
 from .atomic import (
     Atom, coefficient_report, decompose, decompose_sup, export_decomposition,
@@ -190,16 +190,15 @@ def random_bump(grid: HalfSpaceGrid, rng: np.random.Generator) -> GridFunction:
         wy = rng.uniform(0.2, 1.0)
         prof = amp * np.exp(-((y[:, None] - y0) / wy) ** 2) \
             * np.exp(-np.log(t[None, :] / t0) ** 2)
-        prof[np.abs(y - y0) > 2.5 * wy, :] = 0.0
+        prof[_distance_rows(grid.points, np.array([y0])) > 2.5 * wy, :] = 0.0
         vals += prof
     return GridFunction(grid, vals)
 
 
 def tent_indicator(grid: HalfSpaceGrid, spec: ConeSpec, center: float,
                    radius: float, amplitude: float = 1.0) -> GridFunction:
-    caps = cone_caps(grid, spec)
-    depth = np.maximum(radius - np.abs(grid.points[:, 0] - center), 0.0)
-    return GridFunction(grid, amplitude * (depth[:, None] >= caps))
+    tent = _ball_tent(grid.points, np.array([center]), radius, cone_caps(grid, spec))
+    return GridFunction(grid, amplitude * tent)
 
 
 def random_atom(grid: HalfSpaceGrid, spec: ConeSpec, q: float,
@@ -214,12 +213,10 @@ def random_atom(grid: HalfSpaceGrid, spec: ConeSpec, q: float,
     cap = spec.beta * cutoff_m(c)
     r = min(max(float(rng.uniform(0.4, 1.0)) * cap, 10.0 * grid.cell), cap)
     B = Ball((c,), r)
-    caps = cone_caps(grid, spec)
-    depth = np.maximum(r - np.abs(grid.points[:, 0] - c), 0.0)
-    tent = depth[:, None] >= caps
+    tent = _ball_tent(grid.points, B.center_array, r, cone_caps(grid, spec))
     shape = rng.uniform(0.2, 1.0, size=tent.shape) * tent
-    g_safe = max(gamma_ball(B),
-                 float(grid.gamma_y[np.abs(grid.points[:, 0] - c) < r].sum()))
+    g_safe = max(gamma_ball(B), float(
+        grid.gamma_y[_distance_rows(grid.points, B.center_array) < r].sum()))
     if q == np.inf:
         vals = shape / shape.max() / g_safe
     else:
@@ -235,9 +232,8 @@ def boundary_atom(grid: HalfSpaceGrid, spec: ConeSpec, center: float) -> Atom:
     i = grid.nearest_spatial_index(center)
     c = float(grid.points[i, 0])
     B = Ball((c,), spec.beta * cutoff_m(c))
-    caps = cone_caps(grid, spec)
-    depth = np.maximum(B.radius - np.abs(grid.points[:, 0] - c), 0.0)
-    tent = (depth[:, None] >= caps).astype(float)
+    tent = _ball_tent(grid.points, B.center_array, B.radius,
+                      cone_caps(grid, spec)).astype(float)
     w = grid.gamma_y[:, None] * grid.wt[None, :]
     l2 = np.sum(tent ** 2 * w) ** 0.5
     gB = gamma_ball(B)

@@ -26,12 +26,14 @@ from .grid import GridFunction, SpatialFunction, halfspace_integral, lp_gamma_no
 from .functionals import (
     BallDictionary,
     ExponentPair,
+    _ball_tent,
+    _distance_rows,
     area_S,
     carleson_C,
     stopping_time,
     tent_norm,
 )
-from .whitney import _cone_average_over
+from .whitney import _cone_average_over, _ratio
 
 __all__ = [
     "DiscreteMeasure",
@@ -60,6 +62,8 @@ class DiscreteMeasure:
             y = tuple(float(c) for c in np.atleast_1d(y))
             if not t > 0:
                 raise ValueError("measure points need t > 0")
+            if not np.all(np.isfinite([*y, t, w])):
+                raise ValueError(f"measure point {(y, t, w)} is not finite")
             rows.append((y, float(t), float(w)))
         object.__setattr__(self, "points", tuple(rows))
 
@@ -113,16 +117,16 @@ def carleson_norm(mu: DiscreteMeasure, alpha: float, beta: float,
     bad = [b for b in dict_.balls if not is_admissible(b, delta)]
     if bad:
         raise ValueError(f"{len(bad)} dictionary balls not admissible at level {delta}")
+    n = dict_.balls[0].n
+    if any(len(y) != n for y, _, _ in mu.points):
+        raise ValueError(f"measure points need {n} spatial coordinates")
+    ys = np.array([y for y, _, _ in mu.points], dtype=float).reshape(len(mu.points), n)
+    caps = np.array([min(alpha * t, beta * cutoff_m(y)) for y, t, _ in mu.points])
+    absw = np.array([abs(w) for _, _, w in mu.points])
     best, witness = 0.0, None
     table = []
     for B in dict_.balls:
-        mass = 0.0
-        c = B.center_array
-        for y, t, w in mu.points:
-            yv = np.asarray(y)
-            depth = max(B.radius - float(np.linalg.norm(yv - c)), 0.0)
-            if depth >= min(alpha * t, beta * cutoff_m(yv)):
-                mass += abs(w)
+        mass = absw[_ball_tent(ys, B.center_array, B.radius, caps[:, None])[:, 0]].sum()
         val = mass / gamma_ball(B)
         table.append({"ball": B, "value": val})
         if val > best:
@@ -134,19 +138,17 @@ def check_carleson_pairing(mu: DiscreteMeasure, f: GridFunction, alpha: float,
                            beta: float, delta: float,
                            dict_: BallDictionary) -> dict:
     """Measured constant in  sum |w||f| <= C ||mu||_C ||f||_{T^{1,inf}}."""
-    lhs = sum(abs(w) * abs(f.values[f.grid.nearest_spatial_index(y),
-                                    f.grid.nearest_t_index(t)])
-              for y, t, w in mu.points)
+    abs_mu = DiscreteMeasure(tuple((y, t, abs(w)) for y, t, w in mu.points))
+    lhs = float(measure_pairing(abs_mu, GridFunction(f.grid, np.abs(f.values))))
     cn = carleson_norm(mu, alpha, beta, delta, dict_)
     fnorm = tent_norm(f, ExponentPair(1.0, np.inf), alpha, beta,
                       continuous_intent=True)
     rhs = cn["norm"] * fnorm
     return {
-        "lhs": float(lhs),
+        "lhs": lhs,
         "carleson_norm": cn["norm"],
         "tent_norm_1inf": fnorm,
-        "C_emp": float(lhs) / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf),
-        "vacuous": rhs == 0 and lhs == 0,
+        **_ratio(lhs, rhs, "C_emp"),
     }
 
 
@@ -174,7 +176,7 @@ def stopping_density(h: SpatialFunction, alpha: float, beta: float,
     lam_min = 1.0
     for B in dict_.balls:
         r_adm = min(alpha * B.radius, beta * cutoff_m(B.center_array))
-        inside = np.linalg.norm(g.points - B.center_array, axis=1) < r_adm
+        inside = _distance_rows(g.points, B.center_array) < r_adm
         den = gw[inside].sum()
         if den == 0.0:
             continue
@@ -206,8 +208,7 @@ def check_duality_1q(f: GridFunction, g: GridFunction, q: float,
     return {
         "lhs": lhs,
         "rhs": rhs,
-        "C_emp": lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf),
-        "vacuous": rhs == 0 and lhs == 0,
+        **_ratio(lhs, rhs, "C_emp"),
         "K_beta": K,
         "M_const": M,
         "lambda_M_guarantee": 1.0 - 2.0 ** (-qp),

@@ -26,6 +26,7 @@ from scipy.optimize import minimize_scalar
 
 from .grid import GridFunction, SpatialFunction, lp_gamma_norm
 from .geometry import gamma_ball
+from .functionals import _distance_rows
 
 __all__ = ["MotherFunction", "check_h1_atom", "default_phi", "pi_phi"]
 
@@ -94,7 +95,7 @@ def check_h1_atom(atom, phi: MotherFunction, local: bool = True) -> dict:
     g = f.grid
     u = pi_phi(f, phi, local=local)
     cell = g.cell
-    dist_c = np.abs(g.points[:, 0] - atom.ball.center[0])
+    dist_c = _distance_rows(g.points, atom.ball.center_array)
     outside = dist_c >= 2.0 * atom.ball.radius + cell
     support_ok = bool(np.all(u.values[outside] == 0.0))
 

@@ -17,16 +17,20 @@ rely on.  At radii of a few cells or more the two gamma evaluations agree to
 O(cell/r); at sub-cell radii (small t) the grid sum is the only convention
 under which the identity can hold at all.
 
-Cone sections, influence balls and the centered ladder balls are windows
-{k : |x_k - x_c| < r} around a spatial node c, and one private layer
-(_Windows) evaluates them all: gather sums node values over each window,
-scatter gives each node the sum or max of the weights of the windows that
-hold it.  In 1-D a window is the index range [lo, hi), found with the same
-float predicate as a dense distance mask so the node sets are identical, and
-its sums run over the O(log N) canonical nodes of a segment tree.  A call
-costs O(nnz(f) log N) with no cache, and every sum adds nonnegative terms
-only: a prefix-sum difference would cancel away the e^{-|y|^2} tails.  On
-2-D grids the layer keeps dense distance rows.
+Every ball on the grid is a window {k : |x_k - c| < r} around a center
+coordinate c, node or not: cone sections, influence balls, the centered
+ladders and the dictionary balls of C_q, the non-centered maximal function
+and the containing-ball density points.  One private layer (_Windows)
+evaluates them all: gather sums node values over each window, scatter gives
+each node the sum or max of the weights of the windows that hold it, and
+tent_sums sums over the tent T(B) of each window's ball.  In 1-D a window
+is the index range [lo, hi), found with the same float predicate as a dense
+distance mask so the node sets are identical, and its sums run over the
+O(log N) canonical nodes of a segment tree.  A call costs O(nnz(f) log N)
+with no cache, and every sum adds nonnegative terms only: a prefix-sum
+difference would cancel away the e^{-|y|^2} tails.  On 2-D grids the layer
+keeps dense distance rows.  Which (y, t) lie in T(B) is decided in one
+place, _ball_tent, on the grid and for off-grid measure points alike.
 
 Suprema over ball families (Carleson functional, maximal functions) range
 over a finite BallDictionary and therefore return certified lower bounds.
@@ -151,20 +155,20 @@ def _canonical_nodes(n: int, lo: np.ndarray, hi: np.ndarray):
         idx, left, right = idx[open_], left[open_], right[open_]
 
 
-def _window_end(axis: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Exclusive end of {k >= c : |axis[k] - axis[c]| < r} for each (c, r).
+def _window_end(axis: np.ndarray, xc: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Exclusive end of {k : axis[k] >= x_c, |axis[k] - x_c| < r} per (x_c, r).
 
-    A searchsorted guess is corrected against the dense predicate itself,
-    which is monotone in k >= c; each pass re-examines only moved ends.
-    """
-    xc = axis[centers]
+    A searchsorted guess, never left of the nodes >= x_c as r >= 0, is
+    corrected against the dense predicate itself, which is monotone over
+    those nodes; each pass re-examines only moved ends."""
     last = len(axis) - 1
-    hi = np.maximum(np.searchsorted(axis, xc + radii, side="left"), centers)
+    hi = np.searchsorted(axis, xc + radii, side="left")
     todo = slice(None)
     while True:
         h, x, r = hi[todo], xc[todo], radii[todo]
         grow = (h <= last) & (np.abs(axis[np.minimum(h, last)] - x) < r)
-        shrink = (h > centers[todo]) & ~(np.abs(axis[h - 1] - x) < r)
+        prev = axis[np.maximum(h - 1, 0)]
+        shrink = (h > 0) & (prev >= x) & ~(np.abs(prev - x) < r)
         hi[todo] = h + grow - shrink
         moved = np.flatnonzero(grow | shrink)
         if moved.size == 0:
@@ -172,29 +176,44 @@ def _window_end(axis: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.
         todo = np.arange(len(hi))[todo][moved]
 
 
-def _window_bounds(axis: np.ndarray, centers: np.ndarray, radii: np.ndarray):
-    """[lo, hi) with range(lo, hi) = {k : |axis[k] - axis[c]| < r}.
+def _window_bounds(axis: np.ndarray, xc: np.ndarray, radii: np.ndarray):
+    """[lo, hi) with range(lo, hi) = {k : |axis[k] - x_c| < r}.
 
-    The start is the end on the mirrored axis -axis[::-1], whose distances
-    are bit-identical, so both bounds reproduce the dense node sets.
+    The nodes left of x_c are the end on the mirrored axis -axis[::-1]
+    around -x_c, whose distances are bit-identical, so both bounds
+    reproduce the dense node sets for any center, node or not.
     """
     n = len(axis)
-    hi = _window_end(axis, centers, radii)
-    lo = n - _window_end(-axis[::-1], n - 1 - centers, radii)
+    hi = _window_end(axis, xc, radii)
+    lo = n - _window_end(-axis[::-1], -xc, radii)
     return lo, hi
 
 
-def _distance_rows(grid: HalfSpaceGrid, centers) -> np.ndarray:
-    """|x_k - x_c| over all nodes k: one row per center (one row for a
-    scalar center) of the dense distance matrix."""
-    p = grid.points
-    if grid.n == 1:
-        return np.abs(p[:, 0] - p[centers, 0][..., None])
-    return np.linalg.norm(p - p[centers][..., None, :], axis=-1)
+def _distance_rows(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """|y - c| for points y, shape (K, n), and centers c, shape (n,) or
+    (M, n): one row of K distances per center."""
+    if points.shape[1] == 1:
+        return np.abs(points[:, 0] - centers[..., 0, None])
+    return np.linalg.norm(points - centers[..., None, :], axis=-1)
+
+
+def _ball_tent(points: np.ndarray, center: np.ndarray, radius: float,
+               caps: np.ndarray) -> np.ndarray:
+    """Which (y, t) lie in the tent over B(center, radius): dist(y, B^c) =
+    max(r - |y - c|, 0) >= cap, with one row of caps per point y."""
+    depth = np.maximum(radius - _distance_rows(points, center), 0.0)
+    return depth[:, None] >= caps
+
+
+def _ball_arrays(balls) -> tuple:
+    """Centers, shape (M, n), and radii, shape (M,), of a ball sequence."""
+    return (np.array([B.center for B in balls], dtype=float),
+            np.array([B.radius for B in balls]))
 
 
 class _Windows:
-    """The windows of (center node, radius) pairs, with gather and scatter.
+    """The windows {k : |x_k - c| < r} of (center, radius) pairs, with
+    gather, scatter and tent sums; centers are coordinates, shape (M, n).
 
     1-D: index ranges over a segment tree of size 2N built per call; runs
     of equal ranges (a center's cone sections as t grows) are summed once.
@@ -205,10 +224,10 @@ class _Windows:
 
     def __init__(self, grid: HalfSpaceGrid, centers: np.ndarray, radii: np.ndarray):
         self.grid = grid
-        self.centers = np.asarray(centers, dtype=np.intp)
+        self.centers = np.asarray(centers, dtype=float).reshape(-1, grid.n)
         self.radii = np.asarray(radii, dtype=float)
         if grid.n == 1:
-            lo, hi = _window_bounds(grid.axes[0], self.centers, self.radii)
+            lo, hi = _window_bounds(grid.axes[0], self.centers[:, 0], self.radii)
             first = np.ones(len(lo), dtype=bool)
             first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
             self.run_starts = np.flatnonzero(first)
@@ -219,7 +238,8 @@ class _Windows:
         step = max(1, self._CHUNK // self.grid.n_spatial)
         for s in range(0, len(self.centers), step):
             sl = slice(s, s + step)
-            yield sl, _distance_rows(self.grid, self.centers[sl]) < self.radii[sl, None]
+            dist = _distance_rows(self.grid.points, self.centers[sl])
+            yield sl, dist < self.radii[sl, None]
 
     def gather(self, values: np.ndarray) -> np.ndarray:
         """Sum of values[k] (shape (N,) or (N, m)) over each window."""
@@ -256,11 +276,27 @@ class _Windows:
                 op(child, acc[lo:hi], out=child)
         return acc[n:]
 
+    def tent_sums(self, values: np.ndarray, caps: np.ndarray) -> np.ndarray:
+        """Per window, read as the ball B(c, r): the sum of values (N, nt)
+        over the tent T(B), found on the window's nodes; one pairwise numpy
+        sum per ball, in the order of a whole-grid tent mask."""
+        if self.grid.n == 1:
+            windows = (np.arange(self.lo[r], self.hi[r]) for r in self.run_of)
+        else:
+            windows = (np.flatnonzero(row) for _, mask in self._dense_masks()
+                       for row in mask)
+        out = np.zeros(len(self.centers))
+        for w, nodes in enumerate(windows):
+            tent = _ball_tent(self.grid.points[nodes], self.centers[w], self.radii[w],
+                              caps[nodes])
+            out[w] = values[nodes][tent].sum()
+        return out
+
 
 def _cone_windows(f_values: np.ndarray, grid: HalfSpaceGrid, spec: ConeSpec):
     """(y, t) indices of the nonzero nodes and the windows of their cones."""
     ys, js = np.nonzero(f_values)
-    return ys, js, _Windows(grid, ys, cone_caps(grid, spec)[ys, js])
+    return ys, js, _Windows(grid, grid.points[ys], cone_caps(grid, spec)[ys, js])
 
 
 def grid_gamma_den(grid: HalfSpaceGrid, spec: ConeSpec) -> np.ndarray:
@@ -321,21 +357,12 @@ def carleson_C(f: GridFunction, q: float, alpha: float, beta: float,
         raise ValueError("q must lie in (1, inf)")
     g = f.grid
     caps = cone_caps(g, ConeSpec(alpha, beta))
-    absq = np.abs(f.values) ** q
-    weighted = absq * g.gamma_y[:, None] * g.wt[None, :]
-    out = np.zeros(g.n_spatial)
-    for B in dict_.balls:
-        c = B.center_array
-        dist_c = np.linalg.norm(g.points - c, axis=1)
-        admit_r = min(alpha * B.radius, beta * cutoff_m(c))
-        admit = dist_c < admit_r
-        if not admit.any():
-            continue
-        depth = np.maximum(B.radius - dist_c, 0.0)
-        tent = depth[:, None] >= caps
-        val = (weighted[tent].sum() / gamma_ball(B)) ** (1.0 / q)
-        np.maximum(out, np.where(admit, val, 0.0), out=out)
-    return SpatialFunction(g, out)
+    weighted = np.abs(f.values) ** q * g.gamma_y[:, None] * g.wt[None, :]
+    centers, radii = _ball_arrays(dict_.balls)
+    mass = _Windows(g, centers, radii).tent_sums(weighted, caps)
+    val = [(m / gamma_ball(B)) ** (1.0 / q) for m, B in zip(mass, dict_.balls)]
+    admit = np.minimum(alpha * radii, beta * np.array([cutoff_m(c) for c in centers]))
+    return SpatialFunction(g, _Windows(g, centers, admit).scatter(np.array(val), np.maximum))
 
 
 def tent_norm(f: GridFunction, pq: ExponentPair, alpha: float, beta: float,
@@ -363,19 +390,10 @@ def maximal_noncentered(g: SpatialFunction, level: float,
     """
     grid = g.grid
     gw = grid.gamma_y
-    absg = np.abs(g.values)
-    out = np.zeros(grid.n_spatial)
-    for B in dict_.balls:
-        if not is_admissible(B, level):
-            continue
-        dist_c = np.linalg.norm(grid.points - B.center_array, axis=1)
-        inside = dist_c < B.radius
-        if not inside.any():
-            continue
-        den = gw[inside].sum()
-        avg = (absg[inside] * gw[inside]).sum() / den
-        np.maximum(out, np.where(inside, avg, 0.0), out=out)
-    return SpatialFunction(grid, out)
+    win = _Windows(grid, *_ball_arrays([B for B in dict_.balls if is_admissible(B, level)]))
+    num, den = win.gather(np.stack([np.abs(g.values) * gw, gw], axis=1)).T
+    avg = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return SpatialFunction(grid, win.scatter(avg, np.maximum))
 
 
 def maximal_centered(g: SpatialFunction, level: float,
@@ -384,11 +402,10 @@ def maximal_centered(g: SpatialFunction, level: float,
     grid = g.grid
     gw = grid.gamma_y
     sums = np.stack([np.abs(g.values) * gw, gw], axis=1)
-    centers = np.arange(grid.n_spatial)
     out = np.zeros(grid.n_spatial)
     base = level * grid.m_y
     for k in range(n_levels):
-        num, den = _Windows(grid, centers, base * 2.0 ** (-k)).gather(sums).T
+        num, den = _Windows(grid, grid.points, base * 2.0 ** (-k)).gather(sums).T
         np.maximum(out, num / den, out=out)
     return SpatialFunction(grid, out)
 

@@ -14,6 +14,7 @@ box [-8, 8] the truncated Gaussian mass is below 1e-27.
 from __future__ import annotations
 
 import struct
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -37,6 +38,7 @@ __all__ = [
 
 _GTNT_MAGIC = b"GTNT"
 _GTNT_VERSION = 1
+_CSV_NODE_TOL = 1e-6           # cells a CSV row may sit off its grid node
 
 
 @dataclass(eq=True)
@@ -311,15 +313,39 @@ def _write_csv(f: GridFunction, path: Path) -> None:
 
 
 def _read_csv(path: Path, grid: HalfSpaceGrid | None) -> GridFunction:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """One row per grid node, each within _CSV_NODE_TOL cells of its node
+    (in log t for the t column), every node exactly once."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")            # an empty file is rejected below
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.size == 0 or data.shape[1] < 3:
+        raise ValueError(f"{path}: no rows of coordinates, t and value")
     n = data.shape[1] - 2
     ys, ts, vals = data[:, :n], data[:, n], data[:, n + 1]
     if grid is None:
         grid = _infer_grid(ys, ts)
-    f = np.zeros((grid.n_spatial, grid.nt))
-    for row_y, row_t, v in zip(ys, ts, vals):
-        f[grid.nearest_spatial_index(row_y), grid.nearest_t_index(row_t)] = v
-    return GridFunction(grid, f)
+    if n != grid.n:
+        raise ValueError(f"{path}: {n} coordinate columns for a grid of dimension {grid.n}")
+    if len(data) != grid.n_spatial * grid.nt:
+        raise ValueError(f"{path}: {len(data)} rows for {grid.n_spatial * grid.nt} nodes")
+    dlog = (np.log(grid.t_max) - np.log(grid.t_min)) / (grid.nt - 1)
+    cells = [(ys[:, d] - grid.axes[d][0]) / grid.spacing[d] for d in range(n)]
+    cells.append((np.log(ts) - np.log(grid.t_min)) / dlog)
+    index = []
+    for u, size in zip(cells, grid.nx + (grid.nt,)):
+        k = np.rint(u)
+        off = ~((np.abs(u - k) <= _CSV_NODE_TOL) & (k >= 0) & (k < size))
+        if off.any():
+            row = int(np.argmax(off))
+            raise ValueError(f"{path}: row {row + 1} ({', '.join(map(repr, data[row, :-1]))})"
+                             " is not a node of the grid")
+        index.append(k.astype(np.intp))
+    flat = np.ravel_multi_index(tuple(index), grid.nx + (grid.nt,))
+    if np.unique(flat).size != flat.size:
+        raise ValueError(f"{path}: a grid node appears in more than one row")
+    f = np.empty(grid.n_spatial * grid.nt)
+    f[flat] = vals
+    return GridFunction(grid, f.reshape(grid.n_spatial, grid.nt))
 
 
 def _infer_grid(ys: np.ndarray, ts: np.ndarray) -> HalfSpaceGrid:
@@ -347,20 +373,34 @@ def _write_gtnt(f: GridFunction, path: Path) -> None:
         fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
 
 
+def _unpack(fh, fmt: str) -> tuple:
+    size = struct.calcsize(fmt)
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise ValueError("not a GTNT file: truncated header")
+    return struct.unpack(fmt, raw)
+
+
 def _read_gtnt(path: Path) -> GridFunction:
     with open(path, "rb") as fh:
         if fh.read(4) != _GTNT_MAGIC:
             raise ValueError("not a GTNT file")
-        version, n = struct.unpack("<II", fh.read(8))
+        version, n = _unpack(fh, "<II")
         if version != _GTNT_VERSION:
             raise ValueError(f"unsupported GTNT version {version}")
-        nx = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(n))
-        nt = struct.unpack("<I", fh.read(4))[0]
-        box = tuple(struct.unpack("<dd", fh.read(16)) for _ in range(n))
-        t_min, t_max = struct.unpack("<dd", fh.read(16))
+        if n not in (1, 2):                 # before n sizes the next read
+            raise ValueError(f"GTNT dimension {n} not in {{1, 2}}")
+        nx = _unpack(fh, f"<{n}I")
+        (nt,) = _unpack(fh, "<I")
+        box = tuple(_unpack(fh, "<dd") for _ in range(n))
+        t_min, t_max = _unpack(fh, "<dd")
         grid = HalfSpaceGrid(box, nx, t_min, t_max, nt)
-        payload = np.frombuffer(fh.read(), dtype="<f8").reshape(grid.n_spatial, nt)
-    return GridFunction(grid, payload.copy())
+        payload = fh.read()
+    if len(payload) != 8 * grid.n_spatial * nt:
+        raise ValueError(f"GTNT payload has {len(payload)} bytes, "
+                         f"expected {8 * grid.n_spatial * nt}")
+    values = np.frombuffer(payload, dtype="<f8").reshape(grid.n_spatial, nt)
+    return GridFunction(grid, values.copy())
 
 
 def write_mask_csv(mask: RegionMask, path) -> None:

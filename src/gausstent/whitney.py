@@ -15,7 +15,9 @@ from scipy.ndimage import distance_transform_edt
 
 from .geometry import Ball, ConeSpec, UpperPoint, cutoff_m, gamma_ball, is_admissible
 from .grid import GridFunction, HalfSpaceGrid, RegionMask
-from .functionals import BallDictionary, _cone_windows, _distance_rows, _Windows, cone_caps
+from .functionals import (
+    BallDictionary, _ball_arrays, _cone_windows, _distance_rows, _Windows, cone_caps,
+)
 
 __all__ = [
     "DyadicCube",
@@ -111,11 +113,10 @@ def density_points(A: RegionMask, eta: float, level: float,
     g = A.grid
     gw = g.gamma_y
     sums = np.stack([gw * A.mask, gw], axis=1)
-    centers = np.arange(g.n_spatial)
     ok = np.ones(g.n_spatial, dtype=bool)
     base = level * g.m_y
     for k in range(n_levels):
-        num, den = _Windows(g, centers, base * 2.0 ** (-k)).gather(sums).T
+        num, den = _Windows(g, g.points, base * 2.0 ** (-k)).gather(sums).T
         ok &= num >= eta * den
     return RegionMask(g, ok)
 
@@ -310,8 +311,7 @@ def whitney_balls(O: RegionMask, C_overlap: float = 2.0) -> WhitneyCover:
         r = edt[i] / C
         balls.append(Ball(tuple(g.points[i]), r))
         centers_idx.append(i)
-        covered |= _distance_rows(g, i) < r
-        covered[i] = True
+        covered |= _distance_rows(g.points, g.points[i]) < r
 
     audit = _audit_balls(O, balls, centers_idx, edt, C)
     return WhitneyCover(target=O, balls=tuple(balls), audit=audit)
@@ -323,18 +323,16 @@ def _audit_balls(O, balls, centers_idx, edt, C) -> dict:
     n_balls = len(balls)
     covered = np.zeros(g.n_spatial, dtype=bool)
     overlap = np.zeros(g.n_spatial, dtype=int)
-    gap = np.empty((n_balls, n_balls))      # center-to-center distances
     meets = True
-    for a, (b, i) in enumerate(zip(balls, centers_idx)):
-        dist = _distance_rows(g, i)
-        inside = dist <= b.radius
+    for b, i in zip(balls, centers_idx):
+        inside = _distance_rows(g.points, g.points[i]) <= b.radius
         covered |= inside
         overlap += inside
-        gap[a] = dist[centers_idx]
         # C*B must reach the complement: nearest complement node at edt[i]
         if edt[i] > C * b.radius + cell:
             meets = False
     radii = np.array([b.radius for b in balls])
+    gap = _distance_rows(g.points[centers_idx], g.points[centers_idx])
     too_close = gap < (radii[:, None] + radii[None, :]) / C - 1e-12
     disjoint = not np.triu(too_close, 1).any()
     return {
@@ -366,6 +364,12 @@ def etabar_from_doubling(C: float) -> float:
     if C <= 1.0:
         raise ValueError("doubling constant must exceed 1")
     return 1.0 - 1.0 / (2.0 * C)
+
+
+def _ratio(lhs: float, rhs: float, key: str = "ratio") -> dict:
+    """{key: lhs / rhs, "vacuous": both zero}; x / 0 reads inf, 0 / 0 reads 0."""
+    return {key: lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf),
+            "vacuous": rhs == 0 and lhs == 0}
 
 
 def _cone_average_over(A_mask: np.ndarray, H: GridFunction,
@@ -401,8 +405,7 @@ def density_inequality_check(A: RegionMask, H: GridFunction, eta: float,
     report = {
         "lhs": lhs,
         "rhs": rhs,
-        "ratio": lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf),
-        "vacuous": rhs == 0 and lhs == 0,
+        **_ratio(lhs, rhs),
         "density_set_size": int(A_eta.mask.sum()),
     }
     if dict_ is not None:
@@ -419,17 +422,10 @@ def containing_density_points(F: RegionMask, eta: float, beta: float,
     gamma(B & F) >= eta gamma(B) — the containing-ball variant."""
     g = F.grid
     gw = g.gamma_y
-    in_F = gw * F.mask
-    ok = np.ones(g.n_spatial, dtype=bool)
-    for B in dict_.balls:
-        if not is_admissible(B, beta):
-            continue
-        inside = np.linalg.norm(g.points - B.center_array, axis=1) < B.radius
-        if not inside.any():
-            continue
-        if in_F[inside].sum() < eta * gw[inside].sum():
-            ok &= ~inside
-    return RegionMask(g, ok)
+    win = _Windows(g, *_ball_arrays([B for B in dict_.balls if is_admissible(B, beta)]))
+    in_F, full = win.gather(np.stack([gw * F.mask, gw], axis=1)).T
+    bad = win.scatter((in_F < eta * full).astype(float), np.maximum)
+    return RegionMask(g, bad == 0.0)
 
 
 def reverse_fubini_check(F: RegionMask, H: GridFunction, eta: float,
@@ -454,8 +450,7 @@ def reverse_fubini_check(F: RegionMask, H: GridFunction, eta: float,
     return {
         "lhs": lhs,
         "rhs": rhs,
-        "ratio": lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf),
-        "vacuous": rhs == 0 and lhs == 0,
+        **_ratio(lhs, rhs),
         "analytic_constant": (delta / alpha) ** g.n * np.exp(-(2.0 + beta) * beta),
         "density_set_size": int(F_tilde.mask.sum()),
     }

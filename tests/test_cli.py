@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from gausstent.cli import (
     EXIT_NUMERIC, EXIT_PARSE, EXIT_PRECONDITION, load_config, main,
 )
-from gausstent.grid import GridFunction, default_grid, write_grid_function
+from gausstent.grid import (
+    GridFunction, HalfSpaceGrid, default_grid, write_grid_function,
+)
 from gausstent.duality import DiscreteMeasure, write_measure_csv
 
 
@@ -163,3 +166,65 @@ def test_embed_command(tmp_path):
     rep = _load(tmp_path, "embed.json")
     assert rep["all_ok"]
     assert rep["mutation_sentinel_failed_support"]
+
+
+# -- malformed inputs end in one line and exit 2 ---------------------------
+
+
+def _one_line_error(capsys):
+    return len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("defect", ["coarser_grid", "missing_row",
+                                    "duplicate_row", "off_node_row"])
+def test_csv_input_must_match_the_grid(tmp_path, capsys, defect):
+    # a 64-node file on the 128-node grid, or one row missing, repeated or
+    # half a cell off its node: no row may snap or zero-fill
+    nx = 64 if defect == "coarser_grid" else 128
+    g = HalfSpaceGrid(((-8.0, 8.0),), (nx,), 1e-3, 8.0, 8)
+    path = tmp_path / "f.csv"
+    write_grid_function(GridFunction(g, np.ones((nx, 8))), path)
+    lines = path.read_text().splitlines()
+    if defect == "missing_row":
+        del lines[5]
+    elif defect == "duplicate_row":
+        lines[5] = lines[6]
+    elif defect == "off_node_row":
+        y, rest = lines[5].split(",", 1)
+        lines[5] = f"{float(y) + 0.5 * g.cell!r},{rest}"
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(["--grid", "128,8", "--out", str(tmp_path), "norm",
+               "--input", str(path)])
+    assert rc == EXIT_PRECONDITION
+    assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("row", ["99.0,0.1,1.0", "0.5,20.0,1.0", "0.5,0.3,0.1,1.0",
+                                 "0.5,0.1,nan"])
+def test_carleson_rejects_measure_points_off_the_grid(tmp_path, input_file,
+                                                      capsys, row):
+    # outside the box or the t-range, of the wrong dimension, or not finite:
+    # no point may snap onto the nearest node or drop out of the norm
+    mu = tmp_path / "mu.csv"
+    mu.write_text(row + "\n")
+    rc = main(["--out", str(tmp_path), "carleson", "--measure", str(mu),
+               "--function", str(input_file)])
+    assert rc == EXIT_PRECONDITION
+    assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("defect", ["short_header", "cut_header", "short_payload",
+                                    "bad_dimension"])
+def test_malformed_gtnt_is_a_precondition_error(tmp_path, input_file, capsys,
+                                                defect):
+    # cut inside the header (6 and 20 bytes) or the payload (8 bytes short),
+    # or a dimension field of 3
+    raw = input_file.read_bytes()
+    bad = tmp_path / "bad.gtnt"
+    bad.write_bytes({"short_header": raw[:6], "cut_header": raw[:20],
+                     "short_payload": raw[:-8],
+                     "bad_dimension": raw[:8] + struct.pack("<I", 3) + raw[12:]}[defect])
+    rc = main(["--out", str(tmp_path), "norm", "--infer-grid",
+               "--input", str(bad)])
+    assert rc == EXIT_PRECONDITION
+    assert _one_line_error(capsys)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from gausstent.geometry import Ball, ConeSpec, cutoff_m, gamma_ball
+from gausstent.geometry import (
+    Ball, ConeSpec, UpperPoint, ball_tent_contains, cutoff_m, gamma_ball,
+)
 from gausstent.grid import GridFunction, SpatialFunction
 from gausstent.functionals import BallDictionary, default_dictionary
 from gausstent.duality import (
@@ -91,6 +93,24 @@ def test_carleson_norm_witness_bruteforce(grid_small, rng):
         best = max(best, mass / gamma_ball(B))
     assert rep["norm"] == pytest.approx(best, rel=1e-12)
     assert rep["witness_ball"] is not None
+
+
+def test_carleson_norm_matches_pointwise_tents(grid_small, rng):
+    # every ball's value against the scalar tent predicate, point by point
+    d = default_dictionary(grid_small, 1.0).admissible(2.0)
+    pts = tuple(((float(rng.uniform(-3, 3)),),
+                 float(np.exp(rng.uniform(np.log(0.01), np.log(2.0)))),
+                 float(rng.uniform(-1.0, 1.0))) for _ in range(50))
+    mu = DiscreteMeasure(pts)
+    rep = carleson_norm(mu, 1.0, 1.0, 2.0, d)
+    want = np.array([sum(abs(w) for y, t, w in mu.points
+                         if ball_tent_contains(B, 1.0, 1.0, UpperPoint(y, t)))
+                     / gamma_ball(B) for B in d.balls])
+    got = np.array([r["value"] for r in rep["per_ball"]])
+    assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+    assert want.max() > 0
+    assert rep["witness_ball"] == d.balls[int(np.argmax(want))]
+    assert rep["norm"] == pytest.approx(want.max(), rel=1e-15)
 
 
 def test_carleson_pairing_constant_finite(grid_small, rng):

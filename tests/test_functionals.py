@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from gausstent.geometry import Ball, ConeSpec, ConeVariant, cutoff_m
+from gausstent.geometry import (
+    Ball, ConeSpec, ConeVariant, cutoff_m, gamma_ball, is_admissible,
+)
 from gausstent.grid import (
-    GridFunction, HalfSpaceGrid, SpatialFunction, halfspace_integral,
-    lp_gamma_norm,
+    GridFunction, HalfSpaceGrid, RegionMask, SpatialFunction,
+    halfspace_integral, lp_gamma_norm,
 )
 from gausstent.functionals import (
     BallDictionary, ExponentPair, _window_bounds, area_S, area_S_sup,
@@ -13,6 +15,7 @@ from gausstent.functionals import (
     tent_norm,
 )
 from gausstent.duality import check_duality_pq
+from gausstent.whitney import containing_density_points
 
 
 def _bump(grid, y0=0.5, t0=0.1, wy=0.4):
@@ -162,18 +165,31 @@ def test_area_sup_is_cone_sup(grid_small):
 
 
 def test_window_bounds_match_dense_predicate(rng):
-    # odd N; radii below one cell, exactly one and a few cells, and wider
-    # than the box
+    # odd N; centers at nodes, cell midpoints, off-grid and outside the box;
+    # radii below one cell, exactly one and a few cells, and wider than the box
     g = HalfSpaceGrid(((-8.0, 8.0),), (127,), 1e-3, 8.0, 4)
     x = g.axes[0]
     cell = g.cell
-    centers = np.tile(np.arange(127), 7)
+    spots = np.concatenate([x, (x[1:] + x[:-1]) / 2.0, [-9.0, -8.0 - 0.5 * cell,
+                                                        8.0 + 1e-3, 12.5]])
+    centers = np.tile(spots, 7)
     radii = np.repeat([0.3 * cell, cell, np.nextafter(cell, 1.0), 2.5 * cell,
-                       1.0, 16.0, 40.0], 127)
-    radii = np.concatenate([radii, rng.uniform(0.0, 20.0, 500)])
-    centers = np.concatenate([centers, rng.integers(0, 127, 500)])
+                       1.0, 16.0, 40.0], len(spots))
+    radii = np.concatenate([radii, rng.uniform(0.0, 20.0, 500),
+                            rng.uniform(0.0, 3.0, 500)])
+    centers = np.concatenate([centers, x[rng.integers(0, 127, 500)],
+                              rng.uniform(-10.0, 10.0, 500)])
+    # radii at a node's own float distance and one ulp either side, where
+    # c + r rounds across the node and the searchsorted guess is off by one
+    c_edge = rng.uniform(-9.0, 9.0, 3000)
+    r_edge = np.abs(x[rng.integers(0, 127, 3000)] - c_edge)
+    r_edge = np.concatenate([r_edge, np.nextafter(r_edge, 0.0),
+                             np.nextafter(r_edge, 99.0)])
+    centers = np.concatenate([centers, np.tile(c_edge, 3)])
+    radii = np.concatenate([radii, r_edge])
     lo, hi = _window_bounds(x, centers, radii)
-    dense = np.abs(x[None, :] - x[centers][:, None]) < radii[:, None]
+    assert np.all(lo <= hi)
+    dense = np.abs(x[None, :] - centers[:, None]) < radii[:, None]
     k = np.arange(127)
     assert np.array_equal((k >= lo[:, None]) & (k < hi[:, None]), dense)
 
@@ -293,6 +309,101 @@ def test_carleson_C_exponent_range(grid_small):
     d = default_dictionary(grid_small, 1.0)
     with pytest.raises(ValueError):
         carleson_C(f, 1.0, 1.0, 1.0, d)
+
+
+# -- ball dictionaries against the per-ball loops they replaced -----------
+
+def _loop_carleson_C(f, q, alpha, beta, balls):
+    g = f.grid
+    caps = cone_caps(g, ConeSpec(alpha, beta))
+    weighted = np.abs(f.values) ** q * g.gamma_y[:, None] * g.wt[None, :]
+    out = np.zeros(g.n_spatial)
+    for B in balls:
+        c = B.center_array
+        dist_c = np.linalg.norm(g.points - c, axis=1)
+        admit = dist_c < min(alpha * B.radius, beta * cutoff_m(c))
+        if not admit.any():
+            continue
+        tent = np.maximum(B.radius - dist_c, 0.0)[:, None] >= caps
+        val = (weighted[tent].sum() / gamma_ball(B)) ** (1.0 / q)
+        np.maximum(out, np.where(admit, val, 0.0), out=out)
+    return out
+
+
+def _loop_maximal_noncentered(vals, grid, level, balls):
+    gw = grid.gamma_y
+    out = np.zeros(grid.n_spatial)
+    for B in balls:
+        if not is_admissible(B, level):
+            continue
+        inside = np.linalg.norm(grid.points - B.center_array, axis=1) < B.radius
+        if not inside.any():
+            continue
+        avg = (np.abs(vals[inside]) * gw[inside]).sum() / gw[inside].sum()
+        np.maximum(out, np.where(inside, avg, 0.0), out=out)
+    return out
+
+
+def _loop_containing_density_points(F, eta, beta, balls):
+    g = F.grid
+    gw = g.gamma_y
+    ok = np.ones(g.n_spatial, dtype=bool)
+    for B in balls:
+        if not is_admissible(B, beta):
+            continue
+        inside = np.linalg.norm(g.points - B.center_array, axis=1) < B.radius
+        if inside.any() and (gw * F.mask)[inside].sum() < eta * gw[inside].sum():
+            ok &= ~inside
+    return ok
+
+
+def _dictionaries(grid, beta, rng):
+    """The default node-centered dictionary, and one of random off-grid
+    centers (some outside the box) with radii up to beta m(c)."""
+    centers = rng.uniform(-8.5, 8.5, size=(150, grid.n))
+    off = tuple(Ball(tuple(c), rng.uniform(0.01, 1.0) * beta * cutoff_m(c))
+                for c in centers)
+    return default_dictionary(grid, beta), BallDictionary(off)
+
+
+@pytest.mark.parametrize("grid_name", ["grid_small", "grid_2d"])
+def test_carleson_C_matches_per_ball_loop(request, grid_name, rng):
+    g = request.getfixturevalue(grid_name)
+    f = _bump(g) if g.n == 1 else _bump_2d(g)
+    for beta in (0.5, 1.0, 2.0):
+        for d in _dictionaries(g, beta, rng):
+            for q, alpha in ((2.0, 1.0), (3.0, 0.5)):
+                want = _loop_carleson_C(f, q, alpha, beta, d.balls)
+                assert np.array_equal(carleson_C(f, q, alpha, beta, d).values, want)
+
+
+@pytest.mark.parametrize("grid_name", ["grid_small", "grid_2d"])
+def test_maximal_noncentered_matches_per_ball_loop(request, grid_name, rng):
+    g = request.getfixturevalue(grid_name)
+    vals = rng.random(g.n_spatial) * (rng.random(g.n_spatial) > 0.3)
+    ones = SpatialFunction(g, np.ones(g.n_spatial))
+    for beta in (0.5, 1.0, 2.0):
+        for d in _dictionaries(g, beta, rng):
+            want = _loop_maximal_noncentered(vals, g, beta, d.balls)
+            got = maximal_noncentered(SpatialFunction(g, vals), beta, d).values
+            assert np.array_equal(got == 0.0, want == 0.0)
+            assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+            M1 = maximal_noncentered(ones, beta, d).values
+            assert np.array_equal(M1 == 0.0, _loop_maximal_noncentered(
+                ones.values, g, beta, d.balls) == 0.0)
+            assert np.all(M1[M1 != 0.0] == 1.0)
+
+
+@pytest.mark.parametrize("grid_name", ["grid_small", "grid_2d"])
+def test_containing_density_points_matches_per_ball_loop(request, grid_name, rng):
+    g = request.getfixturevalue(grid_name)
+    for beta in (0.5, 1.0, 2.0):
+        F = RegionMask(g, rng.random(g.n_spatial) > 0.3)
+        for d in _dictionaries(g, beta, rng):
+            for eta in (0.3, 0.7):
+                want = _loop_containing_density_points(F, eta, beta, d.balls)
+                got = containing_density_points(F, eta, beta, d).mask
+                assert np.array_equal(got, want)
 
 
 # -- norms -----------------------------------------------------------------
