@@ -138,6 +138,8 @@ def _apply_flags(cfg: RunConfig, args) -> RunConfig:
         except ValueError as e:
             raise ConfigError("--grid expects 'nx,nt'") from e
         cfg = replace(cfg, nx=nx, nt=nt)
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     return replace(cfg, seed=args.seed, threads=args.threads, out=args.out)
 
 
@@ -282,7 +284,7 @@ def cmd_independence(cfg: RunConfig, args) -> int:
     combos = [(a, b) for a in APERTURE_GRID for b in APERTURE_GRID]
     summary = []
     for fi, f in enumerate(funcs):
-        with ThreadPoolExecutor(max_workers=max(1, cfg.threads)) as pool:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             norms = list(pool.map(
                 lambda ab: tent_norm(f, pq, ab[0], ab[1]), combos))
         norms = np.asarray(norms)

@@ -26,11 +26,12 @@ each node the sum or max of the weights of the windows that hold it, and
 tent_sums sums over the tent T(B) of each window's ball.  In 1-D a window
 is the index range [lo, hi), found with the same float predicate as a dense
 distance mask so the node sets are identical, and its sums run over the
-O(log N) canonical nodes of a segment tree.  A call costs O(nnz(f) log N)
-with no cache, and every sum adds nonnegative terms only: a prefix-sum
-difference would cancel away the e^{-|y|^2} tails.  On 2-D grids the layer
-keeps dense distance rows.  Which (y, t) lie in T(B) is decided in one
-place, _ball_tent, on the grid and for off-grid measure points alike.
+O(log N) canonical nodes of a segment tree.  On a 2-D grid a window is
+one such range per grid row its disk meets, over the same tree.  A call
+costs O(ranges log N) with no cache, and every sum adds nonnegative terms
+only: a prefix-sum difference would cancel away the e^{-|y|^2} tails.
+Which (y, t) lie in T(B) is decided in one place, _ball_tent, on the grid
+and for off-grid measure points alike.
 
 Suprema over ball families (Carleson functional, maximal functions) range
 over a finite BallDictionary and therefore return certified lower bounds.
@@ -54,7 +55,6 @@ __all__ = [
     "carleson_C",
     "cone_caps",
     "default_dictionary",
-    "grid_gamma_den",
     "maximal_centered",
     "maximal_noncentered",
     "stopping_time",
@@ -155,20 +155,29 @@ def _canonical_nodes(n: int, lo: np.ndarray, hi: np.ndarray):
         idx, left, right = idx[open_], left[open_], right[open_]
 
 
-def _window_end(axis: np.ndarray, xc: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Exclusive end of {k : axis[k] >= x_c, |axis[k] - x_c| < r} per (x_c, r).
+def _distance(d: np.ndarray, off2: np.ndarray | None = None) -> np.ndarray:
+    """|d| on one axis; with the squared offset off2 along the leading axis,
+    sqrt(off2 + d*d), the value np.linalg.norm gives for a 2-D difference."""
+    return np.abs(d) if off2 is None else np.sqrt(off2 + d * d)
 
-    A searchsorted guess, never left of the nodes >= x_c as r >= 0, is
-    corrected against the dense predicate itself, which is monotone over
-    those nodes; each pass re-examines only moved ends."""
+
+def _window_end(axis: np.ndarray, xc: np.ndarray, radii: np.ndarray,
+                off2: np.ndarray | None = None) -> np.ndarray:
+    """Exclusive end of {k : axis[k] >= x_c, _distance(axis[k] - x_c, off2) < r}.
+
+    A searchsorted guess at the reach sqrt(r^2 - off2), never left of the
+    nodes >= x_c, is corrected against the predicate itself, which is
+    monotone over those nodes; each pass re-examines only moved ends."""
     last = len(axis) - 1
-    hi = np.searchsorted(axis, xc + radii, side="left")
+    reach = radii if off2 is None else np.sqrt(np.maximum(radii * radii - off2, 0.0))
+    hi = np.searchsorted(axis, xc + reach, side="left")
     todo = slice(None)
     while True:
         h, x, r = hi[todo], xc[todo], radii[todo]
-        grow = (h <= last) & (np.abs(axis[np.minimum(h, last)] - x) < r)
+        o2 = None if off2 is None else off2[todo]
+        grow = (h <= last) & (_distance(axis[np.minimum(h, last)] - x, o2) < r)
         prev = axis[np.maximum(h - 1, 0)]
-        shrink = (h > 0) & (prev >= x) & ~(np.abs(prev - x) < r)
+        shrink = (h > 0) & (prev >= x) & ~(_distance(prev - x, o2) < r)
         hi[todo] = h + grow - shrink
         moved = np.flatnonzero(grow | shrink)
         if moved.size == 0:
@@ -176,25 +185,35 @@ def _window_end(axis: np.ndarray, xc: np.ndarray, radii: np.ndarray) -> np.ndarr
         todo = np.arange(len(hi))[todo][moved]
 
 
-def _window_bounds(axis: np.ndarray, xc: np.ndarray, radii: np.ndarray):
-    """[lo, hi) with range(lo, hi) = {k : |axis[k] - x_c| < r}.
+def _window_bounds(axis: np.ndarray, xc: np.ndarray, radii: np.ndarray,
+                   off2: np.ndarray | None = None):
+    """[lo, hi) with range(lo, hi) = {k : _distance(axis[k] - x_c, off2) < r}.
 
     The nodes left of x_c are the end on the mirrored axis -axis[::-1]
     around -x_c, whose distances are bit-identical, so both bounds
     reproduce the dense node sets for any center, node or not.
     """
     n = len(axis)
-    hi = _window_end(axis, xc, radii)
-    lo = n - _window_end(-axis[::-1], -xc, radii)
+    hi = _window_end(axis, xc, radii, off2)
+    lo = n - _window_end(-axis[::-1], -xc, radii, off2)
     return lo, hi
+
+
+def _expand(lo: np.ndarray, hi: np.ndarray):
+    """The concatenated ranges range(lo[i], hi[i]) (empty where hi <= lo),
+    and for each element the index i of its range."""
+    counts = np.maximum(hi - lo, 0)
+    at = np.repeat(np.arange(len(lo)), counts)
+    first = np.cumsum(counts) - counts
+    return lo[at] + np.arange(at.size) - first[at], at
 
 
 def _distance_rows(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """|y - c| for points y, shape (K, n), and centers c, shape (n,) or
     (M, n): one row of K distances per center."""
-    if points.shape[1] == 1:
-        return np.abs(points[:, 0] - centers[..., 0, None])
-    return np.linalg.norm(points - centers[..., None, :], axis=-1)
+    d = points - centers[..., None, :]
+    off2 = None if points.shape[1] == 1 else d[..., 0] * d[..., 0]
+    return _distance(d[..., -1], off2)
 
 
 def _ball_tent(points: np.ndarray, center: np.ndarray, radius: float,
@@ -215,59 +234,55 @@ class _Windows:
     """The windows {k : |x_k - c| < r} of (center, radius) pairs, with
     gather, scatter and tent sums; centers are coordinates, shape (M, n).
 
-    1-D: index ranges over a segment tree of size 2N built per call; runs
-    of equal ranges (a center's cone sections as t grows) are summed once.
-    2-D: dense distance rows, a chunk of centers at a time.
+    A window is one index range per grid row (the nodes that share the
+    leading coordinate; in 1-D the whole axis), owner maps ranges to
+    windows.  A 2-D window's rows are the 1-D window on the leading axis,
+    exact as sqrt(fl(dx^2)) = |dx|.  Ranges are summed over a segment tree
+    of size 2N built per call; runs of equal ranges are summed once.
     """
-
-    _CHUNK = 1 << 22                  # dense mask elements per 2-D chunk
 
     def __init__(self, grid: HalfSpaceGrid, centers: np.ndarray, radii: np.ndarray):
         self.grid = grid
         self.centers = np.asarray(centers, dtype=float).reshape(-1, grid.n)
         self.radii = np.asarray(radii, dtype=float)
-        if grid.n == 1:
-            lo, hi = _window_bounds(grid.axes[0], self.centers[:, 0], self.radii)
-            first = np.ones(len(lo), dtype=bool)
-            first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-            self.run_starts = np.flatnonzero(first)
-            self.run_of = np.cumsum(first) - 1
-            self.lo, self.hi = lo[first], hi[first]
-
-    def _dense_masks(self):
-        step = max(1, self._CHUNK // self.grid.n_spatial)
-        for s in range(0, len(self.centers), step):
-            sl = slice(s, s + step)
-            dist = _distance_rows(self.grid.points, self.centers[sl])
-            yield sl, dist < self.radii[sl, None]
+        owner = np.arange(len(self.radii))
+        xc, radii, off2, start = self.centers[:, -1], self.radii, None, 0
+        if grid.n == 2:
+            # a window that meets no row keeps one, clipped into the grid:
+            # every node of it lies at least r away, so its range is empty
+            lo0, hi0 = _window_bounds(grid.axes[0], self.centers[:, 0], radii)
+            lo0 = np.minimum(lo0, grid.nx[0] - 1)
+            rows, owner = _expand(lo0, np.maximum(hi0, lo0 + 1))
+            d0 = grid.axes[0][rows] - self.centers[owner, 0]
+            xc, radii, off2 = xc[owner], radii[owner], d0 * d0
+            start = rows * grid.nx[-1]
+        lo, hi = _window_bounds(grid.axes[-1], xc, radii, off2)
+        lo, hi = lo + start, hi + start
+        first = np.ones(len(lo), dtype=bool)
+        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        self.owner = owner
+        self.window_starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        self.run_starts = np.flatnonzero(first)
+        self.run_of = np.cumsum(first) - 1
+        self.lo, self.hi = lo[first], hi[first]
 
     def gather(self, values: np.ndarray) -> np.ndarray:
         """Sum of values[k] (shape (N,) or (N, m)) over each window."""
         n = self.grid.n_spatial
-        if self.grid.n != 1:
-            out = np.zeros((len(self.centers),) + values.shape[1:])
-            for sl, mask in self._dense_masks():
-                out[sl] = mask @ values
-            return out
         tree = np.zeros((2 * n,) + values.shape[1:])
         tree[n:] = values
         for lo, hi in _tree_levels(n):
             tree[lo:hi] = tree[2 * lo:2 * hi:2] + tree[2 * lo + 1:2 * hi:2]
-        out = np.zeros((len(self.lo),) + values.shape[1:])
+        runs = np.zeros((len(self.lo),) + values.shape[1:])
         for w, nodes in _canonical_nodes(n, self.lo, self.hi):
-            out[w] += tree[nodes]
-        return out[self.run_of]
+            runs[w] += tree[nodes]
+        return np.add.reduceat(np.take(runs, self.run_of, axis=0), self.window_starts)
 
     def scatter(self, weights: np.ndarray, op=np.add) -> np.ndarray:
         """Per node, op-reduction (np.add or np.maximum) of the weights of
         the windows that hold it; 0 where no window does."""
         n = self.grid.n_spatial
-        if self.grid.n != 1:
-            out = np.zeros(n)
-            for sl, mask in self._dense_masks():
-                op(out, op.reduce(np.where(mask, weights[sl, None], 0.0), axis=0), out=out)
-            return out
-        per_run = op.reduceat(weights, self.run_starts)
+        per_run = op.reduceat(weights[self.owner], self.run_starts)
         acc = np.zeros(2 * n)
         for w, nodes in _canonical_nodes(n, self.lo, self.hi):
             op.at(acc, nodes, per_run[w])
@@ -280,13 +295,10 @@ class _Windows:
         """Per window, read as the ball B(c, r): the sum of values (N, nt)
         over the tent T(B), found on the window's nodes; one pairwise numpy
         sum per ball, in the order of a whole-grid tent mask."""
-        if self.grid.n == 1:
-            windows = (np.arange(self.lo[r], self.hi[r]) for r in self.run_of)
-        else:
-            windows = (np.flatnonzero(row) for _, mask in self._dense_masks()
-                       for row in mask)
+        flat, at = _expand(self.lo[self.run_of], self.hi[self.run_of])
+        size = np.bincount(self.owner[at], minlength=len(self.centers))
         out = np.zeros(len(self.centers))
-        for w, nodes in enumerate(windows):
+        for w, nodes in enumerate(np.split(flat, np.cumsum(size))[:-1]):
             tent = _ball_tent(self.grid.points[nodes], self.centers[w], self.radii[w],
                               caps[nodes])
             out[w] = values[nodes][tent].sum()
@@ -297,15 +309,6 @@ def _cone_windows(f_values: np.ndarray, grid: HalfSpaceGrid, spec: ConeSpec):
     """(y, t) indices of the nonzero nodes and the windows of their cones."""
     ys, js = np.nonzero(f_values)
     return ys, js, _Windows(grid, grid.points[ys], cone_caps(grid, spec)[ys, js])
-
-
-def grid_gamma_den(grid: HalfSpaceGrid, spec: ConeSpec) -> np.ndarray:
-    """gamma of B(y_i, cap_ij) by the grid quadrature sum, shape (N, nt).
-
-    Shared by every vertex whose cone contains (y_i, t_j).
-    """
-    _, _, win = _cone_windows(np.ones((grid.n_spatial, grid.nt)), grid, spec)
-    return win.gather(grid.gamma_y).reshape(grid.n_spatial, grid.nt)
 
 
 def _check_area_args(f: GridFunction, spec: ConeSpec):

@@ -59,6 +59,8 @@ class HalfSpaceGrid:
             raise ValueError("one nx per spatial axis required")
         if len(box) not in (1, 2):
             raise ValueError("only n in {1, 2} supported")
+        if not np.all(np.isfinite(box + ((self.t_min, self.t_max),))):
+            raise ValueError("the spatial box and the t range must be finite")
         if not (0.0 < self.t_min < self.t_max):
             raise ValueError("need 0 < t_min < t_max")
         if self.nt < 2 or any(k < 2 for k in self.nx):
@@ -183,15 +185,6 @@ class GridFunction:
             raise ValueError("grid function values must be finite")
         v.setflags(write=False)
         self.values = v
-
-    @classmethod
-    def from_callable(cls, grid: HalfSpaceGrid, fn) -> "GridFunction":
-        y = grid.points
-        t = grid.t
-        vals = np.empty((grid.n_spatial, grid.nt))
-        for j, tj in enumerate(t):
-            vals[:, j] = fn(y, tj)
-        return cls(grid, vals)
 
     @classmethod
     def zero(cls, grid: HalfSpaceGrid) -> "GridFunction":

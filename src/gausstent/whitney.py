@@ -126,7 +126,8 @@ def plus_C(A: RegionMask, level: float,
     """Centers of admissible balls (level) that intersect A.
 
     With no dictionary the supremal radius level*m(x) decides: x qualifies
-    iff dist(x, A) < level*m(x).  With a dictionary, only its balls vote.
+    iff dist(x, A) < level*m(x).  With a dictionary, only its balls vote,
+    each for the node its center is; a center off the nodes is an error.
     """
     g = A.grid
     if dict_ is None:
@@ -135,10 +136,10 @@ def plus_C(A: RegionMask, level: float,
     out = np.zeros(g.n_spatial, dtype=bool)
     dA = set_distance(A)
     for B in dict_.balls:
-        if not is_admissible(B, level):
-            continue
         i = g.nearest_spatial_index(B.center_array)
-        if dA[i] < B.radius:
+        if not np.array_equal(g.points[i], B.center_array):
+            raise ValueError(f"{B} is not centered on a grid node")
+        if is_admissible(B, level) and dA[i] < B.radius:
             out[i] = True
     return RegionMask(g, out)
 
@@ -175,16 +176,6 @@ class WhitneyCover:
     cube_nodes: tuple = ()      # node indices per cube
     cube_dist: tuple = ()       # min node distance to target complement
     audit: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        body = {"audit": self.audit}
-        if self.cubes:
-            body["cubes"] = [{"level": c.level, "index": list(c.index)}
-                             for c in self.cubes]
-        if self.balls:
-            body["balls"] = [{"center": list(b.center), "radius": b.radius}
-                             for b in self.balls]
-        return body
 
 
 def _box_base_level(grid: HalfSpaceGrid) -> int:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gausstent.geometry import Ball, ConeSpec, cutoff_m, gamma_ball
-from gausstent.grid import GridFunction
+from gausstent.grid import GridFunction, HalfSpaceGrid
 from gausstent.functionals import cone_caps
 from gausstent.atomic import (
     Atom, coefficient_report, decompose, decompose_sup, export_decomposition,
@@ -94,6 +94,21 @@ def test_decompose_roundtrip_bump(grid_default, rng):
     assert d.residual_mass < 1e-10
     rep = coefficient_report(d)
     assert np.isfinite(rep["ratio"]) and rep["ratio"] > 0
+
+
+def test_decompose_roundtrip_2d():
+    # 32 x 32 nodes: every window is a set of row ranges
+    g = HalfSpaceGrid(((-8.0, 8.0), (-8.0, 8.0)), (32, 32), 1e-3, 8.0, 16)
+    spec = ConeSpec(1.0, 1.0)
+    r2 = np.sum((g.points - np.array([0.5, -1.0])) ** 2, axis=1)
+    vals = np.exp(-r2 / 2.0)[:, None] * np.exp(-np.log(g.t[None, :] / 0.5) ** 2)
+    vals[r2 > 9.0, :] = 0.0
+    f = GridFunction(g, vals)
+    d = decompose(f, 2.0, spec)
+    assert d.residual_mass == 0.0
+    assert d.audit["nesting_ok"]
+    assert np.max(np.abs(reconstruct(d).values - f.values)) <= 1e-12
+    assert all(validate_atom(a, spec)["all_ok"] for _, a in d.terms)
 
 
 def test_decompose_zero_function(grid_small):

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gausstent.cli import (
     EXIT_NUMERIC, EXIT_PARSE, EXIT_PRECONDITION, load_config, main,
@@ -151,6 +155,15 @@ def test_independence_threads_match(tmp_path, input_file):
         == (out2 / "independence_f0.csv").read_text()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_a_parse_error(tmp_path, input_file, capsys, threads):
+    rc = main(["--threads", threads, "--out", str(tmp_path), "independence",
+               "--input", str(input_file)])
+    assert rc == EXIT_PARSE
+    assert _one_line_error(capsys)
+    assert not list(tmp_path.iterdir())
+
+
 def test_carleson_command(tmp_path, measure_file, input_file):
     rc = main(["--out", str(tmp_path), "carleson",
                "--measure", str(measure_file), "--function", str(input_file)])
@@ -228,3 +241,52 @@ def test_malformed_gtnt_is_a_precondition_error(tmp_path, input_file, capsys,
                "--input", str(bad)])
     assert rc == EXIT_PRECONDITION
     assert _one_line_error(capsys)
+
+
+def _gtnt_bytes(tmp, n):
+    g = HalfSpaceGrid(((-8.0, 8.0),) * n, (8,) * n, 1e-3, 8.0, 4)
+    path = tmp / f"valid{n}.gtnt"
+    write_grid_function(GridFunction(g, np.ones((g.n_spatial, 4))), path)
+    return path.read_bytes()
+
+
+def _run_on_bytes(tmp, raw, command):
+    """Exit code and stderr lines of `command --infer-grid` on a GTNT file;
+    any warning fails the test, as does any exception out of main."""
+    path = tmp / "cut.gtnt"
+    path.write_bytes(raw)
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main(["--out", str(tmp / "out"), command, "--infer-grid", "--input", str(path)])
+    assert not caught
+    return rc, err.getvalue().strip().splitlines()
+
+
+def test_gtnt_cut_at_every_length_is_a_precondition_error(tmp_path):
+    raw = _gtnt_bytes(tmp_path, 1)
+    for size in range(len(raw)):
+        rc, err = _run_on_bytes(tmp_path, raw[:size], "norm")
+        assert rc == EXIT_PRECONDITION and len(err) == 1, (size, err)
+
+
+_NON_FINITE = st.sampled_from([np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2]), field=st.integers(0, 5), data=st.data(),
+       command=st.sampled_from(["norm", "decompose"]))
+def test_gtnt_bad_bounds_are_a_precondition_error(tmp_path_factory, n, field, data,
+                                                  command):
+    # fields 0 .. 2n-1 are the box ends, then t_min and t_max; box ends may
+    # not be infinite or NaN, t ends also not zero or negative
+    field %= 2 * n + 2
+    if field < 2 * n:
+        value = data.draw(_NON_FINITE)
+    else:
+        value = data.draw(st.one_of(_NON_FINITE, st.floats(max_value=0.0)))
+    tmp = tmp_path_factory.mktemp("bounds")
+    raw = bytearray(_gtnt_bytes(tmp, n))
+    struct.pack_into("<d", raw, 16 + 4 * n + 8 * field, value)
+    rc, err = _run_on_bytes(tmp, bytes(raw), command)
+    assert rc == EXIT_PRECONDITION and len(err) == 1, err

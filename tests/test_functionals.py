@@ -9,10 +9,9 @@ from gausstent.grid import (
     halfspace_integral, lp_gamma_norm,
 )
 from gausstent.functionals import (
-    BallDictionary, ExponentPair, _window_bounds, area_S, area_S_sup,
-    area_S_truncated, carleson_C, cone_caps, default_dictionary,
-    grid_gamma_den, maximal_centered, maximal_noncentered, stopping_time,
-    tent_norm,
+    BallDictionary, ExponentPair, _Windows, _expand, _window_bounds, area_S,
+    area_S_sup, area_S_truncated, carleson_C, cone_caps, default_dictionary,
+    maximal_centered, maximal_noncentered, stopping_time, tent_norm,
 )
 from gausstent.duality import check_duality_pq
 from gausstent.whitney import containing_density_points
@@ -194,11 +193,47 @@ def test_window_bounds_match_dense_predicate(rng):
     assert np.array_equal((k >= lo[:, None]) & (k < hi[:, None]), dense)
 
 
-def test_grid_gamma_den_matches_dense(grid_small):
-    g = grid_small
-    for spec in (ConeSpec(1.0, 1.0), ConeSpec(0.5, 2.0), ConeSpec(2.0, 0.5)):
-        want = _dense_den(g, spec, _dense_dist(g))
-        assert np.allclose(grid_gamma_den(g, spec), want, rtol=1e-12, atol=0.0)
+def test_windows_2d_match_dense_predicate(rng):
+    # unequal nx, ny on a non-square box; centers at nodes, cell midpoints,
+    # off-grid and outside the box (one axis or both); the first windows
+    # meet no grid row at all, or rows but no node of them
+    g = HalfSpaceGrid(((-3.0, 5.0), (-2.0, 1.5)), (33, 20), 1e-3, 8.0, 4)
+    p = g.points
+    cell = g.cell
+    centers = [np.array([[-4.0, 0.0], [0.0, 3.0], [6.0, 2.5], [g.axes[0][3], -2.5]])]
+    radii = [np.array([0.5, 0.5, 0.2, 0.4])]
+    mids = (p[:-21] + p[21:]) / 2.0
+    for spots in (p, mids, rng.uniform([-4.0, -3.0], [6.0, 2.5], (2000, 2))):
+        for r in (0.3 * cell, cell, 2.5 * cell, 1.0, 6.0, 20.0):
+            centers.append(spots)
+            radii.append(np.full(len(spots), r))
+    # radii at a node's own float distance and one ulp either side, where
+    # the searchsorted guess in a row lands one node off
+    c_edge = rng.uniform([-4.0, -3.0], [6.0, 2.5], (6000, 2))
+    r_edge = np.linalg.norm(p[rng.integers(0, g.n_spatial, 6000)] - c_edge, axis=1)
+    centers += [c_edge] * 3
+    radii += [r_edge, np.nextafter(r_edge, 0.0), np.nextafter(r_edge, 99.0)]
+    centers, radii = np.concatenate(centers), np.concatenate(radii)
+    win = _Windows(g, centers, radii)
+    dense = np.concatenate([np.linalg.norm(p - c[:, None, :], axis=-1) < r[:, None]
+                            for c, r in zip(np.array_split(centers, 20),
+                                            np.array_split(radii, 20))])
+    assert not dense[:4].any()
+    nodes, at = _expand(win.lo[win.run_of], win.hi[win.run_of])
+    got = np.zeros_like(dense)
+    got[win.owner[at], nodes] = True
+    assert np.array_equal(got, dense)
+    assert nodes.size == dense.sum()                   # no node twice
+    assert np.array_equal(win.gather(np.ones(g.n_spatial)), dense.sum(axis=1))
+    assert np.array_equal(win.scatter(np.ones(len(radii))), dense.sum(axis=0))
+    # tent sums, split by window, with empty windows first
+    caps = np.full((g.n_spatial, g.nt), 0.3 * cell)
+    vals = rng.random((g.n_spatial, g.nt))
+    sub = np.r_[0:4, rng.integers(4, len(radii), 200)]
+    want = [vals[np.maximum(radii[i] - np.linalg.norm(p - centers[i], axis=1), 0.0)[:, None]
+                 >= caps].sum() for i in sub]
+    tents = _Windows(g, centers[sub], radii[sub]).tent_sums(vals, caps)
+    assert np.array_equal(tents, want)
 
 
 @pytest.mark.parametrize("spec", [ConeSpec(1.0, 1.0), ConeSpec(0.5, 2.0),
@@ -222,7 +257,7 @@ def test_area_zero_function_is_zero_everywhere(grid_small):
     assert np.all(area_S_sup(zero, spec).values == 0.0)
 
 
-# -- 2-D grids (dense branch of the window layer) --------------------------
+# -- 2-D grids (row ranges of the window layer) ----------------------------
 
 @pytest.fixture(scope="module")
 def grid_2d():

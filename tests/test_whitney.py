@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from gausstent.geometry import ConeSpec
+from gausstent.geometry import Ball, ConeSpec
 from gausstent.grid import GridFunction, HalfSpaceGrid, RegionMask
-from gausstent.functionals import default_dictionary
+from gausstent.functionals import BallDictionary, default_dictionary
 from gausstent.whitney import (
     complement_distance, containing_density_points, cube_bounds,
     density_inequality_check, density_points, doubling_constant,
@@ -97,6 +97,19 @@ def test_plus_C_dilation(grid_small):
     assert np.all(A.mask <= P.mask)
     assert P.mask[grid_small.nearest_spatial_index(1.2)]
     assert not P.mask[grid_small.nearest_spatial_index(4.0)]
+
+
+def test_plus_C_dictionary_votes_at_ball_centers(grid_small):
+    g = grid_small
+    A = _interval_mask(g, -0.5, 0.5)
+    P = plus_C(A, 1.0, default_dictionary(g, 1.0))
+    assert P.mask.any()
+    assert np.all(P.mask <= plus_C(A, 1.0).mask)
+    # outside the box [-8, 8], and halfway between two nodes: no snapping
+    for center in ((8.05,), ((g.axes[0][70] + g.axes[0][71]) / 2.0,)):
+        bad = BallDictionary((Ball(center, 0.1),))
+        with pytest.raises(ValueError, match="not centered on a grid node"):
+            plus_C(A, 1.0, bad)
 
 
 def test_containing_density_points(grid_small):
