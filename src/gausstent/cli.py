@@ -119,7 +119,11 @@ def load_config(path: str | None) -> RunConfig:
             if key not in _CONFIG_KEYS[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
             cast = _CONFIG_KEYS[section][key]
-            value = np.inf if raw == "inf" else cast(raw)
+            try:
+                value = np.inf if raw == "inf" and cast is float else cast(raw)
+            except ValueError as e:
+                raise ConfigError(f"[{section}] {key} expects {cast.__name__}, "
+                                  f"got '{raw}'") from e
             if section == "dictionary":
                 setattr(cfg, f"dict_{key}", value)
             else:

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .grid import GridFunction, SpatialFunction, lp_gamma_norm
 from .geometry import gamma_ball
@@ -49,6 +48,8 @@ class MotherFunction:
 
 
 def default_phi() -> MotherFunction:
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(lambda x: -x * np.exp(-1.0 / (1.0 - x * x)),
                           bounds=(1e-6, 1.0 - 1e-6), method="bounded")
     peak = -res.fun

@@ -12,7 +12,7 @@ beta*m(.), tents the non-strict dist(y, O^c) >= alpha*t ^ beta*m(y); boundary
 points therefore belong to tents but not to cones.
 
 Only n in {1, 2} is supported: n = 1 has a closed form for gamma of an
-interval via erf, n = 2 reduces to a 1-D radial integral with a Bessel
+interval via erfc, n = 2 reduces to a 1-D radial integral with a Bessel
 factor.
 """
 
@@ -23,8 +23,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.special import erf, erfc, i0e
 
 __all__ = [
     "Ball",
@@ -129,16 +127,22 @@ def lebesgue_ball(B: Ball) -> float:
 def gamma_ball(B: Ball) -> float:
     """Gaussian measure of a ball, density exp(-|y|^2), no normalization.
 
-    n = 1 uses the closed form (sqrt(pi)/2)(erf(c+r) - erf(c-r)); n = 2
+    n = 1 uses the closed form (sqrt(pi)/2)(erfc(|c|-r) - erfc(|c|+r)); n = 2
     integrates the radial profile 2*pi*s*exp(-(|c|-s)^2)*i0e(2 s |c|)
-    adaptively to relative tolerance 1e-10.
+    adaptively to relative tolerance 1e-10.  scipy is imported here, at
+    first use, so that importing the package loads none of it.
     """
     if B.n == 1:
+        from scipy.special import erfc
+
         c, r = abs(B.center[0]), B.radius
         # erfc form keeps precision in the far tail, where erf(c +- r)
         # both round to 1
         return float(np.sqrt(np.pi) / 2.0 * (erfc(c - r) - erfc(c + r)))
     if B.n == 2:
+        from scipy import integrate
+        from scipy.special import i0e
+
         a = float(np.linalg.norm(B.center_array))
 
         def radial(s):

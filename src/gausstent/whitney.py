@@ -2,8 +2,9 @@
 
 Distances from grid nodes to node sets are exact Euclidean distance
 transforms (scipy's two-pass EDT) with the box exterior counted as
-complement.  All set operations are resolution-limited; audits allow a
-one-grid-cell tolerance and say so in their reports.
+complement; the two distance functions import scipy.ndimage at first
+use, not with the module.  All set operations are resolution-limited;
+audits allow a one-grid-cell tolerance and say so in their reports.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
 
 from .geometry import Ball, ConeSpec, UpperPoint, cutoff_m, gamma_ball, is_admissible
 from .grid import GridFunction, HalfSpaceGrid, RegionMask
@@ -47,6 +47,8 @@ def complement_distance(O: RegionMask) -> np.ndarray:
     """dist(x, O^c) at every node; the box exterior belongs to O^c."""
     if O.kind != "spatial":
         raise ValueError("spatial mask required")
+    from scipy.ndimage import distance_transform_edt
+
     g = O.grid
     shaped = O.mask.reshape(g.shape)
     padded = np.pad(shaped, 1, constant_values=False)
@@ -62,6 +64,8 @@ def set_distance(A: RegionMask) -> np.ndarray:
     g = A.grid
     if not A.mask.any():
         return np.full(g.n_spatial, np.inf)
+    from scipy.ndimage import distance_transform_edt
+
     d = distance_transform_edt(~A.mask.reshape(g.shape), sampling=g.spacing)
     return np.asarray(d).ravel()
 

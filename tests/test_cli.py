@@ -1,8 +1,12 @@
 import contextlib
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +68,21 @@ def test_config_rejects_unknown_key(tmp_path):
     assert main(["--config", str(ini), "verify"]) == EXIT_PARSE
     ini.write_text("[mystery]\nx = 1\n")
     assert main(["--config", str(ini), "verify"]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("section,key,raw", [
+    ("grid", "nx", "inf"), ("grid", "nx", "abc"), ("params", "alpha", "x"),
+])
+def test_config_value_of_wrong_type_is_a_parse_error(tmp_path, capsys, section,
+                                                     key, raw):
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[{section}]\n{key} = {raw}\n")
+    rc = main(["--config", str(ini), "--out", str(tmp_path / "out"), "verify"])
+    assert rc == EXIT_PARSE
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert f"[{section}] {key}" in err and raw in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_input_is_parse_error(tmp_path):
@@ -290,3 +309,42 @@ def test_gtnt_bad_bounds_are_a_precondition_error(tmp_path_factory, n, field, da
     struct.pack_into("<d", raw, 16 + 4 * n + 8 * field, value)
     rc, err = _run_on_bytes(tmp, bytes(raw), command)
     assert rc == EXIT_PRECONDITION and len(err) == 1, err
+
+
+# -- what each command imports ----------------------------------------------
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+_LIST_SCIPY = """
+import sys
+print(" ".join(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def _scipy_modules_after(tmp_path, script):
+    """Run `script` in a fresh interpreter; return the scipy modules it loaded."""
+    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script + _LIST_SCIPY],
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_import_and_independence_load_no_scipy(tmp_path):
+    loaded = _scipy_modules_after(tmp_path, """
+from gausstent.cli import main
+assert main(["--out", "out", "--grid", "64,16", "independence"]) == 0
+""")
+    assert loaded == set()
+
+
+def test_decompose_loads_neither_integrate_nor_optimize(tmp_path):
+    loaded = _scipy_modules_after(tmp_path, """
+from gausstent.cli import main, tent_indicator
+from gausstent.geometry import ConeSpec
+from gausstent.grid import HalfSpaceGrid, write_grid_function
+g = HalfSpaceGrid(((-8.0, 8.0),), (64,), 1e-3, 8.0, 16)
+write_grid_function(tent_indicator(g, ConeSpec(1.0, 1.0), 0.5, 1.0), "f.gtnt")
+assert main(["--out", "out", "--grid", "64,16", "decompose", "--input", "f.gtnt"]) == 0
+""")
+    assert {"scipy.special", "scipy.ndimage"} <= loaded
+    assert not loaded & {"scipy.integrate", "scipy.optimize"}
