@@ -34,7 +34,6 @@ from .grid import (
     default_grid,
     halfspace_integral,
     lp_gamma_norm,
-    restrict,
 )
 from .functionals import (
     BallDictionary,

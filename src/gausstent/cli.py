@@ -125,6 +125,8 @@ def load_config(path: str | None) -> RunConfig:
                 raise ConfigError(f"[{section}] {key} expects {cast.__name__}, "
                                   f"got '{raw}'") from e
             if section == "dictionary":
+                if value < 1:
+                    raise ConfigError(f"[dictionary] {key} must be at least 1, got {raw}")
                 setattr(cfg, f"dict_{key}", value)
             else:
                 setattr(cfg, key, value)
@@ -317,7 +319,7 @@ def cmd_carleson(cfg: RunConfig, args) -> int:
     dict_ = cfg.dictionary(grid).admissible(cfg.delta)
     rep = carleson_norm(mu, cfg.alpha, cfg.beta, cfg.delta, dict_)
     out = {"norm": rep["norm"], "witness_ball": rep["witness_ball"],
-           "n_balls": len(rep["per_ball"]), "delta": cfg.delta}
+           "n_balls": len(rep["values"]), "delta": cfg.delta}
     if args.function:
         f = read_grid_function(args.function,
                                None if args.infer_grid else grid)

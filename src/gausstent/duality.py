@@ -17,11 +17,10 @@ as measured constants with stability left to the callers' test families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .geometry import Ball, ConeSpec, cutoff_m, gamma_ball, is_admissible
+from .geometry import Ball, ConeSpec, _gamma_balls, cutoff_m
 from .grid import GridFunction, SpatialFunction, halfspace_integral, lp_gamma_norm
 from .functionals import (
     BallDictionary,
@@ -67,13 +66,6 @@ class DiscreteMeasure:
             rows.append((y, float(t), float(w)))
         object.__setattr__(self, "points", tuple(rows))
 
-    @property
-    def total_variation(self) -> float:
-        return float(sum(abs(w) for _, _, w in self.points))
-
-    def scaled(self, c: float) -> "DiscreteMeasure":
-        return DiscreteMeasure(tuple((y, t, w * c) for y, t, w in self.points))
-
 
 def write_measure_csv(mu: DiscreteMeasure, path) -> None:
     with open(path, "w") as fh:
@@ -113,25 +105,25 @@ def carleson_norm(mu: DiscreteMeasure, alpha: float, beta: float,
 
     The dictionary must consist of delta-admissible balls (Carleson-measure
     convention; contrast the unrestricted Carleson-functional supremum).
+    values holds every ball's ratio, in dictionary order.
     """
-    bad = [b for b in dict_.balls if not is_admissible(b, delta)]
+    bad = int(np.count_nonzero(~dict_._admits(delta)))
     if bad:
-        raise ValueError(f"{len(bad)} dictionary balls not admissible at level {delta}")
-    n = dict_.balls[0].n
+        raise ValueError(f"{bad} dictionary balls not admissible at level {delta}")
+    n = dict_.centers.shape[1]
     if any(len(y) != n for y, _, _ in mu.points):
         raise ValueError(f"measure points need {n} spatial coordinates")
     ys = np.array([y for y, _, _ in mu.points], dtype=float).reshape(len(mu.points), n)
     caps = np.array([min(alpha * t, beta * cutoff_m(y)) for y, t, _ in mu.points])
     absw = np.array([abs(w) for _, _, w in mu.points])
-    best, witness = 0.0, None
-    table = []
-    for B in dict_.balls:
-        mass = absw[_ball_tent(ys, B.center_array, B.radius, caps[:, None])[:, 0]].sum()
-        val = mass / gamma_ball(B)
-        table.append({"ball": B, "value": val})
-        if val > best:
-            best, witness = val, B
-    return {"norm": best, "witness_ball": witness, "per_ball": table}
+    mass = np.array([absw[_ball_tent(ys, c, r, caps[:, None])[:, 0]].sum()
+                     for c, r in zip(dict_.centers, dict_.radii)])
+    values = mass / _gamma_balls(dict_.centers, dict_.radii)
+    best, witness = float(np.fmax.reduce(values, initial=0.0)), None
+    if best > 0:
+        k = int(np.flatnonzero(values == best)[0])
+        witness = Ball(dict_.centers[k], float(dict_.radii[k]))
+    return {"norm": best, "witness_ball": witness, "values": values}
 
 
 def check_carleson_pairing(mu: DiscreteMeasure, f: GridFunction, alpha: float,
@@ -156,34 +148,31 @@ def measured_K_beta(alpha: float, beta: float, dict_: BallDictionary) -> float:
     """Inflation constant: sup gamma(kappa B~)/gamma(B~) over dictionary
     balls, with B~ = B(c, alpha r ^ beta m(c)) and kappa = 2(beta+1)^2 + 1."""
     kappa = 2.0 * (beta + 1.0) ** 2 + 1.0
-    worst = 1.0
-    for B in dict_.balls:
-        r = min(alpha * B.radius, beta * cutoff_m(B.center_array))
-        if r <= 0:
-            continue
-        Bt = Ball(B.center, r)
-        worst = max(worst, gamma_ball(Bt.scaled(kappa)) / gamma_ball(Bt))
-    return worst
+    r = np.minimum(alpha * dict_.radii, beta * cutoff_m(dict_.centers))
+    keep = r > 0
+    c, r = dict_.centers[keep], r[keep]
+    with np.errstate(divide="raise", invalid="raise"):
+        ratio = _gamma_balls(c, kappa * r) / _gamma_balls(c, r)
+    return float(ratio.max(initial=1.0))
 
 
 def stopping_density(h: SpatialFunction, alpha: float, beta: float,
                      dict_: BallDictionary) -> dict:
     """Per ball: gamma-fraction of B(c, alpha r ^ beta m(c)) where the
-    stopping time reaches r_B.  Grid-sum gammas keep the ratio exact."""
+    stopping time reaches r_B (NaN where that ball holds no node).
+    Grid-sum gammas keep the ratio exact."""
     g = h.grid
     gw = g.gamma_y
-    rows = []
-    lam_min = 1.0
-    for B in dict_.balls:
-        r_adm = min(alpha * B.radius, beta * cutoff_m(B.center_array))
-        inside = _distance_rows(g.points, B.center_array) < r_adm
+    r_adm = np.minimum(alpha * dict_.radii, beta * cutoff_m(dict_.centers))
+    lam = np.full(len(r_adm), np.nan)
+    for k, (c, r, ra) in enumerate(zip(dict_.centers, dict_.radii, r_adm)):
+        inside = _distance_rows(g.points, c) < ra
         den = gw[inside].sum()
-        if den == 0.0:
-            continue
-        lam = float(gw[inside & (h.values >= B.radius)].sum() / den)
-        rows.append({"ball": B, "lambda_M": lam})
-        lam_min = min(lam_min, lam)
-    return {"per_ball": rows, "lambda_M_min": lam_min if rows else np.nan}
+        if den > 0.0:
+            lam[k] = gw[inside & (h.values >= r)].sum() / den
+    seen = lam[~np.isnan(lam)]
+    return {"lambda_M": lam,
+            "lambda_M_min": min(1.0, float(seen.min())) if seen.size else np.nan}
 
 
 def check_duality_1q(f: GridFunction, g: GridFunction, q: float,

@@ -35,15 +35,18 @@ and for off-grid measure points alike.
 
 Suprema over ball families (Carleson functional, maximal functions) range
 over a finite BallDictionary and therefore return certified lower bounds.
+A dictionary is two arrays, centers (K, n) and radii (K,); its consumers
+hand them to the window layer as they are and take gamma(B) of every ball
+from one call of the geometry module's gamma kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Ball, ConeSpec, ConeVariant, cutoff_m, gamma_ball, is_admissible
+from .geometry import ConeSpec, ConeVariant, _gamma_balls, cutoff_m
 from .grid import GridFunction, HalfSpaceGrid, SpatialFunction, lp_gamma_norm
 
 __all__ = [
@@ -80,40 +83,57 @@ class ExponentPair:
             raise ValueError("p = inf requires 1 < q < inf")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BallDictionary:
-    """Finite search family standing in for the uncountable ball suprema."""
+    """Finite search family standing in for the uncountable ball suprema:
+    the balls B(centers[k], radii[k]), centers of shape (K, n)."""
 
-    balls: tuple
+    centers: np.ndarray
+    radii: np.ndarray
 
     def __post_init__(self):
-        if len(self.balls) == 0:
+        centers = np.array(self.centers, dtype=float)
+        radii = np.array(self.radii, dtype=float)
+        if radii.size == 0:
             raise ValueError("empty ball dictionary")
-        object.__setattr__(self, "balls", tuple(self.balls))
+        if centers.ndim != 2 or centers.shape[1] not in (1, 2):
+            raise ValueError("dictionary centers need shape (K, n), n in {1, 2}")
+        if radii.shape != (len(centers),):
+            raise ValueError(f"{len(centers)} dictionary centers but radii of "
+                             f"shape {radii.shape}")
+        if not np.all(np.isfinite(centers)):
+            raise ValueError("point coordinates must be finite")
+        if not np.all((radii > 0) & np.isfinite(radii)):
+            raise ValueError("ball radius must be positive and finite")
+        centers.setflags(write=False)
+        radii.setflags(write=False)
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "radii", radii)
+
+    def _admits(self, level: float) -> np.ndarray:
+        """Which balls are admissible at level: r <= level * m(c)."""
+        return self.radii <= level * cutoff_m(self.centers)
 
     def admissible(self, level: float) -> "BallDictionary":
-        kept = [b for b in self.balls if is_admissible(b, level)]
-        if not kept:
+        keep = self._admits(level)
+        if not keep.any():
             raise ValueError(f"no dictionary ball admissible at level {level}")
-        return BallDictionary(tuple(kept))
+        return BallDictionary(self.centers[keep], self.radii[keep])
 
 
 def default_dictionary(grid: HalfSpaceGrid, beta: float,
                        stride: int = 4, n_levels: int = 7) -> BallDictionary:
-    """Centers at every stride-th node, radii {2^-k beta m(c)}, k = 0..6.
+    """Centers at every stride-th node, radii {2^-k beta m(c)}, k = 0..6,
+    center-major.
 
     k = 0 is the exact admissibility boundary radius beta*m(c).
     """
-    balls = []
     idx = [np.arange(0, k, stride) for k in grid.nx]
     mesh = np.meshgrid(*idx, indexing="ij")
-    flat = np.ravel_multi_index(tuple(m.ravel() for m in mesh), grid.nx)
-    for i in flat:
-        c = grid.points[i]
-        base = beta * cutoff_m(c)
-        for k in range(n_levels):
-            balls.append(Ball(tuple(c), base * 2.0 ** (-k)))
-    return BallDictionary(tuple(balls))
+    centers = grid.points[np.ravel_multi_index(tuple(m.ravel() for m in mesh), grid.nx)]
+    scales = np.array([2.0 ** (-k) for k in range(n_levels)])
+    radii = (beta * cutoff_m(centers))[:, None] * scales
+    return BallDictionary(np.repeat(centers, n_levels, axis=0), radii.ravel())
 
 
 def cone_caps(grid: HalfSpaceGrid, spec: ConeSpec) -> np.ndarray:
@@ -222,12 +242,6 @@ def _ball_tent(points: np.ndarray, center: np.ndarray, radius: float,
     max(r - |y - c|, 0) >= cap, with one row of caps per point y."""
     depth = np.maximum(radius - _distance_rows(points, center), 0.0)
     return depth[:, None] >= caps
-
-
-def _ball_arrays(balls) -> tuple:
-    """Centers, shape (M, n), and radii, shape (M,), of a ball sequence."""
-    return (np.array([B.center for B in balls], dtype=float),
-            np.array([B.radius for B in balls]))
 
 
 class _Windows:
@@ -361,10 +375,11 @@ def carleson_C(f: GridFunction, q: float, alpha: float, beta: float,
     g = f.grid
     caps = cone_caps(g, ConeSpec(alpha, beta))
     weighted = np.abs(f.values) ** q * g.gamma_y[:, None] * g.wt[None, :]
-    centers, radii = _ball_arrays(dict_.balls)
+    centers, radii = dict_.centers, dict_.radii
     mass = _Windows(g, centers, radii).tent_sums(weighted, caps)
-    val = [(m / gamma_ball(B)) ** (1.0 / q) for m, B in zip(mass, dict_.balls)]
-    admit = np.minimum(alpha * radii, beta * np.array([cutoff_m(c) for c in centers]))
+    # one scalar power per ball: numpy's array power can differ in the last ulp
+    val = [(m / gam) ** (1.0 / q) for m, gam in zip(mass, _gamma_balls(centers, radii))]
+    admit = np.minimum(alpha * radii, beta * cutoff_m(centers))
     return SpatialFunction(g, _Windows(g, centers, admit).scatter(np.array(val), np.maximum))
 
 
@@ -393,7 +408,8 @@ def maximal_noncentered(g: SpatialFunction, level: float,
     """
     grid = g.grid
     gw = grid.gamma_y
-    win = _Windows(grid, *_ball_arrays([B for B in dict_.balls if is_admissible(B, level)]))
+    keep = dict_._admits(level)
+    win = _Windows(grid, dict_.centers[keep], dict_.radii[keep])
     num, den = win.gather(np.stack([np.abs(g.values) * gw, gw], axis=1)).T
     avg = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     return SpatialFunction(grid, win.scatter(avg, np.maximum))

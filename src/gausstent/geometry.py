@@ -51,10 +51,18 @@ def _point(x) -> np.ndarray:
     return p
 
 
-def cutoff_m(x) -> float:
-    """m(x) = min(1, 1/|x|); the admissible scale at x (equals 1 at x = 0)."""
-    r = float(np.linalg.norm(_point(x)))
-    return 1.0 if r <= 1.0 else 1.0 / r
+def cutoff_m(x):
+    """m(x) = min(1, 1/|x|) with |x| = sqrt(sum x_i^2); the admissible
+    scale at x (equals 1 at x = 0).
+
+    One point (a scalar or a coordinate vector) gives a float; an array of
+    points, coordinates on the last axis, gives an array.
+    """
+    p = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.isfinite(p).all():
+        raise ValueError("point coordinates must be finite")
+    m = 1.0 / np.maximum(np.sqrt((p * p).sum(axis=-1)), 1.0)
+    return float(m) if p.ndim == 1 else m
 
 
 @dataclass(frozen=True)
@@ -125,32 +133,38 @@ def lebesgue_ball(B: Ball) -> float:
 
 
 def gamma_ball(B: Ball) -> float:
-    """Gaussian measure of a ball, density exp(-|y|^2), no normalization.
+    """Gaussian measure of a ball, density exp(-|y|^2), no normalization."""
+    return float(_gamma_balls(B.center_array[None, :], np.array([B.radius]))[0])
 
-    n = 1 uses the closed form (sqrt(pi)/2)(erfc(|c|-r) - erfc(|c|+r)); n = 2
-    integrates the radial profile 2*pi*s*exp(-(|c|-s)^2)*i0e(2 s |c|)
-    adaptively to relative tolerance 1e-10.  scipy is imported here, at
-    first use, so that importing the package loads none of it.
+
+def _gamma_balls(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """gamma(B(c, r)) for centers, shape (K, n), and radii, shape (K,).
+
+    n = 1 uses the closed form (sqrt(pi)/2)(erfc(|c|-r) - erfc(|c|+r))
+    elementwise; n = 2 integrates the radial profile
+    2*pi*s*exp(-(|c|-s)^2)*i0e(2 s |c|) adaptively to relative tolerance
+    1e-10, one ball at a time.  scipy is imported here, at first use, so
+    that importing the package loads none of it.
     """
-    if B.n == 1:
+    n = centers.shape[1]
+    if n == 1:
         from scipy.special import erfc
 
-        c, r = abs(B.center[0]), B.radius
+        c = np.abs(centers[:, 0])
         # erfc form keeps precision in the far tail, where erf(c +- r)
         # both round to 1
-        return float(np.sqrt(np.pi) / 2.0 * (erfc(c - r) - erfc(c + r)))
-    if B.n == 2:
+        return np.sqrt(np.pi) / 2.0 * (erfc(c - radii) - erfc(c + radii))
+    if n == 2:
         from scipy import integrate
         from scipy.special import i0e
 
-        a = float(np.linalg.norm(B.center_array))
-
-        def radial(s):
+        def radial(s, a):
             # exp(-|c|^2 - s^2) * I0(2 a s) == exp(-(a-s)^2) * i0e(2 a s)
             return 2.0 * np.pi * s * np.exp(-((a - s) ** 2)) * i0e(2.0 * a * s)
 
-        val, _ = integrate.quad(radial, 0.0, B.radius, epsabs=0.0, epsrel=1e-10, limit=200)
-        return float(val)
+        return np.array([integrate.quad(radial, 0.0, r, args=(float(np.linalg.norm(c)),),
+                                        epsabs=0.0, epsrel=1e-10, limit=200)[0]
+                         for c, r in zip(centers, radii)])
     raise ValueError("only n in {1, 2} supported")
 
 

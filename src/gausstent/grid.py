@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .geometry import cutoff_m
+
 __all__ = [
     "GridFunction",
     "HalfSpaceGrid",
@@ -29,11 +31,8 @@ __all__ = [
     "default_grid",
     "halfspace_integral",
     "lp_gamma_norm",
-    "restrict",
     "read_grid_function",
     "write_grid_function",
-    "read_mask_csv",
-    "write_mask_csv",
 ]
 
 _GTNT_MAGIC = b"GTNT"
@@ -126,9 +125,7 @@ class HalfSpaceGrid:
     @cached_property
     def m_y(self) -> np.ndarray:
         """Cutoff m at every spatial node."""
-        r = np.linalg.norm(self.points, axis=1)
-        with np.errstate(divide="ignore"):
-            return np.minimum(1.0, np.where(r > 0, 1.0 / r, np.inf))
+        return cutoff_m(self.points)
 
     # -- t structure -------------------------------------------------------
 
@@ -264,14 +261,6 @@ def lp_gamma_norm(g: SpatialFunction, p) -> float:
     return float(np.sum(np.abs(g.values) ** p * g.grid.gamma_y) ** (1.0 / p))
 
 
-def restrict(f: GridFunction, mask: RegionMask) -> GridFunction:
-    if mask.grid != f.grid:
-        raise ValueError("grid mismatch")
-    if mask.kind == "spatial":
-        return GridFunction(f.grid, f.values * mask.mask[:, None])
-    return GridFunction(f.grid, f.values * mask.mask)
-
-
 # -- I/O ------------------------------------------------------------------
 
 
@@ -394,15 +383,3 @@ def _read_gtnt(path: Path) -> GridFunction:
                          f"expected {8 * grid.n_spatial * nt}")
     values = np.frombuffer(payload, dtype="<f8").reshape(grid.n_spatial, nt)
     return GridFunction(grid, values.copy())
-
-
-def write_mask_csv(mask: RegionMask, path) -> None:
-    np.savetxt(path, mask.mask.astype(int).reshape(1, -1) if mask.mask.ndim == 1
-               else mask.mask.astype(int), fmt="%d", delimiter=",")
-
-
-def read_mask_csv(path, grid: HalfSpaceGrid, kind: str = "spatial") -> RegionMask:
-    raw = np.loadtxt(path, delimiter=",", ndmin=2).astype(bool)
-    if kind == "spatial":
-        return RegionMask(grid, raw.ravel(), kind)
-    return RegionMask(grid, raw, kind)

@@ -13,11 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Ball, ConeSpec, UpperPoint, cutoff_m, gamma_ball, is_admissible
+from .geometry import Ball, ConeSpec, _gamma_balls
 from .grid import GridFunction, HalfSpaceGrid, RegionMask
-from .functionals import (
-    BallDictionary, _ball_arrays, _cone_windows, _distance_rows, _Windows, cone_caps,
-)
+from .functionals import BallDictionary, _cone_windows, _distance_rows, _Windows, cone_caps
 
 __all__ = [
     "DyadicCube",
@@ -29,8 +27,6 @@ __all__ = [
     "density_points",
     "doubling_constant",
     "etabar_from_doubling",
-    "mask_tent_contains",
-    "plus_C",
     "region_R_mask",
     "reverse_fubini_check",
     "set_distance",
@@ -83,15 +79,6 @@ def tent_mask(O: RegionMask, alpha: float, beta: float,
     return RegionMask(g, d[:, None] >= caps, kind="halfspace")
 
 
-def mask_tent_contains(O: RegionMask, alpha: float, beta: float,
-                       p: UpperPoint) -> bool:
-    """Tent membership for an arbitrary (y, t), distance read at the nearest
-    node (one-cell tolerance)."""
-    g = O.grid
-    d = complement_distance(O)[g.nearest_spatial_index(p.y)]
-    return d >= min(alpha * p.t, beta * cutoff_m(np.asarray(p.y)))
-
-
 def region_R_mask(F: RegionMask, alpha: float, beta: float,
                   shrink: float = 1.0) -> RegionMask:
     """Union of cones with vertices in F: nodes with dist(y, F) < cap."""
@@ -123,29 +110,6 @@ def density_points(A: RegionMask, eta: float, level: float,
         num, den = _Windows(g, g.points, base * 2.0 ** (-k)).gather(sums).T
         ok &= num >= eta * den
     return RegionMask(g, ok)
-
-
-def plus_C(A: RegionMask, level: float,
-           dict_: BallDictionary | None = None) -> RegionMask:
-    """Centers of admissible balls (level) that intersect A.
-
-    With no dictionary the supremal radius level*m(x) decides: x qualifies
-    iff dist(x, A) < level*m(x).  With a dictionary, only its balls vote,
-    each for the node its center is; a center off the nodes is an error.
-    """
-    g = A.grid
-    if dict_ is None:
-        d = set_distance(A)
-        return RegionMask(g, d < level * g.m_y)
-    out = np.zeros(g.n_spatial, dtype=bool)
-    dA = set_distance(A)
-    for B in dict_.balls:
-        i = g.nearest_spatial_index(B.center_array)
-        if not np.array_equal(g.points[i], B.center_array):
-            raise ValueError(f"{B} is not centered on a grid node")
-        if is_admissible(B, level) and dA[i] < B.radius:
-            out[i] = True
-    return RegionMask(g, out)
 
 
 # -- Whitney cube covers ---------------------------------------------------
@@ -346,12 +310,11 @@ def _audit_balls(O, balls, centers_idx, edt, C) -> dict:
 def doubling_constant(grid: HalfSpaceGrid, level: float,
                       dict_: BallDictionary) -> float:
     """Measured sup of gamma(2B)/gamma(B) over admissible dictionary balls."""
-    worst = 1.0
-    for B in dict_.balls:
-        if not is_admissible(B, level):
-            continue
-        worst = max(worst, gamma_ball(B.scaled(2.0)) / gamma_ball(B))
-    return worst
+    keep = dict_._admits(level)
+    c, r = dict_.centers[keep], dict_.radii[keep]
+    with np.errstate(divide="raise", invalid="raise"):
+        ratio = _gamma_balls(c, 2.0 * r) / _gamma_balls(c, r)
+    return float(ratio.max(initial=1.0))
 
 
 def etabar_from_doubling(C: float) -> float:
@@ -417,7 +380,8 @@ def containing_density_points(F: RegionMask, eta: float, beta: float,
     gamma(B & F) >= eta gamma(B) — the containing-ball variant."""
     g = F.grid
     gw = g.gamma_y
-    win = _Windows(g, *_ball_arrays([B for B in dict_.balls if is_admissible(B, beta)]))
+    keep = dict_._admits(beta)
+    win = _Windows(g, dict_.centers[keep], dict_.radii[keep])
     in_F, full = win.gather(np.stack([gw * F.mask, gw], axis=1)).T
     bad = win.scatter((in_F < eta * full).astype(float), np.maximum)
     return RegionMask(g, bad == 0.0)

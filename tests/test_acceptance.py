@@ -318,12 +318,11 @@ def test_criterion_09_stopping_density(grid):
         h = stopping_time(g, qp, spec, M,
                           np.geomspace(grid.t_min, grid.t_max, 16), cq)
         rep = stopping_density(h, 1.0, 1.0, d)
-        for row in rep["per_ball"]:
-            lam_min = min(lam_min, row["lambda_M"])
+        lam_min = min(lam_min, rep["lambda_M_min"])
     ok = lam_min > 0.0
     _line(9, "stopping-time density", ok,
           f"min lambda_M = {lam_min:.4f} over 5 functions x "
-          f"{len(d.balls)} balls")
+          f"{len(d.radii)} balls")
     assert ok
 
 

@@ -85,6 +85,21 @@ def test_config_value_of_wrong_type_is_a_parse_error(tmp_path, capsys, section,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["stride", "levels"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_dictionary_sizes_below_one_are_a_parse_error(tmp_path, input_file, capsys,
+                                                      key, value):
+    # stride = 0 with p = inf divided by zero (exit 3) before it was checked
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[params]\np = inf\n[dictionary]\n{key} = {value}\n")
+    rc = main(["--config", str(ini), "--out", str(tmp_path / "out"), "norm",
+               "--input", str(input_file)])
+    assert rc == EXIT_PARSE
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and f"[dictionary] {key}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_input_is_parse_error(tmp_path):
     assert main(["--out", str(tmp_path), "norm",
                  "--input", str(tmp_path / "nope.gtnt")]) == EXIT_PARSE
@@ -190,6 +205,39 @@ def test_carleson_command(tmp_path, measure_file, input_file):
     rep = _load(tmp_path, "carleson.json")
     assert rep["norm"] > 0
     assert np.isfinite(rep["pairing"]["C_emp"])
+
+
+def _pinned_inputs(tmp):
+    """A bump on the 128x32 grid and a 12-point measure, fixed for good."""
+    g = HalfSpaceGrid(((-8.0, 8.0),), (128,), 1e-3, 8.0, 32)
+    y, t = g.points[:, 0], g.t
+    vals = np.exp(-((y[:, None] - 0.5) / 0.4) ** 2) \
+        * np.exp(-np.log(t[None, :] / 0.1) ** 2)
+    vals[np.abs(y - 0.5) > 1.0, :] = 0.0
+    write_grid_function(GridFunction(g, vals), tmp / "f.gtnt")
+    rng = np.random.default_rng(0)
+    pts = tuple(((float(rng.uniform(-2, 2)),),
+                 float(np.exp(rng.uniform(np.log(0.01), 0.0))),
+                 float(rng.uniform(0.1, 1.0))) for _ in range(12))
+    write_measure_csv(DiscreteMeasure(pts), tmp / "mu.csv")
+    (tmp / "c.ini").write_text("[params]\np = inf\n")
+
+
+def test_dictionary_reports_are_pinned(tmp_path):
+    # C_q at p = inf and the Carleson-measure norm over the default
+    # dictionary, to the last bit
+    _pinned_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert main(["--config", str(tmp_path / "c.ini"), "--grid", "128,32",
+                 "--out", str(out), "norm", "--input", str(tmp_path / "f.gtnt")]) == 0
+    assert main(["--grid", "128,32", "--out", str(out), "carleson",
+                 "--measure", str(tmp_path / "mu.csv")]) == 0
+    assert _load(out, "norm.json")["norm"] == 0.7917852595280547
+    rep = _load(out, "carleson.json")
+    assert rep["norm"] == 32.82667255190501
+    assert rep["witness_ball"] == {"center": [2.078740157480315],
+                                   "radius": 0.4810606060606061}
+    assert rep["n_balls"] == 224
 
 
 def test_embed_command(tmp_path):
@@ -335,6 +383,18 @@ from gausstent.cli import main
 assert main(["--out", "out", "--grid", "64,16", "independence"]) == 0
 """)
     assert loaded == set()
+
+
+def test_dictionary_commands_load_special_but_not_integrate(tmp_path):
+    _pinned_inputs(tmp_path)
+    loaded = _scipy_modules_after(tmp_path, """
+from gausstent.cli import main
+assert main(["--config", "c.ini", "--grid", "128,32", "--out", "out", "norm",
+             "--input", "f.gtnt"]) == 0
+assert main(["--grid", "128,32", "--out", "out", "carleson", "--measure", "mu.csv"]) == 0
+""")
+    assert "scipy.special" in loaded
+    assert "scipy.integrate" not in loaded
 
 
 def test_decompose_loads_neither_integrate_nor_optimize(tmp_path):

@@ -84,11 +84,39 @@ def test_exponent_pair_validation():
 
 def test_default_dictionary_admissible(grid_small):
     d = default_dictionary(grid_small, 1.0)
-    assert len(d.balls) > 0
-    for B in d.balls:
-        assert B.radius <= 1.0 * cutoff_m(B.center) + 1e-12
+    assert len(d.radii) > 0
+    for c, r in zip(d.centers, d.radii):
+        assert r <= 1.0 * cutoff_m(c) + 1e-12
     sub = d.admissible(0.5)
-    assert all(B.radius <= 0.5 * cutoff_m(B.center) for B in sub.balls)
+    assert all(is_admissible(Ball(tuple(c), r), 0.5)
+               for c, r in zip(sub.centers, sub.radii))
+
+
+@pytest.mark.parametrize("centers,radii", [
+    (np.zeros((0, 1)), np.zeros(0)),                  # empty
+    ([[0.0], [1.0]], [0.5]),                          # lengths differ
+    ([[0.0, 1.0, 2.0]], [0.5]),                       # n = 3
+    ([0.0, 1.0], [0.5, 0.5]),                         # centers not (K, n)
+    ([[0.0], [np.inf]], [0.5, 0.5]),                  # center not finite
+    ([[0.0], [np.nan]], [0.5, 0.5]),
+    ([[0.0], [1.0]], [0.5, 0.0]),                     # radius not positive
+    ([[0.0], [1.0]], [0.5, -1.0]),
+    ([[0.0], [1.0]], [0.5, np.inf]),                  # radius not finite
+])
+def test_ball_dictionary_rejects_bad_balls(centers, radii):
+    with pytest.raises(ValueError):
+        BallDictionary(centers, radii)
+
+
+def test_default_dictionary_is_center_major(grid_2d):
+    d = default_dictionary(grid_2d, 2.0, stride=3, n_levels=4)
+    i = 0
+    for c in grid_2d.points.reshape(grid_2d.nx + (2,))[::3, ::3].reshape(-1, 2):
+        for k in range(4):
+            assert np.array_equal(d.centers[i], c)
+            assert d.radii[i] == 2.0 * cutoff_m(c) * 2.0 ** (-k)
+            i += 1
+    assert i == len(d.radii)
 
 
 # -- area function ---------------------------------------------------------
@@ -326,7 +354,7 @@ def test_carleson_C_single_ball_value(grid_small):
     g = grid_small
     f = _bump(g)
     B = Ball((0.5,), 0.4)
-    d = BallDictionary((B,))
+    d = BallDictionary([B.center], [B.radius])
     C = carleson_C(f, 2.0, 1.0, 1.0, d)
     caps = cone_caps(g, ConeSpec(1.0, 1.0))
     depth = np.maximum(B.radius - np.abs(g.points[:, 0] - B.center[0]), 0.0)
@@ -348,30 +376,29 @@ def test_carleson_C_exponent_range(grid_small):
 
 # -- ball dictionaries against the per-ball loops they replaced -----------
 
-def _loop_carleson_C(f, q, alpha, beta, balls):
+def _loop_carleson_C(f, q, alpha, beta, d):
     g = f.grid
     caps = cone_caps(g, ConeSpec(alpha, beta))
     weighted = np.abs(f.values) ** q * g.gamma_y[:, None] * g.wt[None, :]
     out = np.zeros(g.n_spatial)
-    for B in balls:
-        c = B.center_array
+    for c, r in zip(d.centers, d.radii):
         dist_c = np.linalg.norm(g.points - c, axis=1)
-        admit = dist_c < min(alpha * B.radius, beta * cutoff_m(c))
+        admit = dist_c < min(alpha * r, beta * cutoff_m(c))
         if not admit.any():
             continue
-        tent = np.maximum(B.radius - dist_c, 0.0)[:, None] >= caps
-        val = (weighted[tent].sum() / gamma_ball(B)) ** (1.0 / q)
+        tent = np.maximum(r - dist_c, 0.0)[:, None] >= caps
+        val = (weighted[tent].sum() / gamma_ball(Ball(tuple(c), r))) ** (1.0 / q)
         np.maximum(out, np.where(admit, val, 0.0), out=out)
     return out
 
 
-def _loop_maximal_noncentered(vals, grid, level, balls):
+def _loop_maximal_noncentered(vals, grid, level, d):
     gw = grid.gamma_y
     out = np.zeros(grid.n_spatial)
-    for B in balls:
-        if not is_admissible(B, level):
+    for c, r in zip(d.centers, d.radii):
+        if not is_admissible(Ball(tuple(c), r), level):
             continue
-        inside = np.linalg.norm(grid.points - B.center_array, axis=1) < B.radius
+        inside = np.linalg.norm(grid.points - c, axis=1) < r
         if not inside.any():
             continue
         avg = (np.abs(vals[inside]) * gw[inside]).sum() / gw[inside].sum()
@@ -379,14 +406,14 @@ def _loop_maximal_noncentered(vals, grid, level, balls):
     return out
 
 
-def _loop_containing_density_points(F, eta, beta, balls):
+def _loop_containing_density_points(F, eta, beta, d):
     g = F.grid
     gw = g.gamma_y
     ok = np.ones(g.n_spatial, dtype=bool)
-    for B in balls:
-        if not is_admissible(B, beta):
+    for c, r in zip(d.centers, d.radii):
+        if not is_admissible(Ball(tuple(c), r), beta):
             continue
-        inside = np.linalg.norm(g.points - B.center_array, axis=1) < B.radius
+        inside = np.linalg.norm(g.points - c, axis=1) < r
         if inside.any() and (gw * F.mask)[inside].sum() < eta * gw[inside].sum():
             ok &= ~inside
     return ok
@@ -396,9 +423,8 @@ def _dictionaries(grid, beta, rng):
     """The default node-centered dictionary, and one of random off-grid
     centers (some outside the box) with radii up to beta m(c)."""
     centers = rng.uniform(-8.5, 8.5, size=(150, grid.n))
-    off = tuple(Ball(tuple(c), rng.uniform(0.01, 1.0) * beta * cutoff_m(c))
-                for c in centers)
-    return default_dictionary(grid, beta), BallDictionary(off)
+    radii = rng.uniform(0.01, 1.0, size=150) * beta * cutoff_m(centers)
+    return default_dictionary(grid, beta), BallDictionary(centers, radii)
 
 
 @pytest.mark.parametrize("grid_name", ["grid_small", "grid_2d"])
@@ -408,7 +434,7 @@ def test_carleson_C_matches_per_ball_loop(request, grid_name, rng):
     for beta in (0.5, 1.0, 2.0):
         for d in _dictionaries(g, beta, rng):
             for q, alpha in ((2.0, 1.0), (3.0, 0.5)):
-                want = _loop_carleson_C(f, q, alpha, beta, d.balls)
+                want = _loop_carleson_C(f, q, alpha, beta, d)
                 assert np.array_equal(carleson_C(f, q, alpha, beta, d).values, want)
 
 
@@ -419,13 +445,13 @@ def test_maximal_noncentered_matches_per_ball_loop(request, grid_name, rng):
     ones = SpatialFunction(g, np.ones(g.n_spatial))
     for beta in (0.5, 1.0, 2.0):
         for d in _dictionaries(g, beta, rng):
-            want = _loop_maximal_noncentered(vals, g, beta, d.balls)
+            want = _loop_maximal_noncentered(vals, g, beta, d)
             got = maximal_noncentered(SpatialFunction(g, vals), beta, d).values
             assert np.array_equal(got == 0.0, want == 0.0)
             assert np.allclose(got, want, rtol=1e-15, atol=0.0)
             M1 = maximal_noncentered(ones, beta, d).values
             assert np.array_equal(M1 == 0.0, _loop_maximal_noncentered(
-                ones.values, g, beta, d.balls) == 0.0)
+                ones.values, g, beta, d) == 0.0)
             assert np.all(M1[M1 != 0.0] == 1.0)
 
 
@@ -436,7 +462,7 @@ def test_containing_density_points_matches_per_ball_loop(request, grid_name, rng
         F = RegionMask(g, rng.random(g.n_spatial) > 0.3)
         for d in _dictionaries(g, beta, rng):
             for eta in (0.3, 0.7):
-                want = _loop_containing_density_points(F, eta, beta, d.balls)
+                want = _loop_containing_density_points(F, eta, beta, d)
                 got = containing_density_points(F, eta, beta, d).mask
                 assert np.array_equal(got, want)
 

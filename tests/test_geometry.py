@@ -4,11 +4,12 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from gausstent.geometry import (
-    AdmissibilityError, Ball, ConeSpec, ConeVariant, UpperPoint,
+    AdmissibilityError, Ball, ConeSpec, ConeVariant, UpperPoint, _gamma_balls,
     ball_tent_contains, classical_tent_contains, compare_tents,
     comparison_lemma_check, cone_contains, cutoff_m, gamma_ball,
     gamma_ball_bounds_check, is_admissible, lebesgue_ball,
 )
+from gausstent.grid import HalfSpaceGrid
 
 
 # -- cutoff scale ----------------------------------------------------------
@@ -35,7 +36,49 @@ def test_cutoff_quasi_lipschitz(x, y):
     assert abs(cutoff_m(x) - cutoff_m(y)) <= abs(x - y) + 1e-12
 
 
+@pytest.mark.parametrize("box,nx", [(((-8.0, 8.0),), (128,)),
+                                    (((-3.0, 5.0), (-2.0, 1.5)), (48, 48))])
+def test_cutoff_arrays_match_grid_and_points(box, nx):
+    # one formula for m: the array call, each point's scalar call and the
+    # grid's m_y agree bit for bit, in 2-D too
+    g = HalfSpaceGrid(box, nx, 1e-3, 8.0, 4)
+    m = cutoff_m(g.points)
+    assert m.shape == (g.n_spatial,)
+    assert np.array_equal(m, g.m_y)
+    assert np.array_equal(m, [cutoff_m(y) for y in g.points])
+
+
+def test_cutoff_rejects_non_finite_points():
+    with pytest.raises(ValueError):
+        cutoff_m(np.array([[0.0, 1.0], [np.nan, 2.0]]))
+
+
 # -- gamma of balls --------------------------------------------------------
+
+def test_gamma_kernel_1d_is_the_scalar_closed_form(rng):
+    from scipy.special import erfc
+    centers = rng.uniform(-10.0, 10.0, size=(5000, 1))
+    radii = np.exp(rng.uniform(np.log(1e-4), np.log(40.0), size=5000))
+    got = _gamma_balls(centers, radii)
+    want = [np.sqrt(np.pi) / 2.0 * (erfc(abs(c) - r) - erfc(abs(c) + r))
+            for c, r in zip(centers[:, 0].tolist(), radii.tolist())]
+    assert np.array_equal(got, want)
+    assert np.array_equal(got[:200], [gamma_ball(Ball(tuple(c), r))
+                                      for c, r in zip(centers[:200], radii[:200])])
+
+
+def test_gamma_kernel_2d_matches_noncentral_chi2(rng):
+    # |Y|^2 with Y ~ N(c, I/2) is a noncentral chi^2 over 2, so
+    # gamma(B(c, r)) = pi * P(2|Y|^2 < 2 r^2), df 2, noncentrality 2|c|^2
+    from scipy.stats import ncx2
+    centers = rng.uniform(-6.0, 6.0, size=(40, 2))
+    radii = np.concatenate([np.exp(rng.uniform(np.log(0.01), np.log(40.0), 36)),
+                            [19.0, 38.0, 40.0, 0.5]])
+    got = _gamma_balls(centers, radii)
+    want = np.pi * ncx2.cdf(2.0 * radii ** 2, 2, 2.0 * np.sum(centers ** 2, axis=1))
+    assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+    assert got[0] == gamma_ball(Ball(tuple(centers[0]), radii[0]))
+
 
 def _simpson_gamma_1d(c, r, n=20001):
     xs = np.linspace(c - r, c + r, n)

@@ -3,8 +3,7 @@ import pytest
 
 from gausstent.grid import (
     GridFunction, HalfSpaceGrid, RegionMask, SpatialFunction, default_grid,
-    halfspace_integral, lp_gamma_norm, read_grid_function, read_mask_csv,
-    restrict, write_grid_function, write_mask_csv,
+    halfspace_integral, lp_gamma_norm, read_grid_function, write_grid_function,
 )
 
 
@@ -87,14 +86,6 @@ def test_lp_norms(grid_small):
         lp_gamma_norm(ones, 0.5)
 
 
-def test_restrict(grid_small):
-    f = GridFunction(grid_small, np.ones((grid_small.n_spatial, grid_small.nt)))
-    m = RegionMask(grid_small, grid_small.points[:, 0] > 0)
-    r = restrict(f, m)
-    assert np.all(r.values[grid_small.points[:, 0] > 0] == 1.0)
-    assert np.all(r.values[grid_small.points[:, 0] <= 0] == 0.0)
-
-
 @pytest.mark.parametrize("suffix", [".csv", ".gtnt"])
 def test_io_roundtrip(grid_small, rng, tmp_path, suffix):
     vals = rng.normal(size=(grid_small.n_spatial, grid_small.nt))
@@ -123,12 +114,3 @@ def test_gtnt_grid_mismatch(grid_small, grid_default, tmp_path):
     write_grid_function(f, path)
     with pytest.raises(ValueError):
         read_grid_function(path, grid_default)
-
-
-def test_mask_csv_roundtrip(grid_small, rng, tmp_path):
-    m = RegionMask(grid_small, rng.random(grid_small.n_spatial) > 0.5)
-    path = tmp_path / "m.csv"
-    write_mask_csv(m, path)
-    back = read_mask_csv(path, grid_small)
-    assert np.array_equal(back.mask, m.mask)
-    assert np.array_equal(m.complement().mask, ~m.mask)

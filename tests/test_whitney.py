@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from gausstent.geometry import Ball, ConeSpec
+from gausstent.geometry import ConeSpec
 from gausstent.grid import GridFunction, HalfSpaceGrid, RegionMask
-from gausstent.functionals import BallDictionary, default_dictionary
+from gausstent.functionals import default_dictionary
 from gausstent.whitney import (
     complement_distance, containing_density_points, cube_bounds,
     density_inequality_check, density_points, doubling_constant,
-    etabar_from_doubling, mask_tent_contains, plus_C, region_R_mask,
-    reverse_fubini_check, set_distance, tent_mask, whitney_balls,
-    whitney_cubes,
+    etabar_from_doubling, region_R_mask, reverse_fubini_check, set_distance,
+    tent_mask, whitney_balls, whitney_cubes,
 )
 
 
@@ -59,8 +58,6 @@ def test_tent_mask_interval(grid_small):
     # shrinking the aperture weakens the depth requirement: larger tent
     T2 = tent_mask(O, 1.0, 1.0, shrink=0.5)
     assert np.all(T.mask <= T2.mask)
-    from gausstent.geometry import UpperPoint
-    assert mask_tent_contains(O, 1.0, 1.0, UpperPoint((0.0,), float(g.t[2])))
 
 
 def test_region_R_contains_tent_of_complement_vertices(grid_small):
@@ -89,27 +86,6 @@ def test_density_points_of_full_set(grid_small):
     A = RegionMask(grid_small, np.ones(grid_small.n_spatial, bool))
     dp = density_points(A, 0.99, 1.0)
     assert dp.mask.all()
-
-
-def test_plus_C_dilation(grid_small):
-    A = _interval_mask(grid_small, -0.5, 0.5)
-    P = plus_C(A, 1.0)
-    assert np.all(A.mask <= P.mask)
-    assert P.mask[grid_small.nearest_spatial_index(1.2)]
-    assert not P.mask[grid_small.nearest_spatial_index(4.0)]
-
-
-def test_plus_C_dictionary_votes_at_ball_centers(grid_small):
-    g = grid_small
-    A = _interval_mask(g, -0.5, 0.5)
-    P = plus_C(A, 1.0, default_dictionary(g, 1.0))
-    assert P.mask.any()
-    assert np.all(P.mask <= plus_C(A, 1.0).mask)
-    # outside the box [-8, 8], and halfway between two nodes: no snapping
-    for center in ((8.05,), ((g.axes[0][70] + g.axes[0][71]) / 2.0,)):
-        bad = BallDictionary((Ball(center, 0.1),))
-        with pytest.raises(ValueError, match="not centered on a grid node"):
-            plus_C(A, 1.0, bad)
 
 
 def test_containing_density_points(grid_small):
