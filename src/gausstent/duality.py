@@ -118,7 +118,8 @@ def carleson_norm(mu: DiscreteMeasure, alpha: float, beta: float,
     absw = np.array([abs(w) for _, _, w in mu.points])
     mass = np.array([absw[_ball_tent(ys, c, r, caps[:, None])[:, 0]].sum()
                      for c, r in zip(dict_.centers, dict_.radii)])
-    values = mass / _gamma_balls(dict_.centers, dict_.radii)
+    with np.errstate(divide="raise", invalid="raise"):
+        values = mass / _gamma_balls(dict_.centers, dict_.radii)
     best, witness = float(np.fmax.reduce(values, initial=0.0)), None
     if best > 0:
         k = int(np.flatnonzero(values == best)[0])

@@ -1,10 +1,10 @@
 """Covering machinery: density points, tents of masks, Whitney cubes/balls.
 
 Distances from grid nodes to node sets are exact Euclidean distance
-transforms (scipy's two-pass EDT) with the box exterior counted as
-complement; the two distance functions import scipy.ndimage at first
-use, not with the module.  All set operations are resolution-limited;
-audits allow a one-grid-cell tolerance and say so in their reports.
+transforms, computed in numpy by one separable pass per axis, with the box
+exterior counted as complement.  Whitney cubes are found one dyadic level
+at a time.  All set operations are resolution-limited; audits allow a
+one-grid-cell tolerance and say so in their reports.
 """
 
 from __future__ import annotations
@@ -39,18 +39,43 @@ __all__ = [
 # -- distances and tents of masks -----------------------------------------
 
 
+def _edt(feature: np.ndarray, spacing) -> np.ndarray:
+    """Distance from every node to the nearest True node of `feature`.
+
+    `feature` has shape (m,) or (m0, m1) and at least one True node.  The
+    transform is separable (Felzenszwalb and Huttenlocher, "Distance
+    Transforms of Sampled Functions", 2012): along the last axis the nearest
+    feature index on each side comes from running max / min accumulations;
+    the distance is then the minimum over the leading axis of
+    ((i - k) h0)^2 + (offset h1)^2, square-rooted.  That is the expression
+    scipy's distance_transform_edt evaluates, so the values agree to the
+    bit.  A 1-D array is a single row, where the leading term is 0.
+    """
+    rows = np.atleast_2d(feature)
+    h0, h1 = spacing if feature.ndim == 2 else (1.0, *spacing)
+    m0, m1 = rows.shape
+    j = np.arange(m1)
+    left = np.maximum.accumulate(np.where(rows, j, -np.inf), axis=1)
+    right = np.minimum.accumulate(np.where(rows, j, np.inf)[:, ::-1], axis=1)[:, ::-1]
+    sq = (np.minimum(j - left, right - j) * h1) ** 2
+    k = np.arange(m0)
+    out = np.empty_like(sq)
+    step = max(1, (1 << 22) // sq.size)     # bounds the (step, m0, m1) block
+    for i0 in range(0, m0, step):
+        i = np.arange(i0, min(i0 + step, m0))
+        lead = ((i[:, None] - k) * h0) ** 2
+        out[i] = (lead[:, :, None] + sq).min(axis=1)
+    return np.sqrt(out).reshape(feature.shape)
+
+
 def complement_distance(O: RegionMask) -> np.ndarray:
     """dist(x, O^c) at every node; the box exterior belongs to O^c."""
     if O.kind != "spatial":
         raise ValueError("spatial mask required")
-    from scipy.ndimage import distance_transform_edt
-
     g = O.grid
-    shaped = O.mask.reshape(g.shape)
-    padded = np.pad(shaped, 1, constant_values=False)
-    d = distance_transform_edt(padded, sampling=g.spacing)
+    padded = np.pad(~O.mask.reshape(g.shape), 1, constant_values=True)
     sl = tuple(slice(1, -1) for _ in range(g.n))
-    return np.asarray(d[sl]).ravel()
+    return _edt(padded, g.spacing)[sl].ravel()
 
 
 def set_distance(A: RegionMask) -> np.ndarray:
@@ -60,10 +85,7 @@ def set_distance(A: RegionMask) -> np.ndarray:
     g = A.grid
     if not A.mask.any():
         return np.full(g.n_spatial, np.inf)
-    from scipy.ndimage import distance_transform_edt
-
-    d = distance_transform_edt(~A.mask.reshape(g.shape), sampling=g.spacing)
-    return np.asarray(d).ravel()
+    return _edt(A.mask.reshape(g.shape), g.spacing).ravel()
 
 
 def tent_mask(O: RegionMask, alpha: float, beta: float,
@@ -165,44 +187,59 @@ def whitney_cubes(O: RegionMask) -> WhitneyCover:
     distance test so that every node of O is covered.  The classical bracket
     diam <= dist <= 4 diam then holds up to a one-cell tolerance, which the
     audit records.
+
+    The cubes are found one dyadic level at a time.  The nodes no emitted
+    cube holds yet are grouped by cube, and every cube of the level is
+    decided at once; a node's child bit is point >= the parent's midpoint.
+    Cubes come out in depth-first order (Morton order of their corners,
+    first axis most significant), each with its nodes in ascending order.
     """
     if O.kind != "spatial":
         raise ValueError("spatial mask required")
     g = O.grid
     if O.mask.all():
         raise ValueError("O equals the whole box; no complement to measure from")
-    base_level = _box_base_level(g)
+    level = _box_base_level(g)
     edt = complement_distance(O)
     sqrt_n = np.sqrt(g.n)
     cell = min(g.spacing)
     corner = np.array([a for a, _ in g.spatial_box])
 
-    cubes, nodes_per, dist_per = [], [], []
-
-    def recurse(level: int, index: tuple, node_idx: np.ndarray):
-        if node_idx.size == 0:
-            return
+    # active nodes, each with its cube's per-axis index and Morton code
+    nodes = np.arange(g.n_spatial)
+    index = np.zeros((g.n_spatial, g.n), dtype=np.int64)
+    code = np.zeros(g.n_spatial, dtype=np.int64)
+    cubes, nodes_per, dist_per, codes = [], [], [], []
+    while nodes.size:
+        order = np.argsort(code, kind="stable")
+        nodes, index, code = nodes[order], index[order], code[order]
+        start = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
+        stop = np.r_[start[1:], nodes.size]
+        inside = np.logical_and.reduceat(O.mask[nodes], start)
+        dist = np.minimum.reduceat(edt[nodes], start)
         side = 2.0 ** (-level)
-        inside = bool(O.mask[node_idx].all())
-        dist_q = float(edt[node_idx].min()) if inside else 0.0
-        diam = side * sqrt_n
-        if inside and (diam <= dist_q or side <= cell):
-            cubes.append(DyadicCube(level, index))
-            nodes_per.append(node_idx)
-            dist_per.append(dist_q)
-            return
-        if side <= cell:
-            return  # impure at resolution cap: dropped (boundary layer)
-        half = side / 2.0
-        pts = g.points[node_idx]
-        mid = corner + side * np.asarray(index) + half
-        child_bit = (pts >= mid).astype(int)
-        for corner_bits in np.ndindex(*(2,) * g.n):
-            sel = np.all(child_bit == np.asarray(corner_bits), axis=1)
-            child_index = tuple(2 * i + b for i, b in zip(index, corner_bits))
-            recurse(level + 1, child_index, node_idx[sel])
+        at_cell = side <= cell
+        emit = inside & ((side * sqrt_n <= dist) | at_cell)
+        e = np.flatnonzero(emit)
+        cubes += [DyadicCube(level, tuple(i)) for i in index[start[e]].tolist()]
+        nodes_per += [nodes[a:b] for a, b in zip(start[e], stop[e])]
+        dist_per += dist[e].tolist()
+        codes.append((level, code[start[e]]))
+        if at_cell:
+            break  # impure cubes at the resolution cap are dropped
+        keep = np.repeat(~emit, stop - start)
+        nodes, index, code = nodes[keep], index[keep], code[keep]
+        bit = g.points[nodes] >= corner + side * index + side / 2.0
+        index = 2 * index + bit
+        for a in range(g.n):
+            code = (code << 1) | bit[:, a]
+        level += 1
 
-    recurse(base_level, (0,) * g.n, np.arange(g.n_spatial))
+    # depth-first order: Morton codes of the cube corners at the last level
+    rank = np.argsort(np.concatenate([c << (g.n * (level - lv)) for lv, c in codes]))
+    cubes = [cubes[r] for r in rank]
+    nodes_per = [nodes_per[r] for r in rank]
+    dist_per = [dist_per[r] for r in rank]
 
     audit = _audit_cubes(O, cubes, nodes_per, dist_per, edt)
     return WhitneyCover(target=O, cubes=tuple(cubes), cube_nodes=tuple(nodes_per),

@@ -96,6 +96,29 @@ def test_decompose_roundtrip_bump(grid_default, rng):
     assert np.isfinite(rep["ratio"]) and rep["ratio"] > 0
 
 
+def test_bump_decomposition_is_pinned(grid_small):
+    # the 128x32 bump of the CLI pins: cubes per level, every coefficient
+    # and ball, to the last bit
+    g = grid_small
+    y, t = g.points[:, 0], g.t
+    vals = np.exp(-((y[:, None] - 0.5) / 0.4) ** 2) \
+        * np.exp(-np.log(t[None, :] / 0.1) ** 2)
+    vals[np.abs(y - 0.5) > 1.0, :] = 0.0
+    d = decompose(GridFunction(g, vals), 2.0, ConeSpec(1.0, 1.0), eta=0.5)
+    assert [(r["k"], r["n_cubes"]) for r in d.diagnostics] == [
+        (-20, 13), (-19, 13), (-18, 12), (-17, 12), (-16, 12), (-15, 11),
+        (-14, 11), (-13, 11), (-12, 10), (-11, 12), (-10, 11), (-9, 11),
+        (-8, 11), (-7, 11), (-6, 11), (-5, 10), (-4, 10), (-3, 9), (-2, 9),
+        (-1, 8), (0, 11)]
+    assert coefficient_report(d)["n_atoms"] == 5
+    assert [(lam, a.ball.center, a.ball.radius) for lam, a in d.terms] == [
+        (0.078007470063778, (-0.25,), 5.500000000125985),
+        (0.701417241642202, (0.25,), 5.500000000125985),
+        (0.5919733185531175, (0.75,), 5.500000000125985),
+        (0.04061074726890257, (1.125,), 2.750000000125984),
+        (0.0032302442736684687, (1.375,), 2.750000000125984)]
+
+
 def test_decompose_roundtrip_2d():
     # 32 x 32 nodes: every window is a set of row ranges
     g = HalfSpaceGrid(((-8.0, 8.0), (-8.0, 8.0)), (32, 32), 1e-3, 8.0, 16)

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from gausstent import atomic
+from gausstent.cli import random_bump
 from gausstent.geometry import ConeSpec
 from gausstent.grid import GridFunction, HalfSpaceGrid, RegionMask
 from gausstent.functionals import default_dictionary
 from gausstent.whitney import (
-    complement_distance, containing_density_points, cube_bounds,
-    density_inequality_check, density_points, doubling_constant,
-    etabar_from_doubling, region_R_mask, reverse_fubini_check, set_distance,
-    tent_mask, whitney_balls, whitney_cubes,
+    DyadicCube, _audit_cubes, _box_base_level, complement_distance,
+    containing_density_points, cube_bounds, density_inequality_check,
+    density_points, doubling_constant, etabar_from_doubling, region_R_mask,
+    reverse_fubini_check, set_distance, tent_mask, whitney_balls, whitney_cubes,
 )
 
 
@@ -35,6 +37,66 @@ def test_complement_distance_bruteforce(grid_small, rng):
         edge = min(y[i] - lo, hi - y[i]) + h  # one padded exterior cell
         want = min(cand.min(initial=np.inf), edge)
         assert d[i] == pytest.approx(want, abs=1e-12)
+
+
+def _scipy_distances(O):
+    """complement_distance and set_distance by scipy's EDT, the oracle."""
+    from scipy.ndimage import distance_transform_edt
+
+    g = O.grid
+    shaped = O.mask.reshape(g.shape)
+    padded = np.pad(shaped, 1, constant_values=False)
+    inner = tuple(slice(1, -1) for _ in range(g.n))
+    comp = distance_transform_edt(padded, sampling=g.spacing)[inner].ravel()
+    to_set = distance_transform_edt(~shaped, sampling=g.spacing).ravel()
+    return comp, to_set
+
+
+def _assert_distances_match_scipy(O):
+    comp, to_set = _scipy_distances(O)
+    assert np.array_equal(complement_distance(O), comp)
+    if O.mask.any():
+        assert np.array_equal(set_distance(O), to_set)
+
+
+def _run_mask(rng, size):
+    """Alternating runs of random lengths, starting with either value."""
+    lengths = rng.integers(1, max(2, size // 4), size)
+    values = np.arange(lengths.size) % 2 == rng.integers(2)
+    return np.repeat(values, lengths)[:size]
+
+
+def test_distances_match_scipy_1d():
+    rng = np.random.default_rng(7)
+    for trial in range(300):
+        size = int(rng.integers(8, 3001))
+        g = HalfSpaceGrid(((-8.0, 8.0),), (size,), 1e-3, 8.0, 4)
+        if trial % 2:
+            mask = _run_mask(rng, size)
+        else:
+            mask = rng.random(size) < rng.uniform(0.05, 0.95)
+        _assert_distances_match_scipy(RegionMask(g, mask))
+
+
+def test_distances_match_scipy_2d():
+    rng = np.random.default_rng(8)
+    for trial in range(80):
+        nx, ny = (int(v) for v in rng.integers(3, 70, 2))
+        g = HalfSpaceGrid(((-8.0, 8.0), (-4.0, 4.0)), (nx, ny), 1e-3, 8.0, 4)
+        kind = trial % 4
+        if kind == 0:       # scattered
+            mask = rng.random(g.n_spatial) < rng.uniform(0.05, 0.95)
+        elif kind == 1:     # a rectangle touching the box edge
+            mask = np.zeros(g.shape, bool)
+            mask[:rng.integers(1, nx + 1), rng.integers(0, ny):] = True
+            mask = mask.ravel()
+        elif kind == 2:     # a single-node complement
+            mask = np.ones(g.n_spatial, bool)
+            mask[rng.integers(g.n_spatial)] = False
+        else:               # a single node
+            mask = np.zeros(g.n_spatial, bool)
+            mask[rng.integers(g.n_spatial)] = True
+        _assert_distances_match_scipy(RegionMask(g, mask))
 
 
 def test_set_distance_empty(grid_small):
@@ -107,6 +169,131 @@ def _random_open(grid, rng):
         w = rng.uniform(0.3, 2.0)
         mask |= np.abs(y - c) < w
     return RegionMask(grid, mask)
+
+
+def _recursive_cubes(O):
+    """Reference cover: the depth-first recursion over dyadic cubes."""
+    g = O.grid
+    base_level = _box_base_level(g)
+    edt = complement_distance(O)
+    sqrt_n = np.sqrt(g.n)
+    cell = min(g.spacing)
+    corner = np.array([a for a, _ in g.spatial_box])
+    cubes, nodes_per, dist_per = [], [], []
+
+    def recurse(level, index, node_idx):
+        if node_idx.size == 0:
+            return
+        side = 2.0 ** (-level)
+        inside = bool(O.mask[node_idx].all())
+        dist_q = float(edt[node_idx].min()) if inside else 0.0
+        diam = side * sqrt_n
+        if inside and (diam <= dist_q or side <= cell):
+            cubes.append(DyadicCube(level, index))
+            nodes_per.append(node_idx)
+            dist_per.append(dist_q)
+            return
+        if side <= cell:
+            return
+        half = side / 2.0
+        mid = corner + side * np.asarray(index) + half
+        child_bit = (g.points[node_idx] >= mid).astype(int)
+        for corner_bits in np.ndindex(*(2,) * g.n):
+            sel = np.all(child_bit == np.asarray(corner_bits), axis=1)
+            child_index = tuple(2 * i + b for i, b in zip(index, corner_bits))
+            recurse(level + 1, child_index, node_idx[sel])
+
+    recurse(base_level, (0,) * g.n, np.arange(g.n_spatial))
+    audit = _audit_cubes(O, cubes, nodes_per, dist_per, edt)
+    return cubes, nodes_per, dist_per, audit
+
+
+def _assert_cover_matches_recursion(O):
+    cubes, nodes_per, dist_per, audit = _recursive_cubes(O)
+    cover = whitney_cubes(O)
+    assert list(cover.cubes) == cubes
+    assert all(type(i) is int for c in cover.cubes for i in c.index)
+    assert len(cover.cube_nodes) == len(nodes_per)
+    for got, want in zip(cover.cube_nodes, nodes_per):
+        assert np.array_equal(got, want)
+    assert list(cover.cube_dist) == dist_per
+    assert cover.audit == audit
+
+
+def _edge_and_singleton_mask(rng, size):
+    """A run from one box edge, isolated single nodes and a random run."""
+    mask = np.zeros(size, bool)
+    k = int(rng.integers(1, size // 3))
+    if rng.integers(2):
+        mask[:k] = True
+    else:
+        mask[-k:] = True
+    mask[rng.choice(size, 4, replace=False)] = True
+    a = int(rng.integers(0, size - 8))
+    mask[a:a + int(rng.integers(1, 8))] = True
+    return mask
+
+
+def test_cube_walk_matches_recursion_1d(grid_small):
+    rng = np.random.default_rng(11)
+    grids = [grid_small, HalfSpaceGrid(((-8.0, 8.0),), (1024,), 1e-3, 8.0, 4),
+             HalfSpaceGrid(((-1.0, 1.0),), (77,), 1e-3, 8.0, 4)]
+    for trial in range(36):
+        g = grids[trial % 3]
+        kind = trial // 3 % 4
+        if kind == 0:
+            O = _random_open(g, rng) if g is not grids[2] else \
+                RegionMask(g, np.abs(g.points[:, 0] - rng.uniform(-1, 1)) < 0.4)
+        elif kind == 1:
+            O = RegionMask(g, rng.random(g.n_spatial) < 0.7)
+        elif kind == 2:
+            O = RegionMask(g, _edge_and_singleton_mask(rng, g.n_spatial))
+        else:
+            O = RegionMask(g, _run_mask(rng, g.n_spatial))
+        if O.mask.all():
+            continue
+        _assert_cover_matches_recursion(O)
+
+
+def test_cube_walk_matches_recursion_2d():
+    rng = np.random.default_rng(12)
+    for trial in range(16):
+        nx, ny = (64, 64) if trial % 4 == 0 else tuple(int(v) for v in rng.integers(8, 60, 2))
+        g = HalfSpaceGrid(((-8.0, 8.0), (-8.0, 8.0)), (nx, ny), 1e-3, 8.0, 4)
+        kind = trial % 4
+        if kind == 0:       # a union of discs, one of them may leave the box
+            x, y = g.points.T
+            mask = np.zeros(g.n_spatial, bool)
+            for _ in range(3):
+                cx, cy = rng.uniform(-9, 9, 2)
+                mask |= np.hypot(x - cx, y - cy) < rng.uniform(1.0, 5.0)
+        elif kind == 1:
+            mask = rng.random(g.n_spatial) < 0.8
+        elif kind == 2:     # a rectangle on the box edge plus single nodes
+            shaped = np.zeros(g.shape, bool)
+            shaped[:rng.integers(1, nx), :rng.integers(1, ny)] = True
+            mask = shaped.ravel()
+            mask[rng.choice(g.n_spatial, 5, replace=False)] = True
+        else:
+            mask = _run_mask(rng, g.n_spatial)
+        if mask.all():
+            continue
+        _assert_cover_matches_recursion(RegionMask(g, mask))
+
+
+def test_cube_walk_matches_recursion_on_bump_level_sets(grid_small, monkeypatch):
+    seen = []
+
+    def recording(O):
+        seen.append(O)
+        return whitney_cubes(O)
+
+    monkeypatch.setattr(atomic, "whitney_cubes", recording)
+    f = random_bump(grid_small, np.random.default_rng(3))
+    atomic.decompose(f, 2.0, ConeSpec(1.0, 1.0))
+    assert len(seen) > 5
+    for O in seen:
+        _assert_cover_matches_recursion(O)
 
 
 def test_whitney_cubes_audit(grid_small, rng):
