@@ -8,6 +8,7 @@ Modules:
     atomic       atom validation and the constructive atomic decomposition
     duality      pairings, Carleson-measure norms, duality inequalities
     embedding    the local convolution operator and H^1-atom checks
+    families     seeded test functions and atoms for verify, embed and tests
     cli          command-line front end
 """
 

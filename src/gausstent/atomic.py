@@ -26,13 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Ball, ConeSpec, cutoff_m, gamma_ball
-from .grid import GridFunction, RegionMask, halfspace_integral
+from .grid import GridFunction, RegionMask, halfspace_integral, lp_gamma_norm
 from .functionals import (
     _ball_tent, _distance_rows, area_S, area_S_sup, cone_caps, default_dictionary,
 )
-from .grid import lp_gamma_norm
 from .whitney import (
-    complement_distance,
     cube_center,
     density_points,
     doubling_constant,
@@ -64,7 +62,6 @@ class Atom:
     ball: Ball
     q: float
     delta: float                      # realized admissibility level r_B/m(c_B)
-    certificates: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -84,9 +81,9 @@ def _lq_halfspace_norm(f: GridFunction, q: float) -> float:
     return halfspace_integral(GridFunction(f.grid, np.abs(f.values) ** q)) ** (1.0 / q)
 
 
-def validate_atom(a: Atom, spec: ConeSpec, lemma_slack: float = 0.05) -> dict:
+def validate_atom(a: Atom, spec: ConeSpec) -> dict:
     """Three checks: tent support, the normalization bound, and the
-    L^1(gamma) bound on the area function of the atom."""
+    L^1(gamma) bound on the area function of the atom (5% slack)."""
     g = a.values.grid
     in_tent = _ball_tent(g.points, a.ball.center_array, a.ball.radius, cone_caps(g, spec))
     nz = a.values.values != 0.0
@@ -103,7 +100,7 @@ def validate_atom(a: Atom, spec: ConeSpec, lemma_slack: float = 0.05) -> dict:
         S = area_S(a.values, a.q, spec)
     norm_ok = bool(norm_value <= norm_bound * (1.0 + 1e-9))
     s_l1 = lp_gamma_norm(S, 1)
-    area_ok = bool(s_l1 <= 1.0 + lemma_slack)
+    area_ok = bool(s_l1 <= 1.05)
     return {
         "support_ok": support_ok,
         "norm_ok": norm_ok,
@@ -115,16 +112,14 @@ def validate_atom(a: Atom, spec: ConeSpec, lemma_slack: float = 0.05) -> dict:
     }
 
 
-def _level_range(positive_values: np.ndarray, k_range=None):
-    if k_range is not None:
-        return int(k_range[0]), int(k_range[1])
+def _level_range(positive_values: np.ndarray):
     kmin = int(np.floor(np.log2(positive_values.min()))) - 1
     kmax = int(np.ceil(np.log2(positive_values.max())))
     return kmin, kmax
 
 
 def decompose(f: GridFunction, q: float, spec: ConeSpec,
-              eta: float = 0.5, k_range=None) -> Decomposition:
+              eta: float = 0.5) -> Decomposition:
     """Atomic decomposition of f in the T^{1,q} scale, q < inf."""
     if not (1.0 <= q < np.inf):
         raise ValueError("q must lie in [1, inf)")
@@ -137,22 +132,18 @@ def decompose(f: GridFunction, q: float, spec: ConeSpec,
     pos = S.values[S.values > 0]
     if pos.size == 0:
         return Decomposition([], 0.0, q, spec)
-    kmin, kmax = _level_range(pos, k_range)
+    kmin, kmax = _level_range(pos)
 
     lam = spec.beta * (1.0 + spec.beta)
-    C_doub = doubling_constant(g, lam, default_dictionary(g, lam))
+    C_doub = doubling_constant(lam, default_dictionary(g, lam))
     etabar = etabar_from_doubling(C_doub)
     C_inflate = 1.0 + 5.0 / (1.0 - eta)
 
-    # inflated level sets O_k^[etabar], complement of the density points of F_k
-    inflated = {}
-    for k in range(kmin, kmax + 2):
-        Ok = S.values > 2.0 ** k
-        if not Ok.any():
-            inflated[k] = RegionMask(g, np.zeros(g.n_spatial, dtype=bool))
-        else:
-            Fk = RegionMask(g, ~Ok)
-            inflated[k] = density_points(Fk, etabar, lam).complement()
+    # inflated level sets O_k^[etabar], complement of the density points of
+    # F_k = ~O_k; where O_k is empty, every node is a density point of F_k
+    inflated = {k: density_points(RegionMask(g, ~(S.values > 2.0 ** k)), etabar,
+                                  lam).complement()
+                for k in range(kmin, kmax + 2)}
 
     nesting_ok = all(
         not np.any(inflated[k + 1].mask & ~inflated[k].mask)
@@ -160,9 +151,7 @@ def decompose(f: GridFunction, q: float, spec: ConeSpec,
     )
 
     shrink = 1.0 - eta
-    tents = {k: (tent_mask(inflated[k], spec.alpha, spec.beta, shrink).mask
-                 if inflated[k].mask.any()
-                 else np.zeros((g.n_spatial, g.nt), dtype=bool))
+    tents = {k: tent_mask(inflated[k], spec.alpha, spec.beta, shrink)
              for k in range(kmin, kmax + 2)}
 
     caps = cone_caps(g, spec)
@@ -202,9 +191,7 @@ def decompose(f: GridFunction, q: float, spec: ConeSpec,
             lam_jk = gB ** qprime_exp * mu ** (1.0 / q)
             avals = np.zeros_like(f.values)
             avals[nodes] = vals / lam_jk
-            atom = Atom(GridFunction(g, avals), B_j, q,
-                        delta=r_j / cutoff_m(c_j),
-                        certificates={"k": k, "mu": mu})
+            atom = Atom(GridFunction(g, avals), B_j, q, delta=r_j / cutoff_m(c_j))
             terms.append((lam_jk, atom))
             mu_bound_worst = max(mu_bound_worst, mu / (gB * 2.0 ** (q * k)))
 
@@ -222,8 +209,7 @@ def decompose(f: GridFunction, q: float, spec: ConeSpec,
     )
 
 
-def decompose_sup(f: GridFunction, spec: ConeSpec, k_range=None,
-                  C_overlap: float = 2.0) -> Decomposition:
+def decompose_sup(f: GridFunction, spec: ConeSpec) -> Decomposition:
     """Atomic decomposition at q = inf (continuous-intent values).
 
     Level sets come from the sup area function, covers are Vitali-type
@@ -238,15 +224,13 @@ def decompose_sup(f: GridFunction, spec: ConeSpec, k_range=None,
     pos = absf[absf > 0]
     if pos.size == 0:
         return Decomposition([], 0.0, np.inf, spec)
-    kmin, kmax = _level_range(pos, k_range)
-    C = float(C_overlap)
+    kmin, kmax = _level_range(pos)
+    C = 2.0                             # Whitney ball overlap constant
     star = 2.0 * C + 3.0
 
     level_masks = {k: RegionMask(g, S.values > 2.0 ** k)
                    for k in range(kmin, kmax + 2)}
-    tents = {k: (tent_mask(level_masks[k], spec.alpha, spec.beta).mask
-                 if level_masks[k].mask.any()
-                 else np.zeros((g.n_spatial, g.nt), dtype=bool))
+    tents = {k: tent_mask(level_masks[k], spec.alpha, spec.beta)
              for k in range(kmin, kmax + 2)}
 
     terms = []
@@ -281,8 +265,7 @@ def decompose_sup(f: GridFunction, spec: ConeSpec, k_range=None,
             assigned |= piece
             B_star = B_j.scaled(star)
             atom = Atom(GridFunction(g, avals), B_star, np.inf,
-                        delta=B_star.radius / cutoff_m(B_star.center_array),
-                        certificates={"k": k, "mu": mu, "phi_max": float(phi.max())})
+                        delta=B_star.radius / cutoff_m(B_star.center_array))
             terms.append((mu, atom))
         active = relevant.any(axis=1) & (hat_total > 0)
         if active.any():
@@ -361,17 +344,24 @@ def export_decomposition(d: Decomposition, out_dir) -> Path:
 
 
 def import_decomposition(manifest_path) -> Decomposition:
+    """Read a manifest written by export_decomposition; a missing key or a
+    value of the wrong type is a ValueError naming the file."""
     path = Path(manifest_path)
     data = json.loads(path.read_text())
-    spec = ConeSpec(data["alpha"], data["beta"])
-    q = np.inf if data["q"] == "inf" else float(data["q"])
-    terms = []
-    for entry in data["terms"]:
-        gf = gridio.read_grid_function(path.parent / entry["atom_file"])
-        ball = Ball(tuple(entry["ball"]["center"]), entry["ball"]["radius"])
-        aq = np.inf if entry["q"] == "inf" else float(entry["q"])
-        terms.append((entry["lambda"], Atom(gf, ball, aq, entry["delta"])))
-    return Decomposition(terms, data["source_norm"], q, spec,
-                         data.get("diagnostics", []),
-                         data.get("residual_mass", 0.0),
-                         data.get("audit", {}))
+    try:
+        spec = ConeSpec(data["alpha"], data["beta"])
+        q = np.inf if data["q"] == "inf" else float(data["q"])
+        terms = []
+        for entry in data["terms"]:
+            gf = gridio.read_grid_function(path.parent / entry["atom_file"])
+            ball = Ball(tuple(entry["ball"]["center"]), entry["ball"]["radius"])
+            aq = np.inf if entry["q"] == "inf" else float(entry["q"])
+            terms.append((entry["lambda"], Atom(gf, ball, aq, entry["delta"])))
+        return Decomposition(terms, data["source_norm"], q, spec,
+                             data.get("diagnostics", []),
+                             data.get("residual_mass", 0.0),
+                             data.get("audit", {}))
+    except KeyError as e:
+        raise ValueError(f"{path}: decomposition manifest has no key {e}") from None
+    except TypeError as e:
+        raise ValueError(f"{path}: not a decomposition manifest ({e})") from None

@@ -33,24 +33,19 @@ import numpy as np
 
 from .geometry import (
     Ball, ConeSpec, UpperPoint, compare_tents, comparison_lemma_check,
-    cutoff_m, gamma_ball, gamma_ball_bounds_check,
+    cutoff_m, gamma_ball_bounds_check,
 )
-from .grid import (
-    GridFunction, HalfSpaceGrid, halfspace_integral, lp_gamma_norm,
-    read_grid_function, write_grid_function,
-)
-from .functionals import (
-    BallDictionary, ExponentPair, _ball_tent, _distance_rows, area_S, cone_caps,
-    default_dictionary, tent_norm,
-)
+from .grid import GridFunction, HalfSpaceGrid, halfspace_integral, read_grid_function
+from .functionals import BallDictionary, ExponentPair, default_dictionary, tent_norm
 from .atomic import (
-    Atom, coefficient_report, decompose, decompose_sup, export_decomposition,
+    coefficient_report, decompose, decompose_sup, export_decomposition,
     import_decomposition, reconstruct, validate_atom,
 )
 from .duality import (
     check_carleson_pairing, check_duality_pq, carleson_norm, read_measure_csv,
 )
 from .embedding import check_h1_atom, default_phi
+from .families import boundary_atom, random_atom, random_bump, tent_indicator
 
 EXIT_PARSE = 1
 EXIT_PRECONDITION = 2
@@ -183,72 +178,6 @@ def _grid_meta(grid: HalfSpaceGrid) -> dict:
             "t_min": grid.t_min, "t_max": grid.t_max, "nt": grid.nt}
 
 
-# -- seeded test families --------------------------------------------------
-
-
-def random_bump(grid: HalfSpaceGrid, rng: np.random.Generator) -> GridFunction:
-    """Sum of a few compactly supported bumps, the stock test function."""
-    y = grid.points[:, 0]
-    t = grid.t
-    vals = np.zeros((grid.n_spatial, grid.nt))
-    for _ in range(rng.integers(1, 4)):
-        y0 = rng.uniform(-3.0, 3.0)
-        t0 = np.exp(rng.uniform(np.log(grid.t_min * 10), np.log(1.0)))
-        amp = rng.uniform(0.3, 3.0)
-        wy = rng.uniform(0.2, 1.0)
-        prof = amp * np.exp(-((y[:, None] - y0) / wy) ** 2) \
-            * np.exp(-np.log(t[None, :] / t0) ** 2)
-        prof[_distance_rows(grid.points, np.array([y0])) > 2.5 * wy, :] = 0.0
-        vals += prof
-    return GridFunction(grid, vals)
-
-
-def tent_indicator(grid: HalfSpaceGrid, spec: ConeSpec, center: float,
-                   radius: float, amplitude: float = 1.0) -> GridFunction:
-    tent = _ball_tent(grid.points, np.array([center]), radius, cone_caps(grid, spec))
-    return GridFunction(grid, amplitude * tent)
-
-
-def random_atom(grid: HalfSpaceGrid, spec: ConeSpec, q: float,
-                rng: np.random.Generator) -> Atom:
-    """A delta-atom built to satisfy the definition exactly.
-
-    The radius stays above ten grid cells and the normalization uses the
-    larger of the exact and the grid-quadrature ball measure, so the atom
-    bound survives quadrature error with margin.
-    """
-    c = float(rng.uniform(-2.5, 2.5))
-    cap = spec.beta * cutoff_m(c)
-    r = min(max(float(rng.uniform(0.4, 1.0)) * cap, 10.0 * grid.cell), cap)
-    B = Ball((c,), r)
-    tent = _ball_tent(grid.points, B.center_array, r, cone_caps(grid, spec))
-    shape = rng.uniform(0.2, 1.0, size=tent.shape) * tent
-    g_safe = max(gamma_ball(B), float(
-        grid.gamma_y[_distance_rows(grid.points, B.center_array) < r].sum()))
-    if q == np.inf:
-        vals = shape / shape.max() / g_safe
-    else:
-        w = grid.gamma_y[:, None] * grid.wt[None, :]
-        lq = np.sum(shape ** q * w) ** (1.0 / q)
-        vals = shape / lq * g_safe ** (-(1.0 - 1.0 / q))
-    return Atom(GridFunction(grid, vals), B, q, delta=r / cutoff_m(c))
-
-
-def boundary_atom(grid: HalfSpaceGrid, spec: ConeSpec, center: float) -> Atom:
-    """q=2 atom over a node-centered boundary-radius ball; its tent carries
-    the full axis column, which the embedding mutation sentinel needs."""
-    i = grid.nearest_spatial_index(center)
-    c = float(grid.points[i, 0])
-    B = Ball((c,), spec.beta * cutoff_m(c))
-    tent = _ball_tent(grid.points, B.center_array, B.radius,
-                      cone_caps(grid, spec)).astype(float)
-    w = grid.gamma_y[:, None] * grid.wt[None, :]
-    l2 = np.sum(tent ** 2 * w) ** 0.5
-    gB = gamma_ball(B)
-    return Atom(GridFunction(grid, tent / l2 * gB ** (-0.5)), B, 2.0,
-                delta=B.radius / cutoff_m(c))
-
-
 # -- commands --------------------------------------------------------------
 
 
@@ -329,24 +258,33 @@ def cmd_carleson(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _h1_checks(atoms, grid: HalfSpaceGrid, spec: ConeSpec):
+    """check_h1_atom on each atom, and the untruncated operator on the
+    boundary atom, whose support check must fail.  Returns the reports,
+    whether the sentinel failed, and whether everything came out right.
+    `atoms` may be a generator; map drops each atom before drawing the next."""
+    phi = default_phi()
+    reports = list(map(lambda a: check_h1_atom(a, phi), atoms))
+    sentinel = check_h1_atom(boundary_atom(grid, spec), phi, local=False)
+    caught = not sentinel["support_ok"]
+    return reports, caught, all(r["all_ok"] for r in reports) and caught
+
+
 def cmd_embed(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
     spec = ConeSpec(cfg.alpha, cfg.beta)
-    phi = default_phi()
     if args.input:
         d = import_decomposition(args.input)
         atoms = [a for _, a in d.terms if a.q == 2.0][:10]
     else:
         rng = np.random.default_rng(cfg.seed)
         atoms = [random_atom(grid, spec, 2.0, rng) for _ in range(3)]
-        atoms.append(boundary_atom(grid, spec, 2.0))
-    reports = [check_h1_atom(a, phi) for a in atoms]
-    sentinel = check_h1_atom(boundary_atom(grid, spec, 2.0), phi, local=False)
-    ok = all(r["all_ok"] for r in reports) and not sentinel["support_ok"]
+        atoms.append(boundary_atom(grid, spec))
+    reports, caught, ok = _h1_checks(atoms, grid, spec)
     _emit({"n_atoms": len(atoms),
            "checks": [{k: r[k] for k in ("support_ok", "average_ok",
                                          "l2_constant")} for r in reports],
-           "mutation_sentinel_failed_support": not sentinel["support_ok"],
+           "mutation_sentinel_failed_support": caught,
            "all_ok": ok}, cfg, "embed.json")
     return 0 if ok else EXIT_NUMERIC
 
@@ -434,12 +372,9 @@ def _suite_decomposition(cfg, grid, rng):
 
 def _suite_embedding(cfg, grid, rng):
     spec = ConeSpec(cfg.alpha, cfg.beta)
-    phi = default_phi()
-    reps = [check_h1_atom(random_atom(grid, spec, 2.0, rng), phi)
-            for _ in range(2)]
-    sentinel = check_h1_atom(boundary_atom(grid, spec, 2.0), phi, local=False)
-    ok = all(r["all_ok"] for r in reps) and not sentinel["support_ok"]
-    return {"sentinel_failed_support": not sentinel["support_ok"], "ok": bool(ok)}
+    atoms = (random_atom(grid, spec, 2.0, rng) for _ in range(2))
+    _, caught, ok = _h1_checks(atoms, grid, spec)
+    return {"sentinel_failed_support": caught, "ok": ok}
 
 
 _VERIFY_SUITES = (

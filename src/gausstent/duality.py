@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Ball, ConeSpec, _gamma_balls, cutoff_m
-from .grid import GridFunction, SpatialFunction, halfspace_integral, lp_gamma_norm
+from .geometry import Ball, ConeSpec, _gamma_balls, _gamma_ratio_sup, cutoff_m
+from .grid import GridFunction, SpatialFunction, _csv_rows, halfspace_integral
 from .functionals import (
     BallDictionary,
     ExponentPair,
@@ -74,7 +74,7 @@ def write_measure_csv(mu: DiscreteMeasure, path) -> None:
 
 
 def read_measure_csv(path) -> DiscreteMeasure:
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    data = _csv_rows(path, 0, "weight")
     n = data.shape[1] - 2
     return DiscreteMeasure(tuple((tuple(row[:n]), row[n], row[n + 1])
                                  for row in data))
@@ -151,10 +151,7 @@ def measured_K_beta(alpha: float, beta: float, dict_: BallDictionary) -> float:
     kappa = 2.0 * (beta + 1.0) ** 2 + 1.0
     r = np.minimum(alpha * dict_.radii, beta * cutoff_m(dict_.centers))
     keep = r > 0
-    c, r = dict_.centers[keep], r[keep]
-    with np.errstate(divide="raise", invalid="raise"):
-        ratio = _gamma_balls(c, kappa * r) / _gamma_balls(c, r)
-    return float(ratio.max(initial=1.0))
+    return _gamma_ratio_sup(dict_.centers[keep], r[keep], kappa)
 
 
 def stopping_density(h: SpatialFunction, alpha: float, beta: float,
@@ -177,8 +174,7 @@ def stopping_density(h: SpatialFunction, alpha: float, beta: float,
 
 
 def check_duality_1q(f: GridFunction, g: GridFunction, q: float,
-                     spec: ConeSpec, dict_: BallDictionary,
-                     h_ladder=None) -> dict:
+                     spec: ConeSpec, dict_: BallDictionary) -> dict:
     """Measured constant in  iint |fg| <= C int S_q f * C_{q'} g dgamma,
     plus the stopping-time intermediates of the proof route."""
     if f.grid != g.grid:
@@ -191,8 +187,7 @@ def check_duality_1q(f: GridFunction, g: GridFunction, q: float,
     rhs = float(np.sum(Sf.values * Cg.values * f.grid.gamma_y))
     K = measured_K_beta(spec.alpha, spec.beta, dict_)
     M = 2.0 * K ** (1.0 / qp)
-    if h_ladder is None:
-        h_ladder = np.geomspace(f.grid.t_min, f.grid.t_max, 16)
+    h_ladder = np.geomspace(f.grid.t_min, f.grid.t_max, 16)
     h = stopping_time(g, qp, spec, M, h_ladder, Cg)
     dens = stopping_density(h, spec.alpha, spec.beta, dict_)
     return {

@@ -325,14 +325,14 @@ def _cone_windows(f_values: np.ndarray, grid: HalfSpaceGrid, spec: ConeSpec):
     return ys, js, _Windows(grid, grid.points[ys], cone_caps(grid, spec)[ys, js])
 
 
-def _check_area_args(f: GridFunction, spec: ConeSpec):
+def _check_area_args(spec: ConeSpec):
     if spec.variant is not ConeVariant.PENCIL:
         raise ValueError("area functions use the pencil cone (cap beta*m(y))")
 
 
 def area_S(f: GridFunction, q: float, spec: ConeSpec) -> SpatialFunction:
     """The q-area function; evaluated at every grid vertex."""
-    _check_area_args(f, spec)
+    _check_area_args(spec)
     q = float(q)
     if not (1.0 <= q < np.inf):
         raise ValueError("q must lie in [1, inf)")
@@ -347,7 +347,7 @@ def area_S(f: GridFunction, q: float, spec: ConeSpec) -> SpatialFunction:
 
 def area_S_sup(f: GridFunction, spec: ConeSpec) -> SpatialFunction:
     """S_inf: pointwise sup of |f| over the cone nodes."""
-    _check_area_args(f, spec)
+    _check_area_args(spec)
     g = f.grid
     absf = np.abs(f.values)
     ys, js, win = _cone_windows(absf, g, spec)

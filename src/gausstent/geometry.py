@@ -168,6 +168,14 @@ def _gamma_balls(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
     raise ValueError("only n in {1, 2} supported")
 
 
+def _gamma_ratio_sup(centers: np.ndarray, radii: np.ndarray, factor: float) -> float:
+    """sup of gamma(B(c, factor r)) / gamma(B(c, r)) over the balls, 1 when
+    there are none; a gamma(B) that rounds to 0 raises FloatingPointError."""
+    with np.errstate(divide="raise", invalid="raise"):
+        ratio = _gamma_balls(centers, factor * radii) / _gamma_balls(centers, radii)
+    return float(ratio.max(initial=1.0))
+
+
 class AdmissibilityError(ValueError):
     """Raised when an operation requires an admissible ball and gets none."""
 
@@ -217,7 +225,7 @@ def classical_tent_contains(B: Ball, alpha: float, p: UpperPoint) -> bool:
 
 
 def compare_tents(B: Ball, alpha: float, beta: float,
-                  samples: Sequence[UpperPoint], axis_tol: float = 1e-12) -> dict:
+                  samples: Sequence[UpperPoint]) -> dict:
     """Compare Gaussian and classical tent membership over sample points.
 
     For admissible B with beta >= 1 and the closest point of the closed ball
@@ -242,7 +250,7 @@ def compare_tents(B: Ball, alpha: float, beta: float,
         g = ball_tent_contains(B, alpha, beta, p)
         cl = classical_tent_contains(B, alpha, p)
         if g != cl:
-            on_axis = float(np.linalg.norm(np.asarray(p.y) - c)) <= axis_tol
+            on_axis = float(np.linalg.norm(np.asarray(p.y) - c)) <= 1e-12
             disagreements.append({"y": p.y, "t": p.t, "gaussian": g,
                                   "classical": cl, "on_axis": on_axis})
             if not on_axis:

@@ -159,10 +159,10 @@ class HalfSpaceGrid:
         return all(a <= yc <= b for (a, b), yc in zip(self.spatial_box, y))
 
 
-def default_grid(nx: int = 512, nt: int = 128) -> HalfSpaceGrid:
-    """The desk-scale default: n=1, box [-8, 8], t in [1e-3, 8]."""
-    return HalfSpaceGrid(spatial_box=((-8.0, 8.0),), nx=(nx,),
-                         t_min=1e-3, t_max=8.0, nt=nt)
+def default_grid() -> HalfSpaceGrid:
+    """The desk-scale default: n=1, 512 nodes on [-8, 8], 128 on t in [1e-3, 8]."""
+    return HalfSpaceGrid(spatial_box=((-8.0, 8.0),), nx=(512,),
+                         t_min=1e-3, t_max=8.0, nt=128)
 
 
 @dataclass
@@ -216,30 +216,21 @@ class SpatialFunction:
 
 @dataclass
 class RegionMask:
-    """Boolean node set, either spatial (subsets of R^n) or half-space."""
+    """Boolean set of spatial grid nodes (a subset of R^n)."""
 
     grid: HalfSpaceGrid
     mask: np.ndarray = field(repr=False)
-    kind: str = "spatial"
 
     def __post_init__(self):
         m = np.asarray(self.mask, dtype=bool)
-        if self.kind == "spatial":
-            if m.shape == self.grid.shape:
-                m = m.ravel()
-            if m.shape != (self.grid.n_spatial,):
-                raise ValueError("spatial mask shape mismatch")
-        elif self.kind == "halfspace":
-            if m.shape == self.grid.shape + (self.grid.nt,):
-                m = m.reshape(self.grid.n_spatial, self.grid.nt)
-            if m.shape != (self.grid.n_spatial, self.grid.nt):
-                raise ValueError("halfspace mask shape mismatch")
-        else:
-            raise ValueError("kind must be 'spatial' or 'halfspace'")
+        if m.shape == self.grid.shape:
+            m = m.ravel()
+        if m.shape != (self.grid.n_spatial,):
+            raise ValueError("spatial mask shape mismatch")
         self.mask = m
 
     def complement(self) -> "RegionMask":
-        return RegionMask(self.grid, ~self.mask, self.kind)
+        return RegionMask(self.grid, ~self.mask)
 
 
 def halfspace_integral(f: GridFunction) -> float:
@@ -294,14 +285,20 @@ def _write_csv(f: GridFunction, path: Path) -> None:
                 fh.write(f"{ys},{float(tj)!r},{float(f.values[i, j])!r}\n")
 
 
+def _csv_rows(path, skiprows: int, last: str) -> np.ndarray:
+    """The rows of a numeric CSV file: coordinates, t, then `last`."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")            # an empty file is rejected below
+        data = np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
+    if data.size == 0 or data.shape[1] < 3:
+        raise ValueError(f"{path}: no rows of coordinates, t and {last}")
+    return data
+
+
 def _read_csv(path: Path, grid: HalfSpaceGrid | None) -> GridFunction:
     """One row per grid node, each within _CSV_NODE_TOL cells of its node
     (in log t for the t column), every node exactly once."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")            # an empty file is rejected below
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.size == 0 or data.shape[1] < 3:
-        raise ValueError(f"{path}: no rows of coordinates, t and value")
+    data = _csv_rows(path, 1, "value")
     n = data.shape[1] - 2
     ys, ts, vals = data[:, :n], data[:, n], data[:, n + 1]
     if grid is None:

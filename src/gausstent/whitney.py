@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Ball, ConeSpec, _gamma_balls
+from .geometry import Ball, ConeSpec, _gamma_ratio_sup
 from .grid import GridFunction, HalfSpaceGrid, RegionMask
 from .functionals import BallDictionary, _cone_windows, _distance_rows, _Windows, cone_caps
 
@@ -70,8 +70,6 @@ def _edt(feature: np.ndarray, spacing) -> np.ndarray:
 
 def complement_distance(O: RegionMask) -> np.ndarray:
     """dist(x, O^c) at every node; the box exterior belongs to O^c."""
-    if O.kind != "spatial":
-        raise ValueError("spatial mask required")
     g = O.grid
     padded = np.pad(~O.mask.reshape(g.shape), 1, constant_values=True)
     sl = tuple(slice(1, -1) for _ in range(g.n))
@@ -80,8 +78,6 @@ def complement_distance(O: RegionMask) -> np.ndarray:
 
 def set_distance(A: RegionMask) -> np.ndarray:
     """dist(x, A) at every node (inf when A is empty)."""
-    if A.kind != "spatial":
-        raise ValueError("spatial mask required")
     g = A.grid
     if not A.mask.any():
         return np.full(g.n_spatial, np.inf)
@@ -89,35 +85,36 @@ def set_distance(A: RegionMask) -> np.ndarray:
 
 
 def tent_mask(O: RegionMask, alpha: float, beta: float,
-              shrink: float = 1.0) -> RegionMask:
-    """Half-space node set of the tent over O: dist(y, O^c) >= cap(y, t).
+              shrink: float = 1.0) -> np.ndarray:
+    """(N, nt) bool array of the tent over O: dist(y, O^c) >= cap(y, t).
 
     shrink scales both apertures, i.e. shrink=1-eta gives the tent at
-    ((1-eta) alpha, (1-eta) beta) used by the band structure.
+    ((1-eta) alpha, (1-eta) beta) used by the band structure.  Every cap is
+    positive, so the tent of an empty O is empty.
     """
     g = O.grid
     caps = shrink * cone_caps(g, ConeSpec(alpha, beta))
     d = complement_distance(O)
-    return RegionMask(g, d[:, None] >= caps, kind="halfspace")
+    return d[:, None] >= caps
 
 
 def region_R_mask(F: RegionMask, alpha: float, beta: float,
-                  shrink: float = 1.0) -> RegionMask:
-    """Union of cones with vertices in F: nodes with dist(y, F) < cap."""
+                  shrink: float = 1.0) -> np.ndarray:
+    """(N, nt) bool array of the union of cones with vertices in F:
+    nodes with dist(y, F) < cap."""
     g = F.grid
     caps = shrink * cone_caps(g, ConeSpec(alpha, beta))
     d = set_distance(F)
-    return RegionMask(g, d[:, None] < caps, kind="halfspace")
+    return d[:, None] < caps
 
 
 # -- density points --------------------------------------------------------
 
 
-def density_points(A: RegionMask, eta: float, level: float,
-                   n_levels: int = 7) -> RegionMask:
+def density_points(A: RegionMask, eta: float, level: float) -> RegionMask:
     """Nodes x where every centered admissible ball carries A-density >= eta.
 
-    Balls are the centered ladder B(x, 2^-k level m(x)), k = 0..n_levels-1,
+    Balls are the centered ladder B(x, 2^-k level m(x)), k = 0..6,
     the graded stand-in for all radii up to the admissible scale; density
     ratios use the grid quadrature gamma in numerator and denominator.
     """
@@ -128,7 +125,7 @@ def density_points(A: RegionMask, eta: float, level: float,
     sums = np.stack([gw * A.mask, gw], axis=1)
     ok = np.ones(g.n_spatial, dtype=bool)
     base = level * g.m_y
-    for k in range(n_levels):
+    for k in range(7):
         num, den = _Windows(g, g.points, base * 2.0 ** (-k)).gather(sums).T
         ok &= num >= eta * den
     return RegionMask(g, ok)
@@ -158,9 +155,8 @@ def cube_center(cube: DyadicCube, grid: HalfSpaceGrid) -> np.ndarray:
 
 @dataclass
 class WhitneyCover:
-    """Disjoint dyadic cubes (or bounded-overlap balls) filling a target."""
+    """Disjoint dyadic cubes (or bounded-overlap balls) filling a set."""
 
-    target: RegionMask
     cubes: tuple = ()
     balls: tuple = ()
     cube_nodes: tuple = ()      # node indices per cube
@@ -194,8 +190,6 @@ def whitney_cubes(O: RegionMask) -> WhitneyCover:
     Cubes come out in depth-first order (Morton order of their corners,
     first axis most significant), each with its nodes in ascending order.
     """
-    if O.kind != "spatial":
-        raise ValueError("spatial mask required")
     g = O.grid
     if O.mask.all():
         raise ValueError("O equals the whole box; no complement to measure from")
@@ -242,7 +236,7 @@ def whitney_cubes(O: RegionMask) -> WhitneyCover:
     dist_per = [dist_per[r] for r in rank]
 
     audit = _audit_cubes(O, cubes, nodes_per, dist_per, edt)
-    return WhitneyCover(target=O, cubes=tuple(cubes), cube_nodes=tuple(nodes_per),
+    return WhitneyCover(cubes=tuple(cubes), cube_nodes=tuple(nodes_per),
                         cube_dist=tuple(dist_per), audit=audit)
 
 
@@ -289,8 +283,6 @@ def whitney_balls(O: RegionMask, C_overlap: float = 2.0) -> WhitneyCover:
     the nearest complement node), and the shrunken family {C^-1 B_j} is
     pairwise disjoint.  Bounded overlap is measured and reported.
     """
-    if O.kind != "spatial":
-        raise ValueError("spatial mask required")
     if C_overlap < 2.0:
         raise ValueError("C_overlap >= 2 required for the covering guarantee")
     g = O.grid
@@ -310,7 +302,7 @@ def whitney_balls(O: RegionMask, C_overlap: float = 2.0) -> WhitneyCover:
         covered |= _distance_rows(g.points, g.points[i]) < r
 
     audit = _audit_balls(O, balls, centers_idx, edt, C)
-    return WhitneyCover(target=O, balls=tuple(balls), audit=audit)
+    return WhitneyCover(balls=tuple(balls), audit=audit)
 
 
 def _audit_balls(O, balls, centers_idx, edt, C) -> dict:
@@ -344,14 +336,10 @@ def _audit_balls(O, balls, centers_idx, edt, C) -> dict:
 # -- doubling constants and the two integral-inequality checks -------------
 
 
-def doubling_constant(grid: HalfSpaceGrid, level: float,
-                      dict_: BallDictionary) -> float:
+def doubling_constant(level: float, dict_: BallDictionary) -> float:
     """Measured sup of gamma(2B)/gamma(B) over admissible dictionary balls."""
     keep = dict_._admits(level)
-    c, r = dict_.centers[keep], dict_.radii[keep]
-    with np.errstate(divide="raise", invalid="raise"):
-        ratio = _gamma_balls(c, 2.0 * r) / _gamma_balls(c, r)
-    return float(ratio.max(initial=1.0))
+    return _gamma_ratio_sup(dict_.centers[keep], dict_.radii[keep], 2.0)
 
 
 def etabar_from_doubling(C: float) -> float:
@@ -395,7 +383,7 @@ def density_inequality_check(A: RegionMask, H: GridFunction, eta: float,
     lam = spec.beta * (1.0 + spec.beta)
     A_eta = density_points(A, etabar, lam)
     R = region_R_mask(A_eta, spec.alpha, spec.beta, shrink=1.0 - eta)
-    lhs = float(np.sum(H.values * R.mask * g.gamma_y[:, None] * g.wt[None, :]))
+    lhs = float(np.sum(H.values * R * g.gamma_y[:, None] * g.wt[None, :]))
     rhs = _cone_average_over(A.mask.astype(float), H, spec)
     report = {
         "lhs": lhs,
@@ -404,7 +392,7 @@ def density_inequality_check(A: RegionMask, H: GridFunction, eta: float,
         "density_set_size": int(A_eta.mask.sum()),
     }
     if dict_ is not None:
-        C = doubling_constant(g, lam, dict_)
+        C = doubling_constant(lam, dict_)
         K = np.exp(-3.0 * spec.beta * (2.0 + spec.beta))
         report["doubling_constant"] = C
         report["lambda_lower_bound"] = (etabar - 1.0 + 1.0 / C) * K
@@ -441,7 +429,7 @@ def reverse_fubini_check(F: RegionMask, H: GridFunction, eta: float,
     g = H.grid
     F_tilde = containing_density_points(F, eta, beta, dict_)
     R = region_R_mask(F_tilde, alpha, beta)
-    lhs = float(np.sum(H.values * R.mask * g.gamma_y[:, None] * g.wt[None, :]))
+    lhs = float(np.sum(H.values * R * g.gamma_y[:, None] * g.wt[None, :]))
     rhs = _cone_average_over(F.mask.astype(float), H, ConeSpec(delta, beta))
     return {
         "lhs": lhs,

@@ -12,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from gausstent.cli import main, random_atom, random_bump
+from gausstent.cli import main
+from gausstent.families import random_atom, random_bump
 from gausstent.geometry import (
     Ball, ConeSpec, compare_tents, cutoff_m, gamma_ball_bounds_check,
     UpperPoint,
@@ -222,7 +223,7 @@ def test_criterion_07_density_and_reverse_fubini(grid):
     def ratios(g):
         d2 = default_dictionary(g, 2.0)
         d1 = default_dictionary(g, 1.0)
-        etabar = etabar_from_doubling(doubling_constant(g, 2.0, d2))
+        etabar = etabar_from_doubling(doubling_constant(2.0, d2))
         rng = np.random.default_rng(11)
         y = g.points[:, 0]
         dens, fub = [], []

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -280,17 +281,35 @@ def test_csv_input_must_match_the_grid(tmp_path, capsys, defect):
 
 
 @pytest.mark.parametrize("row", ["99.0,0.1,1.0", "0.5,20.0,1.0", "0.5,0.3,0.1,1.0",
-                                 "0.5,0.1,nan"])
+                                 "0.5,0.1,nan", ""])
 def test_carleson_rejects_measure_points_off_the_grid(tmp_path, input_file,
                                                       capsys, row):
-    # outside the box or the t-range, of the wrong dimension, or not finite:
-    # no point may snap onto the nearest node or drop out of the norm
+    # outside the box or the t-range, of the wrong dimension, not finite, or
+    # no row at all: no point may snap onto the nearest node or drop out of
+    # the norm, and an empty file is not the zero measure
     mu = tmp_path / "mu.csv"
     mu.write_text(row + "\n")
     rc = main(["--out", str(tmp_path), "carleson", "--measure", str(mu),
                "--function", str(input_file)])
     assert rc == EXIT_PRECONDITION
     assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("manifest, named", [
+    ("{}", "'alpha'"),
+    ("[]", "not a decomposition manifest"),
+    ('{"alpha": 1.0, "beta": 1.0, "q": 2.0, "source_norm": 1.0,'
+     ' "terms": [{"lambda": 1.0, "q": 2.0, "delta": 0.5,'
+     ' "ball": {"center": [0.0], "radius": 0.5}}]}', "'atom_file'"),
+])
+def test_embed_rejects_a_malformed_manifest(tmp_path, capsys, manifest, named):
+    path = tmp_path / "m.json"
+    path.write_text(manifest)
+    rc = main(["--out", str(tmp_path), "embed", "--input", str(path)])
+    assert rc == EXIT_PRECONDITION
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert str(path) in err and named in err
 
 
 def test_carleson_on_a_box_where_gamma_underflows_is_a_numeric_error(
@@ -416,7 +435,8 @@ def test_decompose_loads_neither_integrate_nor_optimize(tmp_path):
     # nor scipy.ndimage: the distance transforms are numpy
     for sup in [], ["--sup"]:
         loaded = _scipy_modules_after(tmp_path, f"""
-from gausstent.cli import main, tent_indicator
+from gausstent.cli import main
+from gausstent.families import tent_indicator
 from gausstent.geometry import ConeSpec
 from gausstent.grid import HalfSpaceGrid, write_grid_function
 g = HalfSpaceGrid(((-8.0, 8.0),), (64,), 1e-3, 8.0, 16)
@@ -425,3 +445,17 @@ assert main(["--out", "out", "--grid", "64,16", "decompose", *{sup}, "--input", 
 """)
         assert "scipy.special" in loaded, sup
         assert not loaded & {"scipy.integrate", "scipy.ndimage", "scipy.optimize"}, sup
+
+
+def test_cli_defines_no_seeded_family_and_imports_no_private_name():
+    # the seeded families live in gausstent.families; the CLI uses only
+    # public names of the library
+    tree = ast.parse(Path(__file__).parents[1].joinpath(
+        "src", "gausstent", "cli.py").read_text())
+    imported = [a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert imported and not [n for n in imported if n.startswith("_")]
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"random_bump", "tent_indicator", "random_atom",
+                          "boundary_atom"}

@@ -59,10 +59,11 @@ def test_pairing_bilinear(grid_small, rng):
 # -- Carleson norms --------------------------------------------------------
 
 def test_carleson_norm_zero_measure(grid_small):
+    # the empty measure is a valid measure, and so is one of weight 0
     d = default_dictionary(grid_small, 1.0).admissible(1.0)
-    mu = DiscreteMeasure(()) if False else DiscreteMeasure((((0.0,), 0.5, 0.0),))
-    rep = carleson_norm(mu, 1.0, 1.0, 1.0, d)
-    assert rep["norm"] == 0.0
+    for points in (), (((0.0,), 0.5, 0.0),):
+        rep = carleson_norm(DiscreteMeasure(points), 1.0, 1.0, 1.0, d)
+        assert rep["norm"] == 0.0 and rep["witness_ball"] is None
 
 
 def test_carleson_norm_rejects_inadmissible_dict(grid_small):

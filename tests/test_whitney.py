@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gausstent import atomic
-from gausstent.cli import random_bump
+from gausstent.families import random_bump
 from gausstent.geometry import ConeSpec
 from gausstent.grid import GridFunction, HalfSpaceGrid, RegionMask
 from gausstent.functionals import default_dictionary
@@ -110,16 +110,15 @@ def test_tent_mask_interval(grid_small):
     g = grid_small
     O = _interval_mask(g, -1.0, 1.0)
     T = tent_mask(O, 1.0, 1.0)
-    assert T.kind == "halfspace"
     # center of the interval: included up to depth/alpha heights
     i = g.nearest_spatial_index(0.0)
-    assert T.mask[i, g.nearest_t_index(0.5)]
+    assert T[i, g.nearest_t_index(0.5)]
     # outside the interval: excluded at every height
     j = g.nearest_spatial_index(3.0)
-    assert not T.mask[j].any()
+    assert not T[j].any()
     # shrinking the aperture weakens the depth requirement: larger tent
     T2 = tent_mask(O, 1.0, 1.0, shrink=0.5)
-    assert np.all(T.mask <= T2.mask)
+    assert np.all(T <= T2)
 
 
 def test_region_R_contains_tent_of_complement_vertices(grid_small):
@@ -128,9 +127,22 @@ def test_region_R_contains_tent_of_complement_vertices(grid_small):
     R = region_R_mask(F, 1.0, 1.0)
     # R is the cone-union over F: near a vertex of F, small t nodes included
     i = g.nearest_spatial_index(0.0)
-    assert R.mask[i, 0]
+    assert R[i, 0]
     far = g.nearest_spatial_index(6.0)
-    assert not R.mask[far].any()
+    assert not R[far].any()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_tents_of_the_empty_set_are_empty(n):
+    # every cap is positive, so no (y, t) lies in either tent of the empty
+    # set; the decompositions rely on this instead of special-casing it
+    g = HalfSpaceGrid(((-8.0, 8.0),) * n, (64,) * n, 1e-3, 8.0, 16)
+    empty = RegionMask(g, np.zeros(g.n_spatial, bool))
+    for shrink in (1.0, 0.5):
+        T = tent_mask(empty, 1.0, 1.0, shrink)
+        R = region_R_mask(empty, 1.0, 1.0, shrink)
+        assert T.shape == R.shape == (g.n_spatial, g.nt)
+        assert not T.any() and not R.any()
 
 
 # -- density points --------------------------------------------------------
@@ -358,7 +370,7 @@ def test_whitney_balls_rejects_small_C(grid_small):
 
 def test_doubling_constant_reasonable(grid_small):
     d = default_dictionary(grid_small, 2.0)
-    C = doubling_constant(grid_small, 2.0, d)
+    C = doubling_constant(2.0, d)
     assert 1.0 < C < 1e4
     eta = etabar_from_doubling(C)
     assert 1.0 - 1.0 / C < eta < 1.0
@@ -378,7 +390,7 @@ def test_density_inequality_finite_ratio(grid_small, rng):
     H = _positive_H(g, rng)
     d = default_dictionary(g, 2.0)
     spec = ConeSpec(1.0, 1.0)
-    etabar = etabar_from_doubling(doubling_constant(g, 2.0, d))
+    etabar = etabar_from_doubling(doubling_constant(2.0, d))
     rep = density_inequality_check(A, H, 0.5, etabar, spec, d)
     assert np.isfinite(rep["ratio"]) and rep["ratio"] > 0
     assert rep["lambda_lower_bound"] > 0
