@@ -15,6 +15,11 @@ the measured cube-to-complement distance (plus one cell) so that the tent
 inclusion holds node-exactly and the reconstruction is exact with zero
 residual.  The q = inf path uses Vitali-type ball covers of the level sets
 and a piecewise-linear partition of unity instead.
+
+An atom is stored on its support box, a range of flat spatial indices times
+a range of t indices, as the block of values inside it.  Both decompositions
+build the blocks on the rows of their cube or ball, and an atom is expanded
+to the whole grid only one at a time, to be checked or written.
 """
 
 from __future__ import annotations
@@ -26,7 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Ball, ConeSpec, cutoff_m, gamma_ball
-from .grid import GridFunction, RegionMask, halfspace_integral, lp_gamma_norm
+from .grid import (
+    GridFunction, HalfSpaceGrid, RegionMask, halfspace_integral, lp_gamma_norm,
+)
 from .functionals import (
     _ball_tent, _distance_rows, area_S, area_S_sup, cone_caps, default_dictionary,
 )
@@ -56,12 +63,44 @@ __all__ = [
 
 @dataclass
 class Atom:
-    """A grid function with its certifying ball and exponent."""
+    """A grid function on its support box, with its certifying ball and
+    exponent.  `box` is two slices, flat spatial rows and t columns; the
+    values are `block` inside the box and +0.0 everywhere else."""
 
-    values: GridFunction
+    grid: HalfSpaceGrid
+    box: tuple
+    block: np.ndarray = field(repr=False)
     ball: Ball
     q: float
     delta: float                      # realized admissibility level r_B/m(c_B)
+
+    @classmethod
+    def crop(cls, f: GridFunction, ball: Ball, q: float, delta: float) -> "Atom":
+        """The atom with values f, kept on the bounding box of the values
+        that are not +0.0.  A -0.0 counts, so expand() gives f back to the
+        byte."""
+        return _atom_on_rows(f.grid, 0, f.values, ball, q, delta)
+
+    def expand(self) -> GridFunction:
+        """The atom on the whole grid."""
+        values = np.zeros((self.grid.n_spatial, self.grid.nt))
+        values[self.box] = self.block
+        return GridFunction(self.grid, values)
+
+
+def _atom_on_rows(grid: HalfSpaceGrid, row0: int, values: np.ndarray,
+                  ball: Ball, q: float, delta: float) -> Atom:
+    """The atom whose values are `values` on the rows row0, row0 + 1, ...
+    (every t column), cropped as in Atom.crop."""
+    kept = np.signbit(values) | (values != 0.0)
+    r = np.flatnonzero(kept.any(axis=1))
+    c = np.flatnonzero(kept.any(axis=0))
+    r0, r1 = (int(r[0]), int(r[-1]) + 1) if r.size else (0, 0)
+    c0, c1 = (int(c[0]), int(c[-1]) + 1) if c.size else (0, 0)
+    block = values[r0:r1, c0:c1].copy()
+    block.setflags(write=False)
+    return Atom(grid, (slice(row0 + r0, row0 + r1), slice(c0, c1)), block,
+                ball, q, delta)
 
 
 @dataclass
@@ -84,20 +123,21 @@ def _lq_halfspace_norm(f: GridFunction, q: float) -> float:
 def validate_atom(a: Atom, spec: ConeSpec) -> dict:
     """Three checks: tent support, the normalization bound, and the
     L^1(gamma) bound on the area function of the atom (5% slack)."""
-    g = a.values.grid
+    f = a.expand()
+    g = a.grid
     in_tent = _ball_tent(g.points, a.ball.center_array, a.ball.radius, cone_caps(g, spec))
-    nz = a.values.values != 0.0
+    nz = f.values != 0.0
     support_ok = bool(not np.any(nz & ~in_tent))
 
     gB = gamma_ball(a.ball)
     if a.q == np.inf:
-        norm_value = float(np.max(np.abs(a.values.values)))
+        norm_value = float(np.max(np.abs(f.values)))
         norm_bound = 1.0 / gB
-        S = area_S_sup(a.values, spec)
+        S = area_S_sup(f, spec)
     else:
-        norm_value = _lq_halfspace_norm(a.values, a.q)
+        norm_value = _lq_halfspace_norm(f, a.q)
         norm_bound = gB ** (-(1.0 - 1.0 / a.q))
-        S = area_S(a.values, a.q, spec)
+        S = area_S(f, a.q, spec)
     norm_ok = bool(norm_value <= norm_bound * (1.0 + 1e-9))
     s_l1 = lp_gamma_norm(S, 1)
     area_ok = bool(s_l1 <= 1.05)
@@ -110,6 +150,13 @@ def validate_atom(a: Atom, spec: ConeSpec) -> dict:
         "area_l1": s_l1,
         "all_ok": support_ok and norm_ok and area_ok,
     }
+
+
+def _require_a_zero(S) -> None:
+    """The lowest level set must leave part of the box to the complement."""
+    if np.all(S.values > 0.0):
+        raise ValueError("the area function is positive at every grid node; the "
+                         "level-set decomposition needs S f = 0 somewhere on the box")
 
 
 def _level_range(positive_values: np.ndarray):
@@ -128,6 +175,7 @@ def decompose(f: GridFunction, q: float, spec: ConeSpec,
     g = f.grid
     qprime_exp = 1.0 - 1.0 / q          # gamma(B)^{1/q'} exponent
     S = area_S(f, q, spec)
+    _require_a_zero(S)
     source_norm = lp_gamma_norm(S, 1)
     pos = S.values[S.values > 0]
     if pos.size == 0:
@@ -189,9 +237,11 @@ def decompose(f: GridFunction, q: float, spec: ConeSpec,
                 continue
             gB = gamma_ball(B_j)
             lam_jk = gB ** qprime_exp * mu ** (1.0 / q)
-            avals = np.zeros_like(f.values)
-            avals[nodes] = vals / lam_jk
-            atom = Atom(GridFunction(g, avals), B_j, q, delta=r_j / cutoff_m(c_j))
+            # the cube's nodes ascend; in 2-D they leave gaps between rows
+            row0 = int(nodes[0])
+            block = np.zeros((int(nodes[-1]) + 1 - row0, g.nt))
+            block[nodes - row0] = vals / lam_jk
+            atom = _atom_on_rows(g, row0, block, B_j, q, delta=r_j / cutoff_m(c_j))
             terms.append((lam_jk, atom))
             mu_bound_worst = max(mu_bound_worst, mu / (gB * 2.0 ** (q * k)))
 
@@ -219,6 +269,7 @@ def decompose_sup(f: GridFunction, spec: ConeSpec) -> Decomposition:
     """
     g = f.grid
     S = area_S_sup(f, spec)
+    _require_a_zero(S)
     absf = np.abs(f.values)
     source_norm = lp_gamma_norm(S, 1)
     pos = absf[absf > 0]
@@ -255,17 +306,21 @@ def decompose_sup(f: GridFunction, spec: ConeSpec) -> Decomposition:
         relevant = band & (absf > 0)
         phi_sum = np.zeros(g.n_spatial)
         for B_j, w in zip(cover.balls, hats):
-            phi = np.where(hat_total > 0, w / np.where(hat_total > 0, hat_total, 1.0), 0.0)
-            phi_sum += phi
-            piece = relevant & (phi[:, None] > 0)
+            # phi vanishes off the rows under the hat, which hold the center
+            on = np.flatnonzero(w > 0.0)
+            rows = slice(int(on[0]), int(on[-1]) + 1)
+            under = hat_total[rows]
+            phi = w[rows] / np.where(under > 0, under, 1.0)
+            phi_sum[rows] += phi
+            piece = relevant[rows] & (phi[:, None] > 0)
             if not piece.any():
                 continue
             mu = 2.0 ** (k + 1) * gamma_ball(B_j.scaled(star))
-            avals = np.where(piece, f.values * phi[:, None] / mu, 0.0)
-            assigned |= piece
+            block = np.where(piece, f.values[rows] * phi[:, None] / mu, 0.0)
+            assigned[rows] |= piece
             B_star = B_j.scaled(star)
-            atom = Atom(GridFunction(g, avals), B_star, np.inf,
-                        delta=B_star.radius / cutoff_m(B_star.center_array))
+            atom = _atom_on_rows(g, rows.start, block, B_star, np.inf,
+                                 delta=B_star.radius / cutoff_m(B_star.center_array))
             terms.append((mu, atom))
         active = relevant.any(axis=1) & (hat_total > 0)
         if active.any():
@@ -289,12 +344,12 @@ def reconstruct(d: Decomposition) -> GridFunction:
     """Sum of lambda * atom over the decomposition."""
     if not d.terms:
         raise ValueError("empty decomposition has no grid to reconstruct on")
-    g = d.terms[0][1].values.grid
-    total = np.zeros_like(d.terms[0][1].values.values)
+    g = d.terms[0][1].grid
+    total = np.zeros((g.n_spatial, g.nt))
     for lam, atom in d.terms:
-        if atom.values.grid != g:
+        if atom.grid != g:
             raise ValueError("grid mismatch among atoms")
-        total = total + lam * atom.values.values
+        total[atom.box] += lam * atom.block
     return GridFunction(g, total)
 
 
@@ -320,7 +375,7 @@ def export_decomposition(d: Decomposition, out_dir) -> Path:
     entries = []
     for i, (lam, atom) in enumerate(d.terms):
         fname = f"atom_{i:04d}.gtnt"
-        gridio.write_grid_function(atom.values, out / fname)
+        gridio.write_grid_function(atom.expand(), out / fname)
         entries.append({
             "lambda": lam,
             "ball": {"center": list(atom.ball.center), "radius": atom.ball.radius},
@@ -344,10 +399,14 @@ def export_decomposition(d: Decomposition, out_dir) -> Path:
 
 
 def import_decomposition(manifest_path) -> Decomposition:
-    """Read a manifest written by export_decomposition; a missing key or a
-    value of the wrong type is a ValueError naming the file."""
+    """Read a manifest written by export_decomposition, cropping each atom
+    as it is read.  A file that is not JSON, a missing key or a value of the
+    wrong type is a ValueError naming the file."""
     path = Path(manifest_path)
-    data = json.loads(path.read_text())
+    try:
+        data = json.loads(path.read_text())
+    except ValueError as e:
+        raise ValueError(f"{path}: decomposition manifest is not JSON ({e})") from None
     try:
         spec = ConeSpec(data["alpha"], data["beta"])
         q = np.inf if data["q"] == "inf" else float(data["q"])
@@ -356,7 +415,7 @@ def import_decomposition(manifest_path) -> Decomposition:
             gf = gridio.read_grid_function(path.parent / entry["atom_file"])
             ball = Ball(tuple(entry["ball"]["center"]), entry["ball"]["radius"])
             aq = np.inf if entry["q"] == "inf" else float(entry["q"])
-            terms.append((entry["lambda"], Atom(gf, ball, aq, entry["delta"])))
+            terms.append((entry["lambda"], Atom.crop(gf, ball, aq, entry["delta"])))
         return Decomposition(terms, data["source_norm"], q, spec,
                              data.get("diagnostics", []),
                              data.get("residual_mass", 0.0),

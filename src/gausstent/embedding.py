@@ -92,7 +92,7 @@ def pi_phi(f: GridFunction, phi: MotherFunction, local: bool = True) -> SpatialF
 def check_h1_atom(atom, phi: MotherFunction, local: bool = True) -> dict:
     """Three checks on u = pi_phi(atom): support inside the doubled ball,
     vanishing gamma-average, and the L^2(gamma) bound constant."""
-    f = atom.values
+    f = atom.expand()
     g = f.grid
     u = pi_phi(f, phi, local=local)
     cell = g.cell

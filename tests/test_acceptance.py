@@ -383,8 +383,8 @@ def test_criterion_11_pi_phi_atoms(grid):
     w = grid.gamma_y[:, None] * grid.wt[None, :]
     from gausstent.atomic import Atom
     from gausstent.geometry import gamma_ball
-    sentinel = Atom(GridFunction(grid, tent / np.sum(tent ** 2 * w) ** 0.5
-                                 * gamma_ball(B) ** -0.5), B, 2.0, 1.0)
+    sentinel = Atom.crop(GridFunction(grid, tent / np.sum(tent ** 2 * w) ** 0.5
+                                      * gamma_ball(B) ** -0.5), B, 2.0, 1.0)
     assert check_h1_atom(sentinel, phi, local=True)["support_ok"]
     sentinel_fails = not check_h1_atom(sentinel, phi, local=False)["support_ok"]
     ok = support_fail == 0 and avg_fail == 0 and stable and sentinel_fails

@@ -1,8 +1,11 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from gausstent.geometry import Ball, ConeSpec, cutoff_m, gamma_ball
-from gausstent.grid import GridFunction, HalfSpaceGrid
+from gausstent.grid import GridFunction, HalfSpaceGrid, read_grid_function
 from gausstent.functionals import cone_caps
 from gausstent.atomic import (
     Atom, coefficient_report, decompose, decompose_sup, export_decomposition,
@@ -14,6 +17,14 @@ def _tent_indicator(grid, spec, center, radius, amplitude=1.0):
     caps = cone_caps(grid, spec)
     depth = np.maximum(radius - np.abs(grid.points[:, 0] - center), 0.0)
     return GridFunction(grid, amplitude * (depth[:, None] >= caps))
+
+
+def _bump(grid, center):
+    y, t = grid.points[:, 0], grid.t
+    vals = np.exp(-((y[:, None] - center) / 0.4) ** 2) \
+        * np.exp(-np.log(t[None, :] / 0.1) ** 2)
+    vals[np.abs(y - center) > 1.0, :] = 0.0
+    return vals
 
 
 def _make_atom(grid, spec, q, center=0.5, frac=0.8):
@@ -30,7 +41,7 @@ def _make_atom(grid, spec, q, center=0.5, frac=0.8):
         w = grid.gamma_y[:, None] * grid.wt[None, :]
         lq = np.sum(tent ** q * w) ** (1.0 / q)
         vals = tent / lq * gB ** (-(1.0 - 1.0 / q))
-    return Atom(GridFunction(grid, vals), B, q, delta=r / cutoff_m(c))
+    return Atom.crop(GridFunction(grid, vals), B, q, delta=r / cutoff_m(c))
 
 
 # -- atom validation -------------------------------------------------------
@@ -48,17 +59,17 @@ def test_constructed_atom_validates(grid_small, q):
 def test_validate_atom_catches_bad_support(grid_small):
     spec = ConeSpec(1.0, 1.0)
     a = _make_atom(grid_small, spec, 2.0)
-    vals = a.values.values.copy()
+    vals = a.expand().values.copy()
     vals[0, -1] = 1.0  # a far corner node, certainly outside the tent
-    bad = Atom(GridFunction(grid_small, vals), a.ball, a.q, a.delta)
+    bad = Atom.crop(GridFunction(grid_small, vals), a.ball, a.q, a.delta)
     assert not validate_atom(bad, spec)["support_ok"]
 
 
 def test_validate_atom_catches_bad_normalization(grid_small):
     spec = ConeSpec(1.0, 1.0)
     a = _make_atom(grid_small, spec, 2.0)
-    big = Atom(GridFunction(grid_small, 10.0 * a.values.values),
-               a.ball, a.q, a.delta)
+    big = Atom.crop(GridFunction(grid_small, 10.0 * a.expand().values),
+                    a.ball, a.q, a.delta)
     assert not validate_atom(big, spec)["norm_ok"]
 
 
@@ -180,6 +191,17 @@ def test_decompose_sup_roundtrip(grid_default):
         assert rep["support_ok"] and rep["norm_ok"], rep
 
 
+def test_decompose_sup_stores_atoms_on_their_boxes():
+    # the blocks of a 512x128 bump hold at most 5% of the dense cells
+    g = HalfSpaceGrid(((-8.0, 8.0),), (512,), 1e-3, 8.0, 128)
+    vals = _bump(g, 0.5)
+    d = decompose_sup(GridFunction(g, vals), ConeSpec(1.0, 1.0))
+    assert d.terms
+    assert sum(a.block.size for _, a in d.terms) \
+        <= 0.05 * len(d.terms) * g.n_spatial * g.nt
+    assert np.max(np.abs(reconstruct(d).values - vals)) <= 1e-12 * vals.max()
+
+
 def test_decompose_sup_zero(grid_small):
     d = decompose_sup(GridFunction.zero(grid_small), ConeSpec(1.0, 1.0))
     assert d.terms == []
@@ -200,6 +222,46 @@ def test_export_import_roundtrip(grid_small, tmp_path):
     for (l1, a1), (l2, a2) in zip(d.terms, back.terms):
         assert l1 == l2
         assert a1.ball == a2.ball
-        assert np.array_equal(a1.values.values, a2.values.values)
+        assert a1.box == a2.box           # cropped as they are read
+        assert np.array_equal(a1.expand().values, a2.expand().values)
     r1, r2 = reconstruct(d), reconstruct(back)
     assert np.array_equal(r1.values, r2.values)
+
+
+# (input, q = inf path): atom count, sha256 of the atom files' sha256 digests
+# in manifest order, sha256 of reconstruct(d).values.tobytes()
+_PINNED_BYTES = {
+    ("bump", False): (5, "9b04ef6546137c23453798260221608ad49acd87474115e1a64d68af4a7533cf",
+                      "36d2aa037a1dda4c188f82e994ed14fdfa232075818e126ac31a68752f4acdf1"),
+    ("bump", True): (39, "43e2e28be2b2789479847401762b4ab046e38368fa00142bc335b9f5cb37f101",
+                     "8522483145ee58dbe4a6faf948be59459801e552ed6e2d270b558ab6e4b11552"),
+    ("tent", False): (1, "b76c6b754e241bf037923348b27bed68bb86fb9f330334ff549a954f9c0f2ec9",
+                      "7e8c61b995f4215a34b7083bc123f8c80a1f34f38d45b10406dadebe390c5457"),
+    ("tent", True): (3, "46a9f614b6a642265c30139026d3aedbbeed2a872b24b930a81ac94ea183b735",
+                     "7e8c61b995f4215a34b7083bc123f8c80a1f34f38d45b10406dadebe390c5457"),
+    ("signed", False): (11, "3ac350e4b7e2b92b864c2fbe109fb075cea2df25014dcb63950054c5b502555b",
+                        "fcca14444c7f028c7a3b25b1a5ca7ccc8598a3c9588cc5b8d835789457dd216f"),
+    ("signed", True): (44, "30787f8434f4b83a7d29c16b6e822804ae33a154f0b6b85b32af27e35026d4e7",
+                       "c9027f7f700ab0c2175651fb3262f768c1f81322aba2353f5da643a8ba9aa775"),
+}
+
+
+@pytest.mark.parametrize("name, sup", sorted(_PINNED_BYTES))
+def test_decomposition_bytes_are_pinned(grid_small, tmp_path, name, sup):
+    # every atom file and the reconstruction, to the byte; the signed input
+    # (a bump minus half a shifted bump) leaves -0.0 in its q = 2 atom files
+    g, spec = grid_small, ConeSpec(1.0, 1.0)
+    f = {"bump": lambda: GridFunction(g, _bump(g, 0.5)),
+         "tent": lambda: _tent_indicator(g, spec, 0.5, 0.4),
+         "signed": lambda: GridFunction(g, _bump(g, 0.5) - 0.5 * _bump(g, -0.3)),
+         }[name]()
+    d = decompose_sup(f, spec) if sup else decompose(f, 2.0, spec)
+    manifest = json.loads(export_decomposition(d, tmp_path).read_text())
+    files = [tmp_path / e["atom_file"] for e in manifest["terms"]]
+    digests = "".join(hashlib.sha256(p.read_bytes()).hexdigest() for p in files)
+    assert (len(files), hashlib.sha256(digests.encode()).hexdigest(),
+            hashlib.sha256(reconstruct(d).values.tobytes()).hexdigest()) \
+        == _PINNED_BYTES[(name, sup)]
+    neg_zeros = sum(int(np.sum(np.signbit(v) & (v == 0.0)))
+                    for v in (read_grid_function(p).values for p in files))
+    assert neg_zeros == (192 if (name, sup) == ("signed", False) else 0)

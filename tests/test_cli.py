@@ -138,6 +138,21 @@ def test_decompose_command(tmp_path, input_file):
     assert len(manifest["terms"]) == rep["n_atoms"]
 
 
+@pytest.mark.parametrize("sup", [[], ["--sup"]])
+def test_decompose_of_an_input_that_never_vanishes(tmp_path, capsys, sup):
+    # the constant 1 has S f > 0 at every node, so the lowest level set is
+    # the whole box: one line naming the area function, before any cover
+    g = HalfSpaceGrid(((-8.0, 8.0),), (64,), 1e-3, 8.0, 16)
+    path = tmp_path / "one.gtnt"
+    write_grid_function(GridFunction(g, np.ones((64, 16))), path)
+    rc = main(["--out", str(tmp_path / "out"), "--grid", "64,16", "decompose", *sup,
+               "--input", str(path)])
+    assert rc == EXIT_PRECONDITION
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "positive at every grid node" in err and "S f = 0 somewhere" in err
+
+
 def test_verify_all_pass_and_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["--out", str(out1), "verify"]) == 0
@@ -298,6 +313,7 @@ def test_carleson_rejects_measure_points_off_the_grid(tmp_path, input_file,
 @pytest.mark.parametrize("manifest, named", [
     ("{}", "'alpha'"),
     ("[]", "not a decomposition manifest"),
+    ("not json", "is not JSON"),
     ('{"alpha": 1.0, "beta": 1.0, "q": 2.0, "source_norm": 1.0,'
      ' "terms": [{"lambda": 1.0, "q": 2.0, "delta": 0.5,'
      ' "ball": {"center": [0.0], "radius": 0.5}}]}', "'atom_file'"),
@@ -445,6 +461,27 @@ assert main(["--out", "out", "--grid", "64,16", "decompose", *{sup}, "--input", 
 """)
         assert "scipy.special" in loaded, sup
         assert not loaded & {"scipy.integrate", "scipy.ndimage", "scipy.optimize"}, sup
+
+
+def test_decompose_sup_holds_one_atom_at_a_time(tmp_path):
+    # a fresh interpreter's own peak RSS over decompose --sup of a 1024x256
+    # bump (216 atoms, 2 MB each when dense); VmHWM, because ru_maxrss keeps
+    # the spawning process's peak across exec
+    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", """
+import numpy as np
+from gausstent.cli import main
+from gausstent.families import random_bump
+from gausstent.grid import HalfSpaceGrid, write_grid_function
+g = HalfSpaceGrid(((-8.0, 8.0),), (1024,), 1e-3, 8.0, 256)
+write_grid_function(random_bump(g, np.random.default_rng(0)), "f.gtnt")
+assert main(["--out", "out", "--grid", "1024,256", "decompose", "--sup",
+             "--input", "f.gtnt"]) == 0
+print(open("/proc/self/status").read().split("VmHWM:")[1].split()[0])
+"""], cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert _load(tmp_path / "out", "decompose.json")["n_atoms"] == 216
+    assert int(proc.stdout.splitlines()[-1]) < 150 * 1024
 
 
 def test_cli_defines_no_seeded_family_and_imports_no_private_name():

@@ -17,7 +17,7 @@ def _l2_atom(grid, spec, center, frac=0.8):
     w = grid.gamma_y[:, None] * grid.wt[None, :]
     l2 = np.sum(tent ** 2 * w) ** 0.5
     vals = tent / l2 * gamma_ball(B) ** -0.5
-    return Atom(GridFunction(grid, vals), B, 2.0, delta=r / cutoff_m(center))
+    return Atom.crop(GridFunction(grid, vals), B, 2.0, delta=r / cutoff_m(center))
 
 
 def _boundary_atom(grid, spec, center):
