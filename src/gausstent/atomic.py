@@ -112,6 +112,7 @@ class Decomposition:
     diagnostics: list = field(default_factory=list)
     residual_mass: float = 0.0
     audit: dict = field(default_factory=dict)
+    unassigned: int = 0                # nonzero cells of f that no atom holds
 
 
 def _lq_halfspace_norm(f: GridFunction, q: float) -> float:
@@ -245,10 +246,9 @@ def decompose(f: GridFunction, q: float, spec: ConeSpec,
             terms.append((lam_jk, atom))
             mu_bound_worst = max(mu_bound_worst, mu / (gB * 2.0 ** (q * k)))
 
-    supp = f.values != 0.0
+    left = (f.values != 0.0) & ~assigned
     total_q = float(np.sum(np.abs(f.values) ** q * weights))
-    resid_q = float(np.sum(np.abs(f.values[supp & ~assigned]) ** q
-                           * weights[supp & ~assigned]))
+    resid_q = float(np.sum(np.abs(f.values[left]) ** q * weights[left]))
     residual = resid_q / total_q if total_q > 0 else 0.0
     return Decomposition(
         terms, source_norm, q, spec, diagnostics, residual,
@@ -256,6 +256,7 @@ def decompose(f: GridFunction, q: float, spec: ConeSpec,
                "doubling_constant": C_doub, "C_inflate": C_inflate,
                "mu_over_gamma_2qk_max": mu_bound_worst,
                "k_range": (kmin, kmax)},
+        unassigned=int(np.count_nonzero(left)),
     )
 
 
@@ -327,16 +328,17 @@ def decompose_sup(f: GridFunction, spec: ConeSpec) -> Decomposition:
             partition_defect = max(partition_defect,
                                    float(np.max(np.abs(phi_sum[active] - 1.0))))
 
-    supp = absf > 0
+    left = (absf > 0) & ~assigned
     weights = g.gamma_y[:, None] * g.wt[None, :]
     total = float(np.sum(absf * weights))
-    resid = float(np.sum(absf[supp & ~assigned] * weights[supp & ~assigned]))
+    resid = float(np.sum(absf[left] * weights[left]))
     return Decomposition(
         terms, source_norm, np.inf, spec, diagnostics,
         residual_mass=resid / total if total > 0 else 0.0,
         audit={"C_overlap": C, "inflation_factor": star,
                "k_range": (kmin, kmax),
                "partition_defect": partition_defect},
+        unassigned=int(np.count_nonzero(left)),
     )
 
 

@@ -13,13 +13,16 @@ points therefore belong to tents but not to cones.
 
 Only n in {1, 2} is supported: n = 1 has a closed form for gamma of an
 interval via erfc, n = 2 reduces to a 1-D radial integral with a Bessel
-factor.
+factor.  The 1-D erfc is a port of the Cephes routine that
+scipy.special.erfc evaluates, equal to it bit for bit, so n = 1 imports no
+scipy; n = 2 imports scipy.integrate and scipy.special at its first call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+import math
 from typing import Sequence
 
 import numpy as np
@@ -125,10 +128,14 @@ def is_admissible(B: Ball, beta: float) -> bool:
 
 def lebesgue_ball(B: Ball) -> float:
     """Lebesgue volume omega_n r^n (n = 1: 2r, n = 2: pi r^2)."""
-    if B.n == 1:
-        return 2.0 * B.radius
-    if B.n == 2:
-        return float(np.pi) * B.radius ** 2
+    return _lebesgue(B.n, B.radius)
+
+
+def _lebesgue(n: int, r):
+    if n == 1:
+        return 2.0 * r
+    if n == 2:
+        return float(np.pi) * r ** 2
     raise ValueError("only n in {1, 2} supported")
 
 
@@ -141,19 +148,17 @@ def _gamma_balls(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """gamma(B(c, r)) for centers, shape (K, n), and radii, shape (K,).
 
     n = 1 uses the closed form (sqrt(pi)/2)(erfc(|c|-r) - erfc(|c|+r))
-    elementwise; n = 2 integrates the radial profile
-    2*pi*s*exp(-(|c|-s)^2)*i0e(2 s |c|) adaptively to relative tolerance
-    1e-10, one ball at a time.  scipy is imported here, at first use, so
-    that importing the package loads none of it.
+    elementwise, with the Cephes port _erfc; n = 2 integrates the radial
+    profile 2*pi*s*exp(-(|c|-s)^2)*i0e(2 s |c|) adaptively to relative
+    tolerance 1e-10, one ball at a time.  scipy is imported for n = 2 only,
+    at first use, so that importing the package loads none of it.
     """
     n = centers.shape[1]
     if n == 1:
-        from scipy.special import erfc
-
         c = np.abs(centers[:, 0])
         # erfc form keeps precision in the far tail, where erf(c +- r)
         # both round to 1
-        return np.sqrt(np.pi) / 2.0 * (erfc(c - radii) - erfc(c + radii))
+        return np.sqrt(np.pi) / 2.0 * (_erfc(c - radii) - _erfc(c + radii))
     if n == 2:
         from scipy import integrate
         from scipy.special import i0e
@@ -168,6 +173,88 @@ def _gamma_balls(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
     raise ValueError("only n in {1, 2} supported")
 
 
+# Cephes ndtr.c (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989): erfc = exp(-a^2) P(|a|)/Q(|a|) for 1 <= |a| < 8,
+# exp(-a^2) R(|a|)/S(|a|) beyond, and 1 - erf(a) with erf = a T(a^2)/U(a^2)
+# below 1.  Q, S and U have an implicit leading 1 (p1evl).
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+           7.46321056442269912687E0, 4.86371970985681366614E1,
+           1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3,
+           5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
+           3.54937778887819891062E2, 9.75708501743205489753E2,
+           1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
+           5.01905042251180477414E0, 6.16021097993053585195E0,
+           7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0,
+           1.20489539808096656605E1, 1.70814450747565897222E1,
+           9.60896809063285878198E0, 3.36907645100081516050E0)
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)
+_MAXLOG = 7.09782712893383996843E2
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    # Horner's rule in Cephes' order: the same roundings as polevl/p1evl
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: tuple) -> float:
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erfc1(a: float) -> float:
+    """Cephes erfc of one float, statement by statement."""
+    x = abs(a)
+    if x < 1.0:
+        z = a * a
+        return 1.0 - a * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+    if x != x:
+        return a
+    z = -a * a
+    if z < -_MAXLOG:
+        return 2.0 if a < 0.0 else 0.0
+    z = math.exp(z)
+    if x < 8.0:
+        y = z * _polevl(x, _ERFC_P) / _p1evl(x, _ERFC_Q)
+    else:
+        y = z * _polevl(x, _ERFC_R) / _p1evl(x, _ERFC_S)
+    if a < 0.0:
+        y = 2.0 - y
+    if y == 0.0:
+        return 2.0 if a < 0.0 else 0.0
+    return y
+
+
+def _erfc(a: np.ndarray) -> np.ndarray:
+    """Complementary error function, elementwise, equal to the bit to
+    scipy.special.erfc (Cephes), NaN, +-inf and signed zeros included.
+
+    Python floats are IEEE doubles and math.exp is libm's exp, which is
+    what makes the port exact: numpy's vectorized exp differs from libm in
+    the last bit on some inputs.  The callers pass at most a few thousand
+    elements per command, mostly one or two at a time, so one float at a
+    time (about 1 us per element on a 2-core VM) beats a masked numpy
+    version (about 100 us per call there).
+    """
+    a = np.asarray(a, dtype=float)
+    return np.fromiter(map(_erfc1, a.ravel().tolist()), float,
+                       count=a.size).reshape(a.shape)
+
+
 def _gamma_ratio_sup(centers: np.ndarray, radii: np.ndarray, factor: float) -> float:
     """sup of gamma(B(c, factor r)) / gamma(B(c, r)) over the balls, 1 when
     there are none; a gamma(B) that rounds to 0 raises FloatingPointError."""
@@ -180,20 +267,30 @@ class AdmissibilityError(ValueError):
     """Raised when an operation requires an admissible ball and gets none."""
 
 
-def gamma_ball_bounds_check(B: Ball, beta: float) -> bool:
-    """Two-sided bracket exp(+-(2+beta)*beta) * exp(-|c|^2) * |B| for gamma(B).
+def gamma_ball_bounds_check(center, radius, beta):
+    """Two-sided bracket exp(+-(2+beta)*beta) * exp(-|c|^2) * |B| for
+    gamma(B) of the ball B(center, radius).
 
-    Valid for admissible balls only; non-admissible input is an error, not a
-    False.
+    One ball (a point, a radius and a level) gives a bool; centers with
+    coordinates on the last axis, with radii and levels one per ball, give a
+    bool array.  Valid for admissible balls only; a non-admissible ball is
+    an error, not a False.
     """
-    if not is_admissible(B, beta):
-        raise AdmissibilityError(
-            f"ball radius {B.radius} exceeds beta*m(center) = {beta * cutoff_m(B.center)}"
-        )
+    c = np.atleast_1d(np.asarray(center, dtype=float))
+    r, beta = np.asarray(radius, dtype=float), np.asarray(beta, dtype=float)
+    if not np.all((r > 0) & np.isfinite(r)):
+        raise ValueError("ball radius must be positive and finite")
+    cap = beta * cutoff_m(c)
+    over = ~(r <= cap)
+    if over.any():
+        raise AdmissibilityError(f"ball radius {r[over].flat[0]} exceeds "
+                                 f"beta*m(center) = {cap[over].flat[0]}")
+    n = c.shape[-1]
+    g = _gamma_balls(c.reshape(-1, n), r.reshape(-1)).reshape(r.shape)
     e = (2.0 + beta) * beta
-    base = np.exp(-float(np.dot(B.center, B.center))) * lebesgue_ball(B)
-    g = gamma_ball(B)
-    return bool(np.exp(-e) * base <= g <= np.exp(e) * base)
+    base = np.exp(-(c * c).sum(axis=-1)) * _lebesgue(n, r)
+    ok = (np.exp(-e) * base <= g) & (g <= np.exp(e) * base)
+    return bool(ok) if c.ndim == 1 else ok
 
 
 def _cap(spec: ConeSpec, vertex: np.ndarray, y: np.ndarray, t: float) -> float:
@@ -264,12 +361,22 @@ def compare_tents(B: Ball, alpha: float, beta: float,
     }
 
 
-def comparison_lemma_check(x, y, b: float) -> bool:
-    """Under |x - y| < b*m(y): both m(y) < (b+1)m(x) and m(x) < (b+1)m(y)."""
-    xp, yp = _point(x), _point(y)
-    if b <= 0:
+def comparison_lemma_check(x, y, b):
+    """Under |x - y| < b*m(y): both m(y) < (b+1)m(x) and m(x) < (b+1)m(y).
+
+    One pair of points gives a bool; arrays of points, coordinates on the
+    last axis, with b one value per pair, give a bool array.  A pair outside
+    the hypothesis is an error, not a False.
+    """
+    xp = np.atleast_1d(np.asarray(x, dtype=float))
+    yp = np.atleast_1d(np.asarray(y, dtype=float))
+    b = np.asarray(b, dtype=float)
+    if not np.all(b > 0):
         raise ValueError("b must be positive")
-    if float(np.linalg.norm(xp - yp)) >= b * cutoff_m(yp):
+    d = xp - yp
+    my = cutoff_m(yp)
+    if not np.all(np.sqrt((d * d).sum(axis=-1)) < b * my):
         raise ValueError("hypothesis |x - y| < b*m(y) violated")
-    mx, my = cutoff_m(xp), cutoff_m(yp)
-    return my < (b + 1.0) * mx and mx < (b + 1.0) * my
+    mx = cutoff_m(xp)
+    ok = (my < (b + 1.0) * mx) & (mx < (b + 1.0) * my)
+    return bool(ok) if xp.ndim == 1 else ok

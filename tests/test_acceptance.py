@@ -205,7 +205,7 @@ def test_criterion_06_ball_measure_bracket():
         c = rng.uniform(-7, 7)
         beta = rng.choice((0.5, 1.0, 2.0))
         r = rng.uniform(0.01, 1.0) * beta * cutoff_m(c)
-        if not gamma_ball_bounds_check(Ball((c,), r), beta):
+        if not gamma_ball_bounds_check((c,), r, beta):
             violations += 1
     ok = violations == 0
     _line(6, "ball-measure bracket", ok, f"{violations} violations in 1e3 balls")

@@ -1,8 +1,10 @@
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -19,6 +21,7 @@ from gausstent.cli import (
 from gausstent.grid import (
     GridFunction, HalfSpaceGrid, default_grid, write_grid_function,
 )
+from gausstent.atomic import import_decomposition, reconstruct
 from gausstent.duality import DiscreteMeasure, write_measure_csv
 
 
@@ -153,6 +156,30 @@ def test_decompose_of_an_input_that_never_vanishes(tmp_path, capsys, sup):
     assert "positive at every grid node" in err and "S f = 0 somewhere" in err
 
 
+@pytest.mark.parametrize("sup", [[], ["--sup"]])
+def test_decompose_that_leaves_cells_out_is_a_numeric_error(tmp_path, capsys, sup):
+    # a bump on the box edge y = 8 at 300x16: cells of the edge node belong
+    # to no atom.  The report is still written, then one line gives their
+    # count, which the atom files confirm
+    g = HalfSpaceGrid(((-8.0, 8.0),), (300,), 1e-3, 8.0, 16)
+    y, t = g.points[:, 0], g.t
+    vals = np.exp(-((y[:, None] - 8.0) / 0.3) ** 2) \
+        * np.exp(-np.log(t[None, :] / 0.1) ** 2)
+    vals[np.abs(y - 8.0) > 0.6, :] = 0.0
+    path = tmp_path / "edge.gtnt"
+    write_grid_function(GridFunction(g, vals), path)
+    out = tmp_path / "out"
+    rc = main(["--out", str(out), "--grid", "300,16", "decompose", *sup,
+               "--input", str(path)])
+    assert rc == EXIT_NUMERIC
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert _load(out, "decompose.json")["residual_mass"] > 0
+    d = import_decomposition(out / "decomposition" / "decomposition.json")
+    missed = int(np.count_nonzero((vals != 0) & (reconstruct(d).values == 0)))
+    assert missed > 0 and f"{missed} nonzero cells" in err
+
+
 def test_verify_all_pass_and_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["--out", str(out1), "verify"]) == 0
@@ -254,6 +281,24 @@ def test_dictionary_reports_are_pinned(tmp_path):
     assert rep["witness_ball"] == {"center": [2.078740157480315],
                                    "radius": 0.4810606060606061}
     assert rep["n_balls"] == 224
+
+
+def _report_sha256(out_dir, name):
+    """sha256 of a report file with its timestamp line cut out."""
+    text = re.sub(r',\n  "timestamp": "[^"]*"', "", (out_dir / name).read_text())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_embed_and_verify_reports_are_pinned(tmp_path):
+    # every byte of both reports but the timestamp: the H^1 constants move
+    # with the mother function's peak and gamma(B), the suites with the
+    # random draws of verify
+    assert main(["--out", str(tmp_path), "--grid", "128,32", "--seed", "7", "embed"]) == 0
+    assert main(["--out", str(tmp_path), "--grid", "128,32", "--seed", "7", "verify"]) == 0
+    assert _report_sha256(tmp_path, "embed.json") \
+        == "81290ebc88af95b35e78479b7bc10e4b96b02e82d0c8286c479d4b7573dfd1c1"
+    assert _report_sha256(tmp_path, "verify.json") \
+        == "0bacb9566a4171ce07f9913b3d2beaefa7cbccc346cef8ef978ecce2699696d6"
 
 
 def test_embed_command(tmp_path):
@@ -435,7 +480,7 @@ assert main(["--out", "out", "--grid", "64,16", "independence"]) == 0
     assert loaded == set()
 
 
-def test_dictionary_commands_load_special_but_not_integrate(tmp_path):
+def test_dictionary_commands_load_no_scipy(tmp_path):
     _pinned_inputs(tmp_path)
     loaded = _scipy_modules_after(tmp_path, """
 from gausstent.cli import main
@@ -443,12 +488,11 @@ assert main(["--config", "c.ini", "--grid", "128,32", "--out", "out", "norm",
              "--input", "f.gtnt"]) == 0
 assert main(["--grid", "128,32", "--out", "out", "carleson", "--measure", "mu.csv"]) == 0
 """)
-    assert "scipy.special" in loaded
-    assert "scipy.integrate" not in loaded
+    assert loaded == set()
 
 
-def test_decompose_loads_neither_integrate_nor_optimize(tmp_path):
-    # nor scipy.ndimage: the distance transforms are numpy
+def test_decompose_loads_no_scipy(tmp_path):
+    # the distance transforms and the 1-D erfc are numpy and Python floats
     for sup in [], ["--sup"]:
         loaded = _scipy_modules_after(tmp_path, f"""
 from gausstent.cli import main
@@ -459,8 +503,25 @@ g = HalfSpaceGrid(((-8.0, 8.0),), (64,), 1e-3, 8.0, 16)
 write_grid_function(tent_indicator(g, ConeSpec(1.0, 1.0), 0.5, 1.0), "f.gtnt")
 assert main(["--out", "out", "--grid", "64,16", "decompose", *{sup}, "--input", "f.gtnt"]) == 0
 """)
-        assert "scipy.special" in loaded, sup
-        assert not loaded & {"scipy.integrate", "scipy.ndimage", "scipy.optimize"}, sup
+        assert loaded == set(), sup
+
+
+def test_embed_and_verify_load_no_scipy(tmp_path):
+    # the mother function's peak is a pinned float, not a minimize_scalar call
+    loaded = _scipy_modules_after(tmp_path, """
+from gausstent.cli import main
+assert main(["--out", "out", "--grid", "128,32", "embed"]) == 0
+assert main(["--out", "out", "--grid", "128,32", "verify"]) == 0
+""")
+    assert loaded == set()
+
+
+def test_two_d_gamma_loads_integrate(tmp_path):
+    loaded = _scipy_modules_after(tmp_path, """
+from gausstent.geometry import Ball, gamma_ball
+assert gamma_ball(Ball((0.5, -0.5), 0.3)) > 0
+""")
+    assert {"scipy.integrate", "scipy.special"} <= loaded
 
 
 def test_decompose_sup_holds_one_atom_at_a_time(tmp_path):

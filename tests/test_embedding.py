@@ -5,7 +5,7 @@ from gausstent.geometry import Ball, ConeSpec, cutoff_m, gamma_ball
 from gausstent.grid import GridFunction
 from gausstent.functionals import cone_caps
 from gausstent.atomic import Atom
-from gausstent.embedding import check_h1_atom, default_phi, pi_phi
+from gausstent.embedding import _PHI_PEAK, check_h1_atom, default_phi, pi_phi
 
 
 def _l2_atom(grid, spec, center, frac=0.8):
@@ -26,6 +26,16 @@ def _boundary_atom(grid, spec, center):
     i = grid.nearest_spatial_index(center)
     c = float(grid.points[i, 0])
     return _l2_atom(grid, spec, c, frac=1.0)
+
+
+def test_phi_peak_is_the_minimize_scalar_float():
+    # default_phi pins the peak so that embed and verify import no
+    # scipy.optimize; the pin must stay the float the optimizer returns
+    from scipy.optimize import minimize_scalar
+    res = minimize_scalar(lambda x: -x * np.exp(-1.0 / (1.0 - x * x)),
+                          bounds=(1e-6, 1.0 - 1e-6), method="bounded")
+    assert _PHI_PEAK == -res.fun
+    assert default_phi().scale == 1.0 / _PHI_PEAK
 
 
 def test_phi_shape():

@@ -4,7 +4,8 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from gausstent.geometry import (
-    AdmissibilityError, Ball, ConeSpec, ConeVariant, UpperPoint, _gamma_balls,
+    AdmissibilityError, Ball, ConeSpec, ConeVariant, UpperPoint, _MAXLOG, _erfc,
+    _gamma_balls,
     ball_tent_contains, classical_tent_contains, compare_tents,
     comparison_lemma_check, cone_contains, cutoff_m, gamma_ball,
     gamma_ball_bounds_check, is_admissible, lebesgue_ball,
@@ -65,6 +66,30 @@ def test_gamma_kernel_1d_is_the_scalar_closed_form(rng):
     assert np.array_equal(got, want)
     assert np.array_equal(got[:200], [gamma_ball(Ball(tuple(c), r))
                                       for c, r in zip(centers[:200], radii[:200])])
+
+
+def test_erfc_is_scipys_to_the_bit():
+    # scipy's erfc is Cephes' rational approximation with libm's exp; the
+    # port must return the same float for every input, so the oracle is ==
+    from scipy.special import erfc
+    rng = np.random.default_rng(2024)
+    sign = rng.choice((-1.0, 1.0), size=200_000)
+    edges = np.array([1.0, 8.0, np.sqrt(_MAXLOG)])
+    a = np.concatenate([
+        rng.uniform(-30.0, 30.0, 400_000),
+        rng.normal(0.0, 3.0, 300_000),
+        # every binade from the subnormals up, both signs
+        sign * np.exp(rng.uniform(-745.0, 3.5, 200_000)),
+        # the branch edges at |a| = 1 and 8 and the underflow edge
+        np.concatenate([e + rng.uniform(-1e-6, 1e-6, 50_000) for e in edges])
+        * rng.choice((-1.0, 1.0), size=150_000),
+        np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 30.0)]),
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 26.55, -26.55,
+         1e300, -1e300],
+    ])
+    a = np.concatenate([a, -a])
+    assert a.size > 1_000_000
+    assert np.array_equal(_erfc(a), erfc(a), equal_nan=True)
 
 
 def test_gamma_kernel_2d_matches_noncentral_chi2(rng):
@@ -141,7 +166,7 @@ def test_admissibility_boundary_included():
 
 def test_bracket_rejects_non_admissible():
     with pytest.raises(AdmissibilityError):
-        gamma_ball_bounds_check(Ball((4.0,), 1.0), 1.0)
+        gamma_ball_bounds_check((4.0,), 1.0, 1.0)
 
 
 def test_bracket_holds_random(rng):
@@ -149,7 +174,26 @@ def test_bracket_holds_random(rng):
         c = rng.uniform(-6, 6)
         beta = rng.choice((0.5, 1.0, 2.0))
         r = rng.uniform(0.02, 1.0) * beta * cutoff_m(c)
-        assert gamma_ball_bounds_check(Ball((c,), r), beta)
+        assert gamma_ball_bounds_check((c,), r, beta)
+
+
+def test_array_checks_equal_the_one_point_checks(rng):
+    # verify checks all its draws in one call; each entry must be the
+    # one-point answer, and one bad pair or ball among many is still an error
+    y = rng.uniform(-5, 5, 400)
+    b = rng.choice((0.5, 1.0, 2.0), 400)
+    x = y + rng.uniform(-1, 1, 400) * b * cutoff_m(y[:, None]) * 0.999999
+    assert comparison_lemma_check(x[:, None], y[:, None], b).tolist() \
+        == [comparison_lemma_check((xi,), (yi,), bi) for xi, yi, bi in zip(x, y, b)]
+    r = rng.uniform(0.05, 1.0, 400) * b * cutoff_m(y[:, None])
+    assert gamma_ball_bounds_check(y[:, None], r, b).tolist() \
+        == [gamma_ball_bounds_check((yi,), ri, bi) for yi, ri, bi in zip(y, r, b)]
+    x[7] = y[7] + 2.0 * b[7]
+    with pytest.raises(ValueError):
+        comparison_lemma_check(x[:, None], y[:, None], b)
+    r[7] = 1.5 * b[7] * cutoff_m(y[7])
+    with pytest.raises(AdmissibilityError):
+        gamma_ball_bounds_check(y[:, None], r, b)
 
 
 # -- cones and tents -------------------------------------------------------
