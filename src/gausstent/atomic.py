@@ -198,6 +198,11 @@ def decompose(f: GridFunction, q: float, spec: ConeSpec,
         not np.any(inflated[k + 1].mask & ~inflated[k].mask)
         for k in range(kmin, kmax + 1)
     )
+    whole = [k for k, O in inflated.items() if O.mask.all()]
+    if whole:
+        raise ValueError(f"the inflated level set at k = {whole[0]} covers the whole "
+                         "box, so it has no complement to measure Whitney cubes from; "
+                         "the zeros of S f are too sparse for the level-set decomposition")
 
     shrink = 1.0 - eta
     tents = {k: tent_mask(inflated[k], spec.alpha, spec.beta, shrink)

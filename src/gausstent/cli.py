@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import (
-    Ball, ConeSpec, UpperPoint, compare_tents, comparison_lemma_check,
+    Ball, ConeSpec, compare_tents, comparison_lemma_check,
     cutoff_m, gamma_ball_bounds_check,
 )
 from .grid import GridFunction, HalfSpaceGrid, halfspace_integral, read_grid_function
@@ -299,10 +299,11 @@ def _suite_tent_compare(cfg, grid, rng):
     failures = 0
     for c, beta in ((3.0, 1.0), (-2.5, 2.0)):
         B = Ball((c,), 0.8 * beta * cutoff_m(c))
-        samples = [UpperPoint((rng.uniform(c - 2, c + 2),),
-                              float(np.exp(rng.uniform(np.log(1e-3), np.log(8.0)))))
-                   for _ in range(2000)]
-        rep = compare_tents(B, cfg.alpha, beta, samples)
+        # one draw at a time keeps the generator's stream
+        ys, ts = np.array([(rng.uniform(c - 2, c + 2),
+                            np.exp(rng.uniform(np.log(1e-3), np.log(8.0))))
+                           for _ in range(2000)]).T
+        rep = compare_tents(B, cfg.alpha, beta, ys[:, None], ts)
         failures += rep["n_off_axis"]
     return {"off_axis_disagreements": failures, "ok": failures == 0}
 

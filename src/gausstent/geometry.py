@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -307,23 +306,28 @@ def cone_contains(vertex, spec: ConeSpec, p: UpperPoint) -> bool:
     return float(np.linalg.norm(y - x)) < _cap(spec, x, y, p.t)
 
 
+def _tent_contains(B: Ball, alpha: float, beta: float, ys: np.ndarray,
+                   ts: np.ndarray) -> np.ndarray:
+    """dist(y, B^c) >= alpha*t ^ beta*m(y) for points ys (M, n) and ts (M,);
+    beta = inf drops the Gaussian cap and gives the classical tent."""
+    d = ys - B.center_array
+    depth = np.maximum(B.radius - np.sqrt((d * d).sum(axis=-1)), 0.0)
+    return depth >= np.minimum(alpha * ts, beta * cutoff_m(ys))
+
+
 def ball_tent_contains(B: Ball, alpha: float, beta: float, p: UpperPoint) -> bool:
     """dist(y, B^c) >= alpha*t ^ beta*m(y), with dist = max(r - |y - c|, 0)."""
-    y = np.asarray(p.y, dtype=float)
-    d = max(B.radius - float(np.linalg.norm(y - B.center_array)), 0.0)
-    return d >= min(alpha * p.t, beta * cutoff_m(y))
+    return bool(_tent_contains(B, alpha, beta, np.array([p.y]), np.array([p.t]))[0])
 
 
 def classical_tent_contains(B: Ball, alpha: float, p: UpperPoint) -> bool:
     """Classical tent: dist(y, B^c) >= alpha*t, no Gaussian cap."""
-    y = np.asarray(p.y, dtype=float)
-    d = max(B.radius - float(np.linalg.norm(y - B.center_array)), 0.0)
-    return d >= alpha * p.t
+    return ball_tent_contains(B, alpha, np.inf, p)
 
 
-def compare_tents(B: Ball, alpha: float, beta: float,
-                  samples: Sequence[UpperPoint]) -> dict:
-    """Compare Gaussian and classical tent membership over sample points.
+def compare_tents(B: Ball, alpha: float, beta: float, ys, ts) -> dict:
+    """Compare Gaussian and classical tent membership over sample points
+    (ys[i], ts[i]); ys has shape (M, n) and ts shape (M,).
 
     For admissible B with beta >= 1 and the closest point of the closed ball
     to the origin at distance >= sqrt(beta), the two tents coincide except
@@ -332,6 +336,10 @@ def compare_tents(B: Ball, alpha: float, beta: float,
     flagged but the comparison still runs.
     """
     c = B.center_array
+    ys = np.asarray(ys, dtype=float).reshape(-1, B.n)
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    if ys.shape[0] != ts.size:
+        raise ValueError("one t per sample point required")
     q_dist = max(float(np.linalg.norm(c)) - B.radius, 0.0)
     warnings = []
     if beta < 1.0:
@@ -341,21 +349,18 @@ def compare_tents(B: Ball, alpha: float, beta: float,
     if not is_admissible(B, beta):
         warnings.append("ball not admissible at level beta")
 
-    disagreements = []
-    off_axis = 0
-    for p in samples:
-        g = ball_tent_contains(B, alpha, beta, p)
-        cl = classical_tent_contains(B, alpha, p)
-        if g != cl:
-            on_axis = float(np.linalg.norm(np.asarray(p.y) - c)) <= 1e-12
-            disagreements.append({"y": p.y, "t": p.t, "gaussian": g,
-                                  "classical": cl, "on_axis": on_axis})
-            if not on_axis:
-                off_axis += 1
+    gau = _tent_contains(B, alpha, beta, ys, ts)
+    cla = _tent_contains(B, alpha, np.inf, ys, ts)
+    d = ys - c
+    on_axis = np.sqrt((d * d).sum(axis=-1)) <= 1e-12
+    disagreements = [{"y": tuple(ys[i].tolist()), "t": float(ts[i]),
+                      "gaussian": bool(gau[i]), "classical": bool(cla[i]),
+                      "on_axis": bool(on_axis[i])}
+                     for i in np.flatnonzero(gau != cla)]
     return {
-        "n_samples": len(samples),
+        "n_samples": int(ts.size),
         "disagreements": disagreements,
-        "n_off_axis": off_axis,
+        "n_off_axis": int(np.count_nonzero((gau != cla) & ~on_axis)),
         "warnings": warnings,
         "preconditions_ok": not warnings,
     }

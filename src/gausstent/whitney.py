@@ -1,10 +1,11 @@
 """Covering machinery: density points, tents of masks, Whitney cubes/balls.
 
 Distances from grid nodes to node sets are exact Euclidean distance
-transforms, computed in numpy by one separable pass per axis, with the box
-exterior counted as complement.  Whitney cubes are found one dyadic level
-at a time.  All set operations are resolution-limited; audits allow a
-one-grid-cell tolerance and say so in their reports.
+transforms, computed in numpy by one separable pass per axis, within the
+box: the box exterior is not part of any complement.  Whitney cubes are
+found one dyadic level at a time.  All set operations are
+resolution-limited; audits allow a one-grid-cell tolerance and say so in
+their reports.
 """
 
 from __future__ import annotations
@@ -42,14 +43,14 @@ __all__ = [
 def _edt(feature: np.ndarray, spacing) -> np.ndarray:
     """Distance from every node to the nearest True node of `feature`.
 
-    `feature` has shape (m,) or (m0, m1) and at least one True node.  The
-    transform is separable (Felzenszwalb and Huttenlocher, "Distance
-    Transforms of Sampled Functions", 2012): along the last axis the nearest
-    feature index on each side comes from running max / min accumulations;
-    the distance is then the minimum over the leading axis of
-    ((i - k) h0)^2 + (offset h1)^2, square-rooted.  That is the expression
-    scipy's distance_transform_edt evaluates, so the values agree to the
-    bit.  A 1-D array is a single row, where the leading term is 0.
+    `feature` has shape (m,) or (m0, m1); with no True node every distance
+    is inf.  The transform is separable (Felzenszwalb and Huttenlocher,
+    "Distance Transforms of Sampled Functions", 2012): along the last axis
+    the nearest feature index on each side comes from running max / min
+    accumulations; the distance is then the minimum over the leading axis
+    of ((i - k) h0)^2 + (offset h1)^2, square-rooted.  That is the
+    expression scipy's distance_transform_edt evaluates, so the values agree
+    to the bit.  A 1-D array is a single row, where the leading term is 0.
     """
     rows = np.atleast_2d(feature)
     h0, h1 = spacing if feature.ndim == 2 else (1.0, *spacing)
@@ -69,18 +70,20 @@ def _edt(feature: np.ndarray, spacing) -> np.ndarray:
 
 
 def complement_distance(O: RegionMask) -> np.ndarray:
-    """dist(x, O^c) at every node; the box exterior belongs to O^c."""
+    """dist(x, O^c) at every node, O^c taken inside the box.
+
+    The box exterior is not part of O^c: a function on the grid lives in
+    the box, so S f and its level sets run on past the edge, and a node of
+    O on the edge is as deep as its distance to the complement nodes makes
+    it.  When O is the whole box, O^c is empty and every distance is inf.
+    """
     g = O.grid
-    padded = np.pad(~O.mask.reshape(g.shape), 1, constant_values=True)
-    sl = tuple(slice(1, -1) for _ in range(g.n))
-    return _edt(padded, g.spacing)[sl].ravel()
+    return _edt(~O.mask.reshape(g.shape), g.spacing).ravel()
 
 
 def set_distance(A: RegionMask) -> np.ndarray:
     """dist(x, A) at every node (inf when A is empty)."""
     g = A.grid
-    if not A.mask.any():
-        return np.full(g.n_spatial, np.inf)
     return _edt(A.mask.reshape(g.shape), g.spacing).ravel()
 
 
@@ -90,7 +93,10 @@ def tent_mask(O: RegionMask, alpha: float, beta: float,
 
     shrink scales both apertures, i.e. shrink=1-eta gives the tent at
     ((1-eta) alpha, (1-eta) beta) used by the band structure.  Every cap is
-    positive, so the tent of an empty O is empty.
+    positive, so the tent of an empty O is empty.  O^c is taken inside the
+    box (see complement_distance): a node of O on the box edge carries the
+    cells its distance to the complement nodes allows, and the tent of the
+    whole box is every cell.
     """
     g = O.grid
     caps = shrink * cone_caps(g, ConeSpec(alpha, beta))

@@ -16,7 +16,6 @@ from gausstent.cli import main
 from gausstent.families import random_atom, random_bump
 from gausstent.geometry import (
     Ball, ConeSpec, compare_tents, cutoff_m, gamma_ball_bounds_check,
-    UpperPoint,
 )
 from gausstent.grid import (
     GridFunction, HalfSpaceGrid, RegionMask, default_grid, halfspace_integral,
@@ -162,11 +161,10 @@ def test_criterion_04_tent_geometry():
             if abs(c) - r < np.sqrt(beta):
                 continue
             B = Ball((c,), r)
-            samples = [UpperPoint((float(rng.uniform(c - 2 * r, c + 2 * r)),),
-                                  float(np.exp(rng.uniform(np.log(1e-3),
-                                                           np.log(8.0)))))
-                       for _ in range(10_000)]
-            rep = compare_tents(B, 1.0, beta, samples)
+            ys, ts = np.array([(rng.uniform(c - 2 * r, c + 2 * r),
+                                np.exp(rng.uniform(np.log(1e-3), np.log(8.0))))
+                               for _ in range(10_000)]).T
+            rep = compare_tents(B, 1.0, beta, ys[:, None], ts)
             assert rep["preconditions_ok"]
             off_axis += rep["n_off_axis"]
             n_balls += 1

@@ -156,11 +156,28 @@ def test_decompose_of_an_input_that_never_vanishes(tmp_path, capsys, sup):
     assert "positive at every grid node" in err and "S f = 0 somewhere" in err
 
 
+def test_decompose_whose_inflated_level_set_covers_the_box(tmp_path, capsys):
+    # f vanishes only near the origin: S f = 0 on two nodes, too few to hold
+    # density points, so the inflated lowest level set is the whole box and
+    # has no complement.  One line, before any cover
+    g = HalfSpaceGrid(((-8.0, 8.0),), (64,), 1e-3, 8.0, 16)
+    vals = np.ones((64, 16))
+    vals[np.abs(g.points[:, 0]) < 1.0] = 0.0
+    path = tmp_path / "sparse_zeros.gtnt"
+    write_grid_function(GridFunction(g, vals), path)
+    rc = main(["--out", str(tmp_path / "out"), "--grid", "64,16", "decompose",
+               "--input", str(path)])
+    assert rc == EXIT_PRECONDITION
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "inflated level set" in err and "covers the whole box" in err
+
+
 @pytest.mark.parametrize("sup", [[], ["--sup"]])
-def test_decompose_that_leaves_cells_out_is_a_numeric_error(tmp_path, capsys, sup):
-    # a bump on the box edge y = 8 at 300x16: cells of the edge node belong
-    # to no atom.  The report is still written, then one line gives their
-    # count, which the atom files confirm
+def test_decompose_of_a_bump_on_the_box_edge_leaves_no_cell_out(tmp_path, capsys, sup):
+    # a bump on the box edge y = 8 at 300x16: the box exterior is not part of
+    # any level set's complement, so the cells of the edge node lie in the
+    # bands like any other and the atoms rebuild f with zero residual
     g = HalfSpaceGrid(((-8.0, 8.0),), (300,), 1e-3, 8.0, 16)
     y, t = g.points[:, 0], g.t
     vals = np.exp(-((y[:, None] - 8.0) / 0.3) ** 2) \
@@ -171,13 +188,13 @@ def test_decompose_that_leaves_cells_out_is_a_numeric_error(tmp_path, capsys, su
     out = tmp_path / "out"
     rc = main(["--out", str(out), "--grid", "300,16", "decompose", *sup,
                "--input", str(path)])
-    assert rc == EXIT_NUMERIC
-    err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1
-    assert _load(out, "decompose.json")["residual_mass"] > 0
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert _load(out, "decompose.json")["residual_mass"] == 0.0
     d = import_decomposition(out / "decomposition" / "decomposition.json")
-    missed = int(np.count_nonzero((vals != 0) & (reconstruct(d).values == 0)))
-    assert missed > 0 and f"{missed} nonzero cells" in err
+    back = reconstruct(d).values
+    assert not np.any((vals != 0) & (back == 0))
+    assert np.max(np.abs(back - vals)) <= 1e-12 * np.max(vals)
 
 
 def test_verify_all_pass_and_deterministic(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gausstent.geometry import Ball, ConeSpec, cutoff_m, gamma_ball
-from gausstent.grid import GridFunction
+from gausstent.grid import GridFunction, HalfSpaceGrid, SpatialFunction
 from gausstent.functionals import cone_caps
 from gausstent.atomic import Atom
 from gausstent.embedding import _PHI_PEAK, check_h1_atom, default_phi, pi_phi
@@ -26,6 +26,30 @@ def _boundary_atom(grid, spec, center):
     i = grid.nearest_spatial_index(center)
     c = float(grid.points[i, 0])
     return _l2_atom(grid, spec, c, frac=1.0)
+
+
+def _pi_phi_dense(f, phi, local=True):
+    """pi_phi with every kernel row evaluated across the whole grid: the
+    oracle the banded kernel must reproduce to the bit."""
+    g = f.grid
+    y = g.points[:, 0]
+    x = y
+    gw = g.gamma_y
+    acc = np.zeros(g.n_spatial)
+    for j, tj in enumerate(g.t):
+        rows = np.nonzero(f.values[:, j])[0]
+        if local:
+            rows = rows[tj < g.m_y[rows]]
+        if rows.size == 0:
+            continue
+        kernel = phi((x[None, :] - y[rows, None]) / tj) / tj   # (rows, x)
+        support = np.abs(x[None, :] - y[rows, None]) < tj
+        wsum = (kernel * g.wy[None, :]).sum(axis=1)
+        wtot = (support * g.wy[None, :]).sum(axis=1)
+        kernel = kernel - support * (wsum / wtot)[:, None]
+        coeff = f.values[rows, j] * gw[rows] * g.wt[j]
+        acc += coeff @ kernel
+    return SpatialFunction(g, acc * np.exp(x * x))
 
 
 def test_phi_peak_is_the_minimize_scalar_float():
@@ -102,3 +126,28 @@ def test_pi_phi_rejects_2d():
     g = HalfSpaceGrid(((-2.0, 2.0), (-2.0, 2.0)), (8, 8), 0.1, 1.0, 4)
     with pytest.raises(ValueError):
         pi_phi(GridFunction.zero(g), default_phi())
+
+
+@pytest.mark.parametrize("nx", [64, 128, 131, 300, 1024])
+@pytest.mark.parametrize("local", [True, False])
+def test_banded_pi_phi_is_the_dense_loop_to_the_bit(nx, local):
+    # random signed values, whole empty rows, and full rows on the box
+    # edges y = -8 and y = 8, where the band is cut off by the grid
+    g = HalfSpaceGrid(((-8.0, 8.0),), (nx,), 1e-3, 8.0, 24)
+    rng = np.random.default_rng(nx)
+    vals = rng.standard_normal((nx, g.nt)) * (rng.random((nx, g.nt)) < 0.4)
+    vals[rng.random(nx) < 0.3] = 0.0
+    vals[[0, -1]] = rng.standard_normal((2, g.nt))
+    f = GridFunction(g, vals)
+    phi = default_phi()
+    want = _pi_phi_dense(f, phi, local).values
+    assert pi_phi(f, phi, local).values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("local", [True, False])
+def test_banded_pi_phi_on_the_boundary_atom_is_the_dense_loop(grid_default, local):
+    f = _boundary_atom(grid_default, ConeSpec(1.0, 1.0), 2.0).expand()
+    phi = default_phi()
+    want = _pi_phi_dense(f, phi, local).values
+    assert np.any(want != 0.0)
+    assert pi_phi(f, phi, local).values.tobytes() == want.tobytes()

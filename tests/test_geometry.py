@@ -236,9 +236,9 @@ def test_tent_outside_ball_excluded():
 def test_compare_tents_agreement_off_axis(rng):
     # admissible ball far from the origin: tents coincide off the axis
     B = Ball((3.0,), 0.25)
-    samples = [UpperPoint((rng.uniform(2, 4),), rng.uniform(1e-3, 4.0))
-               for _ in range(3000)]
-    rep = compare_tents(B, 1.0, 1.0, samples)
+    ys = rng.uniform(2, 4, (3000, 1))
+    ts = rng.uniform(1e-3, 4.0, 3000)
+    rep = compare_tents(B, 1.0, 1.0, ys, ts)
     assert rep["preconditions_ok"]
     assert rep["n_off_axis"] == 0
 
@@ -251,14 +251,34 @@ def test_compare_tents_axis_disagreement_possible():
     gau = ball_tent_contains(B, 1.0, 1.0, p)
     cla = classical_tent_contains(B, 1.0, p)
     assert gau != cla
-    rep = compare_tents(B, 1.0, 1.0, [p])
+    rep = compare_tents(B, 1.0, 1.0, [p.y], [p.t])
     assert rep["n_off_axis"] == 0
     assert len(rep["disagreements"]) == 1
     assert rep["disagreements"][0]["on_axis"]
 
 
+def test_compare_tents_lists_the_one_point_disagreements_in_order(rng):
+    # a ball near the origin breaks the preconditions, so the tents differ
+    # off the axis too; the array pass must list what the one-point
+    # predicates say, sample by sample
+    B = Ball((0.4,), 1.5)
+    ys = np.r_[rng.uniform(-1.5, 2.5, 2000), np.full(20, 0.4)][:, None]
+    ts = np.exp(rng.uniform(np.log(1e-3), np.log(8.0), ys.shape[0]))
+    rep = compare_tents(B, 1.0, 0.5, ys, ts)
+    want = []
+    for y, t in zip(ys.tolist(), ts.tolist()):
+        p = UpperPoint(tuple(y), t)
+        g, c = ball_tent_contains(B, 1.0, 0.5, p), classical_tent_contains(B, 1.0, p)
+        if g != c:
+            want.append({"y": p.y, "t": t, "gaussian": g, "classical": c,
+                         "on_axis": abs(y[0] - 0.4) <= 1e-12})
+    assert rep["disagreements"] == want
+    assert rep["n_off_axis"] == sum(not w["on_axis"] for w in want) > 0
+    assert any(w["on_axis"] for w in want)
+
+
 def test_compare_tents_warnings():
-    rep = compare_tents(Ball((0.1,), 0.5), 1.0, 0.5, [])
+    rep = compare_tents(Ball((0.1,), 0.5), 1.0, 0.5, np.empty((0, 1)), [])
     assert "beta < 1" in rep["warnings"]
     assert any("sqrt" in w for w in rep["warnings"])
     assert not rep["preconditions_ok"]

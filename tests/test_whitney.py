@@ -26,17 +26,18 @@ def test_complement_distance_bruteforce(grid_small, rng):
     d = complement_distance(O)
     y = grid_small.points[:, 0]
     comp = ~O.mask
-    # brute force against complement nodes and the box edges
-    lo, hi = grid_small.spatial_box[0]
-    h = grid_small.spacing[0]
+    # brute force against the complement nodes; the box exterior is not O^c
     for i in range(0, grid_small.n_spatial, 7):
         if not O.mask[i]:
             assert d[i] == 0.0
             continue
-        cand = np.abs(y[comp] - y[i]) if comp.any() else np.array([np.inf])
-        edge = min(y[i] - lo, hi - y[i]) + h  # one padded exterior cell
-        want = min(cand.min(initial=np.inf), edge)
+        want = np.abs(y[comp] - y[i]).min()
         assert d[i] == pytest.approx(want, abs=1e-12)
+
+
+def test_complement_distance_of_the_whole_box_is_inf(grid_small):
+    O = RegionMask(grid_small, np.ones(grid_small.n_spatial, bool))
+    assert np.all(np.isinf(complement_distance(O)))
 
 
 def _scipy_distances(O):
@@ -45,9 +46,12 @@ def _scipy_distances(O):
 
     g = O.grid
     shaped = O.mask.reshape(g.shape)
-    padded = np.pad(shaped, 1, constant_values=False)
+    # padded with O: the box exterior is not part of O^c
+    padded = np.pad(shaped, 1, constant_values=True)
     inner = tuple(slice(1, -1) for _ in range(g.n))
     comp = distance_transform_edt(padded, sampling=g.spacing)[inner].ravel()
+    if O.mask.all():
+        comp[:] = np.inf    # scipy's EDT is undefined without background
     to_set = distance_transform_edt(~shaped, sampling=g.spacing).ravel()
     return comp, to_set
 
