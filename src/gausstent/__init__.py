@@ -15,7 +15,6 @@ Modules:
 from .geometry import (
     Ball,
     ConeSpec,
-    ConeVariant,
     UpperPoint,
     ball_tent_contains,
     classical_tent_contains,

@@ -30,16 +30,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Ball, ConeSpec, cutoff_m, gamma_ball
+from .geometry import Ball, ConeSpec, _ball_tent, _distance_rows, cutoff_m, gamma_ball
 from .grid import (
     GridFunction, HalfSpaceGrid, RegionMask, halfspace_integral, lp_gamma_norm,
 )
-from .functionals import (
-    _ball_tent, _distance_rows, area_S, area_S_sup, cone_caps, default_dictionary,
-)
+from .functionals import area_S, area_S_sup, cone_caps, default_dictionary
 from .whitney import (
+    _C_OVERLAP,
+    _density_columns,
     cube_center,
-    density_points,
     doubling_constant,
     etabar_from_doubling,
     tent_mask,
@@ -188,25 +187,22 @@ def decompose(f: GridFunction, q: float, spec: ConeSpec,
     etabar = etabar_from_doubling(C_doub)
     C_inflate = 1.0 + 5.0 / (1.0 - eta)
 
-    # inflated level sets O_k^[etabar], complement of the density points of
-    # F_k = ~O_k; where O_k is empty, every node is a density point of F_k
-    inflated = {k: density_points(RegionMask(g, ~(S.values > 2.0 ** k)), etabar,
-                                  lam).complement()
-                for k in range(kmin, kmax + 2)}
+    # inflated level sets O_k^[etabar] in column k - kmin: the complement of
+    # the density points of F_k = ~O_k (all of them where O_k is empty)
+    levels = range(kmin, kmax + 2)
+    O = S.values[:, None] > np.ldexp(1.0, levels)
+    inflated = ~_density_columns(g, ~O, etabar, lam)
 
-    nesting_ok = all(
-        not np.any(inflated[k + 1].mask & ~inflated[k].mask)
-        for k in range(kmin, kmax + 1)
-    )
-    whole = [k for k, O in inflated.items() if O.mask.all()]
-    if whole:
-        raise ValueError(f"the inflated level set at k = {whole[0]} covers the whole "
-                         "box, so it has no complement to measure Whitney cubes from; "
+    nesting_ok = not np.any(inflated[:, 1:] & ~inflated[:, :-1])
+    whole = np.flatnonzero(inflated.all(axis=0))
+    if whole.size:
+        raise ValueError(f"the inflated level set at k = {kmin + whole[0]} covers the "
+                         "whole box, so it has no complement to measure Whitney cubes from; "
                          "the zeros of S f are too sparse for the level-set decomposition")
 
     shrink = 1.0 - eta
-    tents = {k: tent_mask(inflated[k], spec.alpha, spec.beta, shrink)
-             for k in range(kmin, kmax + 2)}
+    tents = [tent_mask(RegionMask(g, Oke), spec.alpha, spec.beta, shrink)
+             for Oke in inflated.T]
 
     caps = cone_caps(g, spec)
     weights = g.gamma_y[:, None] * g.wt[None, :]
@@ -216,16 +212,15 @@ def decompose(f: GridFunction, q: float, spec: ConeSpec,
     diagnostics = []
     mu_bound_worst = 0.0
 
-    for k in range(kmin, kmax + 1):
-        Oke = inflated[k]
-        if not Oke.mask.any():
+    for i, k in enumerate(levels[:-1]):
+        if not inflated[:, i].any():
             continue
-        band = tents[k] & ~tents[k + 1]
-        cover = whitney_cubes(Oke)
+        band = tents[i] & ~tents[i + 1]
+        cover = whitney_cubes(RegionMask(g, inflated[:, i]))
         diagnostics.append({
             "k": k,
-            "level_set_gamma": float(g.gamma_y[S.values > 2.0 ** k].sum()),
-            "inflated_gamma": float(g.gamma_y[Oke.mask].sum()),
+            "level_set_gamma": float(g.gamma_y[O[:, i]].sum()),
+            "inflated_gamma": float(g.gamma_y[inflated[:, i]].sum()),
             "n_cubes": len(cover.cubes),
         })
         for cube, nodes, dist_q in zip(cover.cubes, cover.cube_nodes, cover.cube_dist):
@@ -282,7 +277,7 @@ def decompose_sup(f: GridFunction, spec: ConeSpec) -> Decomposition:
     if pos.size == 0:
         return Decomposition([], 0.0, np.inf, spec)
     kmin, kmax = _level_range(pos)
-    C = 2.0                             # Whitney ball overlap constant
+    C = _C_OVERLAP
     star = 2.0 * C + 3.0
 
     level_masks = {k: RegionMask(g, S.values > 2.0 ** k)
@@ -300,7 +295,7 @@ def decompose_sup(f: GridFunction, spec: ConeSpec) -> Decomposition:
         if not Ok.mask.any():
             continue
         band = tents[k] & ~tents[k + 1]
-        cover = whitney_balls(Ok, C)
+        cover = whitney_balls(Ok)
         diagnostics.append({
             "k": k,
             "level_set_gamma": float(g.gamma_y[Ok.mask].sum()),

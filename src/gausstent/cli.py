@@ -279,6 +279,9 @@ def cmd_embed(cfg: RunConfig, args) -> int:
     if args.input:
         d = import_decomposition(args.input)
         atoms = [a for _, a in d.terms if a.q == 2.0][:10]
+        if not atoms:
+            raise ValueError(f"{args.input}: the decomposition holds no q = 2 atom "
+                             "to check")
     else:
         rng = np.random.default_rng(cfg.seed)
         atoms = [random_atom(grid, spec, 2.0, rng) for _ in range(3)]

@@ -20,13 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Ball, ConeSpec, _gamma_balls, _gamma_ratio_sup, cutoff_m
-from .grid import GridFunction, SpatialFunction, _csv_rows, halfspace_integral
+from .geometry import (
+    Ball, ConeSpec, _ball_tent, _distance_rows, _gamma_balls, _gamma_ratio_sup,
+    _pencil_caps,
+)
+from .grid import GridFunction, SpatialFunction, _csv_rows, halfspace_integral, lp_gamma_norm
 from .functionals import (
     BallDictionary,
     ExponentPair,
-    _ball_tent,
-    _distance_rows,
     area_S,
     carleson_C,
     stopping_time,
@@ -114,9 +115,10 @@ def carleson_norm(mu: DiscreteMeasure, alpha: float, beta: float,
     if any(len(y) != n for y, _, _ in mu.points):
         raise ValueError(f"measure points need {n} spatial coordinates")
     ys = np.array([y for y, _, _ in mu.points], dtype=float).reshape(len(mu.points), n)
-    caps = np.array([min(alpha * t, beta * cutoff_m(y)) for y, t, _ in mu.points])
+    ts = np.array([t for _, t, _ in mu.points])
     absw = np.array([abs(w) for _, _, w in mu.points])
-    mass = np.array([absw[_ball_tent(ys, c, r, caps[:, None])[:, 0]].sum()
+    caps = _pencil_caps(alpha, beta, ys, ts)[:, None]
+    mass = np.array([absw[_ball_tent(ys, c, r, caps)[:, 0]].sum()
                      for c, r in zip(dict_.centers, dict_.radii)])
     with np.errstate(divide="raise", invalid="raise"):
         values = mass / _gamma_balls(dict_.centers, dict_.radii)
@@ -149,7 +151,7 @@ def measured_K_beta(alpha: float, beta: float, dict_: BallDictionary) -> float:
     """Inflation constant: sup gamma(kappa B~)/gamma(B~) over dictionary
     balls, with B~ = B(c, alpha r ^ beta m(c)) and kappa = 2(beta+1)^2 + 1."""
     kappa = 2.0 * (beta + 1.0) ** 2 + 1.0
-    r = np.minimum(alpha * dict_.radii, beta * cutoff_m(dict_.centers))
+    r = _pencil_caps(alpha, beta, dict_.centers, dict_.radii)
     keep = r > 0
     return _gamma_ratio_sup(dict_.centers[keep], r[keep], kappa)
 
@@ -161,7 +163,7 @@ def stopping_density(h: SpatialFunction, alpha: float, beta: float,
     Grid-sum gammas keep the ratio exact."""
     g = h.grid
     gw = g.gamma_y
-    r_adm = np.minimum(alpha * dict_.radii, beta * cutoff_m(dict_.centers))
+    r_adm = _pencil_caps(alpha, beta, dict_.centers, dict_.radii)
     lam = np.full(len(r_adm), np.nan)
     for k, (c, r, ra) in enumerate(zip(dict_.centers, dict_.radii, r_adm)):
         inside = _distance_rows(g.points, c) < ra
@@ -221,8 +223,7 @@ def check_duality_pq(f: GridFunction, g: GridFunction, p: float, q: float,
     Sf = area_S(f, q, spec)
     Sg = area_S(g, qp, spec)
     mid = float(np.sum(Sf.values * Sg.values * f.grid.gamma_y))
-    right = (tent_norm(f, ExponentPair(p, q), spec.alpha, spec.beta)
-             * tent_norm(g, ExponentPair(pp, qp), spec.alpha, spec.beta))
+    right = lp_gamma_norm(Sf, p) * lp_gamma_norm(Sg, pp)
     scale = max(lhs, mid, right, 1e-300)
     return {
         "lhs": lhs,

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridFunction, SpatialFunction, lp_gamma_norm
-from .geometry import gamma_ball
-from .functionals import _distance_rows
+from .geometry import _distance_rows, gamma_ball
 
 __all__ = ["MotherFunction", "check_h1_atom", "default_phi", "pi_phi"]
 

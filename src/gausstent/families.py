@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .atomic import Atom
-from .functionals import _ball_tent, _distance_rows, cone_caps
-from .geometry import Ball, ConeSpec, cutoff_m, gamma_ball
+from .functionals import cone_caps
+from .geometry import Ball, ConeSpec, _ball_tent, _distance_rows, cutoff_m, gamma_ball
 from .grid import GridFunction, HalfSpaceGrid
 
 __all__ = ["boundary_atom", "random_atom", "random_bump", "tent_indicator"]
@@ -74,6 +74,9 @@ def boundary_atom(grid: HalfSpaceGrid, spec: ConeSpec) -> Atom:
 def _normalized(grid: HalfSpaceGrid, shape: np.ndarray, gB: float,
                 q: float) -> GridFunction:
     """shape scaled to the atom bound: L^q norm gB^{-(1-1/q)}, sup 1/gB."""
+    if not shape.any():
+        raise ValueError("the tent over the atom's ball holds no grid cell, so the "
+                         "atom is 0 and cannot be normalized; refine the grid")
     if q == np.inf:
         return GridFunction(grid, shape / shape.max() / gB)
     w = grid.gamma_y[:, None] * grid.wt[None, :]

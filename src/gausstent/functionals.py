@@ -30,8 +30,9 @@ O(log N) canonical nodes of a segment tree.  On a 2-D grid a window is
 one such range per grid row its disk meets, over the same tree.  A call
 costs O(ranges log N) with no cache, and every sum adds nonnegative terms
 only: a prefix-sum difference would cancel away the e^{-|y|^2} tails.
-Which (y, t) lie in T(B) is decided in one place, _ball_tent, on the grid
-and for off-grid measure points alike.
+Which (y, t) lie in T(B) is decided in one place, geometry._ball_tent.
+The centered ladder B(x, 2^-k level m(x)), k = 0..6, is built in one place,
+_centered_ladder, for any number of node columns at once.
 
 Suprema over ball families (Carleson functional, maximal functions) range
 over a finite BallDictionary and therefore return certified lower bounds.
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConeSpec, ConeVariant, _gamma_balls, cutoff_m
+from .geometry import ConeSpec, _ball_tent, _distance, _gamma_balls, _pencil_caps, cutoff_m
 from .grid import GridFunction, HalfSpaceGrid, SpatialFunction, lp_gamma_norm
 
 __all__ = [
@@ -138,7 +139,7 @@ def default_dictionary(grid: HalfSpaceGrid, beta: float,
 
 def cone_caps(grid: HalfSpaceGrid, spec: ConeSpec) -> np.ndarray:
     """alpha t ^ beta m(y) on all (y, t) nodes, shape (N, nt)."""
-    return np.minimum(spec.alpha * grid.t[None, :], spec.beta * grid.m_y[:, None])
+    return _pencil_caps(spec.alpha, spec.beta, grid.points[:, None, :], grid.t)
 
 
 # -- window layer (see the module docstring) ----------------------------------
@@ -173,12 +174,6 @@ def _canonical_nodes(n: int, lo: np.ndarray, hi: np.ndarray):
         right //= 2
         open_ = left < right
         idx, left, right = idx[open_], left[open_], right[open_]
-
-
-def _distance(d: np.ndarray, off2: np.ndarray | None = None) -> np.ndarray:
-    """|d| on one axis; with the squared offset off2 along the leading axis,
-    sqrt(off2 + d*d), the value np.linalg.norm gives for a 2-D difference."""
-    return np.abs(d) if off2 is None else np.sqrt(off2 + d * d)
 
 
 def _window_end(axis: np.ndarray, xc: np.ndarray, radii: np.ndarray,
@@ -226,22 +221,6 @@ def _expand(lo: np.ndarray, hi: np.ndarray):
     at = np.repeat(np.arange(len(lo)), counts)
     first = np.cumsum(counts) - counts
     return lo[at] + np.arange(at.size) - first[at], at
-
-
-def _distance_rows(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """|y - c| for points y, shape (K, n), and centers c, shape (n,) or
-    (M, n): one row of K distances per center."""
-    d = points - centers[..., None, :]
-    off2 = None if points.shape[1] == 1 else d[..., 0] * d[..., 0]
-    return _distance(d[..., -1], off2)
-
-
-def _ball_tent(points: np.ndarray, center: np.ndarray, radius: float,
-               caps: np.ndarray) -> np.ndarray:
-    """Which (y, t) lie in the tent over B(center, radius): dist(y, B^c) =
-    max(r - |y - c|, 0) >= cap, with one row of caps per point y."""
-    depth = np.maximum(radius - _distance_rows(points, center), 0.0)
-    return depth[:, None] >= caps
 
 
 class _Windows:
@@ -325,14 +304,8 @@ def _cone_windows(f_values: np.ndarray, grid: HalfSpaceGrid, spec: ConeSpec):
     return ys, js, _Windows(grid, grid.points[ys], cone_caps(grid, spec)[ys, js])
 
 
-def _check_area_args(spec: ConeSpec):
-    if spec.variant is not ConeVariant.PENCIL:
-        raise ValueError("area functions use the pencil cone (cap beta*m(y))")
-
-
 def area_S(f: GridFunction, q: float, spec: ConeSpec) -> SpatialFunction:
     """The q-area function; evaluated at every grid vertex."""
-    _check_area_args(spec)
     q = float(q)
     if not (1.0 <= q < np.inf):
         raise ValueError("q must lie in [1, inf)")
@@ -347,7 +320,6 @@ def area_S(f: GridFunction, q: float, spec: ConeSpec) -> SpatialFunction:
 
 def area_S_sup(f: GridFunction, spec: ConeSpec) -> SpatialFunction:
     """S_inf: pointwise sup of |f| over the cone nodes."""
-    _check_area_args(spec)
     g = f.grid
     absf = np.abs(f.values)
     ys, js, win = _cone_windows(absf, g, spec)
@@ -379,7 +351,7 @@ def carleson_C(f: GridFunction, q: float, alpha: float, beta: float,
     mass = _Windows(g, centers, radii).tent_sums(weighted, caps)
     # one scalar power per ball: numpy's array power can differ in the last ulp
     val = [(m / gam) ** (1.0 / q) for m, gam in zip(mass, _gamma_balls(centers, radii))]
-    admit = np.minimum(alpha * radii, beta * cutoff_m(centers))
+    admit = _pencil_caps(alpha, beta, centers, radii)
     return SpatialFunction(g, _Windows(g, centers, admit).scatter(np.array(val), np.maximum))
 
 
@@ -415,18 +387,29 @@ def maximal_noncentered(g: SpatialFunction, level: float,
     return SpatialFunction(grid, win.scatter(avg, np.maximum))
 
 
-def maximal_centered(g: SpatialFunction, level: float,
-                     n_levels: int = 7) -> SpatialFunction:
-    """Centered maximal function, radius ladder {2^-k level m(x)}, k=0..6."""
-    grid = g.grid
+def _centered_ladder(grid: HalfSpaceGrid, level: float, columns: np.ndarray):
+    """Per rung k = 0..6 of B(x, 2^-k level m(x)): the gamma-sums (N, L) of
+    the columns (N, L) over each node's ball, and the ball's gamma (N,).
+
+    Each column gets the tree adds and reduceat it would get alone.  Blocks
+    of at most 2^21 range sums bound the memory of 2-D windows."""
     gw = grid.gamma_y
-    sums = np.stack([np.abs(g.values) * gw, gw], axis=1)
-    out = np.zeros(grid.n_spatial)
+    sums = np.column_stack([gw[:, None] * columns, gw])
     base = level * grid.m_y
-    for k in range(n_levels):
-        num, den = _Windows(grid, grid.points, base * 2.0 ** (-k)).gather(sums).T
-        np.maximum(out, num / den, out=out)
-    return SpatialFunction(grid, out)
+    for k in range(7):
+        win = _Windows(grid, grid.points, base * 2.0 ** (-k))
+        step = max(1, (1 << 21) // len(win.owner))
+        rung = np.hstack([win.gather(sums[:, i:i + step])
+                          for i in range(0, sums.shape[1], step)])
+        yield rung[:, :-1], rung[:, -1]
+
+
+def maximal_centered(g: SpatialFunction, level: float) -> SpatialFunction:
+    """Centered maximal function, radius ladder {2^-k level m(x)}, k=0..6."""
+    out = np.zeros(g.grid.n_spatial)
+    for num, den in _centered_ladder(g.grid, level, np.abs(g.values)[:, None]):
+        np.maximum(out, num[:, 0] / den, out=out)
+    return SpatialFunction(g.grid, out)
 
 
 def stopping_time(g: GridFunction, qprime: float, spec: ConeSpec, M_const: float,

@@ -8,8 +8,9 @@ gamma(R^n) = pi^{n/2}.  The cutoff function
 
 sets the admissible scale at x: a ball B(c, r) is admissible at level beta
 when r <= beta * m(c).  Cones use the strict inequality |y - x| < alpha*t ^
-beta*m(.), tents the non-strict dist(y, O^c) >= alpha*t ^ beta*m(y); boundary
-points therefore belong to tents but not to cones.
+beta*m(y), tents the non-strict dist(y, O^c) >= alpha*t ^ beta*m(y), both
+capped at y; boundary points belong to tents but not to cones.  _ball_tent
+decides tent membership for grid cells, measure and sample points alike.
 
 Only n in {1, 2} is supported: n = 1 has a closed form for gamma of an
 interval via erfc, n = 2 reduces to a 1-D radial integral with a Bessel
@@ -21,7 +22,6 @@ scipy; n = 2 imports scipy.integrate and scipy.special at its first call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 import math
 
 import numpy as np
@@ -29,7 +29,6 @@ import numpy as np
 __all__ = [
     "Ball",
     "ConeSpec",
-    "ConeVariant",
     "UpperPoint",
     "ball_tent_contains",
     "classical_tent_contains",
@@ -104,16 +103,12 @@ class UpperPoint:
             raise ValueError("t must be positive and finite")
 
 
-class ConeVariant(Enum):
-    PENCIL = "pencil"  # cap beta*m(y), pencil-shaped near infinity
-    FIXED = "fixed"    # cap beta*m(x), fixed by the vertex
-
-
 @dataclass(frozen=True)
 class ConeSpec:
+    """Apertures (alpha, beta) of the pencil cone |y - x| < alpha*t ^ beta*m(y)."""
+
     alpha: float
     beta: float
-    variant: ConeVariant = ConeVariant.PENCIL
 
     def __post_init__(self):
         if not (self.alpha > 0 and self.beta > 0):
@@ -292,32 +287,48 @@ def gamma_ball_bounds_check(center, radius, beta):
     return bool(ok) if c.ndim == 1 else ok
 
 
-def _cap(spec: ConeSpec, vertex: np.ndarray, y: np.ndarray, t: float) -> float:
-    ref = y if spec.variant is ConeVariant.PENCIL else vertex
-    return min(spec.alpha * t, spec.beta * cutoff_m(ref))
+def _pencil_caps(alpha: float, beta: float, ys: np.ndarray, ts) -> np.ndarray:
+    """min(alpha*t, beta*m(y)), the cap of cones and tents, for points ys and
+    heights ts broadcast against m(ys); beta = inf gives alpha*t."""
+    return np.minimum(alpha * np.asarray(ts, dtype=float), beta * cutoff_m(ys))
 
 
 def cone_contains(vertex, spec: ConeSpec, p: UpperPoint) -> bool:
-    """|y - x| < alpha*t ^ beta*m(y)  (pencil) or beta*m(x) (fixed); strict."""
+    """|y - x| < alpha*t ^ beta*m(y), strict: the pencil cone at x."""
     x = _point(vertex)
     y = np.asarray(p.y, dtype=float)
     if x.shape != y.shape:
         raise ValueError("vertex/point dimension mismatch")
-    return float(np.linalg.norm(y - x)) < _cap(spec, x, y, p.t)
+    return bool(np.linalg.norm(y - x) < _pencil_caps(spec.alpha, spec.beta, y, p.t))
 
 
-def _tent_contains(B: Ball, alpha: float, beta: float, ys: np.ndarray,
-                   ts: np.ndarray) -> np.ndarray:
-    """dist(y, B^c) >= alpha*t ^ beta*m(y) for points ys (M, n) and ts (M,);
-    beta = inf drops the Gaussian cap and gives the classical tent."""
-    d = ys - B.center_array
-    depth = np.maximum(B.radius - np.sqrt((d * d).sum(axis=-1)), 0.0)
-    return depth >= np.minimum(alpha * ts, beta * cutoff_m(ys))
+def _distance(d: np.ndarray, off2: np.ndarray | None = None) -> np.ndarray:
+    """|d| on one axis; with the squared offset off2 along the leading axis,
+    sqrt(off2 + d*d), the value np.linalg.norm gives for a 2-D difference."""
+    return np.abs(d) if off2 is None else np.sqrt(off2 + d * d)
+
+
+def _distance_rows(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """|y - c| for points y, shape (K, n), and centers c, shape (n,) or
+    (M, n): one row of K distances per center."""
+    d = points - centers[..., None, :]
+    off2 = None if points.shape[1] == 1 else d[..., 0] * d[..., 0]
+    return _distance(d[..., -1], off2)
+
+
+def _ball_tent(points: np.ndarray, center: np.ndarray, radius: float,
+               caps: np.ndarray) -> np.ndarray:
+    """Which (y, t) lie in the tent over B(center, radius): dist(y, B^c) =
+    max(r - |y - c|, 0) >= cap, with one row of caps per point y."""
+    depth = np.maximum(radius - _distance_rows(points, center), 0.0)
+    return depth[:, None] >= caps
 
 
 def ball_tent_contains(B: Ball, alpha: float, beta: float, p: UpperPoint) -> bool:
     """dist(y, B^c) >= alpha*t ^ beta*m(y), with dist = max(r - |y - c|, 0)."""
-    return bool(_tent_contains(B, alpha, beta, np.array([p.y]), np.array([p.t]))[0])
+    y = np.array([p.y])
+    caps = _pencil_caps(alpha, beta, y, [[p.t]])
+    return bool(_ball_tent(y, B.center_array, B.radius, caps)[0, 0])
 
 
 def classical_tent_contains(B: Ball, alpha: float, p: UpperPoint) -> bool:
@@ -349,10 +360,9 @@ def compare_tents(B: Ball, alpha: float, beta: float, ys, ts) -> dict:
     if not is_admissible(B, beta):
         warnings.append("ball not admissible at level beta")
 
-    gau = _tent_contains(B, alpha, beta, ys, ts)
-    cla = _tent_contains(B, alpha, np.inf, ys, ts)
-    d = ys - c
-    on_axis = np.sqrt((d * d).sum(axis=-1)) <= 1e-12
+    gau = _ball_tent(ys, c, B.radius, _pencil_caps(alpha, beta, ys, ts)[:, None])[:, 0]
+    cla = _ball_tent(ys, c, B.radius, alpha * ts[:, None])[:, 0]
+    on_axis = _distance_rows(ys, c) <= 1e-12
     disagreements = [{"y": tuple(ys[i].tolist()), "t": float(ts[i]),
                       "gaussian": bool(gau[i]), "classical": bool(cla[i]),
                       "on_axis": bool(on_axis[i])}

@@ -229,9 +229,6 @@ class RegionMask:
             raise ValueError("spatial mask shape mismatch")
         self.mask = m
 
-    def complement(self) -> "RegionMask":
-        return RegionMask(self.grid, ~self.mask)
-
 
 def halfspace_integral(f: GridFunction) -> float:
     """Sum f * exp(-|y|^2) wy * w(log t) over all nodes (trapezoid ends).

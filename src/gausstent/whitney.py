@@ -2,7 +2,8 @@
 
 Distances from grid nodes to node sets are exact Euclidean distance
 transforms, computed in numpy by one separable pass per axis, within the
-box: the box exterior is not part of any complement.  Whitney cubes are
+box: the box exterior is not part of any complement.  Density points of
+any number of node sets share one centered ladder.  Whitney cubes are
 found one dyadic level at a time.  All set operations are
 resolution-limited; audits allow a one-grid-cell tolerance and say so in
 their reports.
@@ -14,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Ball, ConeSpec, _gamma_ratio_sup
+from .geometry import Ball, ConeSpec, _distance_rows, _gamma_ratio_sup
 from .grid import GridFunction, HalfSpaceGrid, RegionMask
-from .functionals import BallDictionary, _cone_windows, _distance_rows, _Windows, cone_caps
+from .functionals import BallDictionary, _centered_ladder, _cone_windows, _Windows, cone_caps
 
 __all__ = [
     "DyadicCube",
@@ -117,24 +118,30 @@ def region_R_mask(F: RegionMask, alpha: float, beta: float,
 # -- density points --------------------------------------------------------
 
 
+def _density_columns(grid: HalfSpaceGrid, F: np.ndarray, eta: float,
+                     level: float) -> np.ndarray:
+    """density_points of every column of the (N, L) bool array F at once."""
+    ok = np.ones(F.shape, dtype=bool)
+    for num, den in _centered_ladder(grid, level, F):
+        ok &= num >= eta * den[:, None]
+    return ok
+
+
 def density_points(A: RegionMask, eta: float, level: float) -> RegionMask:
     """Nodes x where every centered admissible ball carries A-density >= eta.
 
     Balls are the centered ladder B(x, 2^-k level m(x)), k = 0..6,
     the graded stand-in for all radii up to the admissible scale; density
     ratios use the grid quadrature gamma in numerator and denominator.
+
+    Where level m(x) is at most the grid spacing, every rung holds x alone,
+    so x is a density point exactly when x is in A (at level 2 on a 64 x 16
+    grid over [-8, 8], the edge nodes: 0.25 <= 0.254).
     """
     if not (0.0 < eta < 1.0):
         raise ValueError("eta must lie in (0, 1)")
     g = A.grid
-    gw = g.gamma_y
-    sums = np.stack([gw * A.mask, gw], axis=1)
-    ok = np.ones(g.n_spatial, dtype=bool)
-    base = level * g.m_y
-    for k in range(7):
-        num, den = _Windows(g, g.points, base * 2.0 ** (-k)).gather(sums).T
-        ok &= num >= eta * den
-    return RegionMask(g, ok)
+    return RegionMask(g, _density_columns(g, A.mask[:, None], eta, level)[:, 0])
 
 
 # -- Whitney cube covers ---------------------------------------------------
@@ -279,9 +286,11 @@ def _audit_cubes(O, cubes, nodes_per, dist_per, edt) -> dict:
 
 # -- Whitney ball covers (Vitali-type, q = infinity path) ------------------
 
+_C_OVERLAP = 2.0    # ball radius dist(x, O^c) / C; C >= 2 keeps the cover exact
 
-def whitney_balls(O: RegionMask, C_overlap: float = 2.0) -> WhitneyCover:
-    """Greedy depth-first ball cover of O with radii dist(x, O^c)/C.
+
+def whitney_balls(O: RegionMask) -> WhitneyCover:
+    """Greedy depth-first ball cover of O with radii dist(x, O^c)/C, C = 2.
 
     Picks the deepest uncovered node (ties broken lexicographically), emits
     B(x, d(x)/C), and repeats.  With C >= 2 this yields: O = union of the
@@ -289,12 +298,10 @@ def whitney_balls(O: RegionMask, C_overlap: float = 2.0) -> WhitneyCover:
     the nearest complement node), and the shrunken family {C^-1 B_j} is
     pairwise disjoint.  Bounded overlap is measured and reported.
     """
-    if C_overlap < 2.0:
-        raise ValueError("C_overlap >= 2 required for the covering guarantee")
     g = O.grid
     if O.mask.all():
         raise ValueError("O equals the whole box")
-    C = float(C_overlap)
+    C = _C_OVERLAP
     edt = complement_distance(O)
     order = np.argsort(-edt, kind="stable")  # stable: lexicographic ties
     covered = np.zeros(g.n_spatial, dtype=bool)
@@ -307,12 +314,13 @@ def whitney_balls(O: RegionMask, C_overlap: float = 2.0) -> WhitneyCover:
         centers_idx.append(i)
         covered |= _distance_rows(g.points, g.points[i]) < r
 
-    audit = _audit_balls(O, balls, centers_idx, edt, C)
+    audit = _audit_balls(O, balls, centers_idx, edt)
     return WhitneyCover(balls=tuple(balls), audit=audit)
 
 
-def _audit_balls(O, balls, centers_idx, edt, C) -> dict:
+def _audit_balls(O, balls, centers_idx, edt) -> dict:
     g = O.grid
+    C = _C_OVERLAP
     cell = g.cell
     n_balls = len(balls)
     covered = np.zeros(g.n_spatial, dtype=bool)

@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from gausstent import atomic, functionals
 from gausstent.geometry import Ball, ConeSpec, cutoff_m, gamma_ball
 from gausstent.grid import GridFunction, HalfSpaceGrid, read_grid_function
-from gausstent.functionals import cone_caps
+from gausstent.functionals import _centered_ladder, _Windows, cone_caps
+from gausstent.whitney import _density_columns
 from gausstent.atomic import (
     Atom, coefficient_report, decompose, decompose_sup, export_decomposition,
     import_decomposition, reconstruct, validate_atom,
@@ -130,19 +132,83 @@ def test_bump_decomposition_is_pinned(grid_small):
         (0.0032302442736684687, (1.375,), 2.750000000125984)]
 
 
-def test_decompose_roundtrip_2d():
-    # 32 x 32 nodes: every window is a set of row ranges
-    g = HalfSpaceGrid(((-8.0, 8.0), (-8.0, 8.0)), (32, 32), 1e-3, 8.0, 16)
-    spec = ConeSpec(1.0, 1.0)
+def _bump_2d(nx):
+    g = HalfSpaceGrid(((-8.0, 8.0), (-8.0, 8.0)), (nx, nx), 1e-3, 8.0, 16)
     r2 = np.sum((g.points - np.array([0.5, -1.0])) ** 2, axis=1)
     vals = np.exp(-r2 / 2.0)[:, None] * np.exp(-np.log(g.t[None, :] / 0.5) ** 2)
     vals[r2 > 9.0, :] = 0.0
-    f = GridFunction(g, vals)
+    return GridFunction(g, vals)
+
+
+def test_decompose_roundtrip_2d():
+    # 32 x 32 nodes: every window is a set of row ranges
+    f = _bump_2d(32)
+    spec = ConeSpec(1.0, 1.0)
     d = decompose(f, 2.0, spec)
     assert d.residual_mass == 0.0
+    assert d.unassigned == 0
     assert d.audit["nesting_ok"]
     assert np.max(np.abs(reconstruct(d).values - f.values)) <= 1e-12
     assert all(validate_atom(a, spec)["all_ok"] for _, a in d.terms)
+    d = decompose_sup(f, spec)
+    assert d.residual_mass == 0.0
+    assert d.unassigned == 0
+    assert all(validate_atom(a, spec)["all_ok"] for _, a in d.terms)
+
+
+def _ladder_loop(grid, column, level):
+    """(num, den) per rung of the per-level loop density_points ran before
+    one centered ladder took every level set of a decomposition at once."""
+    sums = np.stack([grid.gamma_y * column, grid.gamma_y], axis=1)
+    base = level * grid.m_y
+    return [_Windows(grid, grid.points, base * 2.0 ** (-k)).gather(sums).T
+            for k in range(7)]
+
+
+def _bump_1d(nx):
+    g = HalfSpaceGrid(((-8.0, 8.0),), (nx,), 1e-3, 8.0, nx // 4)
+    return GridFunction(g, _bump(g, 0.5))
+
+
+@pytest.mark.parametrize("make, nx", [(_bump_1d, 512), (_bump_1d, 1024),
+                                      (_bump_2d, 32), (_bump_2d, 48)],
+                         ids=["1d-512", "1d-1024", "2d-32", "2d-48"])
+def test_decompose_density_points_match_the_per_level_loop(monkeypatch, make, nx):
+    # one ladder (seven window sets) serves every level set; each level's
+    # sums and density points are those of its own ladder, to the byte
+    f = make(nx)
+    g = f.grid
+    calls, built = [], []
+
+    def recording(grid, F, eta, level):
+        out = _density_columns(grid, F, eta, level)
+        calls.append((F.copy(), eta, level, out))
+        return out
+
+    class Counting(_Windows):
+        def __init__(self, *args):
+            built.append(len(args[1]))
+            super().__init__(*args)
+
+    monkeypatch.setattr(atomic, "_density_columns", recording)
+    monkeypatch.setattr(functionals, "_Windows", Counting)
+    decompose(f, 2.0, ConeSpec(1.0, 1.0))
+    monkeypatch.undo()
+    assert len(calls) == 1
+    F, eta, level, got = calls[0]
+    assert F.shape[1] > 7
+    # the cone windows of area_S, then the seven rungs
+    assert built[1:] == [g.n_spatial] * 7
+    rungs = list(_centered_ladder(g, level, F))
+    for j in range(F.shape[1]):
+        loop = _ladder_loop(g, F[:, j], level)
+        for (num, den), (num_j, den_j) in zip(rungs, loop):
+            assert num[:, j].tobytes() == num_j.tobytes()
+            assert den.tobytes() == den_j.tobytes()
+        ok = np.ones(g.n_spatial, dtype=bool)
+        for num_j, den_j in loop:
+            ok &= num_j >= eta * den_j
+        assert got[:, j].tobytes() == ok.tobytes()
 
 
 def test_decompose_zero_function(grid_small):

@@ -422,6 +422,33 @@ def test_malformed_gtnt_is_a_precondition_error(tmp_path, input_file, capsys,
     assert _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("command", [["--grid", "16,4", "verify", "--suite", "atom_bound"],
+                                     ["--grid", "8,4", "embed"]])
+def test_a_seeded_atom_whose_tent_holds_no_cell_is_a_precondition_error(
+        tmp_path, capsys, command):
+    # cells wider than the atom's ball: its tent is empty and the atom is 0/0
+    assert main(["--out", str(tmp_path), *command]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "holds no grid cell" in err
+
+
+def test_embed_of_a_manifest_with_no_q2_atom_is_a_precondition_error(
+        tmp_path, capsys, input_file):
+    # decompose --sup writes q = inf atoms only; checking none of them
+    # would be a vacuous pass
+    assert main(["--out", str(tmp_path), "decompose", "--sup",
+                 "--input", str(input_file)]) == 0
+    manifest = tmp_path / "decomposition" / "decomposition.json"
+    capsys.readouterr()
+    assert main(["--out", str(tmp_path), "embed", "--input", str(manifest)]) \
+        == EXIT_PRECONDITION
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert str(manifest) in err and "no q = 2 atom" in err
+    assert not (tmp_path / "embed.json").exists()
+
+
 def _gtnt_bytes(tmp, n):
     g = HalfSpaceGrid(((-8.0, 8.0),) * n, (8,) * n, 1e-3, 8.0, 4)
     path = tmp / f"valid{n}.gtnt"

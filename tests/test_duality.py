@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from gausstent.geometry import (
-    Ball, ConeSpec, UpperPoint, ball_tent_contains, cutoff_m, gamma_ball,
-)
+from gausstent.geometry import Ball, ConeSpec, cutoff_m, gamma_ball
 from gausstent.grid import GridFunction, SpatialFunction
-from gausstent.functionals import BallDictionary, default_dictionary
+from gausstent.functionals import (
+    BallDictionary, ExponentPair, default_dictionary, tent_norm,
+)
 from gausstent.duality import (
     DiscreteMeasure, carleson_norm, check_carleson_pairing, check_duality_1q,
     check_duality_pq, measure_pairing, measured_K_beta, pairing,
@@ -94,7 +94,8 @@ def test_carleson_norm_witness_bruteforce(grid_small, rng):
 
 
 def test_carleson_norm_matches_pointwise_tents(grid_small, rng):
-    # every ball's value against the scalar tent predicate, point by point
+    # every ball's value against the tent written out, point by point:
+    # dist(y, B^c) >= min(alpha t, beta m(y)) at alpha = beta = 1
     d = default_dictionary(grid_small, 1.0).admissible(2.0)
     pts = tuple(((float(rng.uniform(-3, 3)),),
                  float(np.exp(rng.uniform(np.log(0.01), np.log(2.0)))),
@@ -103,7 +104,8 @@ def test_carleson_norm_matches_pointwise_tents(grid_small, rng):
     rep = carleson_norm(mu, 1.0, 1.0, 2.0, d)
     balls = [Ball(tuple(c), r) for c, r in zip(d.centers, d.radii)]
     want = np.array([sum(abs(w) for y, t, w in mu.points
-                         if ball_tent_contains(B, 1.0, 1.0, UpperPoint(y, t)))
+                         if max(B.radius - abs(y[0] - B.center[0]), 0.0)
+                         >= min(t, cutoff_m(y[0])))
                      / gamma_ball(B) for B in balls])
     got = rep["values"]
     assert np.allclose(got, want, rtol=1e-15, atol=0.0)
@@ -134,6 +136,17 @@ def test_duality_pq_layers(grid_default, rng):
         assert rep["identity_ok"], (p, q, rep)
         assert rep["holder1_ok"], (p, q, rep)
         assert rep["holder2_ok"], (p, q, rep)
+
+
+def test_duality_pq_right_is_the_product_of_the_tent_norms(grid_small, rng):
+    # layer 2 reuses S f and S g; the floats are those of two tent_norm calls
+    spec = ConeSpec(1.0, 1.0)
+    for p, q in ((2.0, 2.0), (3.0, 1.5), (1.5, 4.0)):
+        f, g = _bump(grid_small, rng), _bump(grid_small, rng)
+        pp, qp = p / (p - 1.0), q / (q - 1.0)
+        want = (tent_norm(f, ExponentPair(p, q), spec.alpha, spec.beta)
+                * tent_norm(g, ExponentPair(pp, qp), spec.alpha, spec.beta))
+        assert check_duality_pq(f, g, p, q, spec)["right"] == want
 
 
 def test_duality_pq_rejects_endpoints(grid_small, rng):

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from gausstent.geometry import (
-    Ball, ConeSpec, ConeVariant, cutoff_m, gamma_ball, is_admissible,
+    Ball, ConeSpec, cutoff_m, gamma_ball, is_admissible,
 )
 from gausstent.grid import (
     GridFunction, HalfSpaceGrid, RegionMask, SpatialFunction,
     halfspace_integral, lp_gamma_norm,
 )
 from gausstent.functionals import (
-    BallDictionary, ExponentPair, _Windows, _expand, _window_bounds, area_S,
+    BallDictionary, ExponentPair, _Windows, _centered_ladder, _expand,
+    _window_bounds, area_S,
     area_S_sup, area_S_truncated, carleson_C, cone_caps, default_dictionary,
     maximal_centered, maximal_noncentered, stopping_time, tent_norm,
 )
@@ -161,8 +162,6 @@ def test_area_S_rejects_bad_args(grid_small):
         area_S(f, 0.5, ConeSpec(1.0, 1.0))
     with pytest.raises(ValueError):
         area_S(f, np.inf, ConeSpec(1.0, 1.0))
-    with pytest.raises(ValueError):
-        area_S(f, 2.0, ConeSpec(1.0, 1.0, ConeVariant.FIXED))
 
 
 def test_area_S_zero_and_monotone_aperture(grid_small):
@@ -502,9 +501,51 @@ def test_maximal_of_one_is_one(grid_small):
 
 def test_maximal_dominates_function_at_small_radii(grid_small, rng):
     vals = rng.random(grid_small.n_spatial)
-    Mc = maximal_centered(SpatialFunction(grid_small, vals), 1.0, n_levels=10)
+    Mc = maximal_centered(SpatialFunction(grid_small, vals), 1.0)
     # the deepest ladder radius still holds >= 1 node, so M >= a local avg > 0
     assert np.all(Mc.values > 0)
+
+
+def _maximal_centered_loop(g: SpatialFunction, level: float) -> np.ndarray:
+    """The rung loop maximal_centered ran on its own, one window set per
+    rung, before the centered ladder was shared with the density points."""
+    grid = g.grid
+    gw = grid.gamma_y
+    sums = np.stack([np.abs(g.values) * gw, gw], axis=1)
+    out = np.zeros(grid.n_spatial)
+    base = level * grid.m_y
+    for k in range(7):
+        num, den = _Windows(grid, grid.points, base * 2.0 ** (-k)).gather(sums).T
+        np.maximum(out, num / den, out=out)
+    return out
+
+
+def test_centered_ladder_blocks_are_one_gather(rng):
+    # wide 2-D windows and many columns: the rungs are gathered in several
+    # column blocks, whose sums are those of one gather of every column
+    g = HalfSpaceGrid(((-4.0, 4.0),) * 2, (48, 48), 1e-3, 8.0, 4)
+    F = rng.random((g.n_spatial, 60)) < 0.5
+    sums = np.column_stack([g.gamma_y[:, None] * F, g.gamma_y])
+    base = 6.0 * g.m_y
+    assert len(_Windows(g, g.points, base).owner) * sums.shape[1] > 1 << 21
+    for k, (num, den) in enumerate(_centered_ladder(g, 6.0, F)):
+        whole = _Windows(g, g.points, base * 2.0 ** (-k)).gather(sums)
+        assert num.tobytes() == whole[:, :-1].tobytes()
+        assert den.tobytes() == whole[:, -1].tobytes()
+
+
+@pytest.mark.parametrize("grid", [
+    HalfSpaceGrid(((-8.0, 8.0),), (512,), 1e-3, 8.0, 4),
+    HalfSpaceGrid(((-8.0, 8.0),) * 2, (32, 32), 1e-3, 8.0, 4),
+    HalfSpaceGrid(((-4.0, 4.0),) * 2, (48, 48), 1e-3, 8.0, 4),
+], ids=["1d-512", "2d-32", "2d-48"])
+def test_maximal_centered_matches_the_rung_loop(grid, rng):
+    # in 2-D the windows span several grid rows
+    for level in (0.5, 2.0, 6.0):
+        vals = rng.normal(size=grid.n_spatial) * (rng.random(grid.n_spatial) < 0.5)
+        g = SpatialFunction(grid, vals)
+        assert maximal_centered(g, level).values.tobytes() \
+            == _maximal_centered_loop(g, level).tobytes()
 
 
 # -- stopping time ---------------------------------------------------------

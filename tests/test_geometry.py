@@ -4,8 +4,8 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from gausstent.geometry import (
-    AdmissibilityError, Ball, ConeSpec, ConeVariant, UpperPoint, _MAXLOG, _erfc,
-    _gamma_balls,
+    AdmissibilityError, Ball, ConeSpec, UpperPoint, _MAXLOG, _ball_tent, _erfc,
+    _gamma_balls, _pencil_caps,
     ball_tent_contains, classical_tent_contains, compare_tents,
     comparison_lemma_check, cone_contains, cutoff_m, gamma_ball,
     gamma_ball_bounds_check, is_admissible, lebesgue_ball,
@@ -208,16 +208,12 @@ def test_cone_strict_boundary():
 
 
 def test_cone_variants_differ():
-    pencil = ConeSpec(1.0, 1.0, ConeVariant.PENCIL)
-    fixed = ConeSpec(1.0, 1.0, ConeVariant.FIXED)
+    # the pencil cap beta*m(y) is taken at the point, not at the vertex
+    pencil = ConeSpec(1.0, 1.0)
     p = UpperPoint((0.2,), 5.0)  # near the origin, m(y) = 1
     assert cone_contains(0.0, pencil, p)
-    assert cone_contains(0.0, fixed, p)
     q = UpperPoint((4.0,), 5.0)  # m(y) = 0.25 caps the pencil cone
     assert not cone_contains(4.3, pencil, q)
-    far = ConeSpec(1.0, 1.0, ConeVariant.FIXED)
-    # fixed-variant cap uses m(vertex) = 1 near the origin
-    assert cone_contains(0.5, far, UpperPoint((0.2,), 5.0))
 
 
 def test_tent_nonstrict_boundary():
@@ -275,6 +271,33 @@ def test_compare_tents_lists_the_one_point_disagreements_in_order(rng):
     assert rep["disagreements"] == want
     assert rep["n_off_axis"] == sum(not w["on_axis"] for w in want) > 0
     assert any(w["on_axis"] for w in want)
+
+
+def _written_out_tent(B, alpha, beta, ys, ts):
+    """dist(y, B^c) >= min(alpha t, beta m(y)), distances by a sum of squares."""
+    d = ys - B.center_array
+    depth = np.maximum(B.radius - np.sqrt((d * d).sum(axis=-1)), 0.0)
+    return depth >= np.minimum(alpha * ts, beta * cutoff_m(ys))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_tent_predicate_matches_the_written_out_tent(rng, n):
+    # half the heights sit exactly on the cap the depth allows, where the
+    # non-strict inequality decides
+    for c, r, beta in ((0.4, 1.5, 0.5), (3.0, 0.25, 1.0), (-2.5, 0.3, 2.0)):
+        B = Ball((c,) * n, r)
+        ys = c + rng.uniform(-1.5 * r, 1.5 * r, (20000, n))
+        ts = np.exp(rng.uniform(np.log(1e-3), np.log(8.0), 20000))
+        depth = np.maximum(r - np.sqrt(((ys - c) ** 2).sum(axis=-1)), 0.0)
+        ts[::2] = np.where(depth[::2] > 0, depth[::2], ts[::2])
+        for b in (beta, np.inf):
+            want = _written_out_tent(B, 1.0, b, ys, ts)
+            caps = _pencil_caps(1.0, b, ys, ts)[:, None]
+            assert np.array_equal(_ball_tent(ys, B.center_array, r, caps)[:, 0], want)
+        gau, cla = (_written_out_tent(B, 1.0, b, ys, ts) for b in (beta, np.inf))
+        rep = compare_tents(B, 1.0, beta, ys, ts)
+        assert [(d["y"], d["t"]) for d in rep["disagreements"]] \
+            == [(tuple(ys[i].tolist()), ts[i]) for i in np.flatnonzero(gau != cla)]
 
 
 def test_compare_tents_warnings():

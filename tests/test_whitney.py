@@ -166,6 +166,18 @@ def test_density_points_of_full_set(grid_small):
     assert dp.mask.all()
 
 
+def test_density_points_at_sub_cell_ladder_radii_follow_membership(rng):
+    # at level 2 the edge nodes of a 64 x 16 grid have level * m = 2/8 =
+    # 0.25, under the spacing 16/63: every rung holds the node alone
+    g = HalfSpaceGrid(((-8.0, 8.0),), (64,), 1e-3, 8.0, 16)
+    alone = 2.0 * g.m_y <= min(g.spacing)
+    assert np.flatnonzero(alone).tolist() == [0, g.n_spatial - 1]
+    for _ in range(20):
+        A = RegionMask(g, rng.random(g.n_spatial) < 0.5)
+        for eta in (0.01, 0.5, 0.99):
+            assert np.array_equal(density_points(A, eta, 2.0).mask[alone], A.mask[alone])
+
+
 def test_containing_density_points(grid_small):
     g = grid_small
     A = _interval_mask(g, -2.0, 2.0)
@@ -362,12 +374,6 @@ def test_whitney_balls_audit(grid_small, rng):
         assert a["covers_target"]
         assert a["inflated_meet_complement"]
         assert a["shrunken_disjoint"]
-
-
-def test_whitney_balls_rejects_small_C(grid_small):
-    O = _interval_mask(grid_small, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        whitney_balls(O, C_overlap=1.5)
 
 
 # -- doubling and the integral inequalities --------------------------------
