@@ -5,11 +5,14 @@ and normalized by ||a||_{L^q(dgamma dt/t)} <= gamma(B)^{-(1-1/q)} (sup-norm
 bound gamma(B)^{-1} at q = inf); its area function then has L^1(gamma) norm
 at most 1.
 
-The decomposition follows the level-set pipeline: level sets O_k of the
-area function, density-point inflation O_k -> O_k^{[etabar]}, Whitney cubes
-of the inflated sets, cube-centered balls large enough that the shrunken
-tent of O_k^{[etabar]} restricted to a cube column lies inside the tent of
-the ball, and one atom per (level, cube) piece.  On the grid the ball radius
+Both decompositions run one level-set pipeline: the level sets
+O_k = {S f > 2^k} as the columns of one array, the atoms of level k in the
+band T(O_k) minus T(O_{k+1}) with two tents alive at a time, and one count
+of the cells no atom holds.  At q < inf the sets are inflated by density
+points, O_k -> O_k^{[etabar]}, and the bands taken at shrunken apertures;
+Whitney cubes of the inflated sets get centered balls large enough that the
+shrunken tent of O_k^{[etabar]} over a cube column lies inside the tent of
+the ball, and each (level, cube) piece is one atom.  On the grid the radius
 is the prescribed multiple of the cube diameter, enlarged when necessary by
 the measured cube-to-complement distance (plus one cell) so that the tent
 inclusion holds node-exactly and the reconstruction is exact with zero
@@ -152,17 +155,43 @@ def validate_atom(a: Atom, spec: ConeSpec) -> dict:
     }
 
 
-def _require_a_zero(S) -> None:
-    """The lowest level set must leave part of the box to the complement."""
+def _level_sets(S, scale: np.ndarray):
+    """((kmin, kmax), {S > 2^k} for k = kmin .. kmax + 1 as the columns of an
+    (N, L) bool array), kmin and kmax from the positive values of `scale`
+    (S, or |f| at q = inf); None when it has none.  S must vanish somewhere."""
     if np.all(S.values > 0.0):
         raise ValueError("the area function is positive at every grid node; the "
                          "level-set decomposition needs S f = 0 somewhere on the box")
+    pos = scale[scale > 0]
+    if pos.size == 0:
+        return None
+    kmin = int(np.floor(np.log2(pos.min()))) - 1
+    kmax = int(np.ceil(np.log2(pos.max())))
+    return (kmin, kmax), S.values[:, None] > np.ldexp(1.0, range(kmin, kmax + 2))
 
 
-def _level_range(positive_values: np.ndarray):
-    kmin = int(np.floor(np.log2(positive_values.min()))) - 1
-    kmax = int(np.ceil(np.log2(positive_values.max())))
-    return kmin, kmax
+def _bands(g: HalfSpaceGrid, sets: np.ndarray, spec: ConeSpec, shrink: float):
+    """(i, T(O_i) & ~T(O_{i+1})) for each nonempty column O_i of `sets` but
+    the last, T the tent at apertures scaled by `shrink`.  One tent per
+    column, and no more than two alive at a time."""
+    upper = tent_mask(RegionMask(g, sets[:, 0]), spec.alpha, spec.beta, shrink)
+    for i in range(sets.shape[1] - 1):
+        band = upper
+        upper = tent_mask(RegionMask(g, sets[:, i + 1]), spec.alpha, spec.beta, shrink)
+        if sets[:, i].any():
+            band &= ~upper
+            yield i, band
+
+
+def _left_out(f: GridFunction, assigned: np.ndarray, power: np.ndarray):
+    """(residual_mass, unassigned): the share of the integral of `power`
+    (|f|^q, or |f| at q = inf) on the nonzero cells no atom holds, and their count."""
+    g = f.grid
+    left = (f.values != 0.0) & ~assigned
+    weights = g.gamma_y[:, None] * g.wt[None, :]
+    total = float(np.sum(power * weights))
+    resid = float(np.sum(power[left] * weights[left]))
+    return resid / total if total > 0 else 0.0, int(np.count_nonzero(left))
 
 
 def decompose(f: GridFunction, q: float, spec: ConeSpec,
@@ -175,12 +204,11 @@ def decompose(f: GridFunction, q: float, spec: ConeSpec,
     g = f.grid
     qprime_exp = 1.0 - 1.0 / q          # gamma(B)^{1/q'} exponent
     S = area_S(f, q, spec)
-    _require_a_zero(S)
-    source_norm = lp_gamma_norm(S, 1)
-    pos = S.values[S.values > 0]
-    if pos.size == 0:
+    levels = _level_sets(S, S.values)
+    if levels is None:
         return Decomposition([], 0.0, q, spec)
-    kmin, kmax = _level_range(pos)
+    (kmin, kmax), O = levels
+    source_norm = lp_gamma_norm(S, 1)
 
     lam = spec.beta * (1.0 + spec.beta)
     C_doub = doubling_constant(lam, default_dictionary(g, lam))
@@ -189,8 +217,6 @@ def decompose(f: GridFunction, q: float, spec: ConeSpec,
 
     # inflated level sets O_k^[etabar] in column k - kmin: the complement of
     # the density points of F_k = ~O_k (all of them where O_k is empty)
-    levels = range(kmin, kmax + 2)
-    O = S.values[:, None] > np.ldexp(1.0, levels)
     inflated = ~_density_columns(g, ~O, etabar, lam)
 
     nesting_ok = not np.any(inflated[:, 1:] & ~inflated[:, :-1])
@@ -201,9 +227,6 @@ def decompose(f: GridFunction, q: float, spec: ConeSpec,
                          "the zeros of S f are too sparse for the level-set decomposition")
 
     shrink = 1.0 - eta
-    tents = [tent_mask(RegionMask(g, Oke), spec.alpha, spec.beta, shrink)
-             for Oke in inflated.T]
-
     caps = cone_caps(g, spec)
     weights = g.gamma_y[:, None] * g.wt[None, :]
     cell = g.cell
@@ -212,10 +235,8 @@ def decompose(f: GridFunction, q: float, spec: ConeSpec,
     diagnostics = []
     mu_bound_worst = 0.0
 
-    for i, k in enumerate(levels[:-1]):
-        if not inflated[:, i].any():
-            continue
-        band = tents[i] & ~tents[i + 1]
+    for i, band in _bands(g, inflated, spec, shrink):
+        k = kmin + i
         cover = whitney_cubes(RegionMask(g, inflated[:, i]))
         diagnostics.append({
             "k": k,
@@ -246,17 +267,14 @@ def decompose(f: GridFunction, q: float, spec: ConeSpec,
             terms.append((lam_jk, atom))
             mu_bound_worst = max(mu_bound_worst, mu / (gB * 2.0 ** (q * k)))
 
-    left = (f.values != 0.0) & ~assigned
-    total_q = float(np.sum(np.abs(f.values) ** q * weights))
-    resid_q = float(np.sum(np.abs(f.values[left]) ** q * weights[left]))
-    residual = resid_q / total_q if total_q > 0 else 0.0
+    residual, unassigned = _left_out(f, assigned, np.abs(f.values) ** q)
     return Decomposition(
         terms, source_norm, q, spec, diagnostics, residual,
         audit={"nesting_ok": nesting_ok, "etabar": etabar,
                "doubling_constant": C_doub, "C_inflate": C_inflate,
                "mu_over_gamma_2qk_max": mu_bound_worst,
                "k_range": (kmin, kmax)},
-        unassigned=int(np.count_nonzero(left)),
+        unassigned=unassigned,
     )
 
 
@@ -270,35 +288,26 @@ def decompose_sup(f: GridFunction, spec: ConeSpec) -> Decomposition:
     """
     g = f.grid
     S = area_S_sup(f, spec)
-    _require_a_zero(S)
     absf = np.abs(f.values)
-    source_norm = lp_gamma_norm(S, 1)
-    pos = absf[absf > 0]
-    if pos.size == 0:
+    levels = _level_sets(S, absf)
+    if levels is None:
         return Decomposition([], 0.0, np.inf, spec)
-    kmin, kmax = _level_range(pos)
+    (kmin, kmax), O = levels
+    source_norm = lp_gamma_norm(S, 1)
     C = _C_OVERLAP
     star = 2.0 * C + 3.0
-
-    level_masks = {k: RegionMask(g, S.values > 2.0 ** k)
-                   for k in range(kmin, kmax + 2)}
-    tents = {k: tent_mask(level_masks[k], spec.alpha, spec.beta)
-             for k in range(kmin, kmax + 2)}
 
     terms = []
     diagnostics = []
     partition_defect = 0.0
     assigned = np.zeros((g.n_spatial, g.nt), dtype=bool)
 
-    for k in range(kmin, kmax + 1):
-        Ok = level_masks[k]
-        if not Ok.mask.any():
-            continue
-        band = tents[k] & ~tents[k + 1]
-        cover = whitney_balls(Ok)
+    for i, band in _bands(g, O, spec, 1.0):
+        k = kmin + i
+        cover = whitney_balls(RegionMask(g, O[:, i]))
         diagnostics.append({
             "k": k,
-            "level_set_gamma": float(g.gamma_y[Ok.mask].sum()),
+            "level_set_gamma": float(g.gamma_y[O[:, i]].sum()),
             "n_balls": len(cover.balls),
         })
         hats = [np.maximum(B_j.radius - _distance_rows(g.points, B_j.center_array), 0.0)
@@ -316,10 +325,10 @@ def decompose_sup(f: GridFunction, spec: ConeSpec) -> Decomposition:
             piece = relevant[rows] & (phi[:, None] > 0)
             if not piece.any():
                 continue
-            mu = 2.0 ** (k + 1) * gamma_ball(B_j.scaled(star))
+            B_star = B_j.scaled(star)
+            mu = 2.0 ** (k + 1) * gamma_ball(B_star)
             block = np.where(piece, f.values[rows] * phi[:, None] / mu, 0.0)
             assigned[rows] |= piece
-            B_star = B_j.scaled(star)
             atom = _atom_on_rows(g, rows.start, block, B_star, np.inf,
                                  delta=B_star.radius / cutoff_m(B_star.center_array))
             terms.append((mu, atom))
@@ -328,17 +337,13 @@ def decompose_sup(f: GridFunction, spec: ConeSpec) -> Decomposition:
             partition_defect = max(partition_defect,
                                    float(np.max(np.abs(phi_sum[active] - 1.0))))
 
-    left = (absf > 0) & ~assigned
-    weights = g.gamma_y[:, None] * g.wt[None, :]
-    total = float(np.sum(absf * weights))
-    resid = float(np.sum(absf[left] * weights[left]))
+    residual, unassigned = _left_out(f, assigned, absf)
     return Decomposition(
-        terms, source_norm, np.inf, spec, diagnostics,
-        residual_mass=resid / total if total > 0 else 0.0,
+        terms, source_norm, np.inf, spec, diagnostics, residual,
         audit={"C_overlap": C, "inflation_factor": star,
                "k_range": (kmin, kmax),
                "partition_defect": partition_defect},
-        unassigned=int(np.count_nonzero(left)),
+        unassigned=unassigned,
     )
 
 

@@ -141,6 +141,8 @@ def _apply_flags(cfg: RunConfig, args) -> RunConfig:
         cfg = replace(cfg, nx=nx, nt=nt)
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     return replace(cfg, seed=args.seed, threads=args.threads, out=args.out)
 
 
@@ -174,7 +176,9 @@ def _jsonify(obj):
 
 
 def _grid_meta(grid: HalfSpaceGrid) -> dict:
-    return {"box": list(grid.spatial_box[0]), "nx": grid.nx[0],
+    """The grid of a report; in 2-D one [lo, hi] and one count per axis."""
+    box, nx = [list(b) for b in grid.spatial_box], list(grid.nx)
+    return {"box": box[0] if grid.n == 1 else box, "nx": nx[0] if grid.n == 1 else nx,
             "t_min": grid.t_min, "t_max": grid.t_max, "nt": grid.nt}
 
 
@@ -195,7 +199,7 @@ def cmd_norm(cfg: RunConfig, args) -> int:
 
 def cmd_decompose(cfg: RunConfig, args) -> int:
     f = read_grid_function(args.input, None if args.infer_grid else cfg.grid())
-    spec = ConeSpec(cfg.alpha, cfg.beta)
+    spec = cfg.spec()
     if args.sup:
         d = decompose_sup(f, spec)
     else:
@@ -241,7 +245,7 @@ def cmd_independence(cfg: RunConfig, args) -> int:
     overall = max(s["max_ratio"] for s in summary)
     _emit({"p": pq.p, "q": pq.q, "per_function": summary,
            "overall_max_ratio": overall,
-           "grid_meta": _grid_meta(grid)}, cfg, "independence.json")
+           "grid_meta": _grid_meta(funcs[0].grid)}, cfg, "independence.json")
     return 0
 
 
@@ -275,7 +279,7 @@ def _h1_checks(atoms, grid: HalfSpaceGrid, spec: ConeSpec):
 
 def cmd_embed(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
-    spec = ConeSpec(cfg.alpha, cfg.beta)
+    spec = cfg.spec()
     if args.input:
         d = import_decomposition(args.input)
         atoms = [a for _, a in d.terms if a.q == 2.0][:10]
@@ -341,7 +345,7 @@ def _suite_tpp_identity(cfg, grid, rng):
 
 
 def _suite_atom_bound(cfg, grid, rng):
-    spec = ConeSpec(cfg.alpha, cfg.beta)
+    spec = cfg.spec()
     worst = 0.0
     for q in (1.0, 2.0, np.inf):
         for _ in range(2):
@@ -351,17 +355,16 @@ def _suite_atom_bound(cfg, grid, rng):
 
 
 def _suite_duality_pq(cfg, grid, rng):
-    spec = ConeSpec(cfg.alpha, cfg.beta)
     all_ok = True
     for _ in range(6):
         f, g = random_bump(grid, rng), random_bump(grid, rng)
-        rep = check_duality_pq(f, g, 2.0, 2.0, spec)
+        rep = check_duality_pq(f, g, 2.0, 2.0, cfg.spec())
         all_ok &= rep["identity_ok"] and rep["holder1_ok"] and rep["holder2_ok"]
     return {"ok": bool(all_ok)}
 
 
 def _suite_decomposition(cfg, grid, rng):
-    spec = ConeSpec(cfg.alpha, cfg.beta)
+    spec = cfg.spec()
     f = tent_indicator(grid, spec, 0.5, 0.4)
     d = decompose(f, cfg.q, spec, eta=cfg.eta)
     r = reconstruct(d)
@@ -373,7 +376,7 @@ def _suite_decomposition(cfg, grid, rng):
 
 
 def _suite_embedding(cfg, grid, rng):
-    spec = ConeSpec(cfg.alpha, cfg.beta)
+    spec = cfg.spec()
     atoms = (random_atom(grid, spec, 2.0, rng) for _ in range(2))
     _, caught, ok = _h1_checks(atoms, grid, spec)
     return {"sentinel_failed_support": caught, "ok": ok}
@@ -482,7 +485,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     try:
         return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, FileNotFoundError) as e:
+    except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as e:

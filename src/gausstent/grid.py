@@ -286,7 +286,10 @@ def _csv_rows(path, skiprows: int, last: str) -> np.ndarray:
     """The rows of a numeric CSV file: coordinates, t, then `last`."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")            # an empty file is rejected below
-        data = np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
     if data.size == 0 or data.shape[1] < 3:
         raise ValueError(f"{path}: no rows of coordinates, t and {last}")
     return data

@@ -2,11 +2,13 @@
 
 Distances from grid nodes to node sets are exact Euclidean distance
 transforms, computed in numpy by one separable pass per axis, within the
-box: the box exterior is not part of any complement.  Density points of
-any number of node sets share one centered ladder.  Whitney cubes are
-found one dyadic level at a time.  All set operations are
-resolution-limited; audits allow a one-grid-cell tolerance and say so in
-their reports.
+box: the box exterior is not part of any complement.  The union of cones
+R(F) with vertices in F is the complement of the tent over F^c (Coifman,
+Meyer and Stein 1985), so the two integral-inequality checks take it from
+tent_mask.  Density points of any number of node sets share one centered
+ladder.  Whitney cubes are found one dyadic level at a time.  All set
+operations are resolution-limited; audits allow a one-grid-cell tolerance
+and say so in their reports.
 """
 
 from __future__ import annotations
@@ -29,9 +31,7 @@ __all__ = [
     "density_points",
     "doubling_constant",
     "etabar_from_doubling",
-    "region_R_mask",
     "reverse_fubini_check",
-    "set_distance",
     "tent_mask",
     "whitney_balls",
     "whitney_cubes",
@@ -82,12 +82,6 @@ def complement_distance(O: RegionMask) -> np.ndarray:
     return _edt(~O.mask.reshape(g.shape), g.spacing).ravel()
 
 
-def set_distance(A: RegionMask) -> np.ndarray:
-    """dist(x, A) at every node (inf when A is empty)."""
-    g = A.grid
-    return _edt(A.mask.reshape(g.shape), g.spacing).ravel()
-
-
 def tent_mask(O: RegionMask, alpha: float, beta: float,
               shrink: float = 1.0) -> np.ndarray:
     """(N, nt) bool array of the tent over O: dist(y, O^c) >= cap(y, t).
@@ -103,16 +97,6 @@ def tent_mask(O: RegionMask, alpha: float, beta: float,
     caps = shrink * cone_caps(g, ConeSpec(alpha, beta))
     d = complement_distance(O)
     return d[:, None] >= caps
-
-
-def region_R_mask(F: RegionMask, alpha: float, beta: float,
-                  shrink: float = 1.0) -> np.ndarray:
-    """(N, nt) bool array of the union of cones with vertices in F:
-    nodes with dist(y, F) < cap."""
-    g = F.grid
-    caps = shrink * cone_caps(g, ConeSpec(alpha, beta))
-    d = set_distance(F)
-    return d[:, None] < caps
 
 
 # -- density points --------------------------------------------------------
@@ -384,19 +368,19 @@ def density_inequality_check(A: RegionMask, H: GridFunction, eta: float,
                              dict_: BallDictionary | None = None) -> dict:
     """Ratio report for the density-point integral inequality.
 
-    LHS integrates H over the cone-union region with vertices in the
-    etabar-density points of A (admissibility level beta(1+beta), shrunken
-    apertures (1-eta)); RHS is the A-restricted cone average of H.  The
-    guaranteed lower bound (etabar - 1 + 1/C) * exp(-3 beta (2+beta)) is
-    reported alongside the measured doubling constant C when a dictionary is
-    supplied.
+    LHS integrates H over the cone-union region R(A_eta) = complement of
+    T(A_eta^c), A_eta the etabar-density points of A (admissibility level
+    beta(1+beta), shrunken apertures (1-eta)); RHS is the A-restricted cone
+    average of H.  The guaranteed lower bound (etabar - 1 + 1/C) *
+    exp(-3 beta (2+beta)) is reported alongside the measured doubling
+    constant C when a dictionary is supplied.
     """
     if np.any(H.values < 0):
         raise ValueError("H must be nonnegative")
     g = H.grid
     lam = spec.beta * (1.0 + spec.beta)
     A_eta = density_points(A, etabar, lam)
-    R = region_R_mask(A_eta, spec.alpha, spec.beta, shrink=1.0 - eta)
+    R = ~tent_mask(RegionMask(g, ~A_eta.mask), spec.alpha, spec.beta, 1.0 - eta)
     lhs = float(np.sum(H.values * R * g.gamma_y[:, None] * g.wt[None, :]))
     rhs = _cone_average_over(A.mask.astype(float), H, spec)
     report = {
@@ -431,10 +415,10 @@ def reverse_fubini_check(F: RegionMask, H: GridFunction, eta: float,
                          dict_: BallDictionary) -> dict:
     """Ratio report for the reverse Fubini inequality with containing balls.
 
-    LHS integrates H over the alpha-aperture cone union with vertices in the
-    containing-ball density set of F; RHS is the F-restricted cone average
-    at the wider aperture delta >= alpha.  The analytic constant is
-    (delta/alpha)^n exp(-(2+beta) beta).
+    LHS integrates H over the alpha-aperture cone union R(F~) = complement
+    of T(F~^c), F~ the containing-ball density set of F; RHS is the
+    F-restricted cone average at the wider aperture delta >= alpha.  The
+    analytic constant is (delta/alpha)^n exp(-(2+beta) beta).
     """
     if np.any(H.values < 0):
         raise ValueError("H must be nonnegative")
@@ -442,7 +426,7 @@ def reverse_fubini_check(F: RegionMask, H: GridFunction, eta: float,
         raise ValueError("delta >= alpha required")
     g = H.grid
     F_tilde = containing_density_points(F, eta, beta, dict_)
-    R = region_R_mask(F_tilde, alpha, beta)
+    R = ~tent_mask(RegionMask(g, ~F_tilde.mask), alpha, beta)
     lhs = float(np.sum(H.values * R * g.gamma_y[:, None] * g.wt[None, :]))
     rhs = _cone_average_over(F.mask.astype(float), H, ConeSpec(delta, beta))
     return {

@@ -1,14 +1,18 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gausstent import atomic, functionals
+from gausstent.families import random_bump
 from gausstent.geometry import Ball, ConeSpec, cutoff_m, gamma_ball
-from gausstent.grid import GridFunction, HalfSpaceGrid, read_grid_function
-from gausstent.functionals import _centered_ladder, _Windows, cone_caps
-from gausstent.whitney import _density_columns
+from gausstent.grid import GridFunction, HalfSpaceGrid, RegionMask, read_grid_function
+from gausstent.functionals import (
+    _centered_ladder, _Windows, area_S, area_S_sup, cone_caps,
+)
+from gausstent.whitney import _density_columns, tent_mask
 from gausstent.atomic import (
     Atom, coefficient_report, decompose, decompose_sup, export_decomposition,
     import_decomposition, reconstruct, validate_atom,
@@ -211,6 +215,60 @@ def test_decompose_density_points_match_the_per_level_loop(monkeypatch, make, nx
         assert got[:, j].tobytes() == ok.tobytes()
 
 
+def _per_level_sets(S, scale):
+    """k_range and the level sets {S > 2^k} as each decomposition built
+    them before the two shared one pipeline."""
+    pos = scale[scale > 0]
+    kmin = int(np.floor(np.log2(pos.min()))) - 1
+    kmax = int(np.ceil(np.log2(pos.max())))
+    return (kmin, kmax), np.stack([S.values > 2.0 ** k for k in range(kmin, kmax + 2)],
+                                  axis=1)
+
+
+@pytest.mark.parametrize("sup", [False, True], ids=["q2", "sup"])
+@pytest.mark.parametrize("make, nx", [(_bump_1d, 512), (_bump_2d, 32)],
+                         ids=["1d-512", "2d-32"])
+def test_bands_match_the_per_level_tent_list(monkeypatch, make, nx, sup):
+    # the level sets, and each band against the list of all L tents that
+    # the decompositions kept before _bands, to the byte
+    f = make(nx)
+    g, spec = f.grid, ConeSpec(1.0, 1.0)
+    calls = []
+    bands = atomic._bands
+
+    def recording(grid, sets, spec_, shrink):
+        got = {}
+        calls.append((sets.copy(), shrink, got))
+        for i, band in bands(grid, sets, spec_, shrink):
+            got[i] = band.copy()
+            yield i, band
+
+    monkeypatch.setattr(atomic, "_bands", recording)
+    d = decompose_sup(f, spec) if sup else decompose(f, 2.0, spec)
+    monkeypatch.undo()
+    S = area_S_sup(f, spec) if sup else area_S(f, 2.0, spec)
+    k_range, O = _per_level_sets(S, np.abs(f.values) if sup else S.values)
+    assert d.audit["k_range"] == k_range
+    assert atomic._level_sets(S, np.abs(f.values) if sup else S.values)[1].tobytes() \
+        == O.tobytes()
+    assert len(calls) == 1
+    sets, shrink, got = calls[0]
+    if sup:
+        assert shrink == 1.0 and np.array_equal(sets, O)
+        tents = [tent_mask(RegionMask(g, Ok), spec.alpha, spec.beta) for Ok in sets.T]
+    else:
+        lam = spec.beta * (1.0 + spec.beta)
+        inflated = ~_density_columns(g, ~O, d.audit["etabar"], lam)
+        assert shrink == 0.5 and np.array_equal(sets, inflated)
+        tents = [tent_mask(RegionMask(g, Oke), spec.alpha, spec.beta, shrink)
+                 for Oke in sets.T]
+    want = {i: tents[i] & ~tents[i + 1] for i in range(sets.shape[1] - 1)
+            if sets[:, i].any()}
+    assert len(want) > 5 and sorted(got) == sorted(want)
+    for i in want:
+        assert got[i].tobytes() == want[i].tobytes()
+
+
 def test_decompose_zero_function(grid_small):
     d = decompose(GridFunction.zero(grid_small), 2.0, ConeSpec(1.0, 1.0))
     assert d.terms == []
@@ -266,6 +324,21 @@ def test_decompose_sup_stores_atoms_on_their_boxes():
     assert sum(a.block.size for _, a in d.terms) \
         <= 0.05 * len(d.terms) * g.n_spatial * g.nt
     assert np.max(np.abs(reconstruct(d).values - vals)) <= 1e-12 * vals.max()
+
+
+def test_decompose_sup_keeps_two_tents_alive():
+    # a 1024x256 bump: with all L tents (262 kB each) alive at once the
+    # traced allocations peaked at 30.6 MiB, with two at a time at 13.7 MiB
+    g = HalfSpaceGrid(((-8.0, 8.0),), (1024,), 1e-3, 8.0, 256)
+    f = random_bump(g, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        d = decompose_sup(f, ConeSpec(1.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(d.terms) == 216
+    assert peak < 20 * 2 ** 20
 
 
 def test_decompose_sup_zero(grid_small):

@@ -23,6 +23,7 @@ from gausstent.grid import (
 )
 from gausstent.atomic import import_decomposition, reconstruct
 from gausstent.duality import DiscreteMeasure, write_measure_csv
+from gausstent.families import random_bump
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +108,71 @@ def test_dictionary_sizes_below_one_are_a_parse_error(tmp_path, input_file, caps
 def test_missing_input_is_parse_error(tmp_path):
     assert main(["--out", str(tmp_path), "norm",
                  "--input", str(tmp_path / "nope.gtnt")]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("command", [
+    ["norm", "--input", "{dir}"], ["decompose", "--input", "{dir}"],
+    ["carleson", "--measure", "{dir}"], ["embed", "--input", "{dir}"],
+    ["--out", "{file}", "norm", "--input", "{input}"],
+    ["--out", "{file}", "decompose", "--input", "{input}"],
+], ids=["norm-dir", "decompose-dir", "carleson-dir", "embed-dir",
+        "out-is-a-file-norm", "out-is-a-file-decompose"])
+def test_io_errors_are_one_line_parse_errors(tmp_path, input_file, capsys, command):
+    # a directory where a file is read, or a file where the output
+    # directory goes: exit 1 with one line, no traceback
+    (tmp_path / "file").write_text("")
+    names = {"dir": str(tmp_path), "file": str(tmp_path / "file"),
+             "input": str(input_file)}
+    argv = [a.format(**names) for a in command]
+    if argv[0] != "--out":
+        argv = ["--out", str(tmp_path / "out"), *argv]
+    assert main(argv) == EXIT_PARSE
+    assert _one_line_error(capsys)
+
+
+def test_measure_csv_with_a_header_row_names_the_file(tmp_path, capsys):
+    mu = tmp_path / "mu.csv"
+    mu.write_text("y0,t,weight\n0.5,0.1,1.0\n")
+    assert main(["--out", str(tmp_path), "carleson", "--measure", str(mu)]) \
+        == EXIT_PRECONDITION
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(mu) in err[0]
+
+
+def test_negative_seed_is_a_parse_error(tmp_path, capsys):
+    assert main(["--seed", "-1", "--out", str(tmp_path), "verify",
+                 "--suite", "tent_compare"]) == EXIT_PARSE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "--seed" in err[0]
+    assert not list(tmp_path.iterdir())
+
+
+def test_grid_meta_is_the_grid_of_the_function_read(tmp_path, input_file):
+    # independence --infer-grid on a 128x32 file reports that grid, not the
+    # 512x128 of the config
+    g = HalfSpaceGrid(((-8.0, 8.0),), (128,), 1e-3, 8.0, 32)
+    path = tmp_path / "f128.gtnt"
+    write_grid_function(random_bump(g, np.random.default_rng(0)), path)
+    assert main(["--out", str(tmp_path), "independence", "--infer-grid",
+                 "--input", str(path)]) == 0
+    assert _load(tmp_path, "independence.json")["grid_meta"] == {
+        "box": [-8.0, 8.0], "nx": 128, "t_min": 1e-3, "t_max": 8.0, "nt": 32}
+    # the same file read on the config grid
+    assert main(["--out", str(tmp_path), "independence",
+                 "--input", str(input_file)]) == 0
+    assert _load(tmp_path, "independence.json")["grid_meta"] == {
+        "box": [-8.0, 8.0], "nx": 512, "t_min": 1e-3, "t_max": 8.0, "nt": 128}
+
+
+def test_grid_meta_of_a_2d_file_lists_every_axis(tmp_path):
+    g = HalfSpaceGrid(((-8.0, 8.0), (-4.0, 4.0)), (16, 8), 1e-3, 8.0, 8)
+    path = tmp_path / "f2.gtnt"
+    write_grid_function(GridFunction(g, np.ones((g.n_spatial, g.nt))), path)
+    assert main(["--out", str(tmp_path), "norm", "--infer-grid",
+                 "--input", str(path)]) == 0
+    assert _load(tmp_path, "norm.json")["grid_meta"] == {
+        "box": [[-8.0, 8.0], [-4.0, 4.0]], "nx": [16, 8], "t_min": 1e-3,
+        "t_max": 8.0, "nt": 8}
 
 
 def test_bad_grid_flag(tmp_path, input_file):

@@ -100,7 +100,17 @@ def test_carleson_norm_matches_pointwise_tents(grid_small, rng):
     pts = tuple(((float(rng.uniform(-3, 3)),),
                  float(np.exp(rng.uniform(np.log(0.01), np.log(2.0)))),
                  float(rng.uniform(-1.0, 1.0))) for _ in range(50))
-    mu = DiscreteMeasure(pts)
+    # and points on the tent boundary of admissible balls near the origin:
+    # t = r - |y - c| in floats, under m(y), so the cap is t itself and the
+    # point counts only because the tent is closed
+    edge = []
+    for k in rng.choice(np.flatnonzero(np.abs(d.centers[:, 0]) < 1.0), 4, replace=False):
+        c, r = float(d.centers[k, 0]), float(d.radii[k])
+        y = c + float(rng.uniform(-0.8, 0.8)) * r
+        t = r - abs(y - c)
+        assert 0.0 < t < cutoff_m(y)
+        edge.append(((y,), t, float(rng.uniform(0.5, 1.0))))
+    mu = DiscreteMeasure(pts + tuple(edge))
     rep = carleson_norm(mu, 1.0, 1.0, 2.0, d)
     balls = [Ball(tuple(c), r) for c, r in zip(d.centers, d.radii)]
     want = np.array([sum(abs(w) for y, t, w in mu.points

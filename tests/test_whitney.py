@@ -5,12 +5,12 @@ from gausstent import atomic
 from gausstent.families import random_bump
 from gausstent.geometry import ConeSpec
 from gausstent.grid import GridFunction, HalfSpaceGrid, RegionMask
-from gausstent.functionals import default_dictionary
+from gausstent.functionals import cone_caps, default_dictionary
 from gausstent.whitney import (
-    DyadicCube, _audit_cubes, _box_base_level, complement_distance,
+    DyadicCube, _audit_cubes, _box_base_level, _edt, complement_distance,
     containing_density_points, cube_bounds, density_inequality_check,
-    density_points, doubling_constant, etabar_from_doubling, region_R_mask,
-    reverse_fubini_check, set_distance, tent_mask, whitney_balls, whitney_cubes,
+    density_points, doubling_constant, etabar_from_doubling, reverse_fubini_check,
+    tent_mask, whitney_balls, whitney_cubes,
 )
 
 
@@ -41,7 +41,7 @@ def test_complement_distance_of_the_whole_box_is_inf(grid_small):
 
 
 def _scipy_distances(O):
-    """complement_distance and set_distance by scipy's EDT, the oracle."""
+    """dist(x, O^c) and dist(x, O) by scipy's EDT, the oracle."""
     from scipy.ndimage import distance_transform_edt
 
     g = O.grid
@@ -60,7 +60,8 @@ def _assert_distances_match_scipy(O):
     comp, to_set = _scipy_distances(O)
     assert np.array_equal(complement_distance(O), comp)
     if O.mask.any():
-        assert np.array_equal(set_distance(O), to_set)
+        # dist(x, O) is the distance to the complement of ~O
+        assert np.array_equal(complement_distance(RegionMask(O.grid, ~O.mask)), to_set)
 
 
 def _run_mask(rng, size):
@@ -103,11 +104,6 @@ def test_distances_match_scipy_2d():
         _assert_distances_match_scipy(RegionMask(g, mask))
 
 
-def test_set_distance_empty(grid_small):
-    A = RegionMask(grid_small, np.zeros(grid_small.n_spatial, bool))
-    assert np.all(np.isinf(set_distance(A)))
-
-
 # -- tents over open sets --------------------------------------------------
 
 def test_tent_mask_interval(grid_small):
@@ -128,7 +124,7 @@ def test_tent_mask_interval(grid_small):
 def test_region_R_contains_tent_of_complement_vertices(grid_small):
     g = grid_small
     F = _interval_mask(g, -1.0, 1.0)
-    R = region_R_mask(F, 1.0, 1.0)
+    R = ~tent_mask(RegionMask(g, ~F.mask), 1.0, 1.0)
     # R is the cone-union over F: near a vertex of F, small t nodes included
     i = g.nearest_spatial_index(0.0)
     assert R[i, 0]
@@ -144,9 +140,40 @@ def test_tents_of_the_empty_set_are_empty(n):
     empty = RegionMask(g, np.zeros(g.n_spatial, bool))
     for shrink in (1.0, 0.5):
         T = tent_mask(empty, 1.0, 1.0, shrink)
-        R = region_R_mask(empty, 1.0, 1.0, shrink)
+        R = ~tent_mask(RegionMask(g, ~empty.mask), 1.0, 1.0, shrink)
         assert T.shape == R.shape == (g.n_spatial, g.nt)
         assert not T.any() and not R.any()
+
+
+def _region_R_by_set_distance(F, alpha, beta, shrink):
+    """The union of cones with vertices in F as it was computed before it
+    became the complement of a tent: nodes with dist(y, F) < cap."""
+    g = F.grid
+    caps = shrink * cone_caps(g, ConeSpec(alpha, beta))
+    d = _edt(F.mask.reshape(g.shape), g.spacing).ravel()
+    return d[:, None] < caps
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_region_R_is_the_complement_of_the_tent_over_F_complement(n):
+    # R(F) = complement of T(F^c): the same EDT input and the same caps, so
+    # the same cells, on scattered sets, runs, and the empty and full sets
+    rng = np.random.default_rng(20 + n)
+    for trial in range(40):
+        size = int(rng.integers(8, 600 if n == 1 else 40))
+        g = HalfSpaceGrid(((-8.0, 8.0),) * n, (size,) * n, 1e-3, 8.0, 8)
+        kind = trial % 4
+        if kind == 0:
+            mask = rng.random(g.n_spatial) < rng.uniform(0.05, 0.95)
+        elif kind == 1:
+            mask = _run_mask(rng, g.n_spatial)
+        else:
+            mask = np.full(g.n_spatial, kind == 3)
+        F = RegionMask(g, mask)
+        alpha, beta = rng.choice([0.5, 1.0, 2.0], 2)
+        for shrink in (1.0, 0.5):
+            R = ~tent_mask(RegionMask(g, ~F.mask), alpha, beta, shrink)
+            assert np.array_equal(R, _region_R_by_set_distance(F, alpha, beta, shrink))
 
 
 # -- density points --------------------------------------------------------
