@@ -16,8 +16,11 @@ the ball, and each (level, cube) piece is one atom.  On the grid the radius
 is the prescribed multiple of the cube diameter, enlarged when necessary by
 the measured cube-to-complement distance (plus one cell) so that the tent
 inclusion holds node-exactly and the reconstruction is exact with zero
-residual.  The q = inf path uses Vitali-type ball covers of the level sets
-and a piecewise-linear partition of unity instead.
+residual.  The radii of a level come from the cover's arrays at once; a cube
+whose nodes meet no band cell is skipped, and a Ball and its gamma(B) are
+built only for a piece with mass, the few cubes that make an atom.  The
+q = inf path uses Vitali-type ball covers of the level sets and a
+piecewise-linear partition of unity instead.
 
 An atom is stored on its support box, a range of flat spatial indices times
 a range of t indices, as the block of values inside it.  Both decompositions
@@ -41,7 +44,6 @@ from .functionals import area_S, area_S_sup, cone_caps, default_dictionary
 from .whitney import (
     _C_OVERLAP,
     _density_columns,
-    cube_center,
     doubling_constant,
     etabar_from_doubling,
     tent_mask,
@@ -170,14 +172,14 @@ def _level_sets(S, scale: np.ndarray):
     return (kmin, kmax), S.values[:, None] > np.ldexp(1.0, range(kmin, kmax + 2))
 
 
-def _bands(g: HalfSpaceGrid, sets: np.ndarray, spec: ConeSpec, shrink: float):
+def _bands(g: HalfSpaceGrid, sets: np.ndarray, caps: np.ndarray):
     """(i, T(O_i) & ~T(O_{i+1})) for each nonempty column O_i of `sets` but
-    the last, T the tent at apertures scaled by `shrink`.  One tent per
+    the last, T the tent under the (N, nt) cone caps `caps`.  One tent per
     column, and no more than two alive at a time."""
-    upper = tent_mask(RegionMask(g, sets[:, 0]), spec.alpha, spec.beta, shrink)
+    upper = tent_mask(RegionMask(g, sets[:, 0]), caps)
     for i in range(sets.shape[1] - 1):
         band = upper
-        upper = tent_mask(RegionMask(g, sets[:, i + 1]), spec.alpha, spec.beta, shrink)
+        upper = tent_mask(RegionMask(g, sets[:, i + 1]), caps)
         if sets[:, i].any():
             band &= ~upper
             yield i, band
@@ -235,7 +237,7 @@ def decompose(f: GridFunction, q: float, spec: ConeSpec,
     diagnostics = []
     mu_bound_worst = 0.0
 
-    for i, band in _bands(g, inflated, spec, shrink):
+    for i, band in _bands(g, inflated, shrink * caps):
         k = kmin + i
         cover = whitney_cubes(RegionMask(g, inflated[:, i]))
         diagnostics.append({
@@ -244,19 +246,21 @@ def decompose(f: GridFunction, q: float, spec: ConeSpec,
             "inflated_gamma": float(g.gamma_y[inflated[:, i]].sum()),
             "n_cubes": len(cover.cubes),
         })
-        for cube, nodes, dist_q in zip(cover.cubes, cover.cube_nodes, cover.cube_dist):
-            d_j = 2.0 ** (-cube.level) * np.sqrt(g.n)
-            c_j = cube_center(cube, g)
-            # prescribed inflation, enlarged so the measured column distances
-            # fit inside the ball tent node-exactly
-            r_j = max(C_inflate * d_j, d_j + (dist_q + d_j) / shrink) + cell * 1e-9
-            B_j = Ball(tuple(c_j), r_j)
-            piece = band[nodes] & _ball_tent(g.points[nodes], c_j, r_j, caps[nodes])
+        # prescribed inflation of the cube diameter d, enlarged so the
+        # measured column distances fit inside the ball tent node-exactly
+        d = 2.0 ** -cover.levels * np.sqrt(g.n)
+        radii = np.maximum(C_inflate * d, d + (cover.cube_dist + d) / shrink) + cell * 1e-9
+        for nodes, c_j, r_j in zip(cover.cube_nodes, cover.centers, radii):
+            in_band = band[nodes]
+            if not in_band.any():
+                continue
+            piece = in_band & _ball_tent(g.points[nodes], c_j, r_j, caps[nodes])
             vals = f.values[nodes] * piece
             mu = float(np.sum(np.abs(vals) ** q * weights[nodes]))
             assigned[nodes] |= piece
             if mu == 0.0:
                 continue
+            B_j = Ball(tuple(c_j), r_j)
             gB = gamma_ball(B_j)
             lam_jk = gB ** qprime_exp * mu ** (1.0 / q)
             # the cube's nodes ascend; in 2-D they leave gaps between rows
@@ -302,7 +306,7 @@ def decompose_sup(f: GridFunction, spec: ConeSpec) -> Decomposition:
     partition_defect = 0.0
     assigned = np.zeros((g.n_spatial, g.nt), dtype=bool)
 
-    for i, band in _bands(g, O, spec, 1.0):
+    for i, band in _bands(g, O, cone_caps(g, spec)):
         k = kmin + i
         cover = whitney_balls(RegionMask(g, O[:, i]))
         diagnostics.append({

@@ -103,14 +103,19 @@ def load_config(path: str | None) -> RunConfig:
     if path is None:
         return cfg
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        sections = {name: dict(parser[name].items()) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as e:
+        detail = " ".join(str(e).split())     # some parser messages span lines
+        raise ConfigError(f"malformed config file {path}: {detail}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     delta_given = False
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser[section].items():
+        for key, raw in items.items():
             if key not in _CONFIG_KEYS[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
             cast = _CONFIG_KEYS[section][key]
@@ -118,7 +123,7 @@ def load_config(path: str | None) -> RunConfig:
                 value = np.inf if raw == "inf" and cast is float else cast(raw)
             except ValueError as e:
                 raise ConfigError(f"[{section}] {key} expects {cast.__name__}, "
-                                  f"got '{raw}'") from e
+                                  f"got {raw!r}") from e
             if section == "dictionary":
                 if value < 1:
                     raise ConfigError(f"[dictionary] {key} must be at least 1, got {raw}")

@@ -203,14 +203,17 @@ def check_duality_1q(f: GridFunction, g: GridFunction, q: float,
     }
 
 
+_HOLDER_SLACK = 1e-6    # relative slack on the two inequality layers
+
+
 def check_duality_pq(f: GridFunction, g: GridFunction, p: float, q: float,
-                     spec: ConeSpec, eps: float = 1e-6) -> dict:
+                     spec: ConeSpec) -> dict:
     """The three-layer conjugate-exponent chain, each layer asserted.
 
     Layer 0 (identity, 1e-12): iint|fg| equals its cone-average
     rearrangement.  Layer 1: <= int S_q f S_{q'} g dgamma.  Layer 2: <=
-    ||f||_{T^{p,q}} ||g||_{T^{p',q'}}.  eps is the relative slack on the
-    inequality layers.
+    ||f||_{T^{p,q}} ||g||_{T^{p',q'}}.  The inequality layers allow the
+    relative slack _HOLDER_SLACK.
     """
     if f.grid != g.grid:
         raise ValueError("grid mismatch")
@@ -231,6 +234,6 @@ def check_duality_pq(f: GridFunction, g: GridFunction, p: float, q: float,
         "mid": mid,
         "right": right,
         "identity_ok": bool(abs(lhs - rearranged) <= 1e-12 * max(lhs, 1e-300)),
-        "holder1_ok": bool(lhs <= mid + eps * scale),
-        "holder2_ok": bool(mid <= right + eps * scale),
+        "holder1_ok": bool(lhs <= mid + _HOLDER_SLACK * scale),
+        "holder2_ok": bool(mid <= right + _HOLDER_SLACK * scale),
     }

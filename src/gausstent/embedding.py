@@ -42,7 +42,6 @@ class MotherFunction:
     """Odd smooth bump c*x*exp(-1/(1-x^2)) on (-1, 1), scaled to peak 1."""
 
     scale: float
-    bound: float        # M with |phi| <= M and |phi'| <= M
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -61,10 +60,7 @@ _PHI_PEAK = 0.13205928185506993
 
 
 def default_phi() -> MotherFunction:
-    phi = MotherFunction(scale=1.0 / _PHI_PEAK, bound=1.0)
-    xs = np.linspace(-0.9999, 0.9999, 20001)
-    deriv = np.max(np.abs(np.gradient(phi(xs), xs)))
-    return MotherFunction(scale=phi.scale, bound=float(max(1.0, deriv)))
+    return MotherFunction(scale=1.0 / _PHI_PEAK)
 
 
 def pi_phi(f: GridFunction, phi: MotherFunction, local: bool = True) -> SpatialFunction:

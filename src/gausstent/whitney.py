@@ -5,10 +5,12 @@ transforms, computed in numpy by one separable pass per axis, within the
 box: the box exterior is not part of any complement.  The union of cones
 R(F) with vertices in F is the complement of the tent over F^c (Coifman,
 Meyer and Stein 1985), so the two integral-inequality checks take it from
-tent_mask.  Density points of any number of node sets share one centered
-ladder.  Whitney cubes are found one dyadic level at a time.  All set
-operations are resolution-limited; audits allow a one-grid-cell tolerance
-and say so in their reports.
+tent_mask, which takes the cone caps its caller built once.  Density points
+of any number of node sets share one centered ladder.  Whitney cubes are
+found one dyadic level at a time, and a cover holds them as arrays with one
+row per cube: dyadic indices, levels, centers and distances to the
+complement.  All set operations are resolution-limited; audits allow a
+one-grid-cell tolerance and say so in their reports.
 """
 
 from __future__ import annotations
@@ -22,11 +24,8 @@ from .grid import GridFunction, HalfSpaceGrid, RegionMask
 from .functionals import BallDictionary, _centered_ladder, _cone_windows, _Windows, cone_caps
 
 __all__ = [
-    "DyadicCube",
     "WhitneyCover",
     "complement_distance",
-    "cube_bounds",
-    "cube_center",
     "density_inequality_check",
     "density_points",
     "doubling_constant",
@@ -82,21 +81,17 @@ def complement_distance(O: RegionMask) -> np.ndarray:
     return _edt(~O.mask.reshape(g.shape), g.spacing).ravel()
 
 
-def tent_mask(O: RegionMask, alpha: float, beta: float,
-              shrink: float = 1.0) -> np.ndarray:
+def tent_mask(O: RegionMask, caps: np.ndarray) -> np.ndarray:
     """(N, nt) bool array of the tent over O: dist(y, O^c) >= cap(y, t).
 
-    shrink scales both apertures, i.e. shrink=1-eta gives the tent at
-    ((1-eta) alpha, (1-eta) beta) used by the band structure.  Every cap is
-    positive, so the tent of an empty O is empty.  O^c is taken inside the
-    box (see complement_distance): a node of O on the box edge carries the
-    cells its distance to the complement nodes allows, and the tent of the
-    whole box is every cell.
+    `caps` is the (N, nt) array of cone caps, scaled by 1 - eta for the
+    band structure; callers build it once.  Every cap is positive, so the
+    tent of an empty O is empty.  O^c is taken inside the box (see
+    complement_distance): a node of O on the box edge carries the cells its
+    distance to the complement nodes allows, and the tent of the whole box
+    is every cell.
     """
-    g = O.grid
-    caps = shrink * cone_caps(g, ConeSpec(alpha, beta))
-    d = complement_distance(O)
-    return d[:, None] >= caps
+    return complement_distance(O)[:, None] >= caps
 
 
 # -- density points --------------------------------------------------------
@@ -131,33 +126,20 @@ def density_points(A: RegionMask, eta: float, level: float) -> RegionMask:
 # -- Whitney cube covers ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DyadicCube:
-    """Dyadic cube of side 2^-level anchored at the spatial box corner."""
-
-    level: int
-    index: tuple
-
-
-def cube_bounds(cube: DyadicCube, grid: HalfSpaceGrid):
-    side = 2.0 ** (-cube.level)
-    lo = np.array([a for a, _ in grid.spatial_box]) + side * np.asarray(cube.index)
-    return lo, lo + side
-
-
-def cube_center(cube: DyadicCube, grid: HalfSpaceGrid) -> np.ndarray:
-    lo, hi = cube_bounds(cube, grid)
-    return (lo + hi) / 2.0
-
-
 @dataclass
 class WhitneyCover:
-    """Disjoint dyadic cubes (or bounded-overlap balls) filling a set."""
+    """Disjoint dyadic cubes (or bounded-overlap balls) filling a set.
 
-    cubes: tuple = ()
-    balls: tuple = ()
+    Cube C_j has side 2^-levels[j] and corner box_lo + side * cubes[j], the
+    per-axis dyadic indices; its fields are arrays with one row per cube.
+    """
+
+    cubes: np.ndarray = ()      # (C, n) per-axis dyadic indices
+    levels: np.ndarray = ()     # (C,) dyadic levels
+    centers: np.ndarray = ()    # (C, n) cube centers
+    cube_dist: np.ndarray = ()  # (C,) min node distance to target complement
     cube_nodes: tuple = ()      # node indices per cube
-    cube_dist: tuple = ()       # min node distance to target complement
+    balls: tuple = ()
     audit: dict = field(default_factory=dict)
 
 
@@ -185,7 +167,8 @@ def whitney_cubes(O: RegionMask) -> WhitneyCover:
     cube holds yet are grouped by cube, and every cube of the level is
     decided at once; a node's child bit is point >= the parent's midpoint.
     Cubes come out in depth-first order (Morton order of their corners,
-    first axis most significant), each with its nodes in ascending order.
+    first axis most significant), each with its nodes in ascending order,
+    as the rows of the cover's arrays.
     """
     g = O.grid
     if O.mask.all():
@@ -200,7 +183,7 @@ def whitney_cubes(O: RegionMask) -> WhitneyCover:
     nodes = np.arange(g.n_spatial)
     index = np.zeros((g.n_spatial, g.n), dtype=np.int64)
     code = np.zeros(g.n_spatial, dtype=np.int64)
-    cubes, nodes_per, dist_per, codes = [], [], [], []
+    cubes, levels, centers, nodes_per, dist_per, codes = [], [], [], [], [], []
     while nodes.size:
         order = np.argsort(code, kind="stable")
         nodes, index, code = nodes[order], index[order], code[order]
@@ -212,9 +195,12 @@ def whitney_cubes(O: RegionMask) -> WhitneyCover:
         at_cell = side <= cell
         emit = inside & ((side * sqrt_n <= dist) | at_cell)
         e = np.flatnonzero(emit)
-        cubes += [DyadicCube(level, tuple(i)) for i in index[start[e]].tolist()]
+        cubes.append(index[start[e]])
+        lo = corner + side * cubes[-1]
+        levels.append(np.full(e.size, level))
+        centers.append((lo + (lo + side)) / 2.0)
         nodes_per += [nodes[a:b] for a, b in zip(start[e], stop[e])]
-        dist_per += dist[e].tolist()
+        dist_per.append(dist[e])
         codes.append((level, code[start[e]]))
         if at_cell:
             break  # impure cubes at the resolution cap are dropped
@@ -228,26 +214,19 @@ def whitney_cubes(O: RegionMask) -> WhitneyCover:
 
     # depth-first order: Morton codes of the cube corners at the last level
     rank = np.argsort(np.concatenate([c << (g.n * (level - lv)) for lv, c in codes]))
-    cubes = [cubes[r] for r in rank]
-    nodes_per = [nodes_per[r] for r in rank]
-    dist_per = [dist_per[r] for r in rank]
+    levels, dist_per = np.concatenate(levels)[rank], np.concatenate(dist_per)[rank]
+    nodes_per = tuple(nodes_per[r] for r in rank)
+    audit = _audit_cubes(O, levels, nodes_per, dist_per, edt)
+    return WhitneyCover(cubes=np.concatenate(cubes)[rank], levels=levels,
+                        centers=np.concatenate(centers)[rank], cube_dist=dist_per,
+                        cube_nodes=nodes_per, audit=audit)
 
-    audit = _audit_cubes(O, cubes, nodes_per, dist_per, edt)
-    return WhitneyCover(cubes=tuple(cubes), cube_nodes=tuple(nodes_per),
-                        cube_dist=tuple(dist_per), audit=audit)
 
-
-def _audit_cubes(O, cubes, nodes_per, dist_per, edt) -> dict:
+def _audit_cubes(O, levels, nodes_per, dist, edt) -> dict:
     g = O.grid
     cell = g.cell
     sqrt_n = np.sqrt(g.n)
-    bracket_low = bracket_high = True
-    for c, d in zip(cubes, dist_per):
-        diam = 2.0 ** (-c.level) * sqrt_n
-        if diam > d + cell:
-            bracket_low = False
-        if d > 4.0 * diam + cell:
-            bracket_high = False
+    diam = 2.0 ** -levels * sqrt_n
     covered = np.zeros(g.n_spatial, dtype=bool)
     count = np.zeros(g.n_spatial, dtype=int)
     for idx in nodes_per:
@@ -258,9 +237,9 @@ def _audit_cubes(O, cubes, nodes_per, dist_per, edt) -> dict:
     boundary_ok = bool(np.all(edt[uncovered] <= cell * sqrt_n + 1e-12)) \
         if uncovered.any() else True
     return {
-        "n_cubes": len(cubes),
-        "bracket_lower_ok": bracket_low,
-        "bracket_upper_ok": bracket_high,
+        "n_cubes": len(levels),
+        "bracket_lower_ok": bool(np.all(diam <= dist + cell)),
+        "bracket_upper_ok": bool(np.all(dist <= 4.0 * diam + cell)),
         "disjoint": bool(np.all(count <= 1)),
         "covered_fraction": float(covered[O.mask].mean()) if O.mask.any() else 1.0,
         "uncovered_within_boundary_layer": boundary_ok,
@@ -380,7 +359,7 @@ def density_inequality_check(A: RegionMask, H: GridFunction, eta: float,
     g = H.grid
     lam = spec.beta * (1.0 + spec.beta)
     A_eta = density_points(A, etabar, lam)
-    R = ~tent_mask(RegionMask(g, ~A_eta.mask), spec.alpha, spec.beta, 1.0 - eta)
+    R = ~tent_mask(RegionMask(g, ~A_eta.mask), (1.0 - eta) * cone_caps(g, spec))
     lhs = float(np.sum(H.values * R * g.gamma_y[:, None] * g.wt[None, :]))
     rhs = _cone_average_over(A.mask.astype(float), H, spec)
     report = {
@@ -426,7 +405,7 @@ def reverse_fubini_check(F: RegionMask, H: GridFunction, eta: float,
         raise ValueError("delta >= alpha required")
     g = H.grid
     F_tilde = containing_density_points(F, eta, beta, dict_)
-    R = ~tent_mask(RegionMask(g, ~F_tilde.mask), alpha, beta)
+    R = ~tent_mask(RegionMask(g, ~F_tilde.mask), cone_caps(g, ConeSpec(alpha, beta)))
     lhs = float(np.sum(H.values * R * g.gamma_y[:, None] * g.wt[None, :]))
     rhs = _cone_average_over(F.mask.astype(float), H, ConeSpec(delta, beta))
     return {

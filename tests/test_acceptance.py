@@ -258,7 +258,7 @@ def test_criterion_08_duality(grid):
     for i in range(100):
         p, q = combos[i % 3]
         f, g = _bump_sum(grid, rng), _bump_sum(grid, rng)
-        rep = check_duality_pq(f, g, p, q, spec, eps=1e-6)
+        rep = check_duality_pq(f, g, p, q, spec)
         if not (rep["identity_ok"] and rep["holder1_ok"] and rep["holder2_ok"]):
             n_fail += 1
     # T^1 x C_{q'} route: constants finite and family-stable; the pair

@@ -8,7 +8,9 @@ import pytest
 from gausstent import atomic, functionals
 from gausstent.families import random_bump
 from gausstent.geometry import Ball, ConeSpec, cutoff_m, gamma_ball
-from gausstent.grid import GridFunction, HalfSpaceGrid, RegionMask, read_grid_function
+from gausstent.grid import (
+    GridFunction, HalfSpaceGrid, RegionMask, lp_gamma_norm, read_grid_function,
+)
 from gausstent.functionals import (
     _centered_ladder, _Windows, area_S, area_S_sup, cone_caps,
 )
@@ -236,10 +238,10 @@ def test_bands_match_the_per_level_tent_list(monkeypatch, make, nx, sup):
     calls = []
     bands = atomic._bands
 
-    def recording(grid, sets, spec_, shrink):
+    def recording(grid, sets, caps):
         got = {}
-        calls.append((sets.copy(), shrink, got))
-        for i, band in bands(grid, sets, spec_, shrink):
+        calls.append((sets.copy(), caps.copy(), got))
+        for i, band in bands(grid, sets, caps):
             got[i] = band.copy()
             yield i, band
 
@@ -252,16 +254,16 @@ def test_bands_match_the_per_level_tent_list(monkeypatch, make, nx, sup):
     assert atomic._level_sets(S, np.abs(f.values) if sup else S.values)[1].tobytes() \
         == O.tobytes()
     assert len(calls) == 1
-    sets, shrink, got = calls[0]
+    sets, caps, got = calls[0]
     if sup:
-        assert shrink == 1.0 and np.array_equal(sets, O)
-        tents = [tent_mask(RegionMask(g, Ok), spec.alpha, spec.beta) for Ok in sets.T]
+        assert caps.tobytes() == cone_caps(g, spec).tobytes()
+        assert np.array_equal(sets, O)
     else:
         lam = spec.beta * (1.0 + spec.beta)
         inflated = ~_density_columns(g, ~O, d.audit["etabar"], lam)
-        assert shrink == 0.5 and np.array_equal(sets, inflated)
-        tents = [tent_mask(RegionMask(g, Oke), spec.alpha, spec.beta, shrink)
-                 for Oke in sets.T]
+        assert caps.tobytes() == (0.5 * cone_caps(g, spec)).tobytes()
+        assert np.array_equal(sets, inflated)
+    tents = [tent_mask(RegionMask(g, Ok), caps) for Ok in sets.T]
     want = {i: tents[i] & ~tents[i + 1] for i in range(sets.shape[1] - 1)
             if sets[:, i].any()}
     assert len(want) > 5 and sorted(got) == sorted(want)
@@ -292,6 +294,101 @@ def test_decompose_mu_audit(grid_default):
     assert d.audit["mu_over_gamma_2qk_max"] < np.inf
     assert d.audit["doubling_constant"] > 1.0
     assert 0.0 < d.audit["etabar"] < 1.0
+
+
+def _per_cube_decompose(f, q, spec, eta=0.5):
+    """decompose as it ran before its loop read the cover's arrays: a
+    scalar radius, the center (lo + hi) / 2 and a Ball for every cube."""
+    g = f.grid
+    S = area_S(f, q, spec)
+    (kmin, kmax), O = atomic._level_sets(S, S.values)
+    lam = spec.beta * (1.0 + spec.beta)
+    C_doub = atomic.doubling_constant(lam, functionals.default_dictionary(g, lam))
+    etabar = atomic.etabar_from_doubling(C_doub)
+    C_inflate = 1.0 + 5.0 / (1.0 - eta)
+    inflated = ~_density_columns(g, ~O, etabar, lam)
+    shrink = 1.0 - eta
+    caps = cone_caps(g, spec)
+    weights = g.gamma_y[:, None] * g.wt[None, :]
+    corner = np.array([a for a, _ in g.spatial_box])
+    assigned = np.zeros((g.n_spatial, g.nt), dtype=bool)
+    terms, diagnostics, mu_bound_worst = [], [], 0.0
+    for i, band in atomic._bands(g, inflated, shrink * caps):
+        k = kmin + i
+        cover = atomic.whitney_cubes(RegionMask(g, inflated[:, i]))
+        diagnostics.append({
+            "k": k,
+            "level_set_gamma": float(g.gamma_y[O[:, i]].sum()),
+            "inflated_gamma": float(g.gamma_y[inflated[:, i]].sum()),
+            "n_cubes": len(cover.cubes),
+        })
+        for level, index, nodes, dist_q in zip(cover.levels.tolist(), cover.cubes.tolist(),
+                                               cover.cube_nodes, cover.cube_dist.tolist()):
+            side = 2.0 ** (-level)
+            d_j = side * np.sqrt(g.n)
+            lo = corner + side * np.asarray(index)
+            hi = lo + side
+            c_j = (lo + hi) / 2.0
+            r_j = max(C_inflate * d_j, d_j + (dist_q + d_j) / shrink) + g.cell * 1e-9
+            B_j = Ball(tuple(c_j), r_j)
+            piece = band[nodes] & atomic._ball_tent(g.points[nodes], c_j, r_j, caps[nodes])
+            vals = f.values[nodes] * piece
+            mu = float(np.sum(np.abs(vals) ** q * weights[nodes]))
+            assigned[nodes] |= piece
+            if mu == 0.0:
+                continue
+            gB = gamma_ball(B_j)
+            lam_jk = gB ** (1.0 - 1.0 / q) * mu ** (1.0 / q)
+            row0 = int(nodes[0])
+            block = np.zeros((int(nodes[-1]) + 1 - row0, g.nt))
+            block[nodes - row0] = vals / lam_jk
+            atom = atomic._atom_on_rows(g, row0, block, B_j, q, delta=r_j / cutoff_m(c_j))
+            terms.append((lam_jk, atom))
+            mu_bound_worst = max(mu_bound_worst, mu / (gB * 2.0 ** (q * k)))
+    residual, unassigned = atomic._left_out(f, assigned, np.abs(f.values) ** q)
+    return atomic.Decomposition(
+        terms, lp_gamma_norm(S, 1), q, spec, diagnostics, residual,
+        audit={"nesting_ok": not np.any(inflated[:, 1:] & ~inflated[:, :-1]),
+               "etabar": etabar, "doubling_constant": C_doub, "C_inflate": C_inflate,
+               "mu_over_gamma_2qk_max": mu_bound_worst, "k_range": (kmin, kmax)},
+        unassigned=unassigned)
+
+
+@pytest.mark.parametrize("make, nx", [(_bump_1d, 512), (_bump_1d, 1024),
+                                      (_bump_2d, 32), (_bump_2d, 48)],
+                         ids=["1d-512", "1d-1024", "2d-32", "2d-48"])
+def test_decompose_matches_the_per_cube_loop(make, nx):
+    # radii of a level at once, cubes with no band node skipped and a Ball
+    # only for a piece with mass: the same terms, to the bit
+    f = make(nx)
+    spec = ConeSpec(1.0, 1.0)
+    d, want = decompose(f, 2.0, spec), _per_cube_decompose(f, 2.0, spec)
+    assert len(d.terms) == len(want.terms) > 0
+    for (lam, a), (lam_w, a_w) in zip(d.terms, want.terms):
+        assert lam == lam_w
+        assert a.box == a_w.box and a.block.tobytes() == a_w.block.tobytes()
+        assert a.ball.center == a_w.ball.center and a.ball.radius == a_w.ball.radius
+        assert a.delta == a_w.delta and a.q == a_w.q
+    assert d.diagnostics == want.diagnostics
+    assert d.audit == want.audit
+    assert (d.source_norm, d.residual_mass, d.unassigned) \
+        == (want.source_norm, want.residual_mass, want.unassigned)
+
+
+@pytest.mark.parametrize("make, nx", [(_bump_1d, 512), (_bump_2d, 32)],
+                         ids=["1d-512", "2d-32"])
+def test_decompose_builds_a_ball_only_for_an_atom(monkeypatch, make, nx):
+    built = []
+
+    class Counting(Ball):
+        def __post_init__(self):
+            built.append(self.radius)
+            super().__post_init__()
+
+    monkeypatch.setattr(atomic, "Ball", Counting)
+    d = decompose(make(nx), 2.0, ConeSpec(1.0, 1.0))
+    assert sum(r["n_cubes"] for r in d.diagnostics) > 2 * len(d.terms)
+    assert len(built) == len(d.terms)
 
 
 # -- q = inf decomposition -------------------------------------------------

@@ -90,6 +90,27 @@ def test_config_value_of_wrong_type_is_a_parse_error(tmp_path, capsys, section,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text", [
+    b"[grid]\nnx = 64\n[grid]\nnt = 16\n",
+    b"[grid]\nnx = 64\nnx = 32\n",
+    b"nx = 64\n",
+    b"[grid]\n\n  stray\n",
+    b"[grid]\nnx = %(foo)s\n",
+    b"[grid]\nnx = 64\n  stray\n",
+    b"[grid]\nnx = \xff64\n",
+], ids=["repeated-section", "repeated-option", "no-section-header",
+        "stray-continuation", "interpolation", "continued-value", "not-utf8"])
+def test_malformed_config_file_is_a_one_line_parse_error(tmp_path, capsys, text):
+    ini = tmp_path / "c.ini"
+    ini.write_bytes(text)
+    rc = main(["--config", str(ini), "--out", str(tmp_path / "out"), "verify"])
+    assert rc == EXIT_PARSE
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert str(ini) in err or "[grid] nx" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key", ["stride", "levels"])
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_dictionary_sizes_below_one_are_a_parse_error(tmp_path, input_file, capsys,

@@ -71,7 +71,6 @@ def test_phi_shape():
     # sampled peak sits within one grid step of the true peak value 1
     assert np.max(np.abs(vals)) == pytest.approx(1.0, rel=1e-4)
     assert np.max(np.abs(vals)) <= 1.0 + 1e-12
-    assert phi.bound >= 1.0
 
 
 def test_pi_phi_zero(grid_small):

@@ -7,8 +7,8 @@ from gausstent.geometry import ConeSpec
 from gausstent.grid import GridFunction, HalfSpaceGrid, RegionMask
 from gausstent.functionals import cone_caps, default_dictionary
 from gausstent.whitney import (
-    DyadicCube, _audit_cubes, _box_base_level, _edt, complement_distance,
-    containing_density_points, cube_bounds, density_inequality_check,
+    _audit_cubes, _box_base_level, _edt, complement_distance,
+    containing_density_points, density_inequality_check,
     density_points, doubling_constant, etabar_from_doubling, reverse_fubini_check,
     tent_mask, whitney_balls, whitney_cubes,
 )
@@ -109,7 +109,8 @@ def test_distances_match_scipy_2d():
 def test_tent_mask_interval(grid_small):
     g = grid_small
     O = _interval_mask(g, -1.0, 1.0)
-    T = tent_mask(O, 1.0, 1.0)
+    caps = cone_caps(g, ConeSpec(1.0, 1.0))
+    T = tent_mask(O, caps)
     # center of the interval: included up to depth/alpha heights
     i = g.nearest_spatial_index(0.0)
     assert T[i, g.nearest_t_index(0.5)]
@@ -117,14 +118,14 @@ def test_tent_mask_interval(grid_small):
     j = g.nearest_spatial_index(3.0)
     assert not T[j].any()
     # shrinking the aperture weakens the depth requirement: larger tent
-    T2 = tent_mask(O, 1.0, 1.0, shrink=0.5)
+    T2 = tent_mask(O, 0.5 * caps)
     assert np.all(T <= T2)
 
 
 def test_region_R_contains_tent_of_complement_vertices(grid_small):
     g = grid_small
     F = _interval_mask(g, -1.0, 1.0)
-    R = ~tent_mask(RegionMask(g, ~F.mask), 1.0, 1.0)
+    R = ~tent_mask(RegionMask(g, ~F.mask), cone_caps(g, ConeSpec(1.0, 1.0)))
     # R is the cone-union over F: near a vertex of F, small t nodes included
     i = g.nearest_spatial_index(0.0)
     assert R[i, 0]
@@ -139,8 +140,9 @@ def test_tents_of_the_empty_set_are_empty(n):
     g = HalfSpaceGrid(((-8.0, 8.0),) * n, (64,) * n, 1e-3, 8.0, 16)
     empty = RegionMask(g, np.zeros(g.n_spatial, bool))
     for shrink in (1.0, 0.5):
-        T = tent_mask(empty, 1.0, 1.0, shrink)
-        R = ~tent_mask(RegionMask(g, ~empty.mask), 1.0, 1.0, shrink)
+        caps = shrink * cone_caps(g, ConeSpec(1.0, 1.0))
+        T = tent_mask(empty, caps)
+        R = ~tent_mask(RegionMask(g, ~empty.mask), caps)
         assert T.shape == R.shape == (g.n_spatial, g.nt)
         assert not T.any() and not R.any()
 
@@ -172,7 +174,8 @@ def test_region_R_is_the_complement_of_the_tent_over_F_complement(n):
         F = RegionMask(g, mask)
         alpha, beta = rng.choice([0.5, 1.0, 2.0], 2)
         for shrink in (1.0, 0.5):
-            R = ~tent_mask(RegionMask(g, ~F.mask), alpha, beta, shrink)
+            caps = shrink * cone_caps(g, ConeSpec(alpha, beta))
+            R = ~tent_mask(RegionMask(g, ~F.mask), caps)
             assert np.array_equal(R, _region_R_by_set_distance(F, alpha, beta, shrink))
 
 
@@ -227,14 +230,16 @@ def _random_open(grid, rng):
 
 
 def _recursive_cubes(O):
-    """Reference cover: the depth-first recursion over dyadic cubes."""
+    """Reference cover: the depth-first recursion over dyadic cubes, with
+    each cube's level, index tuple, center (lo + hi) / 2, nodes and
+    distance to the complement."""
     g = O.grid
     base_level = _box_base_level(g)
     edt = complement_distance(O)
     sqrt_n = np.sqrt(g.n)
     cell = min(g.spacing)
     corner = np.array([a for a, _ in g.spatial_box])
-    cubes, nodes_per, dist_per = [], [], []
+    levels, cubes, centers, nodes_per, dist_per = [], [], [], [], []
 
     def recurse(level, index, node_idx):
         if node_idx.size == 0:
@@ -244,7 +249,11 @@ def _recursive_cubes(O):
         dist_q = float(edt[node_idx].min()) if inside else 0.0
         diam = side * sqrt_n
         if inside and (diam <= dist_q or side <= cell):
-            cubes.append(DyadicCube(level, index))
+            lo = corner + side * np.asarray(index)
+            hi = lo + side
+            levels.append(level)
+            cubes.append(index)
+            centers.append((lo + hi) / 2.0)
             nodes_per.append(node_idx)
             dist_per.append(dist_q)
             return
@@ -259,20 +268,30 @@ def _recursive_cubes(O):
             recurse(level + 1, child_index, node_idx[sel])
 
     recurse(base_level, (0,) * g.n, np.arange(g.n_spatial))
-    audit = _audit_cubes(O, cubes, nodes_per, dist_per, edt)
-    return cubes, nodes_per, dist_per, audit
+    audit = _audit_cubes(O, np.array(levels, dtype=np.int64), nodes_per,
+                         np.array(dist_per), edt)
+    # the Whitney bracket diam <= dist <= 4 diam, one cube at a time
+    diams = [2.0 ** (-level) * sqrt_n for level in levels]
+    audit["bracket_lower_ok"] = all(dm <= d + g.cell for dm, d in zip(diams, dist_per))
+    audit["bracket_upper_ok"] = all(d <= 4.0 * dm + g.cell for dm, d in zip(diams, dist_per))
+    return levels, cubes, centers, nodes_per, dist_per, audit
 
 
 def _assert_cover_matches_recursion(O):
-    cubes, nodes_per, dist_per, audit = _recursive_cubes(O)
+    levels, cubes, centers, nodes_per, dist_per, audit = _recursive_cubes(O)
     cover = whitney_cubes(O)
-    assert list(cover.cubes) == cubes
-    assert all(type(i) is int for c in cover.cubes for i in c.index)
+    n_cubes = len(levels)
+    assert cover.cubes.shape == cover.centers.shape == (n_cubes, O.grid.n)
+    assert cover.cubes.dtype == cover.levels.dtype == np.int64
+    assert cover.levels.tolist() == levels
+    assert list(map(tuple, cover.cubes.tolist())) == cubes
+    assert cover.centers.tobytes() == np.array(centers).reshape(n_cubes, -1).tobytes()
     assert len(cover.cube_nodes) == len(nodes_per)
     for got, want in zip(cover.cube_nodes, nodes_per):
         assert np.array_equal(got, want)
-    assert list(cover.cube_dist) == dist_per
+    assert cover.cube_dist.tolist() == dist_per
     assert cover.audit == audit
+    assert type(cover.audit["bracket_lower_ok"]) is type(cover.audit["bracket_upper_ok"]) is bool
 
 
 def _edge_and_singleton_mask(rng, size):
@@ -371,9 +390,11 @@ def test_whitney_cubes_bounds_nested(grid_small):
     O = _interval_mask(grid_small, -1.0, 1.0)
     cover = whitney_cubes(O)
     lo_box = grid_small.spatial_box[0]
-    for c in cover.cubes:
-        lo, hi = cube_bounds(c, grid_small)
-        assert lo_box[0] - 1e-9 <= lo[0] < hi[0] <= lo_box[1] + 1e-9
+    side = 2.0 ** -cover.levels[:, None]
+    lo = lo_box[0] + side * cover.cubes
+    hi = lo + side
+    assert np.all((lo_box[0] - 1e-9 <= lo) & (lo < cover.centers) & (cover.centers < hi)
+                  & (hi <= lo_box[1] + 1e-9))
 
 
 def test_whitney_cubes_rejects_full_box(grid_small):
