@@ -20,12 +20,13 @@ residual.  The radii of a level come from the cover's arrays at once; a cube
 whose nodes meet no band cell is skipped, and a Ball and its gamma(B) are
 built only for a piece with mass, the few cubes that make an atom.  The
 q = inf path uses Vitali-type ball covers of the level sets and a
-piecewise-linear partition of unity instead.
+piecewise-linear partition of unity instead: each ball's hat lives on the
+ball's own nodes, and a Ball is built only for a piece that makes an atom.
 
 An atom is stored on its support box, a range of flat spatial indices times
 a range of t indices, as the block of values inside it.  Both decompositions
-build the blocks on the rows of their cube or ball, and an atom is expanded
-to the whole grid only one at a time, to be checked or written.
+give an atom its values on the nodes of its cube or ball, and an atom is
+expanded to the whole grid only one at a time, to be checked or written.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .whitney import (
     _density_columns,
     doubling_constant,
     etabar_from_doubling,
-    tent_mask,
     whitney_balls,
     whitney_cubes,
 )
@@ -83,7 +83,7 @@ class Atom:
         """The atom with values f, kept on the bounding box of the values
         that are not +0.0.  A -0.0 counts, so expand() gives f back to the
         byte."""
-        return _atom_on_rows(f.grid, 0, f.values, ball, q, delta)
+        return _atom_on_nodes(f.grid, np.arange(f.grid.n_spatial), f.values, ball, q, delta)
 
     def expand(self) -> GridFunction:
         """The atom on the whole grid."""
@@ -92,19 +92,20 @@ class Atom:
         return GridFunction(self.grid, values)
 
 
-def _atom_on_rows(grid: HalfSpaceGrid, row0: int, values: np.ndarray,
-                  ball: Ball, q: float, delta: float) -> Atom:
-    """The atom whose values are `values` on the rows row0, row0 + 1, ...
-    (every t column), cropped as in Atom.crop."""
+def _atom_on_nodes(grid: HalfSpaceGrid, nodes: np.ndarray, values: np.ndarray,
+                   ball: Ball, q: float, delta: float) -> Atom:
+    """The atom whose values are `values` on the ascending spatial nodes
+    `nodes` (every t column) and +0.0 elsewhere, cropped as in Atom.crop."""
     kept = np.signbit(values) | (values != 0.0)
     r = np.flatnonzero(kept.any(axis=1))
     c = np.flatnonzero(kept.any(axis=0))
-    r0, r1 = (int(r[0]), int(r[-1]) + 1) if r.size else (0, 0)
+    i0, i1 = (int(r[0]), int(r[-1]) + 1) if r.size else (0, 0)
     c0, c1 = (int(c[0]), int(c[-1]) + 1) if c.size else (0, 0)
-    block = values[r0:r1, c0:c1].copy()
+    r0, r1 = (int(nodes[i0]), int(nodes[i1 - 1]) + 1) if r.size else (0, 0)
+    block = np.zeros((r1 - r0, c1 - c0))
+    block[nodes[i0:i1] - r0] = values[i0:i1, c0:c1]
     block.setflags(write=False)
-    return Atom(grid, (slice(row0 + r0, row0 + r1), slice(c0, c1)), block,
-                ball, q, delta)
+    return Atom(grid, (slice(r0, r1), slice(c0, c1)), block, ball, q, delta)
 
 
 @dataclass
@@ -172,17 +173,22 @@ def _level_sets(S, scale: np.ndarray):
     return (kmin, kmax), S.values[:, None] > np.ldexp(1.0, range(kmin, kmax + 2))
 
 
-def _bands(g: HalfSpaceGrid, sets: np.ndarray, caps: np.ndarray):
-    """(i, T(O_i) & ~T(O_{i+1})) for each nonempty column O_i of `sets` but
-    the last, T the tent under the (N, nt) cone caps `caps`.  One tent per
-    column, and no more than two alive at a time."""
-    upper = tent_mask(RegionMask(g, sets[:, 0]), caps)
+def _bands(g: HalfSpaceGrid, sets: np.ndarray, caps: np.ndarray, cover):
+    """(i, T(O_i) & ~T(O_{i+1}), cover(O_i)) for each nonempty column O_i of
+    `sets` but the last, T the tent under the (N, nt) cone caps `caps` and
+    cover whitney_cubes or whitney_balls.  One tent per column, and no more
+    than two alive at a time, taken from the complement distance its cover
+    measured; an empty O has dist(y, O^c) = 0 and no cover."""
+    def tent(O):
+        c = cover(RegionMask(g, O)) if O.any() else None
+        return c, (0.0 if c is None else c.node_dist[:, None]) >= caps
+
+    upper = tent(sets[:, 0])
     for i in range(sets.shape[1] - 1):
-        band = upper
-        upper = tent_mask(RegionMask(g, sets[:, i + 1]), caps)
-        if sets[:, i].any():
-            band &= ~upper
-            yield i, band
+        (c, band), upper = upper, tent(sets[:, i + 1])
+        if c is not None:
+            band &= ~upper[1]
+            yield i, band, c
 
 
 def _left_out(f: GridFunction, assigned: np.ndarray, power: np.ndarray):
@@ -191,8 +197,8 @@ def _left_out(f: GridFunction, assigned: np.ndarray, power: np.ndarray):
     g = f.grid
     left = (f.values != 0.0) & ~assigned
     weights = g.gamma_y[:, None] * g.wt[None, :]
-    total = float(np.sum(power * weights))
     resid = float(np.sum(power[left] * weights[left]))
+    total = float(np.sum(np.multiply(power, weights, out=weights)))
     return resid / total if total > 0 else 0.0, int(np.count_nonzero(left))
 
 
@@ -237,9 +243,8 @@ def decompose(f: GridFunction, q: float, spec: ConeSpec,
     diagnostics = []
     mu_bound_worst = 0.0
 
-    for i, band in _bands(g, inflated, shrink * caps):
+    for i, band, cover in _bands(g, inflated, shrink * caps, whitney_cubes):
         k = kmin + i
-        cover = whitney_cubes(RegionMask(g, inflated[:, i]))
         diagnostics.append({
             "k": k,
             "level_set_gamma": float(g.gamma_y[O[:, i]].sum()),
@@ -250,7 +255,7 @@ def decompose(f: GridFunction, q: float, spec: ConeSpec,
         # measured column distances fit inside the ball tent node-exactly
         d = 2.0 ** -cover.levels * np.sqrt(g.n)
         radii = np.maximum(C_inflate * d, d + (cover.cube_dist + d) / shrink) + cell * 1e-9
-        for nodes, c_j, r_j in zip(cover.cube_nodes, cover.centers, radii):
+        for nodes, c_j, r_j in zip(cover.nodes, cover.centers, radii):
             in_band = band[nodes]
             if not in_band.any():
                 continue
@@ -263,12 +268,8 @@ def decompose(f: GridFunction, q: float, spec: ConeSpec,
             B_j = Ball(tuple(c_j), r_j)
             gB = gamma_ball(B_j)
             lam_jk = gB ** qprime_exp * mu ** (1.0 / q)
-            # the cube's nodes ascend; in 2-D they leave gaps between rows
-            row0 = int(nodes[0])
-            block = np.zeros((int(nodes[-1]) + 1 - row0, g.nt))
-            block[nodes - row0] = vals / lam_jk
-            atom = _atom_on_rows(g, row0, block, B_j, q, delta=r_j / cutoff_m(c_j))
-            terms.append((lam_jk, atom))
+            terms.append((lam_jk, _atom_on_nodes(g, nodes, vals / lam_jk, B_j, q,
+                                                 delta=r_j / cutoff_m(c_j))))
             mu_bound_worst = max(mu_bound_worst, mu / (gB * 2.0 ** (q * k)))
 
     residual, unassigned = _left_out(f, assigned, np.abs(f.values) ** q)
@@ -306,36 +307,32 @@ def decompose_sup(f: GridFunction, spec: ConeSpec) -> Decomposition:
     partition_defect = 0.0
     assigned = np.zeros((g.n_spatial, g.nt), dtype=bool)
 
-    for i, band in _bands(g, O, cone_caps(g, spec)):
+    for i, band, cover in _bands(g, O, cone_caps(g, spec), whitney_balls):
         k = kmin + i
-        cover = whitney_balls(RegionMask(g, O[:, i]))
         diagnostics.append({
             "k": k,
             "level_set_gamma": float(g.gamma_y[O[:, i]].sum()),
             "n_balls": len(cover.balls),
         })
-        hats = [np.maximum(B_j.radius - _distance_rows(g.points, B_j.center_array), 0.0)
-                for B_j in cover.balls]
-        hat_total = np.sum(hats, axis=0)
+        # each ball's hat on its nodes; bincount adds in ball order per node
+        hats = [r_j - _distance_rows(g.points[nodes], c_j)
+                for nodes, c_j, r_j in zip(cover.nodes, cover.centers, cover.radii)]
+        hat_total = np.bincount(np.concatenate(cover.nodes), np.concatenate(hats),
+                                g.n_spatial)
         relevant = band & (absf > 0)
         phi_sum = np.zeros(g.n_spatial)
-        for B_j, w in zip(cover.balls, hats):
-            # phi vanishes off the rows under the hat, which hold the center
-            on = np.flatnonzero(w > 0.0)
-            rows = slice(int(on[0]), int(on[-1]) + 1)
-            under = hat_total[rows]
-            phi = w[rows] / np.where(under > 0, under, 1.0)
-            phi_sum[rows] += phi
-            piece = relevant[rows] & (phi[:, None] > 0)
+        for nodes, c_j, r_j, w in zip(cover.nodes, cover.centers, cover.radii, hats):
+            phi = w / hat_total[nodes]
+            phi_sum[nodes] += phi
+            piece = relevant[nodes] & (phi[:, None] > 0)
             if not piece.any():
                 continue
-            B_star = B_j.scaled(star)
+            B_star = Ball(c_j, star * r_j)
             mu = 2.0 ** (k + 1) * gamma_ball(B_star)
-            block = np.where(piece, f.values[rows] * phi[:, None] / mu, 0.0)
-            assigned[rows] |= piece
-            atom = _atom_on_rows(g, rows.start, block, B_star, np.inf,
-                                 delta=B_star.radius / cutoff_m(B_star.center_array))
-            terms.append((mu, atom))
+            block = np.where(piece, f.values[nodes] * phi[:, None] / mu, 0.0)
+            assigned[nodes] |= piece
+            terms.append((mu, _atom_on_nodes(g, nodes, block, B_star, np.inf,
+                                             delta=B_star.radius / cutoff_m(c_j))))
         active = relevant.any(axis=1) & (hat_total > 0)
         if active.any():
             partition_defect = max(partition_defect,

@@ -21,13 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    Ball, ConeSpec, _ball_tent, _distance_rows, _gamma_balls, _gamma_ratio_sup,
-    _pencil_caps,
+    Ball, ConeSpec, _ball_tent, _gamma_balls, _gamma_ratio_sup, _pencil_caps,
 )
 from .grid import GridFunction, SpatialFunction, _csv_rows, halfspace_integral, lp_gamma_norm
 from .functionals import (
     BallDictionary,
     ExponentPair,
+    _Windows,
     area_S,
     carleson_C,
     stopping_time,
@@ -162,14 +162,14 @@ def stopping_density(h: SpatialFunction, alpha: float, beta: float,
     stopping time reaches r_B (NaN where that ball holds no node).
     Grid-sum gammas keep the ratio exact."""
     g = h.grid
-    gw = g.gamma_y
-    r_adm = _pencil_caps(alpha, beta, dict_.centers, dict_.radii)
-    lam = np.full(len(r_adm), np.nan)
-    for k, (c, r, ra) in enumerate(zip(dict_.centers, dict_.radii, r_adm)):
-        inside = _distance_rows(g.points, c) < ra
-        den = gw[inside].sum()
+    win = _Windows(g, dict_.centers, _pencil_caps(alpha, beta, dict_.centers, dict_.radii))
+    lam = np.full(len(dict_.radii), np.nan)
+    for k, r in enumerate(dict_.radii):
+        nodes = win.nodes(k)
+        gw = g.gamma_y[nodes]
+        den = gw.sum()
         if den > 0.0:
-            lam[k] = gw[inside & (h.values >= r)].sum() / den
+            lam[k] = gw[h.values[nodes] >= r].sum() / den
     seen = lam[~np.isnan(lam)]
     return {"lambda_M": lam,
             "lambda_M_min": min(1.0, float(seen.min())) if seen.size else np.nan}

@@ -19,12 +19,13 @@ under which the identity can hold at all.
 
 Every ball on the grid is a window {k : |x_k - c| < r} around a center
 coordinate c, node or not: cone sections, influence balls, the centered
-ladders and the dictionary balls of C_q, the non-centered maximal function
-and the containing-ball density points.  One private layer (_Windows)
-evaluates them all: gather sums node values over each window, scatter gives
-each node the sum or max of the weights of the windows that hold it, and
-tent_sums sums over the tent T(B) of each window's ball.  In 1-D a window
-is the index range [lo, hi), found with the same float predicate as a dense
+ladders and the dictionary balls of C_q, the non-centered maximal function,
+the containing-ball density points, the Whitney balls and the stopping
+densities.  One private layer (_Windows) evaluates them all: gather sums
+node values over each window, scatter gives each node the sum or max of the
+weights of the windows that hold it, tent_sums sums over the tent T(B) of
+each window's ball, and nodes lists one window's nodes.  In 1-D a window is
+the index range [lo, hi), found with the same float predicate as a dense
 distance mask so the node sets are identical, and its sums run over the
 O(log N) canonical nodes of a segment tree.  On a 2-D grid a window is
 one such range per grid row its disk meets, over the same tree.  A call
@@ -258,6 +259,12 @@ class _Windows:
         self.run_starts = np.flatnonzero(first)
         self.run_of = np.cumsum(first) - 1
         self.lo, self.hi = lo[first], hi[first]
+
+    def nodes(self, w: int) -> np.ndarray:
+        """The ascending node indices of window w: the nodes of the dense
+        mask _distance_rows(points, c) < r."""
+        runs = self.run_of[slice(*np.searchsorted(self.owner, (w, w + 1)))]
+        return _expand(self.lo[runs], self.hi[runs])[0]
 
     def gather(self, values: np.ndarray) -> np.ndarray:
         """Sum of values[k] (shape (N,) or (N, m)) over each window."""

@@ -86,9 +86,6 @@ class Ball:
     def center_array(self) -> np.ndarray:
         return np.asarray(self.center, dtype=float)
 
-    def scaled(self, factor: float) -> "Ball":
-        return Ball(self.center, factor * self.radius)
-
 
 @dataclass(frozen=True)
 class UpperPoint:

@@ -9,8 +9,11 @@ tent_mask, which takes the cone caps its caller built once.  Density points
 of any number of node sets share one centered ladder.  Whitney cubes are
 found one dyadic level at a time, and a cover holds them as arrays with one
 row per cube: dyadic indices, levels, centers and distances to the
-complement.  All set operations are resolution-limited; audits allow a
-one-grid-cell tolerance and say so in their reports.
+complement; a ball cover as center nodes, centers and radii, each ball's
+nodes taken from the window layer.  A cover keeps its node sets and the
+complement distance it measured, from which a caller takes the set's tent.
+All set operations are resolution-limited; audits allow a one-grid-cell
+tolerance and say so in their reports.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Ball, ConeSpec, _distance_rows, _gamma_ratio_sup
+from .geometry import ConeSpec, _distance_rows, _gamma_ratio_sup
 from .grid import GridFunction, HalfSpaceGrid, RegionMask
 from .functionals import BallDictionary, _centered_ladder, _cone_windows, _Windows, cone_caps
 
@@ -131,15 +134,19 @@ class WhitneyCover:
     """Disjoint dyadic cubes (or bounded-overlap balls) filling a set.
 
     Cube C_j has side 2^-levels[j] and corner box_lo + side * cubes[j], the
-    per-axis dyadic indices; its fields are arrays with one row per cube.
+    per-axis dyadic indices; ball B_j is B(centers[j], radii[j]) about the
+    node balls[j].  The fields are arrays with one row per cube or ball, and
+    nodes[j] lists the nodes of C_j or B_j in ascending order.
     """
 
     cubes: np.ndarray = ()      # (C, n) per-axis dyadic indices
     levels: np.ndarray = ()     # (C,) dyadic levels
-    centers: np.ndarray = ()    # (C, n) cube centers
+    centers: np.ndarray = ()    # (C, n) cube or (B, n) ball centers
     cube_dist: np.ndarray = ()  # (C,) min node distance to target complement
-    cube_nodes: tuple = ()      # node indices per cube
-    balls: tuple = ()
+    balls: np.ndarray = ()      # (B,) center node indices
+    radii: np.ndarray = ()      # (B,) ball radii
+    nodes: tuple = ()           # node indices per cube or ball
+    node_dist: np.ndarray = ()  # (N,) dist(x, O^c) at every node
     audit: dict = field(default_factory=dict)
 
 
@@ -219,7 +226,13 @@ def whitney_cubes(O: RegionMask) -> WhitneyCover:
     audit = _audit_cubes(O, levels, nodes_per, dist_per, edt)
     return WhitneyCover(cubes=np.concatenate(cubes)[rank], levels=levels,
                         centers=np.concatenate(centers)[rank], cube_dist=dist_per,
-                        cube_nodes=nodes_per, audit=audit)
+                        nodes=nodes_per, node_dist=edt, audit=audit)
+
+
+def _node_count(grid: HalfSpaceGrid, nodes_per) -> np.ndarray:
+    """How many of the node index arrays nodes_per hold each node."""
+    return np.bincount(np.concatenate([np.empty(0, np.intp), *nodes_per]),
+                       minlength=grid.n_spatial)
 
 
 def _audit_cubes(O, levels, nodes_per, dist, edt) -> dict:
@@ -227,12 +240,8 @@ def _audit_cubes(O, levels, nodes_per, dist, edt) -> dict:
     cell = g.cell
     sqrt_n = np.sqrt(g.n)
     diam = 2.0 ** -levels * sqrt_n
-    covered = np.zeros(g.n_spatial, dtype=bool)
-    count = np.zeros(g.n_spatial, dtype=int)
-    for idx in nodes_per:
-        covered[idx] = True
-        count[idx] += 1
-    uncovered = O.mask & ~covered
+    count = _node_count(g, nodes_per)
+    uncovered = O.mask & (count == 0)
     # every uncovered O node must sit in the one-cell boundary layer
     boundary_ok = bool(np.all(edt[uncovered] <= cell * sqrt_n + 1e-12)) \
         if uncovered.any() else True
@@ -241,7 +250,7 @@ def _audit_cubes(O, levels, nodes_per, dist, edt) -> dict:
         "bracket_lower_ok": bool(np.all(diam <= dist + cell)),
         "bracket_upper_ok": bool(np.all(dist <= 4.0 * diam + cell)),
         "disjoint": bool(np.all(count <= 1)),
-        "covered_fraction": float(covered[O.mask].mean()) if O.mask.any() else 1.0,
+        "covered_fraction": float((count[O.mask] > 0).mean()) if O.mask.any() else 1.0,
         "uncovered_within_boundary_layer": boundary_ok,
         "tolerance_cells": 1,
     }
@@ -259,53 +268,43 @@ def whitney_balls(O: RegionMask) -> WhitneyCover:
     B(x, d(x)/C), and repeats.  With C >= 2 this yields: O = union of the
     balls (exact on nodes), C*B_j touches O^c (radius d(x) exactly reaches
     the nearest complement node), and the shrunken family {C^-1 B_j} is
-    pairwise disjoint.  Bounded overlap is measured and reported.
+    pairwise disjoint.  Bounded overlap is measured and reported.  The ball
+    of every node of O is one window of the window layer, in greedy order.
     """
     g = O.grid
     if O.mask.all():
         raise ValueError("O equals the whole box")
-    C = _C_OVERLAP
     edt = complement_distance(O)
-    order = np.argsort(-edt, kind="stable")  # stable: lexicographic ties
+    order = np.flatnonzero(O.mask)[np.argsort(-edt[O.mask], kind="stable")]
+    win = _Windows(g, g.points[order], edt[order] / _C_OVERLAP)
     covered = np.zeros(g.n_spatial, dtype=bool)
-    balls, centers_idx = [], []
-    for i in order:
-        if covered[i] or not O.mask[i]:
-            continue
-        r = edt[i] / C
-        balls.append(Ball(tuple(g.points[i]), r))
-        centers_idx.append(i)
-        covered |= _distance_rows(g.points, g.points[i]) < r
+    picked, nodes = [], []
+    for w, i in enumerate(order):
+        if not covered[i]:
+            picked.append(w)
+            nodes.append(win.nodes(w))
+            covered[nodes[-1]] = True
+    balls, radii = order[picked], win.radii[picked]
+    audit = _audit_balls(O, balls, radii, nodes, edt)
+    return WhitneyCover(centers=g.points[balls], balls=balls, radii=radii,
+                        nodes=tuple(nodes), node_dist=edt, audit=audit)
 
-    audit = _audit_balls(O, balls, centers_idx, edt)
-    return WhitneyCover(balls=tuple(balls), audit=audit)
 
-
-def _audit_balls(O, balls, centers_idx, edt) -> dict:
+def _audit_balls(O, balls, radii, nodes_per, edt) -> dict:
     g = O.grid
     C = _C_OVERLAP
-    cell = g.cell
-    n_balls = len(balls)
-    covered = np.zeros(g.n_spatial, dtype=bool)
-    overlap = np.zeros(g.n_spatial, dtype=int)
-    meets = True
-    for b, i in zip(balls, centers_idx):
-        inside = _distance_rows(g.points, g.points[i]) <= b.radius
-        covered |= inside
-        overlap += inside
-        # C*B must reach the complement: nearest complement node at edt[i]
-        if edt[i] > C * b.radius + cell:
-            meets = False
-    radii = np.array([b.radius for b in balls])
-    gap = _distance_rows(g.points[centers_idx], g.points[centers_idx])
+    count = _node_count(g, nodes_per)
+    # C*B must reach the complement: nearest complement node at edt[center]
+    meets = not np.any(edt[balls] > C * radii + g.cell)
+    gap = _distance_rows(g.points[balls], g.points[balls])
     too_close = gap < (radii[:, None] + radii[None, :]) / C - 1e-12
     disjoint = not np.triu(too_close, 1).any()
     return {
-        "n_balls": n_balls,
-        "covers_target": bool(covered[O.mask].all()),
+        "n_balls": len(balls),
+        "covers_target": bool(np.all(count[O.mask] > 0)),
         "inflated_meet_complement": meets,
         "shrunken_disjoint": disjoint,
-        "max_overlap": int(overlap.max()) if n_balls else 0,
+        "max_overlap": int(count.max()),
         "tolerance_cells": 1,
     }
 

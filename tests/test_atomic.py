@@ -5,16 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gausstent import atomic, functionals
+from gausstent import atomic, functionals, whitney
 from gausstent.families import random_bump
-from gausstent.geometry import Ball, ConeSpec, cutoff_m, gamma_ball
+from gausstent.geometry import Ball, ConeSpec, _distance_rows, cutoff_m, gamma_ball
 from gausstent.grid import (
     GridFunction, HalfSpaceGrid, RegionMask, lp_gamma_norm, read_grid_function,
 )
 from gausstent.functionals import (
     _centered_ladder, _Windows, area_S, area_S_sup, cone_caps,
 )
-from gausstent.whitney import _density_columns, tent_mask
+from gausstent.whitney import _density_columns, complement_distance, tent_mask
 from gausstent.atomic import (
     Atom, coefficient_report, decompose, decompose_sup, export_decomposition,
     import_decomposition, reconstruct, validate_atom,
@@ -227,23 +227,35 @@ def _per_level_sets(S, scale):
                                   axis=1)
 
 
+def _tent_list_bands(g, sets, caps):
+    """(i, band) for the nonempty columns but the last, from the list of
+    every column's tent_mask."""
+    tents = [tent_mask(RegionMask(g, Ok), caps) for Ok in sets.T]
+    for i in range(sets.shape[1] - 1):
+        if sets[:, i].any():
+            yield i, tents[i] & ~tents[i + 1]
+
+
 @pytest.mark.parametrize("sup", [False, True], ids=["q2", "sup"])
 @pytest.mark.parametrize("make, nx", [(_bump_1d, 512), (_bump_2d, 32)],
                          ids=["1d-512", "2d-32"])
 def test_bands_match_the_per_level_tent_list(monkeypatch, make, nx, sup):
     # the level sets, and each band against the list of all L tents that
-    # the decompositions kept before _bands, to the byte
+    # the decompositions kept before _bands, to the byte; each band comes
+    # with the cover of its own column
     f = make(nx)
     g, spec = f.grid, ConeSpec(1.0, 1.0)
     calls = []
     bands = atomic._bands
 
-    def recording(grid, sets, caps):
+    def recording(grid, sets, caps, cover):
         got = {}
         calls.append((sets.copy(), caps.copy(), got))
-        for i, band in bands(grid, sets, caps):
+        for i, band, c in bands(grid, sets, caps, cover):
+            assert c.node_dist.tobytes() \
+                == complement_distance(RegionMask(grid, sets[:, i])).tobytes()
             got[i] = band.copy()
-            yield i, band
+            yield i, band, c
 
     monkeypatch.setattr(atomic, "_bands", recording)
     d = decompose_sup(f, spec) if sup else decompose(f, 2.0, spec)
@@ -263,9 +275,7 @@ def test_bands_match_the_per_level_tent_list(monkeypatch, make, nx, sup):
         inflated = ~_density_columns(g, ~O, d.audit["etabar"], lam)
         assert caps.tobytes() == (0.5 * cone_caps(g, spec)).tobytes()
         assert np.array_equal(sets, inflated)
-    tents = [tent_mask(RegionMask(g, Ok), caps) for Ok in sets.T]
-    want = {i: tents[i] & ~tents[i + 1] for i in range(sets.shape[1] - 1)
-            if sets[:, i].any()}
+    want = dict(_tent_list_bands(g, sets, caps))
     assert len(want) > 5 and sorted(got) == sorted(want)
     for i in want:
         assert got[i].tobytes() == want[i].tobytes()
@@ -296,6 +306,18 @@ def test_decompose_mu_audit(grid_default):
     assert 0.0 < d.audit["etabar"] < 1.0
 
 
+def _atom_on_rows(grid, row0, values, ball, q, delta):
+    """The atom whose values are `values` on the rows row0, row0 + 1, ...,
+    cropped to the bounding box of the values that are not +0.0."""
+    kept = np.signbit(values) | (values != 0.0)
+    r = np.flatnonzero(kept.any(axis=1))
+    c = np.flatnonzero(kept.any(axis=0))
+    r0, r1 = (int(r[0]), int(r[-1]) + 1) if r.size else (0, 0)
+    c0, c1 = (int(c[0]), int(c[-1]) + 1) if c.size else (0, 0)
+    return Atom(grid, (slice(row0 + r0, row0 + r1), slice(c0, c1)),
+                values[r0:r1, c0:c1].copy(), ball, q, delta)
+
+
 def _per_cube_decompose(f, q, spec, eta=0.5):
     """decompose as it ran before its loop read the cover's arrays: a
     scalar radius, the center (lo + hi) / 2 and a Ball for every cube."""
@@ -313,7 +335,7 @@ def _per_cube_decompose(f, q, spec, eta=0.5):
     corner = np.array([a for a, _ in g.spatial_box])
     assigned = np.zeros((g.n_spatial, g.nt), dtype=bool)
     terms, diagnostics, mu_bound_worst = [], [], 0.0
-    for i, band in atomic._bands(g, inflated, shrink * caps):
+    for i, band in _tent_list_bands(g, inflated, shrink * caps):
         k = kmin + i
         cover = atomic.whitney_cubes(RegionMask(g, inflated[:, i]))
         diagnostics.append({
@@ -323,7 +345,7 @@ def _per_cube_decompose(f, q, spec, eta=0.5):
             "n_cubes": len(cover.cubes),
         })
         for level, index, nodes, dist_q in zip(cover.levels.tolist(), cover.cubes.tolist(),
-                                               cover.cube_nodes, cover.cube_dist.tolist()):
+                                               cover.nodes, cover.cube_dist.tolist()):
             side = 2.0 ** (-level)
             d_j = side * np.sqrt(g.n)
             lo = corner + side * np.asarray(index)
@@ -342,7 +364,7 @@ def _per_cube_decompose(f, q, spec, eta=0.5):
             row0 = int(nodes[0])
             block = np.zeros((int(nodes[-1]) + 1 - row0, g.nt))
             block[nodes - row0] = vals / lam_jk
-            atom = atomic._atom_on_rows(g, row0, block, B_j, q, delta=r_j / cutoff_m(c_j))
+            atom = _atom_on_rows(g, row0, block, B_j, q, delta=r_j / cutoff_m(c_j))
             terms.append((lam_jk, atom))
             mu_bound_worst = max(mu_bound_worst, mu / (gB * 2.0 ** (q * k)))
     residual, unassigned = atomic._left_out(f, assigned, np.abs(f.values) ** q)
@@ -391,6 +413,27 @@ def test_decompose_builds_a_ball_only_for_an_atom(monkeypatch, make, nx):
     assert len(built) == len(d.terms)
 
 
+@pytest.mark.parametrize("sup", [False, True], ids=["q2", "sup"])
+@pytest.mark.parametrize("make, nx", [(_bump_1d, 512), (_bump_2d, 32)],
+                         ids=["1d-512", "2d-32"])
+def test_one_distance_transform_per_level_set(monkeypatch, make, nx, sup):
+    # the covers measure dist(x, O^c) and the bands take their tents from it
+    calls = []
+    edt = whitney._edt
+
+    def counting(feature, spacing):
+        calls.append(feature.shape)
+        return edt(feature, spacing)
+
+    monkeypatch.setattr(whitney, "_edt", counting)
+    f, spec = make(nx), ConeSpec(1.0, 1.0)
+    d = decompose_sup(f, spec) if sup else decompose(f, 2.0, spec)
+    monkeypatch.undo()
+    kmin, kmax = d.audit["k_range"]
+    assert len(d.diagnostics) > 5
+    assert len(calls) <= kmax - kmin + 2
+
+
 # -- q = inf decomposition -------------------------------------------------
 
 def test_decompose_sup_roundtrip(grid_default):
@@ -410,6 +453,93 @@ def test_decompose_sup_roundtrip(grid_default):
         assert a.q == np.inf
         rep = validate_atom(a, spec)
         assert rep["support_ok"] and rep["norm_ok"], rep
+
+
+def _dense_hat_decompose_sup(f, spec):
+    """decompose_sup as it ran with one whole-grid hat per cover ball, all
+    alive for the level, and a Ball for every cover ball."""
+    g = f.grid
+    S = area_S_sup(f, spec)
+    absf = np.abs(f.values)
+    (kmin, kmax), O = atomic._level_sets(S, absf)
+    star = 2.0 * atomic._C_OVERLAP + 3.0
+    terms, diagnostics, partition_defect = [], [], 0.0
+    assigned = np.zeros((g.n_spatial, g.nt), dtype=bool)
+    for i, band in _tent_list_bands(g, O, cone_caps(g, spec)):
+        k = kmin + i
+        cover = atomic.whitney_balls(RegionMask(g, O[:, i]))
+        diagnostics.append({"k": k, "level_set_gamma": float(g.gamma_y[O[:, i]].sum()),
+                            "n_balls": len(cover.balls)})
+        balls = [Ball(tuple(g.points[j]), r) for j, r in zip(cover.balls, cover.radii)]
+        hats = [np.maximum(B_j.radius - _distance_rows(g.points, B_j.center_array), 0.0)
+                for B_j in balls]
+        hat_total = np.sum(hats, axis=0)
+        relevant = band & (absf > 0)
+        phi_sum = np.zeros(g.n_spatial)
+        for B_j, w in zip(balls, hats):
+            on = np.flatnonzero(w > 0.0)
+            rows = slice(int(on[0]), int(on[-1]) + 1)
+            under = hat_total[rows]
+            phi = w[rows] / np.where(under > 0, under, 1.0)
+            phi_sum[rows] += phi
+            piece = relevant[rows] & (phi[:, None] > 0)
+            if not piece.any():
+                continue
+            B_star = Ball(B_j.center, star * B_j.radius)
+            mu = 2.0 ** (k + 1) * gamma_ball(B_star)
+            block = np.where(piece, f.values[rows] * phi[:, None] / mu, 0.0)
+            assigned[rows] |= piece
+            terms.append((mu, _atom_on_rows(
+                g, rows.start, block, B_star, np.inf,
+                delta=B_star.radius / cutoff_m(B_star.center_array))))
+        active = relevant.any(axis=1) & (hat_total > 0)
+        if active.any():
+            partition_defect = max(partition_defect,
+                                   float(np.max(np.abs(phi_sum[active] - 1.0))))
+    residual, unassigned = atomic._left_out(f, assigned, absf)
+    return atomic.Decomposition(
+        terms, lp_gamma_norm(S, 1), np.inf, spec, diagnostics, residual,
+        audit={"C_overlap": atomic._C_OVERLAP, "inflation_factor": star,
+               "k_range": (kmin, kmax), "partition_defect": partition_defect},
+        unassigned=unassigned)
+
+
+@pytest.mark.parametrize("make, nx", [(_bump_1d, 512), (_bump_1d, 1024),
+                                      (_bump_2d, 32), (_bump_2d, 48)],
+                         ids=["1d-512", "1d-1024", "2d-32", "2d-48"])
+def test_decompose_sup_matches_the_dense_hat_loop(make, nx):
+    # hats on each ball's nodes, summed in ball order, and a Ball only for
+    # a piece that makes an atom: the same terms, to the bit
+    f = make(nx)
+    spec = ConeSpec(1.0, 1.0)
+    d, want = decompose_sup(f, spec), _dense_hat_decompose_sup(f, spec)
+    assert len(d.terms) == len(want.terms) > 0
+    for (lam, a), (lam_w, a_w) in zip(d.terms, want.terms):
+        assert lam == lam_w
+        assert a.box == a_w.box and a.block.tobytes() == a_w.block.tobytes()
+        assert a.ball.center == a_w.ball.center and a.ball.radius == a_w.ball.radius
+        assert a.delta == a_w.delta and a.q == a_w.q
+    assert d.diagnostics == want.diagnostics
+    assert d.audit == want.audit
+    assert (d.source_norm, d.residual_mass, d.unassigned) \
+        == (want.source_norm, want.residual_mass, want.unassigned)
+
+
+@pytest.mark.parametrize("make, nx", [(_bump_1d, 512), (_bump_2d, 32)],
+                         ids=["1d-512", "2d-32"])
+def test_decompose_sup_builds_a_ball_only_for_an_atom(monkeypatch, make, nx):
+    built = []
+    post_init = Ball.__post_init__
+
+    def counting(self):
+        built.append(self.radius)
+        post_init(self)
+
+    monkeypatch.setattr(Ball, "__post_init__", counting)
+    d = decompose_sup(make(nx), ConeSpec(1.0, 1.0))
+    monkeypatch.undo()
+    assert sum(r["n_balls"] for r in d.diagnostics) > 2 * len(d.terms)
+    assert len(built) == len(d.terms)
 
 
 def test_decompose_sup_stores_atoms_on_their_boxes():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from gausstent.geometry import Ball, ConeSpec, cutoff_m, gamma_ball
-from gausstent.grid import GridFunction, SpatialFunction
+from gausstent.geometry import (
+    Ball, ConeSpec, _distance_rows, _pencil_caps, cutoff_m, gamma_ball,
+)
+from gausstent.grid import GridFunction, HalfSpaceGrid, SpatialFunction
 from gausstent.functionals import (
     BallDictionary, ExponentPair, default_dictionary, tent_norm,
 )
@@ -179,6 +181,36 @@ def test_duality_1q_report(grid_small, rng):
     assert np.isfinite(rep["C_emp"]) or rep["vacuous"]
     assert rep["M_const"] == pytest.approx(2.0 * rep["K_beta"] ** 0.5)
     assert 0.0 < rep["lambda_M_guarantee"] < 1.0
+
+
+def _dense_stopping_density(h, alpha, beta, dict_):
+    """lambda_M as stopping_density computed it with one dense distance
+    row per dictionary ball."""
+    g = h.grid
+    gw = g.gamma_y
+    r_adm = _pencil_caps(alpha, beta, dict_.centers, dict_.radii)
+    lam = np.full(len(r_adm), np.nan)
+    for k, (c, r, ra) in enumerate(zip(dict_.centers, dict_.radii, r_adm)):
+        inside = _distance_rows(g.points, c) < ra
+        den = gw[inside].sum()
+        if den > 0.0:
+            lam[k] = gw[inside & (h.values >= r)].sum() / den
+    return lam
+
+
+@pytest.mark.parametrize("box, nx, nt", [(((-8.0, 8.0),), (512,), 128),
+                                         (((-4.0, 4.0), (-4.0, 4.0)), (32, 32), 16)],
+                         ids=["1d-512", "2d-32"])
+def test_stopping_density_matches_the_dense_loop(box, nx, nt):
+    g = HalfSpaceGrid(box, nx, 1e-3, 8.0, nt)
+    d = default_dictionary(g, 1.0)
+    rng = np.random.default_rng(5)
+    h = SpatialFunction(g, rng.choice(np.r_[0.0, d.radii, np.inf], g.n_spatial))
+    for alpha, beta in [(1.0, 1.0), (4.0, 1.0)]:
+        got = stopping_density(h, alpha, beta, d)["lambda_M"]
+        want = _dense_stopping_density(h, alpha, beta, d)
+        assert np.isfinite(want).all() and np.any((0.0 < want) & (want < 1.0))
+        assert got.tobytes() == want.tobytes()
 
 
 def test_stopping_density_in_unit_interval(grid_small):

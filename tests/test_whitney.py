@@ -3,11 +3,11 @@ import pytest
 
 from gausstent import atomic
 from gausstent.families import random_bump
-from gausstent.geometry import ConeSpec
+from gausstent.geometry import ConeSpec, _distance_rows
 from gausstent.grid import GridFunction, HalfSpaceGrid, RegionMask
 from gausstent.functionals import cone_caps, default_dictionary
 from gausstent.whitney import (
-    _audit_cubes, _box_base_level, _edt, complement_distance,
+    _C_OVERLAP, _audit_cubes, _box_base_level, _edt, complement_distance,
     containing_density_points, density_inequality_check,
     density_points, doubling_constant, etabar_from_doubling, reverse_fubini_check,
     tent_mask, whitney_balls, whitney_cubes,
@@ -286,8 +286,8 @@ def _assert_cover_matches_recursion(O):
     assert cover.levels.tolist() == levels
     assert list(map(tuple, cover.cubes.tolist())) == cubes
     assert cover.centers.tobytes() == np.array(centers).reshape(n_cubes, -1).tobytes()
-    assert len(cover.cube_nodes) == len(nodes_per)
-    for got, want in zip(cover.cube_nodes, nodes_per):
+    assert len(cover.nodes) == len(nodes_per)
+    for got, want in zip(cover.nodes, nodes_per):
         assert np.array_equal(got, want)
     assert cover.cube_dist.tolist() == dist_per
     assert cover.audit == audit
@@ -382,7 +382,7 @@ def test_whitney_cubes_audit(grid_small, rng):
         assert a["disjoint"]
         assert a["uncovered_within_boundary_layer"]
         # every emitted cube sits inside O
-        for nodes in cover.cube_nodes:
+        for nodes in cover.nodes:
             assert O.mask[nodes].all()
 
 
@@ -422,6 +422,86 @@ def test_whitney_balls_audit(grid_small, rng):
         assert a["covers_target"]
         assert a["inflated_meet_complement"]
         assert a["shrunken_disjoint"]
+
+
+def _dense_balls(O):
+    """Reference cover: the greedy loop over one dense distance row per
+    ball, with the center nodes, radii and node sets of its open balls,
+    and their audit, one ball at a time."""
+    g = O.grid
+    C = _C_OVERLAP
+    edt = complement_distance(O)
+    covered = np.zeros(g.n_spatial, bool)
+    balls, radii, nodes_per = [], [], []
+    for i in np.argsort(-edt, kind="stable"):
+        if covered[i] or not O.mask[i]:
+            continue
+        r = edt[i] / C
+        inside = _distance_rows(g.points, g.points[i]) < r
+        balls.append(i)
+        radii.append(r)
+        nodes_per.append(np.flatnonzero(inside))
+        covered |= inside
+    overlap = np.zeros(g.n_spatial, dtype=int)
+    meets = disjoint = True
+    for a, (i, r, inside) in enumerate(zip(balls, radii, nodes_per)):
+        overlap[inside] += 1
+        meets &= not edt[i] > C * r + g.cell
+        gap = _distance_rows(g.points[balls[a + 1:]], g.points[i])
+        disjoint &= not np.any(gap < (r + np.array(radii[a + 1:])) / C - 1e-12)
+    audit = {
+        "n_balls": len(balls),
+        "covers_target": bool(np.all(overlap[O.mask] > 0)),
+        "inflated_meet_complement": meets,
+        "shrunken_disjoint": disjoint,
+        "max_overlap": int(overlap.max()) if balls else 0,
+        "tolerance_cells": 1,
+    }
+    return balls, radii, nodes_per, audit
+
+
+def _assert_balls_match_dense(O):
+    balls, radii, nodes_per, audit = _dense_balls(O)
+    cover = whitney_balls(O)
+    assert cover.balls.tolist() == balls
+    assert cover.radii.tobytes() == np.array(radii, dtype=float).tobytes()
+    assert cover.centers.tobytes() == O.grid.points[balls].tobytes()
+    assert len(cover.nodes) == len(nodes_per)
+    for got, want in zip(cover.nodes, nodes_per):
+        assert np.array_equal(got, want)
+    assert cover.node_dist.tobytes() == complement_distance(O).tobytes()
+    assert cover.audit == audit
+    return cover
+
+
+def test_ball_cover_matches_the_dense_greedy_loop(grid_small):
+    rng = np.random.default_rng(13)
+    for _ in range(8):
+        O = _random_open(grid_small, rng)
+        if O.mask.all():
+            continue
+        _assert_balls_match_dense(O)
+    g = HalfSpaceGrid(((-8.0, 8.0), (-8.0, 8.0)), (40, 40), 1e-3, 8.0, 4)
+    x, y = g.points.T
+    O = RegionMask(g, (np.hypot(x - 1.0, y + 2.0) < 4.0) | (np.abs(x + 5.0) < 1.5))
+    assert len(_assert_balls_match_dense(O).balls) > 20
+    cover = _assert_balls_match_dense(RegionMask(grid_small, np.zeros(128, bool)))
+    assert len(cover.balls) == 0 and cover.audit["covers_target"]
+
+
+def test_ball_cover_matches_the_dense_greedy_loop_on_bump_level_sets(grid_small, monkeypatch):
+    seen = []
+
+    def recording(O):
+        seen.append(O)
+        return whitney_balls(O)
+
+    monkeypatch.setattr(atomic, "whitney_balls", recording)
+    f = random_bump(grid_small, np.random.default_rng(3))
+    atomic.decompose_sup(f, ConeSpec(1.0, 1.0))
+    assert len(seen) > 5
+    for O in seen:
+        _assert_balls_match_dense(O)
 
 
 # -- doubling and the integral inequalities --------------------------------
