@@ -1,4 +1,4 @@
-"""Seeded test families on 1-D grids: bumps, tent indicators and atoms.
+"""Seeded test families: bumps (on any grid), tent indicators and atoms (1-D).
 
 `verify`, `embed` and the tests draw their inputs from these; a seed fixes
 each function bit for bit.
@@ -17,18 +17,19 @@ __all__ = ["boundary_atom", "random_atom", "random_bump", "tent_indicator"]
 
 
 def random_bump(grid: HalfSpaceGrid, rng: np.random.Generator) -> GridFunction:
-    """Sum of a few compactly supported bumps, the stock test function."""
-    y = grid.points[:, 0]
+    """Sum of a few compactly supported bumps, the stock test function; each
+    bump is radial in y about its own center, 0 beyond 2.5 widths of it."""
     t = grid.t
     vals = np.zeros((grid.n_spatial, grid.nt))
     for _ in range(rng.integers(1, 4)):
-        y0 = rng.uniform(-3.0, 3.0)
+        y0 = rng.uniform(-3.0, 3.0, size=grid.n)
         t0 = np.exp(rng.uniform(np.log(grid.t_min * 10), np.log(1.0)))
         amp = rng.uniform(0.3, 3.0)
         wy = rng.uniform(0.2, 1.0)
-        prof = amp * np.exp(-((y[:, None] - y0) / wy) ** 2) \
+        d = _distance_rows(grid.points, y0)
+        prof = amp * np.exp(-(d[:, None] / wy) ** 2) \
             * np.exp(-np.log(t[None, :] / t0) ** 2)
-        prof[_distance_rows(grid.points, np.array([y0])) > 2.5 * wy, :] = 0.0
+        prof[d > 2.5 * wy, :] = 0.0
         vals += prof
     return GridFunction(grid, vals)
 

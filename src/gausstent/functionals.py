@@ -308,7 +308,8 @@ class _Windows:
 def _cone_windows(f_values: np.ndarray, grid: HalfSpaceGrid, spec: ConeSpec):
     """(y, t) indices of the nonzero nodes and the windows of their cones."""
     ys, js = np.nonzero(f_values)
-    return ys, js, _Windows(grid, grid.points[ys], cone_caps(grid, spec)[ys, js])
+    points = grid.points[ys]
+    return ys, js, _Windows(grid, points, _pencil_caps(spec.alpha, spec.beta, points, grid.t[js]))
 
 
 def area_S(f: GridFunction, q: float, spec: ConeSpec) -> SpatialFunction:

@@ -13,10 +13,10 @@ capped at y; boundary points belong to tents but not to cones.  _ball_tent
 decides tent membership for grid cells, measure and sample points alike.
 
 Only n in {1, 2} is supported: n = 1 has a closed form for gamma of an
-interval via erfc, n = 2 reduces to a 1-D radial integral with a Bessel
-factor.  The 1-D erfc is a port of the Cephes routine that
-scipy.special.erfc evaluates, equal to it bit for bit, so n = 1 imports no
-scipy; n = 2 imports scipy.integrate and scipy.special at its first call.
+interval via erfc, n = 2 is a sum of nonnegative Poisson terms, the
+noncentral chi^2 law with two degrees of freedom.  The 1-D erfc is a port
+of the Cephes routine that scipy.special.erfc evaluates, equal to it bit
+for bit; both dimensions run on numpy and Python floats only.
 """
 
 from __future__ import annotations
@@ -139,10 +139,39 @@ def _gamma_balls(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """gamma(B(c, r)) for centers, shape (K, n), and radii, shape (K,).
 
     n = 1 uses the closed form (sqrt(pi)/2)(erfc(|c|-r) - erfc(|c|+r))
-    elementwise, with the Cephes port _erfc; n = 2 integrates the radial
-    profile 2*pi*s*exp(-(|c|-s)^2)*i0e(2 s |c|) adaptively to relative
-    tolerance 1e-10, one ball at a time.  scipy is imported for n = 2 only,
-    at first use, so that importing the package loads none of it.
+    elementwise, with the Cephes port _erfc.
+
+    n = 2: with Y ~ N(c, I/2), gamma(B) = pi P(|Y| < r), and 2|Y|^2 is
+    noncentral chi^2 with 2 degrees of freedom and noncentrality 2|c|^2.
+    Its Poisson mixture form (Johnson, Kotz and Balakrishnan, Continuous
+    Univariate Distributions, vol. 2, ch. 29) gives, for independent
+    I ~ Poisson(r^2) and J ~ Poisson(|c|^2),
+
+        gamma(B) = pi P(I > J) = pi sum_{i >= 1} t_i,
+        t_i = P(I = i) P(J <= i - 1).
+
+    Every term is nonnegative, J's distribution function is a running sum
+    from 0 upward and the pmfs are exp(k log lam - lam - log k!), with log k!
+    a running sum of logs: nothing cancels, so the far tail keeps its
+    relative precision.  The sum stops at K = floor(m + 12 sqrt(m) + 60),
+    m = max(|c|^2, r^2), and the terms dropped are at most
+    5e-16 (1 + sqrt(m)/12) times the terms kept (below 3e-15 at |c|, r <= 40).
+    With s = sqrt(m):
+      - for i >= K - 1, t_{i+1}/t_i = (r^2/(i+1)) P(J <= i)/P(J <= i - 1)
+        <= (r^2/K) / P(J <= K - 2) =: q, and
+        Bernstein's bound P(J >= |c|^2 + x) <= exp(-x^2 / (2(|c|^2 + x/3)))
+        at x = K - 1 - |c|^2 >= 12 s + 58 gives P(J >= K - 1) <= e^-72,
+        so sum_{i >= K} t_i <= t_{K-1} q/(1-q) and 1/(1-q) < 1 + s/12;
+      - at a = floor(m + 6 s + 30), P(J <= a - 1) >= 1/2 by the same bound
+        and t_{K-1}/t_a <= 2 (m/(a+1))^{K-1-a}
+        <= 2 (s^2/(s^2 + 6 s + 30))^{6 s + 28} <= 2 e^-36,
+        and the kept sum is at least t_a.
+    A ball at distance d = |c| - r >= 27.5 from the origin has gamma <=
+    pi e^{-d^2}, which rounds to 0; a ball holding B(0, d), d = r - |c| >=
+    6.5, has pi - gamma <= pi e^{-d^2}, and gamma rounds to pi.  Those two
+    skip the sum, whose length grows as m: a ball of radius 1e4 about the
+    origin would take 1e8 terms.  Each ball is summed on its own, so its
+    gamma does not depend on the others in the batch.
     """
     n = centers.shape[1]
     if n == 1:
@@ -151,17 +180,31 @@ def _gamma_balls(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
         # both round to 1
         return np.sqrt(np.pi) / 2.0 * (_erfc(c - radii) - _erfc(c + radii))
     if n == 2:
-        from scipy import integrate
-        from scipy.special import i0e
-
-        def radial(s, a):
-            # exp(-|c|^2 - s^2) * I0(2 a s) == exp(-(a-s)^2) * i0e(2 a s)
-            return 2.0 * np.pi * s * np.exp(-((a - s) ** 2)) * i0e(2.0 * a * s)
-
-        return np.array([integrate.quad(radial, 0.0, r, args=(float(np.linalg.norm(c)),),
-                                        epsabs=0.0, epsrel=1e-10, limit=200)[0]
-                         for c, r in zip(centers, radii)])
+        rho2 = (centers * centers).sum(axis=1).tolist()
+        r2 = (radii * radii).tolist()
+        gap = (np.sqrt(rho2) - radii).tolist()
+        terms = [int(m + 12.0 * math.sqrt(m) + 60.0) if -6.5 < d < 27.5 else 0
+                 for m, d in zip(map(max, rho2, r2), gap)]
+        k = np.arange(max(terms, default=0))
+        log_fact = np.cumsum(np.log(np.maximum(k, 1)))
+        return np.array([_gamma_disc(a, b, k[:K], log_fact[:K]) if K
+                         else 0.0 if d >= 27.5 else math.pi
+                         for a, b, d, K in zip(rho2, r2, gap, terms)])
     raise ValueError("only n in {1, 2} supported")
+
+
+def _poisson_pmf(lam: float, k: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
+    """P(X = k) for X ~ Poisson(lam), with log_fact = log k!."""
+    if lam == 0.0:
+        return (k == 0).astype(float)
+    return np.exp(k * math.log(lam) - lam - log_fact)
+
+
+def _gamma_disc(rho2: float, r2: float, k: np.ndarray, log_fact: np.ndarray) -> float:
+    """pi sum_{1 <= i < K} P(I = i) P(J <= i - 1), I ~ Poisson(r2) and
+    J ~ Poisson(rho2), over k = 0 .. K-1 (see _gamma_balls)."""
+    cdf_j = np.cumsum(_poisson_pmf(rho2, k, log_fact))
+    return math.pi * float(np.sum(_poisson_pmf(r2, k, log_fact)[1:] * cdf_j[:-1]))
 
 
 # Cephes ndtr.c (S. L. Moshier, Methods and Programs for Mathematical

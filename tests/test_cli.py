@@ -647,12 +647,27 @@ assert main(["--out", "out", "--grid", "128,32", "verify"]) == 0
     assert loaded == set()
 
 
-def test_two_d_gamma_loads_integrate(tmp_path):
-    loaded = _scipy_modules_after(tmp_path, """
+def test_two_d_runs_with_scipy_blocked(tmp_path):
+    # a None entry in sys.modules makes every scipy import raise: 2-D gamma(B)
+    # and the 2-D commands run on numpy alone
+    (tmp_path / "c.ini").write_text("[params]\np = inf\n")
+    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from gausstent.cli import main
+from gausstent.families import random_bump
 from gausstent.geometry import Ball, gamma_ball
+from gausstent.grid import HalfSpaceGrid, write_grid_function
 assert gamma_ball(Ball((0.5, -0.5), 0.3)) > 0
-""")
-    assert {"scipy.integrate", "scipy.special"} <= loaded
+g = HalfSpaceGrid(((-4.0, 4.0), (-4.0, 4.0)), (32, 32), 1e-3, 8.0, 8)
+write_grid_function(random_bump(g, np.random.default_rng(0)), "f.gtnt")
+for args in (["--config", "c.ini", "--out", "out", "norm"],
+             ["--out", "out", "decompose"], ["--out", "out", "decompose", "--sup"]):
+    assert main([*args, "--infer-grid", "--input", "f.gtnt"]) == 0, args
+"""], cwd=tmp_path, env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert _load(tmp_path / "out", "decompose.json")["n_atoms"] > 0
 
 
 def test_decompose_sup_holds_one_atom_at_a_time(tmp_path):

@@ -9,8 +9,8 @@ from gausstent.grid import (
     halfspace_integral, lp_gamma_norm,
 )
 from gausstent.functionals import (
-    BallDictionary, ExponentPair, _Windows, _centered_ladder, _expand,
-    _window_bounds, area_S,
+    BallDictionary, ExponentPair, _Windows, _centered_ladder, _cone_windows,
+    _expand, _window_bounds, area_S,
     area_S_sup, area_S_truncated, carleson_C, cone_caps, default_dictionary,
     maximal_centered, maximal_noncentered, stopping_time, tent_norm,
 )
@@ -275,6 +275,19 @@ def test_area_matches_dense_reference_two_bumps(grid_small, spec):
         assert np.array_equal(got == 0.0, want == 0.0)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
     assert np.array_equal(area_S_sup(f, spec).values, want_sup)
+
+
+@pytest.mark.parametrize("box, nx", [(((-8.0, 8.0),), (1024,)),
+                                    (((-4.0, 4.0), (-3.0, 5.0)), (48, 40))],
+                         ids=["1d-1024", "2d-48x40"])
+def test_cone_windows_take_the_caps_of_their_cells(box, nx, rng):
+    # the caps at the nonzero cells only, the same floats as the whole grid's
+    g = HalfSpaceGrid(box, nx, 1e-3, 8.0, 64 if len(nx) == 1 else 8)
+    vals = rng.random((g.n_spatial, g.nt)) * (rng.random((g.n_spatial, g.nt)) < 0.2)
+    for spec in (ConeSpec(1.0, 1.0), ConeSpec(0.5, 2.0), ConeSpec(2.0, 0.5)):
+        ys, js, win = _cone_windows(vals, g, spec)
+        assert ys.size > 0
+        assert win.radii.tobytes() == cone_caps(g, spec)[ys, js].tobytes()
 
 
 def test_area_zero_function_is_zero_everywhere(grid_small):

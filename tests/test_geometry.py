@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -103,6 +105,51 @@ def test_gamma_kernel_2d_matches_noncentral_chi2(rng):
     want = np.pi * ncx2.cdf(2.0 * radii ** 2, 2, 2.0 * np.sum(centers ** 2, axis=1))
     assert np.allclose(got, want, rtol=1e-10, atol=0.0)
     assert got[0] == gamma_ball(Ball(tuple(centers[0]), radii[0]))
+
+
+def _quad_gamma_2d(c, r):
+    """The radial integral of gamma(B(c, r)): 2 pi s exp(-(|c| - s)^2)
+    i0e(2 s |c|) over [0, r]."""
+    from scipy.special import i0e
+    a = float(np.hypot(*c))
+    return quad(lambda s: 2.0 * np.pi * s * np.exp(-(a - s) ** 2) * i0e(2.0 * a * s),
+                0.0, r, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+
+def test_gamma_kernel_2d_tail_matches_quad(rng):
+    # far from the origin ncx2's cdf loses its relative precision (it gives 0
+    # for 17 of these balls), while the radial integral keeps it down to
+    # gamma ~ 1e-60
+    rho = rng.uniform(0.0, 11.3, 300)
+    phi = rng.uniform(0.0, 2.0 * np.pi, 300)
+    centers = np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=1)
+    radii = np.exp(rng.uniform(np.log(0.01), np.log(3.0), 300))
+    got = _gamma_balls(centers, radii)
+    want = [_quad_gamma_2d(c, r) for c, r in zip(centers, radii)]
+    assert min(want) < 1e-50
+    assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+def test_gamma_kernel_2d_at_the_origin_warns_nothing():
+    # |c| = 0 makes J ~ Poisson(0) the point mass at 0: no 0 * log 0
+    radii = np.array([1e-3, 0.05, 0.3, 1.0, 4.0, 6.4, 6.6, 40.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _gamma_balls(np.zeros((radii.size, 2)), radii)
+        assert gamma_ball(Ball((0.0, 0.0), 0.3)) == got[2]
+    assert np.allclose(got, -np.pi * np.expm1(-radii ** 2), rtol=1e-10, atol=0.0)
+
+
+def test_gamma_ball_2d_rounds_to_0_or_pi_past_the_sum():
+    # gamma <= pi e^{-d^2} at distance d >= 27.5 from the origin rounds to 0;
+    # a ball holding B(0, 6.5) is within pi e^{-42} of pi and rounds to pi
+    assert gamma_ball(Ball((30.0, 0.0), 2.5)) == 0.0
+    assert gamma_ball(Ball((0.0, 800.0), 1.0)) == 0.0
+    assert gamma_ball(Ball((0.3, -0.4), 7.0)) == np.pi
+    assert gamma_ball(Ball((800.0, 0.0), 810.0)) == np.pi
+    # just short of either band the sum gives the same value
+    assert 0.0 <= gamma_ball(Ball((29.99, 0.0), 2.5)) < 1e-300
+    assert gamma_ball(Ball((0.3, -0.4), 6.99)) == pytest.approx(np.pi, rel=1e-15)
 
 
 def _simpson_gamma_1d(c, r, n=20001):
