@@ -193,8 +193,8 @@ def _grid_meta(grid: HalfSpaceGrid) -> dict:
 def cmd_norm(cfg: RunConfig, args) -> int:
     f = read_grid_function(args.input, None if args.infer_grid else cfg.grid())
     dict_ = cfg.dictionary(f.grid) if cfg.p == np.inf else None
-    norm = tent_norm(f, ExponentPair(cfg.p, cfg.q), cfg.alpha, cfg.beta,
-                     dict_, continuous_intent=args.continuous)
+    norm = tent_norm(f, ExponentPair(cfg.p, cfg.q), cfg.spec(), dict_,
+                     continuous_intent=args.continuous)
     if not np.isfinite(norm):
         raise ArithmeticError("norm is not finite")
     _emit({"p": cfg.p, "q": cfg.q, "alpha": cfg.alpha, "beta": cfg.beta,
@@ -228,12 +228,11 @@ def cmd_independence(cfg: RunConfig, args) -> int:
     else:
         funcs = [random_bump(grid, rng) for _ in range(5)]
     pq = ExponentPair(cfg.p if cfg.p != np.inf else 1.0, cfg.q)
-    combos = [(a, b) for a in APERTURE_GRID for b in APERTURE_GRID]
+    specs = [ConeSpec(a, b) for a in APERTURE_GRID for b in APERTURE_GRID]
     summary = []
     for fi, f in enumerate(funcs):
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            norms = list(pool.map(
-                lambda ab: tent_norm(f, pq, ab[0], ab[1]), combos))
+            norms = list(pool.map(lambda spec: tent_norm(f, pq, spec), specs))
         norms = np.asarray(norms)
         if not np.all(np.isfinite(norms)) or np.any(norms <= 0):
             raise ArithmeticError("non-finite or zero norm in the sweep")
@@ -241,9 +240,9 @@ def cmd_independence(cfg: RunConfig, args) -> int:
         path = _report_path(cfg, f"independence_f{fi}.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["alpha_beta"] + [f"{a}_{b}" for a, b in combos])
-            for (a, b), row in zip(combos, ratio):
-                writer.writerow([f"{a}_{b}"] + [f"{v:.12g}" for v in row])
+            writer.writerow(["alpha_beta"] + [f"{s.alpha}_{s.beta}" for s in specs])
+            for s, row in zip(specs, ratio):
+                writer.writerow([f"{s.alpha}_{s.beta}"] + [f"{v:.12g}" for v in row])
         summary.append({"function": fi,
                         "max_ratio": float(ratio.max()),
                         "min_ratio": float(ratio.min())})
@@ -256,16 +255,16 @@ def cmd_independence(cfg: RunConfig, args) -> int:
 
 def cmd_carleson(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
+    spec = cfg.spec()
     mu = read_measure_csv(args.measure)
     dict_ = cfg.dictionary(grid).admissible(cfg.delta)
-    rep = carleson_norm(mu, cfg.alpha, cfg.beta, cfg.delta, dict_)
+    rep = carleson_norm(mu, spec, cfg.delta, dict_)
     out = {"norm": rep["norm"], "witness_ball": rep["witness_ball"],
            "n_balls": len(rep["values"]), "delta": cfg.delta}
     if args.function:
         f = read_grid_function(args.function,
                                None if args.infer_grid else grid)
-        out["pairing"] = check_carleson_pairing(
-            mu, f, cfg.alpha, cfg.beta, cfg.delta, dict_)
+        out["pairing"] = check_carleson_pairing(mu, f, spec, rep["norm"])
     _emit(out, cfg, "carleson.json")
     return 0
 
@@ -315,7 +314,7 @@ def _suite_tent_compare(cfg, grid, rng):
         ys, ts = np.array([(rng.uniform(c - 2, c + 2),
                             np.exp(rng.uniform(np.log(1e-3), np.log(8.0))))
                            for _ in range(2000)]).T
-        rep = compare_tents(B, cfg.alpha, beta, ys[:, None], ts)
+        rep = compare_tents(B, ConeSpec(cfg.alpha, beta), ys[:, None], ts)
         failures += rep["n_off_axis"]
     return {"off_axis_disagreements": failures, "ok": failures == 0}
 
@@ -342,7 +341,7 @@ def _suite_tpp_identity(cfg, grid, rng):
     for _ in range(3):
         f = random_bump(grid, rng)
         for p in (1.0, 2.0):
-            norm = tent_norm(f, ExponentPair(p, p), cfg.alpha, cfg.beta)
+            norm = tent_norm(f, ExponentPair(p, p), cfg.spec())
             direct = halfspace_integral(
                 GridFunction(grid, np.abs(f.values) ** p)) ** (1.0 / p)
             worst = max(worst, abs(norm - direct) / direct)

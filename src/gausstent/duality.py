@@ -12,6 +12,8 @@ identity under the grid-sum denominator convention) and two Hoelder layers;
 the checks below assert each layer separately.  The "<= up to a constant"
 statements (pairing against a Carleson measure, the S*C route) are reported
 as measured constants with stability left to the callers' test families.
+Every check takes its apertures as one ConeSpec; the caps at measure points
+and dictionary centers are ConeSpec.caps of cutoff_m of those points.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    Ball, ConeSpec, _ball_tent, _gamma_balls, _gamma_ratio_sup, _pencil_caps,
-)
+from .geometry import Ball, ConeSpec, _ball_tent, _gamma_balls, _gamma_ratio_sup, cutoff_m
 from .grid import GridFunction, SpatialFunction, _csv_rows, halfspace_integral, lp_gamma_norm
 from .functionals import (
     BallDictionary,
@@ -100,8 +100,8 @@ def measure_pairing(mu: DiscreteMeasure, f: GridFunction) -> float:
     return total
 
 
-def carleson_norm(mu: DiscreteMeasure, alpha: float, beta: float,
-                  delta: float, dict_: BallDictionary) -> dict:
+def carleson_norm(mu: DiscreteMeasure, spec: ConeSpec, delta: float,
+                  dict_: BallDictionary) -> dict:
     """max over dictionary balls of |mu|(tent of B) / gamma(B), with witness.
 
     The dictionary must consist of delta-admissible balls (Carleson-measure
@@ -117,7 +117,7 @@ def carleson_norm(mu: DiscreteMeasure, alpha: float, beta: float,
     ys = np.array([y for y, _, _ in mu.points], dtype=float).reshape(len(mu.points), n)
     ts = np.array([t for _, t, _ in mu.points])
     absw = np.array([abs(w) for _, _, w in mu.points])
-    caps = _pencil_caps(alpha, beta, ys, ts)[:, None]
+    caps = spec.caps(cutoff_m(ys), ts)[:, None]
     mass = np.array([absw[_ball_tent(ys, c, r, caps)[:, 0]].sum()
                      for c, r in zip(dict_.centers, dict_.radii)])
     with np.errstate(divide="raise", invalid="raise"):
@@ -129,40 +129,37 @@ def carleson_norm(mu: DiscreteMeasure, alpha: float, beta: float,
     return {"norm": best, "witness_ball": witness, "values": values}
 
 
-def check_carleson_pairing(mu: DiscreteMeasure, f: GridFunction, alpha: float,
-                           beta: float, delta: float,
-                           dict_: BallDictionary) -> dict:
-    """Measured constant in  sum |w||f| <= C ||mu||_C ||f||_{T^{1,inf}}."""
+def check_carleson_pairing(mu: DiscreteMeasure, f: GridFunction, spec: ConeSpec,
+                           norm: float) -> dict:
+    """Measured constant in  sum |w||f| <= C ||mu||_C ||f||_{T^{1,inf}},
+    with norm = ||mu||_C, carleson_norm(mu, spec, ...)["norm"]."""
     abs_mu = DiscreteMeasure(tuple((y, t, abs(w)) for y, t, w in mu.points))
     lhs = float(measure_pairing(abs_mu, GridFunction(f.grid, np.abs(f.values))))
-    cn = carleson_norm(mu, alpha, beta, delta, dict_)
-    fnorm = tent_norm(f, ExponentPair(1.0, np.inf), alpha, beta,
-                      continuous_intent=True)
-    rhs = cn["norm"] * fnorm
+    fnorm = tent_norm(f, ExponentPair(1.0, np.inf), spec, continuous_intent=True)
+    rhs = norm * fnorm
     return {
         "lhs": lhs,
-        "carleson_norm": cn["norm"],
+        "carleson_norm": norm,
         "tent_norm_1inf": fnorm,
         **_ratio(lhs, rhs, "C_emp"),
     }
 
 
-def measured_K_beta(alpha: float, beta: float, dict_: BallDictionary) -> float:
+def measured_K_beta(spec: ConeSpec, dict_: BallDictionary) -> float:
     """Inflation constant: sup gamma(kappa B~)/gamma(B~) over dictionary
     balls, with B~ = B(c, alpha r ^ beta m(c)) and kappa = 2(beta+1)^2 + 1."""
-    kappa = 2.0 * (beta + 1.0) ** 2 + 1.0
-    r = _pencil_caps(alpha, beta, dict_.centers, dict_.radii)
-    keep = r > 0
-    return _gamma_ratio_sup(dict_.centers[keep], r[keep], kappa)
+    kappa = 2.0 * (spec.beta + 1.0) ** 2 + 1.0
+    r = spec.caps(cutoff_m(dict_.centers), dict_.radii)
+    return _gamma_ratio_sup(dict_.centers, r, kappa)
 
 
-def stopping_density(h: SpatialFunction, alpha: float, beta: float,
+def stopping_density(h: SpatialFunction, spec: ConeSpec,
                      dict_: BallDictionary) -> dict:
     """Per ball: gamma-fraction of B(c, alpha r ^ beta m(c)) where the
     stopping time reaches r_B (NaN where that ball holds no node).
     Grid-sum gammas keep the ratio exact."""
     g = h.grid
-    win = _Windows(g, dict_.centers, _pencil_caps(alpha, beta, dict_.centers, dict_.radii))
+    win = _Windows(g, dict_.centers, spec.caps(cutoff_m(dict_.centers), dict_.radii))
     lam = np.full(len(dict_.radii), np.nan)
     for k, r in enumerate(dict_.radii):
         nodes = win.nodes(k)
@@ -185,13 +182,13 @@ def check_duality_1q(f: GridFunction, g: GridFunction, q: float,
     lhs = pairing(GridFunction(f.grid, np.abs(f.values)),
                   GridFunction(g.grid, np.abs(g.values)))
     Sf = area_S(f, q, spec)
-    Cg = carleson_C(g, qp, spec.alpha, spec.beta, dict_)
+    Cg = carleson_C(g, qp, spec, dict_)
     rhs = float(np.sum(Sf.values * Cg.values * f.grid.gamma_y))
-    K = measured_K_beta(spec.alpha, spec.beta, dict_)
+    K = measured_K_beta(spec, dict_)
     M = 2.0 * K ** (1.0 / qp)
     h_ladder = np.geomspace(f.grid.t_min, f.grid.t_max, 16)
     h = stopping_time(g, qp, spec, M, h_ladder, Cg)
-    dens = stopping_density(h, spec.alpha, spec.beta, dict_)
+    dens = stopping_density(h, spec, dict_)
     return {
         "lhs": lhs,
         "rhs": rhs,

@@ -6,9 +6,12 @@ The area function at aperture (alpha, beta) is
                  |f(y,t)|^q / gamma(B(y, alpha t ^ beta m(y))) * w(y,t) )^{1/q}
 
 where the cone is |y - x| < alpha t ^ beta m(y) and w(y,t) are the
-dgamma dt/t quadrature weights.  The influence-ball denominators are
-evaluated with the same spatial quadrature sum used everywhere else (not the
-closed-form erf value): with that convention the Fubini rearrangement
+dgamma dt/t quadrature weights.  The apertures arrive as a ConeSpec; the
+caps at grid nodes are ConeSpec.caps of the grid's cached m(y), grid.m_y,
+and those at dictionary centers take cutoff_m of the centers once.  The
+influence-ball denominators are evaluated with the same spatial quadrature
+sum used everywhere else (not the closed-form erf value): with that
+convention the Fubini rearrangement
 
     int S_q^q f dgamma  =  iint |f|^q dgamma dt/t
 
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConeSpec, _ball_tent, _distance, _gamma_balls, _pencil_caps, cutoff_m
+from .geometry import ConeSpec, _ball_tent, _distance, _gamma_balls, cutoff_m
 from .grid import GridFunction, HalfSpaceGrid, SpatialFunction, lp_gamma_norm
 
 __all__ = [
@@ -140,7 +143,7 @@ def default_dictionary(grid: HalfSpaceGrid, beta: float,
 
 def cone_caps(grid: HalfSpaceGrid, spec: ConeSpec) -> np.ndarray:
     """alpha t ^ beta m(y) on all (y, t) nodes, shape (N, nt)."""
-    return _pencil_caps(spec.alpha, spec.beta, grid.points[:, None, :], grid.t)
+    return spec.caps(grid.m_y[:, None], grid.t)
 
 
 # -- window layer (see the module docstring) ----------------------------------
@@ -308,8 +311,7 @@ class _Windows:
 def _cone_windows(f_values: np.ndarray, grid: HalfSpaceGrid, spec: ConeSpec):
     """(y, t) indices of the nonzero nodes and the windows of their cones."""
     ys, js = np.nonzero(f_values)
-    points = grid.points[ys]
-    return ys, js, _Windows(grid, points, _pencil_caps(spec.alpha, spec.beta, points, grid.t[js]))
+    return ys, js, _Windows(grid, grid.points[ys], spec.caps(grid.m_y[ys], grid.t[js]))
 
 
 def area_S(f: GridFunction, q: float, spec: ConeSpec) -> SpatialFunction:
@@ -341,7 +343,7 @@ def area_S_truncated(f: GridFunction, q: float, spec: ConeSpec, h: float) -> Spa
     return area_S(GridFunction(f.grid, cut), q, spec)
 
 
-def carleson_C(f: GridFunction, q: float, alpha: float, beta: float,
+def carleson_C(f: GridFunction, q: float, spec: ConeSpec,
                dict_: BallDictionary) -> SpatialFunction:
     """C_q f(x): max tent q-average over dictionary balls admitting x.
 
@@ -353,25 +355,24 @@ def carleson_C(f: GridFunction, q: float, alpha: float, beta: float,
     if not (1.0 < q < np.inf):
         raise ValueError("q must lie in (1, inf)")
     g = f.grid
-    caps = cone_caps(g, ConeSpec(alpha, beta))
+    caps = cone_caps(g, spec)
     weighted = np.abs(f.values) ** q * g.gamma_y[:, None] * g.wt[None, :]
     centers, radii = dict_.centers, dict_.radii
     mass = _Windows(g, centers, radii).tent_sums(weighted, caps)
     # one scalar power per ball: numpy's array power can differ in the last ulp
     val = [(m / gam) ** (1.0 / q) for m, gam in zip(mass, _gamma_balls(centers, radii))]
-    admit = _pencil_caps(alpha, beta, centers, radii)
+    admit = spec.caps(cutoff_m(centers), radii)
     return SpatialFunction(g, _Windows(g, centers, admit).scatter(np.array(val), np.maximum))
 
 
-def tent_norm(f: GridFunction, pq: ExponentPair, alpha: float, beta: float,
+def tent_norm(f: GridFunction, pq: ExponentPair, spec: ConeSpec,
               dict_: BallDictionary | None = None,
               continuous_intent: bool = False) -> float:
     """The T^{p,q} norm: ||S_q f||_{L^p(gamma)}, or ||C_q f||_inf at p = inf."""
-    spec = ConeSpec(alpha, beta)
     if pq.p == np.inf:
         if dict_ is None:
             raise ValueError("p = inf needs a ball dictionary for C_q")
-        return lp_gamma_norm(carleson_C(f, pq.q, alpha, beta, dict_), np.inf)
+        return lp_gamma_norm(carleson_C(f, pq.q, spec, dict_), np.inf)
     if pq.q == np.inf:
         if not continuous_intent:
             raise ValueError("q = inf requires continuous-intent values")

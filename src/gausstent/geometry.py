@@ -9,8 +9,11 @@ gamma(R^n) = pi^{n/2}.  The cutoff function
 sets the admissible scale at x: a ball B(c, r) is admissible at level beta
 when r <= beta * m(c).  Cones use the strict inequality |y - x| < alpha*t ^
 beta*m(y), tents the non-strict dist(y, O^c) >= alpha*t ^ beta*m(y), both
-capped at y; boundary points belong to tents but not to cones.  _ball_tent
-decides tent membership for grid cells, measure and sample points alike.
+capped at y; boundary points belong to tents but not to cones.  Apertures
+enter only as a ConeSpec, and ConeSpec.caps(m, t) is the one cap formula:
+grid-node callers pass m from grid.m_y, off-grid callers cutoff_m of their
+points.  _ball_tent decides tent membership for grid cells, measure and
+sample points alike.
 
 Only n in {1, 2} is supported: n = 1 has a closed form for gamma of an
 interval via erfc, n = 2 is a sum of nonnegative Poisson terms, the
@@ -110,6 +113,11 @@ class ConeSpec:
     def __post_init__(self):
         if not (self.alpha > 0 and self.beta > 0):
             raise ValueError("cone apertures must be positive")
+
+    def caps(self, m, t):
+        """min(alpha*t, beta*m), the cap of cones and tents, for cutoffs m =
+        m(y) broadcast against heights t; beta = inf gives alpha*t."""
+        return np.minimum(self.alpha * t, self.beta * m)
 
 
 def is_admissible(B: Ball, beta: float) -> bool:
@@ -327,19 +335,13 @@ def gamma_ball_bounds_check(center, radius, beta):
     return bool(ok) if c.ndim == 1 else ok
 
 
-def _pencil_caps(alpha: float, beta: float, ys: np.ndarray, ts) -> np.ndarray:
-    """min(alpha*t, beta*m(y)), the cap of cones and tents, for points ys and
-    heights ts broadcast against m(ys); beta = inf gives alpha*t."""
-    return np.minimum(alpha * np.asarray(ts, dtype=float), beta * cutoff_m(ys))
-
-
 def cone_contains(vertex, spec: ConeSpec, p: UpperPoint) -> bool:
     """|y - x| < alpha*t ^ beta*m(y), strict: the pencil cone at x."""
     x = _point(vertex)
     y = np.asarray(p.y, dtype=float)
     if x.shape != y.shape:
         raise ValueError("vertex/point dimension mismatch")
-    return bool(np.linalg.norm(y - x) < _pencil_caps(spec.alpha, spec.beta, y, p.t))
+    return bool(np.linalg.norm(y - x) < spec.caps(cutoff_m(y), p.t))
 
 
 def _distance(d: np.ndarray, off2: np.ndarray | None = None) -> np.ndarray:
@@ -364,19 +366,19 @@ def _ball_tent(points: np.ndarray, center: np.ndarray, radius: float,
     return depth[:, None] >= caps
 
 
-def ball_tent_contains(B: Ball, alpha: float, beta: float, p: UpperPoint) -> bool:
+def ball_tent_contains(B: Ball, spec: ConeSpec, p: UpperPoint) -> bool:
     """dist(y, B^c) >= alpha*t ^ beta*m(y), with dist = max(r - |y - c|, 0)."""
     y = np.array([p.y])
-    caps = _pencil_caps(alpha, beta, y, [[p.t]])
+    caps = spec.caps(cutoff_m(y), np.array([[p.t]]))
     return bool(_ball_tent(y, B.center_array, B.radius, caps)[0, 0])
 
 
 def classical_tent_contains(B: Ball, alpha: float, p: UpperPoint) -> bool:
     """Classical tent: dist(y, B^c) >= alpha*t, no Gaussian cap."""
-    return ball_tent_contains(B, alpha, np.inf, p)
+    return ball_tent_contains(B, ConeSpec(alpha, np.inf), p)
 
 
-def compare_tents(B: Ball, alpha: float, beta: float, ys, ts) -> dict:
+def compare_tents(B: Ball, spec: ConeSpec, ys, ts) -> dict:
     """Compare Gaussian and classical tent membership over sample points
     (ys[i], ts[i]); ys has shape (M, n) and ts shape (M,).
 
@@ -393,15 +395,15 @@ def compare_tents(B: Ball, alpha: float, beta: float, ys, ts) -> dict:
         raise ValueError("one t per sample point required")
     q_dist = max(float(np.linalg.norm(c)) - B.radius, 0.0)
     warnings = []
-    if beta < 1.0:
+    if spec.beta < 1.0:
         warnings.append("beta < 1")
-    if q_dist < np.sqrt(beta):
+    if q_dist < np.sqrt(spec.beta):
         warnings.append("|q_B| < sqrt(beta)")
-    if not is_admissible(B, beta):
+    if not is_admissible(B, spec.beta):
         warnings.append("ball not admissible at level beta")
 
-    gau = _ball_tent(ys, c, B.radius, _pencil_caps(alpha, beta, ys, ts)[:, None])[:, 0]
-    cla = _ball_tent(ys, c, B.radius, alpha * ts[:, None])[:, 0]
+    gau = _ball_tent(ys, c, B.radius, spec.caps(cutoff_m(ys), ts)[:, None])[:, 0]
+    cla = _ball_tent(ys, c, B.radius, spec.alpha * ts[:, None])[:, 0]
     on_axis = _distance_rows(ys, c) <= 1e-12
     disagreements = [{"y": tuple(ys[i].tolist()), "t": float(ts[i]),
                       "gaussian": bool(gau[i]), "classical": bool(cla[i]),

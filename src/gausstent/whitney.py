@@ -389,8 +389,7 @@ def containing_density_points(F: RegionMask, eta: float, beta: float,
 
 
 def reverse_fubini_check(F: RegionMask, H: GridFunction, eta: float,
-                         alpha: float, beta: float, delta: float,
-                         dict_: BallDictionary) -> dict:
+                         spec: ConeSpec, delta: float, dict_: BallDictionary) -> dict:
     """Ratio report for the reverse Fubini inequality with containing balls.
 
     LHS integrates H over the alpha-aperture cone union R(F~) = complement
@@ -400,17 +399,18 @@ def reverse_fubini_check(F: RegionMask, H: GridFunction, eta: float,
     """
     if np.any(H.values < 0):
         raise ValueError("H must be nonnegative")
-    if delta < alpha:
+    if delta < spec.alpha:
         raise ValueError("delta >= alpha required")
     g = H.grid
-    F_tilde = containing_density_points(F, eta, beta, dict_)
-    R = ~tent_mask(RegionMask(g, ~F_tilde.mask), cone_caps(g, ConeSpec(alpha, beta)))
+    F_tilde = containing_density_points(F, eta, spec.beta, dict_)
+    R = ~tent_mask(RegionMask(g, ~F_tilde.mask), cone_caps(g, spec))
     lhs = float(np.sum(H.values * R * g.gamma_y[:, None] * g.wt[None, :]))
-    rhs = _cone_average_over(F.mask.astype(float), H, ConeSpec(delta, beta))
+    rhs = _cone_average_over(F.mask.astype(float), H, ConeSpec(delta, spec.beta))
     return {
         "lhs": lhs,
         "rhs": rhs,
         **_ratio(lhs, rhs),
-        "analytic_constant": (delta / alpha) ** g.n * np.exp(-(2.0 + beta) * beta),
+        "analytic_constant": (delta / spec.alpha) ** g.n
+        * np.exp(-(2.0 + spec.beta) * spec.beta),
         "density_set_size": int(F_tilde.mask.sum()),
     }

@@ -32,7 +32,7 @@ from gausstent.atomic import (
     coefficient_report, decompose, reconstruct, validate_atom,
 )
 from gausstent.duality import (
-    DiscreteMeasure, check_carleson_pairing, check_duality_1q,
+    DiscreteMeasure, carleson_norm, check_carleson_pairing, check_duality_1q,
     check_duality_pq, measured_K_beta, stopping_density,
 )
 from gausstent.embedding import check_h1_atom, default_phi
@@ -139,7 +139,7 @@ def test_criterion_03_tpp_equals_lp(grid):
     for _ in range(20):
         f = _bump_sum(grid, rng)
         for p in (1.0, 2.0, 3.0):
-            norm = tent_norm(f, ExponentPair(p, p), 1.0, 1.0)
+            norm = tent_norm(f, ExponentPair(p, p), ConeSpec(1.0, 1.0))
             direct = halfspace_integral(
                 GridFunction(grid, np.abs(f.values) ** p)) ** (1.0 / p)
             worst = max(worst, abs(norm - direct) / direct)
@@ -164,7 +164,7 @@ def test_criterion_04_tent_geometry():
             ys, ts = np.array([(rng.uniform(c - 2 * r, c + 2 * r),
                                 np.exp(rng.uniform(np.log(1e-3), np.log(8.0))))
                                for _ in range(10_000)]).T
-            rep = compare_tents(B, 1.0, beta, ys[:, None], ts)
+            rep = compare_tents(B, ConeSpec(1.0, beta), ys[:, None], ts)
             assert rep["preconditions_ok"]
             off_axis += rep["n_off_axis"]
             n_balls += 1
@@ -232,8 +232,7 @@ def test_criterion_07_density_and_reverse_fubini(grid):
             H = GridFunction(g, vals)
             dens.append(density_inequality_check(A, H, eta, etabar, spec,
                                                  d2)["ratio"])
-            fub.append(reverse_fubini_check(A, H, 0.9, 1.0, 1.0, 2.0,
-                                            d1)["ratio"])
+            fub.append(reverse_fubini_check(A, H, 0.9, spec, 2.0, d1)["ratio"])
         return np.array(dens), np.array(fub)
 
     dc, fc = ratios(coarse)
@@ -291,8 +290,8 @@ def test_criterion_08_duality(grid):
     f = _bump_sum(grid, rng)
     d4 = default_dictionary(grid, 1.0, stride=4).admissible(1.0)
     d2 = default_dictionary(grid, 1.0, stride=2).admissible(1.0)
-    c4 = check_carleson_pairing(mu, f, 1.0, 1.0, 1.0, d4)["C_emp"]
-    c2 = check_carleson_pairing(mu, f, 1.0, 1.0, 1.0, d2)["C_emp"]
+    c4 = check_carleson_pairing(mu, f, spec, carleson_norm(mu, spec, 1.0, d4)["norm"])["C_emp"]
+    c2 = check_carleson_pairing(mu, f, spec, carleson_norm(mu, spec, 1.0, d2)["norm"])["C_emp"]
     mu_ok = np.isfinite(c4) and np.isfinite(c2) and 0.5 < c4 / c2 < 2.0
     ok = n_fail == 0 and family_ok and mu_ok
     _line(8, "duality inequalities", ok,
@@ -306,17 +305,17 @@ def test_criterion_08_duality(grid):
 def test_criterion_09_stopping_density(grid):
     spec = ConeSpec(1.0, 1.0)
     d = default_dictionary(grid, 1.0)
-    K = measured_K_beta(1.0, 1.0, d)
+    K = measured_K_beta(spec, d)
     qp = 2.0
     M = 2.0 * K ** (1.0 / qp)
     rng = np.random.default_rng(9)
     lam_min = 1.0
     for _ in range(5):
         g = _bump_sum(grid, rng)
-        cq = carleson_C(g, qp, 1.0, 1.0, d)
+        cq = carleson_C(g, qp, spec, d)
         h = stopping_time(g, qp, spec, M,
                           np.geomspace(grid.t_min, grid.t_max, 16), cq)
-        rep = stopping_density(h, 1.0, 1.0, d)
+        rep = stopping_density(h, spec, d)
         lam_min = min(lam_min, rep["lambda_M_min"])
     ok = lam_min > 0.0
     _line(9, "stopping-time density", ok,
@@ -336,7 +335,7 @@ def test_criterion_10_independence(grid, grid_fine):
         out = []
         for _ in range(5):
             f = random_bump(g, rng)
-            norms = np.array([tent_norm(f, pq, a, b)
+            norms = np.array([tent_norm(f, pq, ConeSpec(a, b))
                               for a in apertures for b in apertures])
             assert np.all(np.isfinite(norms)) and np.all(norms > 0)
             out.append(norms.max() / norms.min())

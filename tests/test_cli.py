@@ -393,6 +393,18 @@ def _report_sha256(out_dir, name):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def test_carleson_pairing_report_is_pinned(tmp_path):
+    # the pairing takes the norm the command already holds; every byte of
+    # the report but the timestamp stays
+    _pinned_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert main(["--grid", "128,32", "--out", str(out), "carleson",
+                 "--measure", str(tmp_path / "mu.csv"),
+                 "--function", str(tmp_path / "f.gtnt")]) == 0
+    assert _report_sha256(out, "carleson.json") \
+        == "97b9dd7c528483f14b2e6574a83b7886226640223589a9170ac0ce7fa5df81af"
+
+
 def test_embed_and_verify_reports_are_pinned(tmp_path):
     # every byte of both reports but the timestamp: the H^1 constants move
     # with the mother function's peak and gamma(B), the suites with the
@@ -418,6 +430,23 @@ def test_embed_command(tmp_path):
 
 def _one_line_error(capsys):
     return len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan"])
+@pytest.mark.parametrize("command", ["carleson", "norm", "decompose"])
+def test_a_malformed_aperture_is_a_precondition_error(tmp_path, input_file, measure_file,
+                                                      capsys, command, value):
+    # a cone aperture must be positive; none of these may reach a report
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[params]\nalpha = {value}\n")
+    inputs = {"carleson": ["--measure", str(measure_file)],
+              "norm": ["--input", str(input_file)],
+              "decompose": ["--input", str(input_file)]}
+    out = tmp_path / "out"
+    rc = main(["--config", str(ini), "--out", str(out), command, *inputs[command]])
+    assert rc == EXIT_PRECONDITION
+    assert _one_line_error(capsys)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("defect", ["coarser_grid", "missing_row",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gausstent.geometry import (
-    Ball, ConeSpec, _distance_rows, _pencil_caps, cutoff_m, gamma_ball,
+    Ball, ConeSpec, _distance_rows, cutoff_m, gamma_ball,
 )
 from gausstent.grid import GridFunction, HalfSpaceGrid, SpatialFunction
 from gausstent.functionals import (
@@ -64,7 +64,7 @@ def test_carleson_norm_zero_measure(grid_small):
     # the empty measure is a valid measure, and so is one of weight 0
     d = default_dictionary(grid_small, 1.0).admissible(1.0)
     for points in (), (((0.0,), 0.5, 0.0),):
-        rep = carleson_norm(DiscreteMeasure(points), 1.0, 1.0, 1.0, d)
+        rep = carleson_norm(DiscreteMeasure(points), ConeSpec(1.0, 1.0), 1.0, d)
         assert rep["norm"] == 0.0 and rep["witness_ball"] is None
 
 
@@ -72,7 +72,7 @@ def test_carleson_norm_rejects_inadmissible_dict(grid_small):
     bad = BallDictionary([[4.0]], [2.0])  # m(4) = 0.25, not 0.5-admissible
     mu = DiscreteMeasure((((0.0,), 0.5, 1.0),))
     with pytest.raises(ValueError):
-        carleson_norm(mu, 1.0, 1.0, 0.5, bad)
+        carleson_norm(mu, ConeSpec(1.0, 1.0), 0.5, bad)
 
 
 def test_carleson_norm_witness_bruteforce(grid_small, rng):
@@ -81,7 +81,7 @@ def test_carleson_norm_witness_bruteforce(grid_small, rng):
                  float(np.exp(rng.uniform(np.log(0.01), 0.0))),
                  float(rng.uniform(0.1, 1.0))) for _ in range(15))
     mu = DiscreteMeasure(pts)
-    rep = carleson_norm(mu, 1.0, 1.0, 1.0, d)
+    rep = carleson_norm(mu, ConeSpec(1.0, 1.0), 1.0, d)
     # brute-force recomputation over the dictionary
     best = 0.0
     for c, r in zip(d.centers, d.radii):
@@ -113,7 +113,7 @@ def test_carleson_norm_matches_pointwise_tents(grid_small, rng):
         assert 0.0 < t < cutoff_m(y)
         edge.append(((y,), t, float(rng.uniform(0.5, 1.0))))
     mu = DiscreteMeasure(pts + tuple(edge))
-    rep = carleson_norm(mu, 1.0, 1.0, 2.0, d)
+    rep = carleson_norm(mu, ConeSpec(1.0, 1.0), 2.0, d)
     balls = [Ball(tuple(c), r) for c, r in zip(d.centers, d.radii)]
     want = np.array([sum(abs(w) for y, t, w in mu.points
                          if max(B.radius - abs(y[0] - B.center[0]), 0.0)
@@ -133,7 +133,8 @@ def test_carleson_pairing_constant_finite(grid_small, rng):
                  float(rng.uniform(0.1, 1.0))) for _ in range(10))
     mu = DiscreteMeasure(pts)
     f = _bump(grid_small, rng, y0=0.0)
-    rep = check_carleson_pairing(mu, f, 1.0, 1.0, 1.0, d)
+    spec = ConeSpec(1.0, 1.0)
+    rep = check_carleson_pairing(mu, f, spec, carleson_norm(mu, spec, 1.0, d)["norm"])
     assert np.isfinite(rep["C_emp"])
     assert rep["lhs"] >= 0
 
@@ -156,8 +157,8 @@ def test_duality_pq_right_is_the_product_of_the_tent_norms(grid_small, rng):
     for p, q in ((2.0, 2.0), (3.0, 1.5), (1.5, 4.0)):
         f, g = _bump(grid_small, rng), _bump(grid_small, rng)
         pp, qp = p / (p - 1.0), q / (q - 1.0)
-        want = (tent_norm(f, ExponentPair(p, q), spec.alpha, spec.beta)
-                * tent_norm(g, ExponentPair(pp, qp), spec.alpha, spec.beta))
+        want = (tent_norm(f, ExponentPair(p, q), spec)
+                * tent_norm(g, ExponentPair(pp, qp), spec))
         assert check_duality_pq(f, g, p, q, spec)["right"] == want
 
 
@@ -169,7 +170,7 @@ def test_duality_pq_rejects_endpoints(grid_small, rng):
 
 def test_K_beta_at_least_one(grid_small):
     d = default_dictionary(grid_small, 1.0)
-    K = measured_K_beta(1.0, 1.0, d)
+    K = measured_K_beta(ConeSpec(1.0, 1.0), d)
     assert K >= 1.0 and np.isfinite(K)
 
 
@@ -188,7 +189,7 @@ def _dense_stopping_density(h, alpha, beta, dict_):
     row per dictionary ball."""
     g = h.grid
     gw = g.gamma_y
-    r_adm = _pencil_caps(alpha, beta, dict_.centers, dict_.radii)
+    r_adm = np.minimum(alpha * dict_.radii, beta * cutoff_m(dict_.centers))
     lam = np.full(len(r_adm), np.nan)
     for k, (c, r, ra) in enumerate(zip(dict_.centers, dict_.radii, r_adm)):
         inside = _distance_rows(g.points, c) < ra
@@ -207,7 +208,7 @@ def test_stopping_density_matches_the_dense_loop(box, nx, nt):
     rng = np.random.default_rng(5)
     h = SpatialFunction(g, rng.choice(np.r_[0.0, d.radii, np.inf], g.n_spatial))
     for alpha, beta in [(1.0, 1.0), (4.0, 1.0)]:
-        got = stopping_density(h, alpha, beta, d)["lambda_M"]
+        got = stopping_density(h, ConeSpec(alpha, beta), d)["lambda_M"]
         want = _dense_stopping_density(h, alpha, beta, d)
         assert np.isfinite(want).all() and np.any((0.0 < want) & (want < 1.0))
         assert got.tobytes() == want.tobytes()
@@ -216,7 +217,7 @@ def test_stopping_density_matches_the_dense_loop(box, nx, nt):
 def test_stopping_density_in_unit_interval(grid_small):
     d = default_dictionary(grid_small, 1.0)
     h = SpatialFunction(grid_small, np.full(grid_small.n_spatial, np.inf))
-    rep = stopping_density(h, 1.0, 1.0, d)
+    rep = stopping_density(h, ConeSpec(1.0, 1.0), d)
     # h == inf: every ball sees full density
     assert rep["lambda_M_min"] == 1.0
     assert np.all((0.0 <= rep["lambda_M"]) & (rep["lambda_M"] <= 1.0))

@@ -290,6 +290,41 @@ def test_cone_windows_take_the_caps_of_their_cells(box, nx, rng):
         assert win.radii.tobytes() == cone_caps(g, spec)[ys, js].tobytes()
 
 
+@pytest.mark.parametrize("box, nx", [(((-8.0, 8.0),), (1024,)),
+                                    (((-4.0, 4.0), (-3.0, 5.0)), (48, 40))],
+                         ids=["1d-1024", "2d-48x40"])
+def test_caps_from_grid_m_are_the_per_point_formula(box, nx, rng):
+    # m(y) read from grid.m_y gives the floats of min(alpha t, beta m(y))
+    # with m recomputed from each point's coordinates, per cell and on the
+    # whole grid
+    g = HalfSpaceGrid(box, nx, 1e-3, 8.0, 64 if len(nx) == 1 else 8)
+    vals = rng.random((g.n_spatial, g.nt)) * (rng.random((g.n_spatial, g.nt)) < 0.2)
+    for spec in (ConeSpec(1.0, 1.0), ConeSpec(0.5, 2.0), ConeSpec(2.0, np.inf)):
+        a, b = spec.alpha, spec.beta
+        whole = np.minimum(a * g.t, b * cutoff_m(g.points[:, None, :]))
+        assert cone_caps(g, spec).tobytes() == whole.tobytes()
+        ys, js, win = _cone_windows(vals, g, spec)
+        cells = np.minimum(a * g.t[js], b * cutoff_m(g.points[ys]))
+        assert win.radii.tobytes() == cells.tobytes()
+
+
+def test_area_S_takes_m_from_the_grid(grid_small, monkeypatch):
+    # the grid computes m(y) once, when first asked; area_S reads it there
+    calls = []
+    real = cutoff_m
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    f = _bump(grid_small)
+    grid_small.m_y
+    for module in ("geometry", "grid", "functionals"):
+        monkeypatch.setattr(f"gausstent.{module}.cutoff_m", counting)
+    area_S(f, 2.0, ConeSpec(1.0, 1.0))
+    assert calls == []
+
+
 def test_area_zero_function_is_zero_everywhere(grid_small):
     zero = GridFunction.zero(grid_small)
     spec = ConeSpec(1.0, 1.0)
@@ -351,7 +386,8 @@ def test_quadrature_convergence_exact_value():
         y, t = g.points[:, 0], g.t
         vals = np.sqrt(np.exp(y * y)[:, None] / (1 + y * y)[:, None]
                        * (t / (1 + t))[None, :])
-        return tent_norm(GridFunction(g, vals), ExponentPair(2.0, 2.0), 1.0, 1.0) ** 2
+        return tent_norm(GridFunction(g, vals), ExponentPair(2.0, 2.0),
+                         ConeSpec(1.0, 1.0)) ** 2
 
     exact = 2 * np.arctan(8.0) * np.log(9.0 / 1.001)
     err_c = abs(make(128, 32) - exact)
@@ -367,7 +403,7 @@ def test_carleson_C_single_ball_value(grid_small):
     f = _bump(g)
     B = Ball((0.5,), 0.4)
     d = BallDictionary([B.center], [B.radius])
-    C = carleson_C(f, 2.0, 1.0, 1.0, d)
+    C = carleson_C(f, 2.0, ConeSpec(1.0, 1.0), d)
     caps = cone_caps(g, ConeSpec(1.0, 1.0))
     depth = np.maximum(B.radius - np.abs(g.points[:, 0] - B.center[0]), 0.0)
     tent = depth[:, None] >= caps
@@ -383,7 +419,7 @@ def test_carleson_C_exponent_range(grid_small):
     f = _bump(grid_small)
     d = default_dictionary(grid_small, 1.0)
     with pytest.raises(ValueError):
-        carleson_C(f, 1.0, 1.0, 1.0, d)
+        carleson_C(f, 1.0, ConeSpec(1.0, 1.0), d)
 
 
 # -- ball dictionaries against the per-ball loops they replaced -----------
@@ -447,7 +483,7 @@ def test_carleson_C_matches_per_ball_loop(request, grid_name, rng):
         for d in _dictionaries(g, beta, rng):
             for q, alpha in ((2.0, 1.0), (3.0, 0.5)):
                 want = _loop_carleson_C(f, q, alpha, beta, d)
-                assert np.array_equal(carleson_C(f, q, alpha, beta, d).values, want)
+                assert np.array_equal(carleson_C(f, q, ConeSpec(alpha, beta), d).values, want)
 
 
 @pytest.mark.parametrize("grid_name", ["grid_small", "grid_2d"])
@@ -484,19 +520,20 @@ def test_containing_density_points_matches_per_ball_loop(request, grid_name, rng
 def test_tent_norm_dispatch(grid_small):
     f = _bump(grid_small)
     d = default_dictionary(grid_small, 1.0)
-    assert tent_norm(f, ExponentPair(2.0, 2.0), 1.0, 1.0) > 0
-    assert tent_norm(f, ExponentPair(np.inf, 2.0), 1.0, 1.0, d) > 0
-    assert tent_norm(f, ExponentPair(1.0, np.inf), 1.0, 1.0,
+    spec = ConeSpec(1.0, 1.0)
+    assert tent_norm(f, ExponentPair(2.0, 2.0), spec) > 0
+    assert tent_norm(f, ExponentPair(np.inf, 2.0), spec, d) > 0
+    assert tent_norm(f, ExponentPair(1.0, np.inf), spec,
                      continuous_intent=True) > 0
     with pytest.raises(ValueError):
-        tent_norm(f, ExponentPair(np.inf, 2.0), 1.0, 1.0)     # needs dict
+        tent_norm(f, ExponentPair(np.inf, 2.0), spec)     # needs dict
     with pytest.raises(ValueError):
-        tent_norm(f, ExponentPair(1.0, np.inf), 1.0, 1.0)     # needs intent
+        tent_norm(f, ExponentPair(1.0, np.inf), spec)     # needs intent
 
 
 def test_tent_norm_zero(grid_small):
     assert tent_norm(GridFunction.zero(grid_small), ExponentPair(1.0, 2.0),
-                     1.0, 1.0) == 0.0
+                     ConeSpec(1.0, 1.0)) == 0.0
 
 
 # -- maximal functions -----------------------------------------------------
@@ -568,7 +605,7 @@ def test_stopping_time_sentinels(grid_small):
     spec = ConeSpec(1.0, 1.0)
     zero = GridFunction.zero(g)
     d = default_dictionary(g, 1.0)
-    cq = carleson_C(zero, 2.0, 1.0, 1.0, d)
+    cq = carleson_C(zero, 2.0, spec, d)
     h = stopping_time(zero, 2.0, spec, 2.0, [0.1, 1.0], cq)
     assert np.all(h.values == np.inf)       # zero function: every height passes
     with pytest.raises(ValueError):
@@ -580,7 +617,7 @@ def test_stopping_time_picks_largest_passing(grid_small):
     spec = ConeSpec(1.0, 1.0)
     f = _bump(g)
     d = default_dictionary(g, 1.0)
-    cq = carleson_C(f, 2.0, 1.0, 1.0, d)
+    cq = carleson_C(f, 2.0, spec, d)
     ladder = [0.01, 0.1, 1.0, 8.0]
     h = stopping_time(f, 2.0, spec, 2.0, ladder, cq)
     bound = 2.0 * cq.values

@@ -1,13 +1,18 @@
+import importlib
+import inspect
+import pkgutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+import gausstent
 from gausstent.geometry import (
     AdmissibilityError, Ball, ConeSpec, UpperPoint, _MAXLOG, _ball_tent, _erfc,
-    _gamma_balls, _pencil_caps,
+    _gamma_balls,
     ball_tent_contains, classical_tent_contains, compare_tents,
     comparison_lemma_check, cone_contains, cutoff_m, gamma_ball,
     gamma_ball_bounds_check, is_admissible, lebesgue_ball,
@@ -263,17 +268,32 @@ def test_cone_variants_differ():
     assert not cone_contains(4.3, pencil, q)
 
 
+def test_apertures_enter_only_as_a_cone_spec():
+    # no public function takes alpha and beta apart, and the cap
+    # min(alpha t, beta m) has one home, ConeSpec.caps
+    src = Path(gausstent.__file__).parent
+    for info in pkgutil.iter_modules([str(src)]):
+        module = importlib.import_module(f"gausstent.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if inspect.isfunction(obj):
+                params = inspect.signature(obj).parameters
+                assert not {"alpha", "beta"} <= params.keys(), f"{info.name}.{name}"
+    for path in src.glob("*.py"):
+        assert "_pencil_caps" not in path.read_text(), path.name
+
+
 def test_tent_nonstrict_boundary():
     B = Ball((0.0,), 1.0)
     # depth 0.5 at y = 0.5; t = 0.5 sits exactly on the boundary: included
-    assert ball_tent_contains(B, 1.0, 1.0, UpperPoint((0.5,), 0.5))
-    assert not ball_tent_contains(B, 1.0, 1.0, UpperPoint((0.5,), 0.5000001))
+    assert ball_tent_contains(B, ConeSpec(1.0, 1.0), UpperPoint((0.5,), 0.5))
+    assert not ball_tent_contains(B, ConeSpec(1.0, 1.0), UpperPoint((0.5,), 0.5000001))
     assert classical_tent_contains(B, 1.0, UpperPoint((0.5,), 0.5))
 
 
 def test_tent_outside_ball_excluded():
     B = Ball((0.0,), 1.0)
-    assert not ball_tent_contains(B, 1.0, 1.0, UpperPoint((1.5,), 1e-6))
+    assert not ball_tent_contains(B, ConeSpec(1.0, 1.0), UpperPoint((1.5,), 1e-6))
 
 
 def test_compare_tents_agreement_off_axis(rng):
@@ -281,7 +301,7 @@ def test_compare_tents_agreement_off_axis(rng):
     B = Ball((3.0,), 0.25)
     ys = rng.uniform(2, 4, (3000, 1))
     ts = rng.uniform(1e-3, 4.0, 3000)
-    rep = compare_tents(B, 1.0, 1.0, ys, ts)
+    rep = compare_tents(B, ConeSpec(1.0, 1.0), ys, ts)
     assert rep["preconditions_ok"]
     assert rep["n_off_axis"] == 0
 
@@ -291,10 +311,10 @@ def test_compare_tents_axis_disagreement_possible():
     c = 3.0
     B = Ball((c,), cutoff_m(c))
     p = UpperPoint((c,), 2.0)  # classical needs t <= r; gaussian caps at m(c)
-    gau = ball_tent_contains(B, 1.0, 1.0, p)
+    gau = ball_tent_contains(B, ConeSpec(1.0, 1.0), p)
     cla = classical_tent_contains(B, 1.0, p)
     assert gau != cla
-    rep = compare_tents(B, 1.0, 1.0, [p.y], [p.t])
+    rep = compare_tents(B, ConeSpec(1.0, 1.0), [p.y], [p.t])
     assert rep["n_off_axis"] == 0
     assert len(rep["disagreements"]) == 1
     assert rep["disagreements"][0]["on_axis"]
@@ -307,11 +327,11 @@ def test_compare_tents_lists_the_one_point_disagreements_in_order(rng):
     B = Ball((0.4,), 1.5)
     ys = np.r_[rng.uniform(-1.5, 2.5, 2000), np.full(20, 0.4)][:, None]
     ts = np.exp(rng.uniform(np.log(1e-3), np.log(8.0), ys.shape[0]))
-    rep = compare_tents(B, 1.0, 0.5, ys, ts)
+    rep = compare_tents(B, ConeSpec(1.0, 0.5), ys, ts)
     want = []
     for y, t in zip(ys.tolist(), ts.tolist()):
         p = UpperPoint(tuple(y), t)
-        g, c = ball_tent_contains(B, 1.0, 0.5, p), classical_tent_contains(B, 1.0, p)
+        g, c = ball_tent_contains(B, ConeSpec(1.0, 0.5), p), classical_tent_contains(B, 1.0, p)
         if g != c:
             want.append({"y": p.y, "t": t, "gaussian": g, "classical": c,
                          "on_axis": abs(y[0] - 0.4) <= 1e-12})
@@ -339,16 +359,16 @@ def test_tent_predicate_matches_the_written_out_tent(rng, n):
         ts[::2] = np.where(depth[::2] > 0, depth[::2], ts[::2])
         for b in (beta, np.inf):
             want = _written_out_tent(B, 1.0, b, ys, ts)
-            caps = _pencil_caps(1.0, b, ys, ts)[:, None]
+            caps = ConeSpec(1.0, b).caps(cutoff_m(ys), ts)[:, None]
             assert np.array_equal(_ball_tent(ys, B.center_array, r, caps)[:, 0], want)
         gau, cla = (_written_out_tent(B, 1.0, b, ys, ts) for b in (beta, np.inf))
-        rep = compare_tents(B, 1.0, beta, ys, ts)
+        rep = compare_tents(B, ConeSpec(1.0, beta), ys, ts)
         assert [(d["y"], d["t"]) for d in rep["disagreements"]] \
             == [(tuple(ys[i].tolist()), ts[i]) for i in np.flatnonzero(gau != cla)]
 
 
 def test_compare_tents_warnings():
-    rep = compare_tents(Ball((0.1,), 0.5), 1.0, 0.5, np.empty((0, 1)), [])
+    rep = compare_tents(Ball((0.1,), 0.5), ConeSpec(1.0, 0.5), np.empty((0, 1)), [])
     assert "beta < 1" in rep["warnings"]
     assert any("sqrt" in w for w in rep["warnings"])
     assert not rep["preconditions_ok"]

@@ -542,7 +542,7 @@ def test_reverse_fubini_finite_ratio(grid_small, rng):
     F = _interval_mask(g, -2.0, 2.0)
     H = _positive_H(g, rng)
     d = default_dictionary(g, 1.0)
-    rep = reverse_fubini_check(F, H, 0.9, 1.0, 1.0, 2.0, d)
+    rep = reverse_fubini_check(F, H, 0.9, ConeSpec(1.0, 1.0), 2.0, d)
     assert np.isfinite(rep["ratio"]) and rep["ratio"] >= 0
     with pytest.raises(ValueError):
-        reverse_fubini_check(F, H, 0.9, 2.0, 1.0, 1.0, d)  # delta < alpha
+        reverse_fubini_check(F, H, 0.9, ConeSpec(2.0, 1.0), 1.0, d)  # delta < alpha
