@@ -25,7 +25,6 @@ import csv
 import datetime
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -221,6 +220,9 @@ def cmd_decompose(cfg: RunConfig, args) -> int:
 
 
 def cmd_independence(cfg: RunConfig, args) -> int:
+    # the only command with a pool; the import costs every other one
+    from concurrent.futures import ThreadPoolExecutor
+
     grid = cfg.grid()
     rng = np.random.default_rng(cfg.seed)
     if args.input:

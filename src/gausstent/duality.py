@@ -220,6 +220,7 @@ def check_duality_pq(f: GridFunction, g: GridFunction, p: float, q: float,
     absfg = GridFunction(f.grid, np.abs(f.values * g.values))
     lhs = halfspace_integral(absfg)
     rearranged = _cone_average_over(np.ones(f.grid.n_spatial), absfg, spec)
+    del absfg                   # as large as f: freed before the area functions
     Sf = area_S(f, q, spec)
     Sg = area_S(g, qp, spec)
     mid = float(np.sum(Sf.values * Sg.values * f.grid.gamma_y))

@@ -34,6 +34,18 @@ O(log N) canonical nodes of a segment tree.  On a 2-D grid a window is
 one such range per grid row its disk meets, over the same tree.  A call
 costs O(ranges log N) with no cache, and every sum adds nonnegative terms
 only: a prefix-sum difference would cancel away the e^{-|y|^2} tails.
+
+The cone windows of S_q, S_inf and the cone averages hold one window per
+nonzero cell (y_i, t_j).  In 1-D they come from row breakpoints: the cap
+min(alpha t_j, beta m_i) ascends in j, so each node k in the row's widest
+window (at its top cap) enters the cell's window at one column, the first
+with alpha t_j > |x_k - x_i|, a searchsorted on alpha * grid.t.  A cell's
+[lo, hi) is its node widened by the breakpoints at or before its column,
+int32 ranges with owner the identity, for O(rows * reach + cells) work and
+no float per cell.  Where the breakpoints outnumber the cells (wide caps,
+beta = inf) and in 2-D, each cell's window is searched at its own cap
+instead.  Either way the ranges, and so every float, are those of
+_window_bounds at the cell's cap, to ==.
 Which (y, t) lie in T(B) is decided in one place, geometry._ball_tent.
 The centered ladder B(x, 2^-k level m(x)), k = 0..6, is built in one place,
 _centered_ladder, for any number of node columns at once.
@@ -236,6 +248,8 @@ class _Windows:
     windows.  A 2-D window's rows are the 1-D window on the leading axis,
     exact as sqrt(fl(dx^2)) = |dx|.  Ranges are summed over a segment tree
     of size 2N built per call; runs of equal ranges are summed once.
+    Windows made by _of_ranges have one range each and owner None, the
+    identity, and no centers or radii.
     """
 
     def __init__(self, grid: HalfSpaceGrid, centers: np.ndarray, radii: np.ndarray):
@@ -254,19 +268,32 @@ class _Windows:
             xc, radii, off2 = xc[owner], radii[owner], d0 * d0
             start = rows * grid.nx[-1]
         lo, hi = _window_bounds(grid.axes[-1], xc, radii, off2)
-        lo, hi = lo + start, hi + start
+        self._set_runs(lo + start, hi + start, owner)
+
+    @classmethod
+    def _of_ranges(cls, grid: HalfSpaceGrid, lo: np.ndarray, hi: np.ndarray):
+        """The windows range(lo[w], hi[w]) of a 1-D grid, one range each."""
+        win = cls.__new__(cls)
+        win.grid, win.centers, win.radii = grid, None, None
+        win._set_runs(lo, hi, None)
+        return win
+
+    def _set_runs(self, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray | None):
         first = np.ones(len(lo), dtype=bool)
         first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
         self.owner = owner
-        self.window_starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        if owner is not None:
+            self.window_starts = np.flatnonzero(np.diff(owner, prepend=-1))
         self.run_starts = np.flatnonzero(first)
-        self.run_of = np.cumsum(first) - 1
+        self.run_of = np.cumsum(first, dtype=np.int32)
+        self.run_of -= 1
         self.lo, self.hi = lo[first], hi[first]
 
     def nodes(self, w: int) -> np.ndarray:
         """The ascending node indices of window w: the nodes of the dense
         mask _distance_rows(points, c) < r."""
-        runs = self.run_of[slice(*np.searchsorted(self.owner, (w, w + 1)))]
+        span = (w, w + 1) if self.owner is None else np.searchsorted(self.owner, (w, w + 1))
+        runs = self.run_of[slice(*span)]
         return _expand(self.lo[runs], self.hi[runs])[0]
 
     def gather(self, values: np.ndarray) -> np.ndarray:
@@ -279,13 +306,17 @@ class _Windows:
         runs = np.zeros((len(self.lo),) + values.shape[1:])
         for w, nodes in _canonical_nodes(n, self.lo, self.hi):
             runs[w] += tree[nodes]
-        return np.add.reduceat(np.take(runs, self.run_of, axis=0), self.window_starts)
+        per_range = np.take(runs, self.run_of, axis=0)
+        if self.owner is None:
+            return per_range
+        return np.add.reduceat(per_range, self.window_starts)
 
     def scatter(self, weights: np.ndarray, op=np.add) -> np.ndarray:
         """Per node, op-reduction (np.add or np.maximum) of the weights of
         the windows that hold it; 0 where no window does."""
         n = self.grid.n_spatial
-        per_run = op.reduceat(weights[self.owner], self.run_starts)
+        per_range = weights if self.owner is None else weights[self.owner]
+        per_run = op.reduceat(per_range, self.run_starts)
         acc = np.zeros(2 * n)
         for w, nodes in _canonical_nodes(n, self.lo, self.hi):
             op.at(acc, nodes, per_run[w])
@@ -309,9 +340,63 @@ class _Windows:
 
 
 def _cone_windows(f_values: np.ndarray, grid: HalfSpaceGrid, spec: ConeSpec):
-    """(y, t) indices of the nonzero nodes and the windows of their cones."""
+    """(y, t) indices of the nonzero nodes and the windows of their cones.
+
+    In 1-D the windows come from the breakpoints of each row's cells
+    (_cone_ranges) unless those outnumber the cells; otherwise, and in 2-D,
+    each cell's window is searched at its own cap."""
     ys, js = np.nonzero(f_values)
+    if grid.n == 1 and ys.size:
+        last = np.flatnonzero(np.r_[ys[1:] != ys[:-1], True])
+        rows = ys[last]
+        lo, hi = _window_bounds(grid.axes[0], grid.axes[0][rows],
+                                spec.caps(grid.m_y[rows], grid.t[js[last]]))
+        if np.sum(hi - lo - 1) <= ys.size:
+            return ys, js, _Windows._of_ranges(grid, *_cone_ranges(
+                grid, spec, ys, js, rows, lo, hi))
     return ys, js, _Windows(grid, grid.points[ys], spec.caps(grid.m_y[ys], grid.t[js]))
+
+
+def _breakpoints(axis: np.ndarray, rows: np.ndarray, ends: np.ndarray,
+                 alpha_t: np.ndarray, base: np.ndarray):
+    """Per node k in range(rows[r] + 1, ends[r]), the first column whose cap
+    alpha_t exceeds |axis[k] - axis[rows[r]]|, as the key base[r] + column,
+    and where each row's keys start.  Keys ascend: the distance, and so the
+    column, grows with k."""
+    k, at = _expand(rows + 1, ends)
+    key = np.searchsorted(alpha_t, _distance(axis[k] - axis[rows][at]), side="right")
+    key += base[at]
+    return key, np.searchsorted(key, base)
+
+
+def _cone_ranges(grid: HalfSpaceGrid, spec: ConeSpec, ys: np.ndarray, js: np.ndarray,
+                 rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """[lo, hi) (int32) of the cone window of every cell (ys, js) of a 1-D
+    grid, from the windows [lo, hi) of its rows at their top caps.
+
+    A row's cap min(alpha t_j, beta m) ascends in j, and every node of the
+    row's top window lies nearer than beta m, so the cell (i, j) holds a
+    node k of it exactly when alpha t_j > |x_k - x_i|: when j is at or past
+    k's breakpoint.  The nodes left of x_i are those right of the mirrored
+    node on -axis[::-1], whose distances are bit-identical."""
+    n, nt = grid.n_spatial, grid.nt
+    alpha_t = spec.alpha * grid.t
+    base = rows * (nt + 1)
+    right, r0 = _breakpoints(grid.axes[0], rows, hi, alpha_t, base)
+    left, l0 = _breakpoints(-grid.axes[0][::-1], n - 1 - rows, n - lo, alpha_t, base)
+    # a cell's key lands past its row's keys at or before its column: the
+    # count it holds, plus where the row's keys start, which shift takes off
+    key = ys * (nt + 1)
+    key += js
+    shift = np.zeros(n, dtype=np.int64)
+    shift[rows] = rows + 1 - r0
+    out_hi = np.searchsorted(right, key, side="right")
+    out_hi += shift[ys]
+    out_hi = out_hi.astype(np.int32)
+    shift[rows] = rows + l0
+    out_lo = np.searchsorted(left, key, side="right")
+    np.subtract(shift[ys], out_lo, out=out_lo)
+    return out_lo.astype(np.int32), out_hi
 
 
 def area_S(f: GridFunction, q: float, spec: ConeSpec) -> SpatialFunction:
@@ -323,7 +408,8 @@ def area_S(f: GridFunction, q: float, spec: ConeSpec) -> SpatialFunction:
     absq = np.abs(f.values) ** q
     ys, js, win = _cone_windows(absq, g, spec)
     den = win.gather(g.gamma_y)
-    contrib = absq[ys, js] * g.gamma_y[ys] * g.wt[js] / den
+    with np.errstate(divide="raise", invalid="raise"):   # gamma(B) = 0 in floats
+        contrib = absq[ys, js] * g.gamma_y[ys] * g.wt[js] / den
     Sq = win.scatter(contrib)
     return SpatialFunction(g, Sq ** (1.0 / q))
 

@@ -320,7 +320,9 @@ def _read_csv(path: Path, grid: HalfSpaceGrid | None) -> GridFunction:
                              " is not a node of the grid")
         index.append(k.astype(np.intp))
     flat = np.ravel_multi_index(tuple(index), grid.nx + (grid.nt,))
-    if np.unique(flat).size != flat.size:
+    seen = np.zeros(flat.size, dtype=bool)      # one row per node: unseen means twice
+    seen[flat] = True
+    if not seen.all():
         raise ValueError(f"{path}: a grid node appears in more than one row")
     f = np.empty(grid.n_spatial * grid.nt)
     f[flat] = vals

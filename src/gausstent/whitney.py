@@ -22,9 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ConeSpec, _distance_rows, _gamma_ratio_sup
+from .geometry import ConeSpec, _distance, _gamma_ratio_sup
 from .grid import GridFunction, HalfSpaceGrid, RegionMask
-from .functionals import BallDictionary, _centered_ladder, _cone_windows, _Windows, cone_caps
+from .functionals import (
+    BallDictionary, _centered_ladder, _cone_windows, _expand, _Windows, cone_caps,
+)
 
 __all__ = [
     "WhitneyCover",
@@ -296,17 +298,34 @@ def _audit_balls(O, balls, radii, nodes_per, edt) -> dict:
     count = _node_count(g, nodes_per)
     # C*B must reach the complement: nearest complement node at edt[center]
     meets = not np.any(edt[balls] > C * radii + g.cell)
-    gap = _distance_rows(g.points[balls], g.points[balls])
-    too_close = gap < (radii[:, None] + radii[None, :]) / C - 1e-12
-    disjoint = not np.triu(too_close, 1).any()
     return {
         "n_balls": len(balls),
         "covers_target": bool(np.all(count[O.mask] > 0)),
         "inflated_meet_complement": meets,
-        "shrunken_disjoint": disjoint,
+        "shrunken_disjoint": _shrunken_disjoint(g, balls, radii),
         "max_overlap": int(count.max()),
         "tolerance_cells": 1,
     }
+
+
+def _shrunken_disjoint(g: HalfSpaceGrid, balls, radii) -> bool:
+    """No balls a < b with |c_b - c_a| < (r_a + r_b)/C - 1e-12.  The
+    candidates b of a are the centers in a's window of radius
+    (r_a + max r)/C, found by binary search of its ranges in the sorted
+    center nodes; the predicate is then taken on those pairs alone."""
+    if not len(balls):
+        return True
+    win = _Windows(g, g.points[balls], (radii + radii.max()) / _C_OVERLAP)
+    order = np.argsort(balls)
+    nodes = balls[order]
+    pos, at = _expand(np.searchsorted(nodes, win.lo)[win.run_of],
+                      np.searchsorted(nodes, win.hi)[win.run_of])
+    a, b = win.owner[at], order[pos]
+    keep = a < b
+    a, b = a[keep], b[keep]
+    d = g.points[balls[b]] - g.points[balls[a]]
+    gap = _distance(d[:, -1], None if g.n == 1 else d[:, 0] * d[:, 0])
+    return not np.any(gap < (radii[a] + radii[b]) / _C_OVERLAP - 1e-12)
 
 
 # -- doubling constants and the two integral-inequality checks -------------
@@ -338,7 +357,8 @@ def _cone_average_over(A_mask: np.ndarray, H: GridFunction,
     g = H.grid
     ys, js, win = _cone_windows(H.values, g, spec)
     den, mass_in_A = win.gather(np.stack([g.gamma_y, g.gamma_y * A_mask], axis=1)).T
-    return float(np.sum(H.values[ys, js] * g.gamma_y[ys] * g.wt[js] * mass_in_A / den))
+    with np.errstate(divide="raise", invalid="raise"):   # gamma(B) = 0 in floats
+        return float(np.sum(H.values[ys, js] * g.gamma_y[ys] * g.wt[js] * mass_in_A / den))
 
 
 def density_inequality_check(A: RegionMask, H: GridFunction, eta: float,

@@ -193,7 +193,9 @@ def test_decompose_density_points_match_the_per_level_loop(monkeypatch, make, nx
 
     class Counting(_Windows):
         def __init__(self, *args):
-            built.append(len(args[1]))
+            # (windows, centered at every node); 1-D cone windows are built
+            # from ranges and never pass here
+            built.append((len(args[1]), args[1] is args[0].points))
             super().__init__(*args)
 
     monkeypatch.setattr(atomic, "_density_columns", recording)
@@ -203,8 +205,10 @@ def test_decompose_density_points_match_the_per_level_loop(monkeypatch, make, nx
     assert len(calls) == 1
     F, eta, level, got = calls[0]
     assert F.shape[1] > 7
-    # the cone windows of area_S, then the seven rungs
-    assert built[1:] == [g.n_spatial] * 7
+    # seven rungs of N windows, one per node, built last and nothing else
+    # centered at every node
+    assert [n for n, every_node in built if every_node] == [g.n_spatial] * 7
+    assert all(every_node for _, every_node in built[-7:])
     rungs = list(_centered_ladder(g, level, F))
     for j in range(F.shape[1]):
         loop = _ladder_loop(g, F[:, j], level)

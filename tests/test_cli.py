@@ -521,6 +521,22 @@ def test_carleson_on_a_box_where_gamma_underflows_is_a_numeric_error(
     assert _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("command", ["norm", "decompose"])
+def test_cone_functionals_on_a_box_where_gamma_underflows_are_a_numeric_error(
+        tmp_path, capsys, command):
+    # f = 1 reaches cells past |y| of about 27, where every gamma(B) of a
+    # cone window is 0 in floats: the division itself is the error
+    g = HalfSpaceGrid(((-64.0, 64.0),), (256,), 1e-3, 8.0, 32)
+    path = tmp_path / "one.gtnt"
+    write_grid_function(GridFunction(g, np.ones((g.n_spatial, g.nt))), path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["--out", str(tmp_path), command, "--infer-grid", "--input", str(path)])
+    assert not caught
+    assert rc == EXIT_NUMERIC
+    assert _one_line_error(capsys)
+
+
 @pytest.mark.parametrize("defect", ["short_header", "cut_header", "short_payload",
                                     "bad_dimension"])
 def test_malformed_gtnt_is_a_precondition_error(tmp_path, input_file, capsys,
@@ -638,6 +654,16 @@ from gausstent.cli import main
 assert main(["--out", "out", "--grid", "64,16", "independence"]) == 0
 """)
     assert loaded == set()
+
+
+def test_import_loads_no_thread_pool(tmp_path):
+    # concurrent.futures is imported by independence alone
+    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    script = "import sys, gausstent.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False"]
 
 
 def test_dictionary_commands_load_no_scipy(tmp_path):

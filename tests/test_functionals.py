@@ -15,7 +15,7 @@ from gausstent.functionals import (
     maximal_centered, maximal_noncentered, stopping_time, tent_norm,
 )
 from gausstent.duality import check_duality_pq
-from gausstent.whitney import containing_density_points
+from gausstent.whitney import _cone_average_over, containing_density_points
 
 
 def _bump(grid, y0=0.5, t0=0.1, wy=0.4):
@@ -277,17 +277,45 @@ def test_area_matches_dense_reference_two_bumps(grid_small, spec):
     assert np.array_equal(area_S_sup(f, spec).values, want_sup)
 
 
+def _assert_cell_windows(win, g, ys, js, caps):
+    """The windows of the cells (ys, js) are those of caps, the per-cell
+    caps: in 1-D their ranges and node sets are _window_bounds of caps, in
+    2-D the windows carry caps as their radii."""
+    if g.n == 2:
+        assert win.radii.tobytes() == caps.tobytes()
+        return
+    lo, hi = _window_bounds(g.axes[0], g.points[ys, 0], caps)
+    assert np.array_equal(win.lo[win.run_of], lo)
+    assert np.array_equal(win.hi[win.run_of], hi)
+    nodes, at = _expand(win.lo[win.run_of], win.hi[win.run_of])
+    want, want_at = _expand(lo, hi)
+    assert np.array_equal(nodes, want) and np.array_equal(at, want_at)
+    for w in np.unique(np.linspace(0, len(ys) - 1, 9).astype(int)) if ys.size else []:
+        assert np.array_equal(win.nodes(w), np.arange(lo[w], hi[w]))
+
+
+def _low_band(g, rng):
+    """Random values on a random half of the cells with t below t_max/64:
+    few breakpoints per row, so 1-D cone windows come from them."""
+    vals = rng.random((g.n_spatial, g.nt)) * (rng.random((g.n_spatial, g.nt)) < 0.5)
+    vals[:, g.t >= g.t_max / 64] = 0.0
+    return vals
+
+
 @pytest.mark.parametrize("box, nx", [(((-8.0, 8.0),), (1024,)),
                                     (((-4.0, 4.0), (-3.0, 5.0)), (48, 40))],
                          ids=["1d-1024", "2d-48x40"])
 def test_cone_windows_take_the_caps_of_their_cells(box, nx, rng):
-    # the caps at the nonzero cells only, the same floats as the whole grid's
+    # the caps at the nonzero cells only, the same floats as the whole grid's;
+    # in 1-D on a sparse support (searched per cell) and a low band (from
+    # row breakpoints)
     g = HalfSpaceGrid(box, nx, 1e-3, 8.0, 64 if len(nx) == 1 else 8)
-    vals = rng.random((g.n_spatial, g.nt)) * (rng.random((g.n_spatial, g.nt)) < 0.2)
-    for spec in (ConeSpec(1.0, 1.0), ConeSpec(0.5, 2.0), ConeSpec(2.0, 0.5)):
-        ys, js, win = _cone_windows(vals, g, spec)
-        assert ys.size > 0
-        assert win.radii.tobytes() == cone_caps(g, spec)[ys, js].tobytes()
+    sparse = rng.random((g.n_spatial, g.nt)) * (rng.random((g.n_spatial, g.nt)) < 0.2)
+    for vals in (sparse, _low_band(g, rng)) if g.n == 1 else (sparse,):
+        for spec in (ConeSpec(1.0, 1.0), ConeSpec(0.5, 2.0), ConeSpec(2.0, 0.5)):
+            ys, js, win = _cone_windows(vals, g, spec)
+            assert ys.size > 0
+            _assert_cell_windows(win, g, ys, js, cone_caps(g, spec)[ys, js])
 
 
 @pytest.mark.parametrize("box, nx", [(((-8.0, 8.0),), (1024,)),
@@ -295,17 +323,96 @@ def test_cone_windows_take_the_caps_of_their_cells(box, nx, rng):
                          ids=["1d-1024", "2d-48x40"])
 def test_caps_from_grid_m_are_the_per_point_formula(box, nx, rng):
     # m(y) read from grid.m_y gives the floats of min(alpha t, beta m(y))
-    # with m recomputed from each point's coordinates, per cell and on the
-    # whole grid
+    # with m recomputed from each point's coordinates, on the whole grid,
+    # and the cone windows of the cells are those of the per-point caps
     g = HalfSpaceGrid(box, nx, 1e-3, 8.0, 64 if len(nx) == 1 else 8)
-    vals = rng.random((g.n_spatial, g.nt)) * (rng.random((g.n_spatial, g.nt)) < 0.2)
-    for spec in (ConeSpec(1.0, 1.0), ConeSpec(0.5, 2.0), ConeSpec(2.0, np.inf)):
-        a, b = spec.alpha, spec.beta
-        whole = np.minimum(a * g.t, b * cutoff_m(g.points[:, None, :]))
-        assert cone_caps(g, spec).tobytes() == whole.tobytes()
-        ys, js, win = _cone_windows(vals, g, spec)
-        cells = np.minimum(a * g.t[js], b * cutoff_m(g.points[ys]))
-        assert win.radii.tobytes() == cells.tobytes()
+    sparse = rng.random((g.n_spatial, g.nt)) * (rng.random((g.n_spatial, g.nt)) < 0.2)
+    for vals in (sparse, _low_band(g, rng)) if g.n == 1 else (sparse,):
+        for spec in (ConeSpec(1.0, 1.0), ConeSpec(0.5, 2.0), ConeSpec(2.0, np.inf)):
+            a, b = spec.alpha, spec.beta
+            whole = np.minimum(a * g.t, b * cutoff_m(g.points[:, None, :]))
+            assert cone_caps(g, spec).tobytes() == whole.tobytes()
+            ys, js, win = _cone_windows(vals, g, spec)
+            cells = np.minimum(a * g.t[js], b * cutoff_m(g.points[ys]))
+            _assert_cell_windows(win, g, ys, js, cells)
+
+
+_CONE_SPECS = [ConeSpec(1.0, 1.0), ConeSpec(0.5, 2.0), ConeSpec(2.0, 0.5),
+               ConeSpec(2.0, np.inf)]
+
+
+def _supports(g, rng):
+    """Random (whole grid, and a low band), single-row and box-edge supports."""
+    whole = rng.random((g.n_spatial, g.nt)) * (rng.random((g.n_spatial, g.nt)) < 0.3)
+    row = np.zeros((g.n_spatial, g.nt))
+    row[g.n_spatial // 3, rng.random(g.nt) < 0.7] = 1.0
+    row[g.n_spatial // 3, 0] = 2.0
+    edge = np.zeros((g.n_spatial, g.nt))
+    edge[0, :] = 1.0
+    edge[-1, ::2] = 3.0
+    return {"random": whole, "low_band": _low_band(g, rng), "single_row": row,
+            "box_edge": edge}
+
+
+@pytest.mark.parametrize("nx, nt", [(1024, 64), (300, 16), (2, 2)])
+def test_cone_windows_from_breakpoints_match_the_per_cell_search(nx, nt, rng):
+    # both sides of the cost rule run: breakpoints where a row's widest
+    # window is narrow next to its cells, the per-cell search where it is
+    # wide (a whole random grid, beta = inf)
+    g = HalfSpaceGrid(((-8.0, 8.0),), (nx,), 1e-3, 8.0, nt)
+    branches = set()
+    for spec in _CONE_SPECS:
+        for vals in _supports(g, rng).values():
+            ys, js, win = _cone_windows(vals, g, spec)
+            assert [ys.tolist(), js.tolist()] == [a.tolist() for a in np.nonzero(vals)]
+            _assert_cell_windows(win, g, ys, js, spec.caps(g.m_y[ys], g.t[js]))
+            if ys.size:
+                branches.add(win.owner is None)
+    assert branches == ({True} if nx == 2 else {True, False})
+    if nx > 2:
+        # a cap alpha t_j that equals a node distance on each side: the
+        # window holds that node only from the next column on
+        i = nx // 2
+        for k in (i + 1, i - 1):
+            d = abs(g.axes[0][k] - g.axes[0][i])
+            alpha, j = next((a, j) for j in range(nt // 4, nt - 2)
+                            for a in (d / g.t[j], np.nextafter(d / g.t[j], 0.0),
+                                      np.nextafter(d / g.t[j], 1.0)) if a * g.t[j] == d)
+            vals = np.zeros((g.n_spatial, g.nt))
+            vals[i - 4:i + 5, :j + 2] = 1.0
+            ys, js, win = _cone_windows(vals, g, ConeSpec(alpha, 4.0))
+            assert win.owner is None
+            at = np.flatnonzero((ys == i) & (js >= j - 1))[:3]
+            assert [k in win.nodes(w) for w in at] == [False, False, True]
+            _assert_cell_windows(win, g, ys, js, ConeSpec(alpha, 4.0).caps(g.m_y[ys], g.t[js]))
+
+
+def _per_cell_windows(vals, g, spec):
+    """The cone windows searched cell by cell at each cell's cap."""
+    ys, js = np.nonzero(vals)
+    return ys, js, _Windows(g, g.points[ys], spec.caps(g.m_y[ys], g.t[js]))
+
+
+@pytest.mark.parametrize("nx, nt", [(1024, 64), (300, 16), (2, 2)])
+def test_cone_functionals_match_the_per_cell_windows_to_the_byte(nx, nt, rng):
+    # area_S, area_S_sup and the cone average written out on per-cell windows
+    g = HalfSpaceGrid(((-8.0, 8.0),), (nx,), 1e-3, 8.0, nt)
+    A = (rng.random(g.n_spatial) < 0.5).astype(float)
+    for spec in _CONE_SPECS:
+        for vals in _supports(g, rng).values():
+            f = GridFunction(g, vals)
+            for q in (1.0, 2.0, 3.0):
+                absq = np.abs(vals) ** q
+                ys, js, win = _per_cell_windows(absq, g, spec)
+                contrib = absq[ys, js] * g.gamma_y[ys] * g.wt[js] / win.gather(g.gamma_y)
+                want = win.scatter(contrib) ** (1.0 / q)
+                assert area_S(f, q, spec).values.tobytes() == want.tobytes()
+            ys, js, win = _per_cell_windows(vals, g, spec)
+            want = win.scatter(np.abs(vals)[ys, js], np.maximum)
+            assert area_S_sup(f, spec).values.tobytes() == want.tobytes()
+            den, in_A = win.gather(np.stack([g.gamma_y, g.gamma_y * A], axis=1)).T
+            want = float(np.sum(vals[ys, js] * g.gamma_y[ys] * g.wt[js] * in_A / den))
+            assert _cone_average_over(A, f, spec) == want
 
 
 def test_area_S_takes_m_from_the_grid(grid_small, monkeypatch):

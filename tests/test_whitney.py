@@ -7,7 +7,7 @@ from gausstent.geometry import ConeSpec, _distance_rows
 from gausstent.grid import GridFunction, HalfSpaceGrid, RegionMask
 from gausstent.functionals import cone_caps, default_dictionary
 from gausstent.whitney import (
-    _C_OVERLAP, _audit_cubes, _box_base_level, _edt, complement_distance,
+    _C_OVERLAP, _audit_cubes, _box_base_level, _edt, _shrunken_disjoint, complement_distance,
     containing_density_points, density_inequality_check,
     density_points, doubling_constant, etabar_from_doubling, reverse_fubini_check,
     tent_mask, whitney_balls, whitney_cubes,
@@ -422,6 +422,26 @@ def test_whitney_balls_audit(grid_small, rng):
         assert a["covers_target"]
         assert a["inflated_meet_complement"]
         assert a["shrunken_disjoint"]
+
+
+@pytest.mark.parametrize("box, nx", [(((-8.0, 8.0),), (512,)),
+                                    (((-4.0, 4.0), (-3.0, 5.0)), (40, 33))],
+                         ids=["1d", "2d"])
+def test_shrunken_disjoint_matches_the_dense_pair_matrix(box, nx, rng):
+    # balls at random nodes in random order, with random radii: the window
+    # query finds a close pair exactly when the B x B distance matrix does
+    g = HalfSpaceGrid(box, nx, 1e-3, 8.0, 4)
+    seen = set()
+    for _ in range(150):
+        balls = rng.choice(g.n_spatial, rng.integers(1, 40), replace=False)
+        radii = rng.uniform(0.2, 3.0, len(balls)) * g.cell * rng.uniform(1.0, 6.0)
+        gap = _distance_rows(g.points[balls], g.points[balls])
+        close = gap < (radii[:, None] + radii[None, :]) / _C_OVERLAP - 1e-12
+        want = not np.triu(close, 1).any()
+        assert _shrunken_disjoint(g, balls, radii) == want
+        seen.add(want)
+    assert seen == {True, False}
+    assert _shrunken_disjoint(g, np.array([], dtype=int), np.array([]))
 
 
 def _dense_balls(O):
