@@ -42,10 +42,14 @@ window (at its top cap) enters the cell's window at one column, the first
 with alpha t_j > |x_k - x_i|, a searchsorted on alpha * grid.t.  A cell's
 [lo, hi) is its node widened by the breakpoints at or before its column,
 int32 ranges with owner the identity, for O(rows * reach + cells) work and
-no float per cell.  Where the breakpoints outnumber the cells (wide caps,
-beta = inf) and in 2-D, each cell's window is searched at its own cap
-instead.  Either way the ranges, and so every float, are those of
-_window_bounds at the cell's cap, to ==.
+no float per cell.  Where the breakpoints number more than twice the cells
+(wide caps, beta = inf, sparse rows) and in 2-D, each cell's window is
+searched at its own cap instead.  Twice is where the two paths, gather and
+scatter included, took the same time on 1-D grids of 64 to 256 heights;
+past it the search is the faster, and past about 3.5 the smaller in
+memory, since the breakpoints grow as rows * reach.  Either way the
+ranges, and so every float, are those of _window_bounds at the cell's
+cap, to ==.
 Which (y, t) lie in T(B) is decided in one place, geometry._ball_tent.
 The centered ladder B(x, 2^-k level m(x)), k = 0..6, is built in one place,
 _centered_ladder, for any number of node columns at once.
@@ -343,15 +347,16 @@ def _cone_windows(f_values: np.ndarray, grid: HalfSpaceGrid, spec: ConeSpec):
     """(y, t) indices of the nonzero nodes and the windows of their cones.
 
     In 1-D the windows come from the breakpoints of each row's cells
-    (_cone_ranges) unless those outnumber the cells; otherwise, and in 2-D,
-    each cell's window is searched at its own cap."""
+    (_cone_ranges) unless those number more than twice the cells (see the
+    module docstring); otherwise, and in 2-D, each cell's window is
+    searched at its own cap."""
     ys, js = np.nonzero(f_values)
     if grid.n == 1 and ys.size:
         last = np.flatnonzero(np.r_[ys[1:] != ys[:-1], True])
         rows = ys[last]
         lo, hi = _window_bounds(grid.axes[0], grid.axes[0][rows],
                                 spec.caps(grid.m_y[rows], grid.t[js[last]]))
-        if np.sum(hi - lo - 1) <= ys.size:
+        if np.sum(hi - lo - 1) <= 2 * ys.size:
             return ys, js, _Windows._of_ranges(grid, *_cone_ranges(
                 grid, spec, ys, js, rows, lo, hi))
     return ys, js, _Windows(grid, grid.points[ys], spec.caps(grid.m_y[ys], grid.t[js]))
