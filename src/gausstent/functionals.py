@@ -44,10 +44,10 @@ with alpha t_j > |x_k - x_i|, a searchsorted on alpha * grid.t.  A cell's
 int32 ranges with owner the identity, for O(rows * reach + cells) work and
 no float per cell.  Where the breakpoints number more than twice the cells
 (wide caps, beta = inf, sparse rows) and in 2-D, each cell's window is
-searched at its own cap instead.  Twice is where the two paths, gather and
-scatter included, took the same time on 1-D grids of 64 to 256 heights;
-past it the search is the faster, and past about 3.5 the smaller in
-memory, since the breakpoints grow as rows * reach.  Either way the
+searched at its own cap instead.  Up to twice the cells the breakpoints
+take about the time of the search, gather and scatter included, and half
+its memory; past that the search is the faster, and past about 3.5 times
+also the smaller, since the breakpoints grow as rows * reach.  Either way the
 ranges, and so every float, are those of _window_bounds at the cell's
 cap, to ==.
 Which (y, t) lie in T(B) is decided in one place, geometry._ball_tent.
