@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Ball, ConeSpec, _ball_tent, _gamma_balls, _gamma_ratio_sup, cutoff_m
+from .geometry import Ball, ConeSpec, _ball_averages, _ball_tent, _gamma_ratio_sup, cutoff_m
 from .grid import GridFunction, SpatialFunction, _csv_rows, halfspace_integral, lp_gamma_norm
 from .functionals import (
     BallDictionary,
     ExponentPair,
-    _Windows,
+    _ball_windows,
     area_S,
     carleson_C,
     stopping_time,
@@ -106,7 +106,9 @@ def carleson_norm(mu: DiscreteMeasure, spec: ConeSpec, delta: float,
 
     The dictionary must consist of delta-admissible balls (Carleson-measure
     convention; contrast the unrestricted Carleson-functional supremum).
-    values holds every ball's ratio, in dictionary order.
+    values holds every ball's ratio, in dictionary order, 0 for a ball whose
+    tent holds no mass; mass over a gamma(B) that is 0 in floats raises
+    FloatingPointError.
     """
     bad = int(np.count_nonzero(~dict_._admits(delta)))
     if bad:
@@ -120,8 +122,7 @@ def carleson_norm(mu: DiscreteMeasure, spec: ConeSpec, delta: float,
     caps = spec.caps(cutoff_m(ys), ts)[:, None]
     mass = np.array([absw[_ball_tent(ys, c, r, caps)[:, 0]].sum()
                      for c, r in zip(dict_.centers, dict_.radii)])
-    with np.errstate(divide="raise", invalid="raise"):
-        values = mass / _gamma_balls(dict_.centers, dict_.radii)
+    values = _ball_averages(mass, dict_.centers, dict_.radii)
     best, witness = float(np.fmax.reduce(values, initial=0.0)), None
     if best > 0:
         k = int(np.flatnonzero(values == best)[0])
@@ -147,7 +148,9 @@ def check_carleson_pairing(mu: DiscreteMeasure, f: GridFunction, spec: ConeSpec,
 
 def measured_K_beta(spec: ConeSpec, dict_: BallDictionary) -> float:
     """Inflation constant: sup gamma(kappa B~)/gamma(B~) over dictionary
-    balls, with B~ = B(c, alpha r ^ beta m(c)) and kappa = 2(beta+1)^2 + 1."""
+    balls, with B~ = B(c, alpha r ^ beta m(c)) and kappa = 2(beta+1)^2 + 1;
+    balls whose gamma(B~) is 0 in floats (past |c| of about 27) are left
+    out."""
     kappa = 2.0 * (spec.beta + 1.0) ** 2 + 1.0
     r = spec.caps(cutoff_m(dict_.centers), dict_.radii)
     return _gamma_ratio_sup(dict_.centers, r, kappa)
@@ -159,7 +162,7 @@ def stopping_density(h: SpatialFunction, spec: ConeSpec,
     stopping time reaches r_B (NaN where that ball holds no node).
     Grid-sum gammas keep the ratio exact."""
     g = h.grid
-    win = _Windows(g, dict_.centers, spec.caps(cutoff_m(dict_.centers), dict_.radii))
+    win = _ball_windows(g, dict_.centers, spec.caps(cutoff_m(dict_.centers), dict_.radii))
     lam = np.full(len(dict_.radii), np.nan)
     for k, r in enumerate(dict_.radii):
         nodes = win.nodes(k)

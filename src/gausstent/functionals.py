@@ -24,16 +24,18 @@ Every ball on the grid is a window {k : |x_k - c| < r} around a center
 coordinate c, node or not: cone sections, influence balls, the centered
 ladders and the dictionary balls of C_q, the non-centered maximal function,
 the containing-ball density points, the Whitney balls and the stopping
-densities.  One private layer (_Windows) evaluates them all: gather sums
-node values over each window, scatter gives each node the sum or max of the
-weights of the windows that hold it, tent_sums sums over the tent T(B) of
-each window's ball, and nodes lists one window's nodes.  In 1-D a window is
-the index range [lo, hi), found with the same float predicate as a dense
-distance mask so the node sets are identical, and its sums run over the
-O(log N) canonical nodes of a segment tree.  On a 2-D grid a window is
-one such range per grid row its disk meets, over the same tree.  A call
-costs O(ranges log N) with no cache, and every sum adds nonnegative terms
-only: a prefix-sum difference would cancel away the e^{-|y|^2} tails.
+densities.  One private layer evaluates them all.  A window set (_Windows)
+is index ranges [lo, hi), plus an owner that maps ranges to windows where a
+window has several, one per grid row its disk meets, which happens only in
+2-D.  gather sums node values over each window, scatter gives each node the
+sum or max of the weights of the windows that hold it, nodes lists one
+window's nodes and ranges() every range with its window.  _ball_windows
+finds the ranges of balls with the same float predicate as a dense
+distance mask, so the node sets are identical, and _tent_sums sums over the
+tent T(B) of each dictionary ball on its window's nodes.  Ranges are summed
+over the O(log N) canonical nodes of a segment tree: a call costs
+O(ranges log N) with no cache, and every sum adds nonnegative terms only: a
+prefix-sum difference would cancel away the e^{-|y|^2} tails.
 
 The cone windows of S_q, S_inf and the cone averages hold one window per
 nonzero cell (y_i, t_j).  In 1-D they come from row breakpoints: the cap
@@ -41,15 +43,15 @@ min(alpha t_j, beta m_i) ascends in j, so each node k in the row's widest
 window (at its top cap) enters the cell's window at one column, the first
 with alpha t_j > |x_k - x_i|, a searchsorted on alpha * grid.t.  A cell's
 [lo, hi) is its node widened by the breakpoints at or before its column,
-int32 ranges with owner the identity, for O(rows * reach + cells) work and
-no float per cell.  Where the breakpoints number more than twice the cells
-(wide caps, beta = inf, sparse rows) and in 2-D, each cell's window is
-searched at its own cap instead.  Up to twice the cells the breakpoints
-take about the time of the search, gather and scatter included, and half
-its memory; past that the search is the faster, and past about 3.5 times
-also the smaller, since the breakpoints grow as rows * reach.  Either way the
-ranges, and so every float, are those of _window_bounds at the cell's
-cap, to ==.
+int32 ranges, for O(rows * reach + cells) work and no float per cell.
+Where the breakpoints number more than twice the cells (wide caps,
+beta = inf, sparse rows) and in 2-D, each cell's window is the ball window
+at its own cap instead.  Up to twice the cells the breakpoints take about
+the time of the ball windows, gather and scatter included, and half their
+memory; past that the ball windows are the faster, and past about 3.5
+times also the smaller, since the breakpoints grow as rows * reach.  Either
+way the ranges, and so every float, are those of _window_bounds at the
+cell's cap, to ==.
 Which (y, t) lie in T(B) is decided in one place, geometry._ball_tent.
 The centered ladder B(x, 2^-k level m(x)), k = 0..6, is built in one place,
 _centered_ladder, for any number of node columns at once.
@@ -67,7 +69,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConeSpec, _ball_tent, _distance, _gamma_balls, cutoff_m
+from .geometry import (
+    _GAMMA_UNDERFLOW, ConeSpec, _ball_averages, _ball_tent, _distance, _per_gamma, cutoff_m,
+)
 from .grid import GridFunction, HalfSpaceGrid, SpatialFunction, lp_gamma_norm
 
 __all__ = [
@@ -244,45 +248,15 @@ def _expand(lo: np.ndarray, hi: np.ndarray):
 
 
 class _Windows:
-    """The windows {k : |x_k - c| < r} of (center, radius) pairs, with
-    gather, scatter and tent sums; centers are coordinates, shape (M, n).
+    """Windows given as index ranges [lo, hi) of the nodes, with gather and
+    scatter.  owner maps ranges to windows where a window has several (in
+    2-D, one range per grid row); it is None, the identity, in 1-D.  Ranges
+    are summed over a segment tree of size 2N built per call; runs of equal
+    ranges are summed once."""
 
-    A window is one index range per grid row (the nodes that share the
-    leading coordinate; in 1-D the whole axis), owner maps ranges to
-    windows.  A 2-D window's rows are the 1-D window on the leading axis,
-    exact as sqrt(fl(dx^2)) = |dx|.  Ranges are summed over a segment tree
-    of size 2N built per call; runs of equal ranges are summed once.
-    Windows made by _of_ranges have one range each and owner None, the
-    identity, and no centers or radii.
-    """
-
-    def __init__(self, grid: HalfSpaceGrid, centers: np.ndarray, radii: np.ndarray):
+    def __init__(self, grid: HalfSpaceGrid, lo: np.ndarray, hi: np.ndarray,
+                 owner: np.ndarray | None = None):
         self.grid = grid
-        self.centers = np.asarray(centers, dtype=float).reshape(-1, grid.n)
-        self.radii = np.asarray(radii, dtype=float)
-        owner = np.arange(len(self.radii))
-        xc, radii, off2, start = self.centers[:, -1], self.radii, None, 0
-        if grid.n == 2:
-            # a window that meets no row keeps one, clipped into the grid:
-            # every node of it lies at least r away, so its range is empty
-            lo0, hi0 = _window_bounds(grid.axes[0], self.centers[:, 0], radii)
-            lo0 = np.minimum(lo0, grid.nx[0] - 1)
-            rows, owner = _expand(lo0, np.maximum(hi0, lo0 + 1))
-            d0 = grid.axes[0][rows] - self.centers[owner, 0]
-            xc, radii, off2 = xc[owner], radii[owner], d0 * d0
-            start = rows * grid.nx[-1]
-        lo, hi = _window_bounds(grid.axes[-1], xc, radii, off2)
-        self._set_runs(lo + start, hi + start, owner)
-
-    @classmethod
-    def _of_ranges(cls, grid: HalfSpaceGrid, lo: np.ndarray, hi: np.ndarray):
-        """The windows range(lo[w], hi[w]) of a 1-D grid, one range each."""
-        win = cls.__new__(cls)
-        win.grid, win.centers, win.radii = grid, None, None
-        win._set_runs(lo, hi, None)
-        return win
-
-    def _set_runs(self, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray | None):
         first = np.ones(len(lo), dtype=bool)
         first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
         self.owner = owner
@@ -293,9 +267,13 @@ class _Windows:
         self.run_of -= 1
         self.lo, self.hi = lo[first], hi[first]
 
+    def ranges(self):
+        """(lo, hi, window) of every range, in window order."""
+        window = np.arange(len(self.run_of)) if self.owner is None else self.owner
+        return self.lo[self.run_of], self.hi[self.run_of], window
+
     def nodes(self, w: int) -> np.ndarray:
-        """The ascending node indices of window w: the nodes of the dense
-        mask _distance_rows(points, c) < r."""
+        """The ascending node indices of window w."""
         span = (w, w + 1) if self.owner is None else np.searchsorted(self.owner, (w, w + 1))
         runs = self.run_of[slice(*span)]
         return _expand(self.lo[runs], self.hi[runs])[0]
@@ -329,18 +307,22 @@ class _Windows:
                 op(child, acc[lo:hi], out=child)
         return acc[n:]
 
-    def tent_sums(self, values: np.ndarray, caps: np.ndarray) -> np.ndarray:
-        """Per window, read as the ball B(c, r): the sum of values (N, nt)
-        over the tent T(B), found on the window's nodes; one pairwise numpy
-        sum per ball, in the order of a whole-grid tent mask."""
-        flat, at = _expand(self.lo[self.run_of], self.hi[self.run_of])
-        size = np.bincount(self.owner[at], minlength=len(self.centers))
-        out = np.zeros(len(self.centers))
-        for w, nodes in enumerate(np.split(flat, np.cumsum(size))[:-1]):
-            tent = _ball_tent(self.grid.points[nodes], self.centers[w], self.radii[w],
-                              caps[nodes])
-            out[w] = values[nodes][tent].sum()
-        return out
+
+def _ball_windows(grid: HalfSpaceGrid, centers: np.ndarray, radii: np.ndarray) -> _Windows:
+    """The windows {k : |x_k - c| < r} of the balls B(c, r), centers (M, n);
+    a 2-D window's rows are the 1-D window on the leading axis, exact as
+    sqrt(fl(dx^2)) = |dx|."""
+    if grid.n == 1:
+        return _Windows(grid, *_window_bounds(grid.axes[0], centers[:, 0], radii))
+    # a window that meets no row keeps one, clipped into the grid: every
+    # node of it lies at least r away, so its range is empty
+    lo0, hi0 = _window_bounds(grid.axes[0], centers[:, 0], radii)
+    lo0 = np.minimum(lo0, grid.nx[0] - 1)
+    rows, owner = _expand(lo0, np.maximum(hi0, lo0 + 1))
+    d0 = grid.axes[0][rows] - centers[owner, 0]
+    lo, hi = _window_bounds(grid.axes[1], centers[owner, 1], radii[owner], d0 * d0)
+    start = rows * grid.nx[1]
+    return _Windows(grid, lo + start, hi + start, owner)
 
 
 def _cone_windows(f_values: np.ndarray, grid: HalfSpaceGrid, spec: ConeSpec):
@@ -348,8 +330,8 @@ def _cone_windows(f_values: np.ndarray, grid: HalfSpaceGrid, spec: ConeSpec):
 
     In 1-D the windows come from the breakpoints of each row's cells
     (_cone_ranges) unless those number more than twice the cells (see the
-    module docstring); otherwise, and in 2-D, each cell's window is
-    searched at its own cap."""
+    module docstring); otherwise, and in 2-D, each cell's window is the
+    ball window at its own cap."""
     ys, js = np.nonzero(f_values)
     if grid.n == 1 and ys.size:
         last = np.flatnonzero(np.r_[ys[1:] != ys[:-1], True])
@@ -357,9 +339,8 @@ def _cone_windows(f_values: np.ndarray, grid: HalfSpaceGrid, spec: ConeSpec):
         lo, hi = _window_bounds(grid.axes[0], grid.axes[0][rows],
                                 spec.caps(grid.m_y[rows], grid.t[js[last]]))
         if np.sum(hi - lo - 1) <= 2 * ys.size:
-            return ys, js, _Windows._of_ranges(grid, *_cone_ranges(
-                grid, spec, ys, js, rows, lo, hi))
-    return ys, js, _Windows(grid, grid.points[ys], spec.caps(grid.m_y[ys], grid.t[js]))
+            return ys, js, _Windows(grid, *_cone_ranges(grid, spec, ys, js, rows, lo, hi))
+    return ys, js, _ball_windows(grid, grid.points[ys], spec.caps(grid.m_y[ys], grid.t[js]))
 
 
 def _breakpoints(axis: np.ndarray, rows: np.ndarray, ends: np.ndarray,
@@ -413,8 +394,7 @@ def area_S(f: GridFunction, q: float, spec: ConeSpec) -> SpatialFunction:
     absq = np.abs(f.values) ** q
     ys, js, win = _cone_windows(absq, g, spec)
     den = win.gather(g.gamma_y)
-    with np.errstate(divide="raise", invalid="raise"):   # gamma(B) = 0 in floats
-        contrib = absq[ys, js] * g.gamma_y[ys] * g.wt[js] / den
+    contrib = _per_gamma(absq[ys, js] * g.gamma_y[ys] * g.wt[js], den)
     Sq = win.scatter(contrib)
     return SpatialFunction(g, Sq ** (1.0 / q))
 
@@ -440,20 +420,44 @@ def carleson_C(f: GridFunction, q: float, spec: ConeSpec,
 
     A ball admits x when x lies in B(c_B, alpha r_B ^ beta m(c_B)); the
     dictionary is taken literally (no admissibility filter here; contrast
-    the Carleson-measure norm, which restricts to admissible balls).
+    the Carleson-measure norm, which restricts to admissible balls).  A
+    ball whose tent holds no nonzero value reads 0; mass over a gamma(B)
+    that is 0 in floats, or a nonzero value where the weight gamma_y is 0
+    in the tent of a ball with no mass, raises FloatingPointError.
     """
     q = float(q)
     if not (1.0 < q < np.inf):
         raise ValueError("q must lie in (1, inf)")
     g = f.grid
-    caps = cone_caps(g, spec)
     weighted = np.abs(f.values) ** q * g.gamma_y[:, None] * g.wt[None, :]
     centers, radii = dict_.centers, dict_.radii
-    mass = _Windows(g, centers, radii).tent_sums(weighted, caps)
+    caps = cone_caps(g, spec)
+    mass = _tent_sums(g, centers, radii, weighted, caps)
+    # a value where gamma_y is 0 adds no mass: a ball with no mass that
+    # holds one has no average, not the average 0
+    hidden = (f.values != 0) & (g.gamma_y == 0)[:, None]
+    empty = mass == 0
+    if hidden.any() and _tent_sums(g, centers[empty], radii[empty], hidden, caps).any():
+        raise FloatingPointError(_GAMMA_UNDERFLOW)
     # one scalar power per ball: numpy's array power can differ in the last ulp
-    val = [(m / gam) ** (1.0 / q) for m, gam in zip(mass, _gamma_balls(centers, radii))]
-    admit = spec.caps(cutoff_m(centers), radii)
-    return SpatialFunction(g, _Windows(g, centers, admit).scatter(np.array(val), np.maximum))
+    val = [a ** (1.0 / q) for a in _ball_averages(mass, centers, radii)]
+    admit = _ball_windows(g, centers, spec.caps(cutoff_m(centers), radii))
+    return SpatialFunction(g, admit.scatter(np.array(val), np.maximum))
+
+
+def _tent_sums(grid: HalfSpaceGrid, centers: np.ndarray, radii: np.ndarray,
+               values: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Per ball B(centers[w], radii[w]): the sum of values (N, nt) over the
+    tent T(B), found on the nodes of the ball's window; one pairwise numpy
+    sum per ball, in the order of a whole-grid tent mask."""
+    lo, hi, window = _ball_windows(grid, centers, radii).ranges()
+    flat, at = _expand(lo, hi)
+    size = np.bincount(window[at], minlength=len(radii))
+    out = np.zeros(len(radii))
+    for w, nodes in enumerate(np.split(flat, np.cumsum(size))[:-1]):
+        tent = _ball_tent(grid.points[nodes], centers[w], radii[w], caps[nodes])
+        out[w] = values[nodes][tent].sum()
+    return out
 
 
 def tent_norm(f: GridFunction, pq: ExponentPair, spec: ConeSpec,
@@ -481,7 +485,7 @@ def maximal_noncentered(g: SpatialFunction, level: float,
     grid = g.grid
     gw = grid.gamma_y
     keep = dict_._admits(level)
-    win = _Windows(grid, dict_.centers[keep], dict_.radii[keep])
+    win = _ball_windows(grid, dict_.centers[keep], dict_.radii[keep])
     num, den = win.gather(np.stack([np.abs(g.values) * gw, gw], axis=1)).T
     avg = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     return SpatialFunction(grid, win.scatter(avg, np.maximum))
@@ -497,8 +501,8 @@ def _centered_ladder(grid: HalfSpaceGrid, level: float, columns: np.ndarray):
     sums = np.column_stack([gw[:, None] * columns, gw])
     base = level * grid.m_y
     for k in range(7):
-        win = _Windows(grid, grid.points, base * 2.0 ** (-k))
-        step = max(1, (1 << 21) // len(win.owner))
+        win = _ball_windows(grid, grid.points, base * 2.0 ** (-k))
+        step = max(1, (1 << 21) // len(win.run_of))
         rung = np.hstack([win.gather(sums[:, i:i + step])
                           for i in range(0, sums.shape[1], step)])
         yield rung[:, :-1], rung[:, -1]

@@ -298,11 +298,37 @@ def _erfc(a: np.ndarray) -> np.ndarray:
 
 
 def _gamma_ratio_sup(centers: np.ndarray, radii: np.ndarray, factor: float) -> float:
-    """sup of gamma(B(c, factor r)) / gamma(B(c, r)) over the balls, 1 when
-    there are none; a gamma(B) that rounds to 0 raises FloatingPointError."""
-    with np.errstate(divide="raise", invalid="raise"):
-        ratio = _gamma_balls(centers, factor * radii) / _gamma_balls(centers, radii)
+    """sup of gamma(B(c, factor r)) / gamma(B(c, r)) over the balls whose
+    gamma(B) is positive in floats, 1 when there are none.  Past |c| of
+    about 27 exp(-|c|^2) underflows, gamma(B) is 0 and the ratio has no
+    value, so those balls are left out."""
+    den = _gamma_balls(centers, radii)
+    pos = den > 0
+    ratio = _gamma_balls(centers[pos], factor * radii[pos]) / den[pos]
     return float(ratio.max(initial=1.0))
+
+
+_GAMMA_UNDERFLOW = ("gamma(B) is 0 in floats for a ball on this box: exp(-|y|^2) "
+                    "underflows past |y| of about 27")
+
+
+def _per_gamma(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den for gamma measures den of balls; a den that is 0 in floats
+    raises one FloatingPointError that names the underflow."""
+    with np.errstate(divide="raise", invalid="raise"):
+        try:
+            return num / den
+        except FloatingPointError:
+            raise FloatingPointError(_GAMMA_UNDERFLOW) from None
+
+
+def _ball_averages(mass: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """mass[k] / gamma(B(centers[k], radii[k])), and 0 where mass[k] is 0: a
+    ball whose tent holds no mass reads 0 whatever its gamma(B)."""
+    out = np.zeros(len(mass))
+    pos = mass > 0
+    out[pos] = _per_gamma(mass[pos], _gamma_balls(centers[pos], radii[pos]))
+    return out
 
 
 class AdmissibilityError(ValueError):

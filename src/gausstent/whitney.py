@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ConeSpec, _distance, _gamma_ratio_sup
+from .geometry import ConeSpec, _distance, _gamma_ratio_sup, _per_gamma
 from .grid import GridFunction, HalfSpaceGrid, RegionMask
 from .functionals import (
-    BallDictionary, _centered_ladder, _cone_windows, _expand, _Windows, cone_caps,
+    BallDictionary, _ball_windows, _centered_ladder, _cone_windows, _expand, cone_caps,
 )
 
 __all__ = [
@@ -278,7 +278,8 @@ def whitney_balls(O: RegionMask) -> WhitneyCover:
         raise ValueError("O equals the whole box")
     edt = complement_distance(O)
     order = np.flatnonzero(O.mask)[np.argsort(-edt[O.mask], kind="stable")]
-    win = _Windows(g, g.points[order], edt[order] / _C_OVERLAP)
+    radii = edt[order] / _C_OVERLAP
+    win = _ball_windows(g, g.points[order], radii)
     covered = np.zeros(g.n_spatial, dtype=bool)
     picked, nodes = [], []
     for w, i in enumerate(order):
@@ -286,7 +287,7 @@ def whitney_balls(O: RegionMask) -> WhitneyCover:
             picked.append(w)
             nodes.append(win.nodes(w))
             covered[nodes[-1]] = True
-    balls, radii = order[picked], win.radii[picked]
+    balls, radii = order[picked], radii[picked]
     audit = _audit_balls(O, balls, radii, nodes, edt)
     return WhitneyCover(centers=g.points[balls], balls=balls, radii=radii,
                         nodes=tuple(nodes), node_dist=edt, audit=audit)
@@ -315,12 +316,12 @@ def _shrunken_disjoint(g: HalfSpaceGrid, balls, radii) -> bool:
     center nodes; the predicate is then taken on those pairs alone."""
     if not len(balls):
         return True
-    win = _Windows(g, g.points[balls], (radii + radii.max()) / _C_OVERLAP)
+    lo, hi, owner = _ball_windows(g, g.points[balls],
+                                  (radii + radii.max()) / _C_OVERLAP).ranges()
     order = np.argsort(balls)
     nodes = balls[order]
-    pos, at = _expand(np.searchsorted(nodes, win.lo)[win.run_of],
-                      np.searchsorted(nodes, win.hi)[win.run_of])
-    a, b = win.owner[at], order[pos]
+    pos, at = _expand(np.searchsorted(nodes, lo), np.searchsorted(nodes, hi))
+    a, b = owner[at], order[pos]
     keep = a < b
     a, b = a[keep], b[keep]
     d = g.points[balls[b]] - g.points[balls[a]]
@@ -332,7 +333,9 @@ def _shrunken_disjoint(g: HalfSpaceGrid, balls, radii) -> bool:
 
 
 def doubling_constant(level: float, dict_: BallDictionary) -> float:
-    """Measured sup of gamma(2B)/gamma(B) over admissible dictionary balls."""
+    """Measured sup of gamma(2B)/gamma(B) over admissible dictionary balls;
+    balls whose gamma(B) is 0 in floats (past |c| of about 27) are left
+    out."""
     keep = dict_._admits(level)
     return _gamma_ratio_sup(dict_.centers[keep], dict_.radii[keep], 2.0)
 
@@ -357,8 +360,8 @@ def _cone_average_over(A_mask: np.ndarray, H: GridFunction,
     g = H.grid
     ys, js, win = _cone_windows(H.values, g, spec)
     den, mass_in_A = win.gather(np.stack([g.gamma_y, g.gamma_y * A_mask], axis=1)).T
-    with np.errstate(divide="raise", invalid="raise"):   # gamma(B) = 0 in floats
-        return float(np.sum(H.values[ys, js] * g.gamma_y[ys] * g.wt[js] * mass_in_A / den))
+    return float(np.sum(_per_gamma(H.values[ys, js] * g.gamma_y[ys] * g.wt[js] * mass_in_A,
+                                   den)))
 
 
 def density_inequality_check(A: RegionMask, H: GridFunction, eta: float,
@@ -402,7 +405,7 @@ def containing_density_points(F: RegionMask, eta: float, beta: float,
     g = F.grid
     gw = g.gamma_y
     keep = dict_._admits(beta)
-    win = _Windows(g, dict_.centers[keep], dict_.radii[keep])
+    win = _ball_windows(g, dict_.centers[keep], dict_.radii[keep])
     in_F, full = win.gather(np.stack([gw * F.mask, gw], axis=1)).T
     bad = win.scatter((in_F < eta * full).astype(float), np.maximum)
     return RegionMask(g, bad == 0.0)

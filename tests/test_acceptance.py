@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gausstent.cli import main
-from gausstent.families import random_atom, random_bump
+from gausstent.families import random_atom, random_bump, tent_indicator
 from gausstent.geometry import (
     Ball, ConeSpec, compare_tents, cutoff_m, gamma_ball_bounds_check,
 )
@@ -53,12 +53,6 @@ def _line(idx, name, ok, detail=""):
           + (f"  ({detail})" if detail else ""))
 
 
-def _tent_indicator(g, spec, c, r, amp=1.0):
-    caps = cone_caps(g, spec)
-    depth = np.maximum(r - np.abs(g.points[:, 0] - c), 0.0)
-    return GridFunction(g, amp * (depth[:, None] >= caps))
-
-
 def _bump_sum(g, rng, n_max=3, span=2.0):
     y, t = g.points[:, 0], g.t
     vals = np.zeros((g.n_spatial, g.nt))
@@ -75,7 +69,7 @@ def _bump_sum(g, rng, n_max=3, span=2.0):
 
 
 def _decomposition_family(g, spec):
-    fns = [_tent_indicator(g, spec, c, r, amp) for c, r, amp in
+    fns = [tent_indicator(g, spec, c, r) * amp for c, r, amp in
            ((0.5, 0.4, 1.0), (-0.8, 0.3, 2.0), (1.5, 0.5, 0.7),
             (0.0, 0.8, 1.3), (1.0, 0.6, 1.0))]
     rng = np.random.default_rng(7)

@@ -6,25 +6,19 @@ import numpy as np
 import pytest
 
 from gausstent import atomic, functionals, whitney
-from gausstent.families import random_bump
+from gausstent.families import random_bump, tent_indicator
 from gausstent.geometry import Ball, ConeSpec, _distance_rows, cutoff_m, gamma_ball
 from gausstent.grid import (
     GridFunction, HalfSpaceGrid, RegionMask, lp_gamma_norm, read_grid_function,
 )
 from gausstent.functionals import (
-    _centered_ladder, _Windows, area_S, area_S_sup, cone_caps,
+    _ball_windows, _centered_ladder, area_S, area_S_sup, cone_caps,
 )
 from gausstent.whitney import _density_columns, complement_distance, tent_mask
 from gausstent.atomic import (
     Atom, coefficient_report, decompose, decompose_sup, export_decomposition,
     import_decomposition, reconstruct, validate_atom,
 )
-
-
-def _tent_indicator(grid, spec, center, radius, amplitude=1.0):
-    caps = cone_caps(grid, spec)
-    depth = np.maximum(radius - np.abs(grid.points[:, 0] - center), 0.0)
-    return GridFunction(grid, amplitude * (depth[:, None] >= caps))
 
 
 def _bump(grid, center):
@@ -86,7 +80,7 @@ def test_validate_atom_catches_bad_normalization(grid_small):
 def test_decompose_roundtrip_indicator(grid_default):
     g = grid_default
     spec = ConeSpec(1.0, 1.0)
-    f = _tent_indicator(g, spec, 0.5, 0.4, amplitude=2.0)
+    f = tent_indicator(g, spec, 0.5, 0.4) * 2.0
     d = decompose(f, 2.0, spec)
     r = reconstruct(d)
     covered = r.values != 0.0
@@ -167,7 +161,7 @@ def _ladder_loop(grid, column, level):
     one centered ladder took every level set of a decomposition at once."""
     sums = np.stack([grid.gamma_y * column, grid.gamma_y], axis=1)
     base = level * grid.m_y
-    return [_Windows(grid, grid.points, base * 2.0 ** (-k)).gather(sums).T
+    return [_ball_windows(grid, grid.points, base * 2.0 ** (-k)).gather(sums).T
             for k in range(7)]
 
 
@@ -191,15 +185,14 @@ def test_decompose_density_points_match_the_per_level_loop(monkeypatch, make, nx
         calls.append((F.copy(), eta, level, out))
         return out
 
-    class Counting(_Windows):
-        def __init__(self, *args):
-            # (windows, centered at every node); 1-D cone windows are built
-            # from ranges and never pass here
-            built.append((len(args[1]), args[1] is args[0].points))
-            super().__init__(*args)
+    def counting(grid, centers, radii):
+        # (windows, centered at every node); 1-D cone windows from row
+        # breakpoints are built from ranges and never pass here
+        built.append((len(radii), centers is grid.points))
+        return _ball_windows(grid, centers, radii)
 
     monkeypatch.setattr(atomic, "_density_columns", recording)
-    monkeypatch.setattr(functionals, "_Windows", Counting)
+    monkeypatch.setattr(functionals, "_ball_windows", counting)
     decompose(f, 2.0, ConeSpec(1.0, 1.0))
     monkeypatch.undo()
     assert len(calls) == 1
@@ -302,7 +295,7 @@ def test_decompose_rejects_bad_q(grid_small):
 def test_decompose_mu_audit(grid_default):
     g = grid_default
     spec = ConeSpec(1.0, 1.0)
-    f = _tent_indicator(g, spec, -0.8, 0.3)
+    f = tent_indicator(g, spec, -0.8, 0.3)
     d = decompose(f, 2.0, spec)
     # the measure-vs-2^{qk} gamma(B) bound from the construction
     assert d.audit["mu_over_gamma_2qk_max"] < np.inf
@@ -581,7 +574,7 @@ def test_decompose_sup_zero(grid_small):
 
 def test_export_import_roundtrip(grid_small, tmp_path):
     spec = ConeSpec(1.0, 1.0)
-    f = _tent_indicator(grid_small, spec, 0.5, 0.4)
+    f = tent_indicator(grid_small, spec, 0.5, 0.4)
     d = decompose(f, 2.0, spec)
     assert d.terms
     manifest = export_decomposition(d, tmp_path / "dec")
@@ -622,7 +615,7 @@ def test_decomposition_bytes_are_pinned(grid_small, tmp_path, name, sup):
     # (a bump minus half a shifted bump) leaves -0.0 in its q = 2 atom files
     g, spec = grid_small, ConeSpec(1.0, 1.0)
     f = {"bump": lambda: GridFunction(g, _bump(g, 0.5)),
-         "tent": lambda: _tent_indicator(g, spec, 0.5, 0.4),
+         "tent": lambda: tent_indicator(g, spec, 0.5, 0.4),
          "signed": lambda: GridFunction(g, _bump(g, 0.5) - 0.5 * _bump(g, -0.3)),
          }[name]()
     d = decompose_sup(f, spec) if sup else decompose(f, 2.0, spec)
@@ -635,3 +628,15 @@ def test_decomposition_bytes_are_pinned(grid_small, tmp_path, name, sup):
     neg_zeros = sum(int(np.sum(np.signbit(v) & (v == 0.0)))
                     for v in (read_grid_function(p).values for p in files))
     assert neg_zeros == (192 if (name, sup) == ("signed", False) else 0)
+
+
+def test_decompose_on_a_2d_box_where_gamma_underflows():
+    # on [-32, 32]^2 the doubling sup meets dictionary balls whose gamma(B)
+    # is 0 in floats; it skips them, and the disc decomposes in full
+    L = 32.0
+    g = HalfSpaceGrid(((-L, L),) * 2, (16, 16), 1e-3, 8.0, 4)
+    disc = np.linalg.norm(g.points, axis=1) < L / 3
+    f = GridFunction(g, np.repeat(disc[:, None], g.nt, axis=1).astype(float))
+    d = decompose(f, 2.0, ConeSpec(1.0, 1.0))
+    assert len(d.terms) > 0 and d.unassigned == 0 and d.residual_mass == 0.0
+    assert np.max(np.abs(reconstruct(d).values - f.values)) <= 1e-12

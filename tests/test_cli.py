@@ -506,19 +506,33 @@ def test_embed_rejects_a_malformed_manifest(tmp_path, capsys, manifest, named):
     assert str(path) in err and named in err
 
 
+def _underflow_error(capsys):
+    """One line on stderr, and it names the underflow of gamma(B)."""
+    err = capsys.readouterr().err.strip()
+    return len(err.splitlines()) == 1 and \
+        "gamma(B) is 0 in floats" in err and "underflows past |y| of about 27" in err
+
+
 def test_carleson_on_a_box_where_gamma_underflows_is_a_numeric_error(
         tmp_path, measure_file, capsys):
-    # past |y| of about 27 some dictionary balls have gamma(B) = 0 in floats;
-    # their ratio may not turn NaN and drop out of the norm
+    # past |y| of about 27 some dictionary balls have gamma(B) = 0 in floats:
+    # a ball whose tent holds no mass reads 0, but mass over gamma(B) = 0
+    # may not turn NaN and drop out of the norm.  The far point sits at the
+    # dictionary center y = -64 + 40 * 128 / 255, below the caps of its balls
     ini = tmp_path / "c.ini"
     ini.write_text("[grid]\nbox_lo = -64\nbox_hi = 64\nnx = 256\n")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = main(["--config", str(ini), "--out", str(tmp_path), "carleson",
-                   "--measure", str(measure_file)])
-    assert not caught
-    assert rc == EXIT_NUMERIC
-    assert _one_line_error(capsys)
+    far = tmp_path / "far.csv"
+    y = float(np.linspace(-64.0, 64.0, 256)[40])
+    assert y < -30.0
+    far.write_text(measure_file.read_text() + f"{y!r},0.002,0.5\n")
+    for mu, want in ((measure_file, 0), (far, EXIT_NUMERIC)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["--config", str(ini), "--out", str(tmp_path), "carleson",
+                       "--measure", str(mu)])
+        assert not caught
+        assert rc == want
+    assert _underflow_error(capsys)
 
 
 @pytest.mark.parametrize("command", ["norm", "decompose"])
@@ -534,7 +548,29 @@ def test_cone_functionals_on_a_box_where_gamma_underflows_are_a_numeric_error(
         rc = main(["--out", str(tmp_path), command, "--infer-grid", "--input", str(path)])
     assert not caught
     assert rc == EXIT_NUMERIC
-    assert _one_line_error(capsys)
+    assert _underflow_error(capsys)
+
+
+def test_a_central_bump_on_a_box_where_gamma_underflows_runs(tmp_path, capsys):
+    # far dictionary balls have gamma(B) = 0 in floats, but no cell of the
+    # bump reaches them: the doubling sup skips them, a ball whose tent holds
+    # no mass reads 0, and nothing warns
+    g = HalfSpaceGrid(((-64.0, 64.0),), (1024,), 1e-3, 8.0, 64)
+    path = tmp_path / "bump.gtnt"
+    write_grid_function(random_bump(g, np.random.default_rng(0)), path)
+    ini = tmp_path / "inf.ini"
+    ini.write_text("[params]\np = inf\n")
+    for args in (["decompose"], ["--config", str(ini), "norm"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([*args[:-1], "--out", str(tmp_path), args[-1], "--infer-grid",
+                       "--input", str(path)])
+        assert not caught
+        assert rc == 0
+    assert capsys.readouterr().err == ""
+    rep = json.loads((tmp_path / "decompose.json").read_text())
+    assert rep["residual_mass"] == 0.0 and rep["n_atoms"] > 0
+    assert np.isfinite(json.loads((tmp_path / "norm.json").read_text())["norm"])
 
 
 @pytest.mark.parametrize("defect", ["short_header", "cut_header", "short_payload",

@@ -8,9 +8,10 @@ from gausstent.grid import (
     GridFunction, HalfSpaceGrid, RegionMask, SpatialFunction,
     halfspace_integral, lp_gamma_norm,
 )
+from gausstent import functionals
 from gausstent.functionals import (
-    BallDictionary, ExponentPair, _Windows, _centered_ladder, _cone_windows,
-    _expand, _window_bounds, area_S,
+    BallDictionary, ExponentPair, _Windows, _ball_windows, _centered_ladder, _cone_ranges,
+    _cone_windows, _expand, _tent_sums, _window_bounds, area_S,
     area_S_sup, area_S_truncated, carleson_C, cone_caps, default_dictionary,
     maximal_centered, maximal_noncentered, stopping_time, tent_norm,
 )
@@ -241,16 +242,10 @@ def test_windows_2d_match_dense_predicate(rng):
     centers += [c_edge] * 3
     radii += [r_edge, np.nextafter(r_edge, 0.0), np.nextafter(r_edge, 99.0)]
     centers, radii = np.concatenate(centers), np.concatenate(radii)
-    win = _Windows(g, centers, radii)
-    dense = np.concatenate([np.linalg.norm(p - c[:, None, :], axis=-1) < r[:, None]
-                            for c, r in zip(np.array_split(centers, 20),
-                                            np.array_split(radii, 20))])
+    win = _ball_windows(g, centers, radii)
+    dense = _dense_windows(p, centers, radii)
     assert not dense[:4].any()
-    nodes, at = _expand(win.lo[win.run_of], win.hi[win.run_of])
-    got = np.zeros_like(dense)
-    got[win.owner[at], nodes] = True
-    assert np.array_equal(got, dense)
-    assert nodes.size == dense.sum()                   # no node twice
+    _assert_node_sets(win, dense)
     assert np.array_equal(win.gather(np.ones(g.n_spatial)), dense.sum(axis=1))
     assert np.array_equal(win.scatter(np.ones(len(radii))), dense.sum(axis=0))
     # tent sums, split by window, with empty windows first
@@ -259,8 +254,48 @@ def test_windows_2d_match_dense_predicate(rng):
     sub = np.r_[0:4, rng.integers(4, len(radii), 200)]
     want = [vals[np.maximum(radii[i] - np.linalg.norm(p - centers[i], axis=1), 0.0)[:, None]
                  >= caps].sum() for i in sub]
-    tents = _Windows(g, centers[sub], radii[sub]).tent_sums(vals, caps)
+    tents = _tent_sums(g, centers[sub], radii[sub], vals, caps)
     assert np.array_equal(tents, want)
+
+
+def _dense_windows(points, centers, radii):
+    """The dense predicate |y - c| < r, one row of nodes per ball (in
+    blocks of balls, to bound the memory)."""
+    return np.concatenate([np.linalg.norm(points - c[:, None, :], axis=-1) < r[:, None]
+                           for c, r in zip(np.array_split(centers, 20),
+                                           np.array_split(radii, 20))])
+
+
+def _assert_node_sets(win, dense):
+    """The ranges of win hold the nodes of the dense mask, each once."""
+    lo, hi, window = win.ranges()
+    nodes, at = _expand(lo, hi)
+    got = np.zeros_like(dense)
+    got[window[at], nodes] = True
+    assert np.array_equal(got, dense)
+    assert nodes.size == dense.sum()                   # no node twice
+
+
+def test_ball_windows_in_1d_have_no_owner(rng):
+    # a 1-D ball window is one range, so it has no owner, and its sums are
+    # those of the same ranges with the identity owner, to the byte; the
+    # balls come in pairs (runs of equal ranges) and some hold no node
+    g = HalfSpaceGrid(((-8.0, 8.0),), (300,), 1e-3, 8.0, 4)
+    centers = np.repeat(rng.uniform(-10.0, 10.0, (200, 1)), 2, axis=0)
+    radii = np.repeat(rng.uniform(0.0, 3.0, 200), 2)
+    win = _ball_windows(g, centers, radii)
+    assert win.owner is None
+    lo, hi, window = win.ranges()
+    assert np.array_equal(window, np.arange(400))
+    want_lo, want_hi = _window_bounds(g.axes[0], centers[:, 0], radii)
+    assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+    assert np.any(hi <= lo)
+    owned = _Windows(g, lo, hi, np.arange(400))
+    for values in (rng.random(300), rng.random((300, 3))):
+        assert win.gather(values).tobytes() == owned.gather(values).tobytes()
+    weights = rng.random(400)
+    for op in (np.add, np.maximum):
+        assert win.scatter(weights, op).tobytes() == owned.scatter(weights, op).tobytes()
 
 
 @pytest.mark.parametrize("spec", [ConeSpec(1.0, 1.0), ConeSpec(0.5, 2.0),
@@ -279,15 +314,17 @@ def test_area_matches_dense_reference_two_bumps(grid_small, spec):
 
 def _assert_cell_windows(win, g, ys, js, caps):
     """The windows of the cells (ys, js) are those of caps, the per-cell
-    caps: in 1-D their ranges and node sets are _window_bounds of caps, in
-    2-D the windows carry caps as their radii."""
+    caps: in 1-D their ranges and node sets are _window_bounds of caps, with
+    no owner; in 2-D their node sets are those of the dense predicate."""
     if g.n == 2:
-        assert win.radii.tobytes() == caps.tobytes()
+        _assert_node_sets(win, _dense_windows(g.points, g.points[ys], caps))
         return
+    assert win.owner is None
     lo, hi = _window_bounds(g.axes[0], g.points[ys, 0], caps)
-    assert np.array_equal(win.lo[win.run_of], lo)
-    assert np.array_equal(win.hi[win.run_of], hi)
-    nodes, at = _expand(win.lo[win.run_of], win.hi[win.run_of])
+    got_lo, got_hi, window = win.ranges()
+    assert np.array_equal(got_lo, lo) and np.array_equal(got_hi, hi)
+    assert np.array_equal(window, np.arange(len(ys)))
+    nodes, at = _expand(got_lo, got_hi)
     want, want_at = _expand(lo, hi)
     assert np.array_equal(nodes, want) and np.array_equal(at, want_at)
     for w in np.unique(np.linspace(0, len(ys) - 1, 9).astype(int)) if ys.size else []:
@@ -355,19 +392,29 @@ def _supports(g, rng):
 
 
 @pytest.mark.parametrize("nx, nt", [(1024, 64), (300, 16), (2, 2)])
-def test_cone_windows_from_breakpoints_match_the_per_cell_search(nx, nt, rng):
+def test_cone_windows_from_breakpoints_match_the_per_cell_search(nx, nt, rng,
+                                                                 monkeypatch):
     # both sides of the cost rule run: breakpoints where a row's widest
     # window is narrow next to its cells, the per-cell search where it is
-    # wide (a whole random grid, beta = inf)
+    # wide (a whole random grid, beta = inf); a spy on _cone_ranges tells
+    # which side a call took
     g = HalfSpaceGrid(((-8.0, 8.0),), (nx,), 1e-3, 8.0, nt)
+    ranged = []
+
+    def spy(*args):
+        ranged.append(True)
+        return _cone_ranges(*args)
+
+    monkeypatch.setattr(functionals, "_cone_ranges", spy)
     branches = set()
     for spec in _CONE_SPECS:
         for vals in _supports(g, rng).values():
+            ranged.clear()
             ys, js, win = _cone_windows(vals, g, spec)
             assert [ys.tolist(), js.tolist()] == [a.tolist() for a in np.nonzero(vals)]
             _assert_cell_windows(win, g, ys, js, spec.caps(g.m_y[ys], g.t[js]))
             if ys.size:
-                branches.add(win.owner is None)
+                branches.add(bool(ranged))
     assert branches == ({True} if nx == 2 else {True, False})
     if nx > 2:
         # a cap alpha t_j that equals a node distance on each side: the
@@ -380,8 +427,9 @@ def test_cone_windows_from_breakpoints_match_the_per_cell_search(nx, nt, rng):
                                       np.nextafter(d / g.t[j], 1.0)) if a * g.t[j] == d)
             vals = np.zeros((g.n_spatial, g.nt))
             vals[i - 4:i + 5, :j + 2] = 1.0
+            ranged.clear()
             ys, js, win = _cone_windows(vals, g, ConeSpec(alpha, 4.0))
-            assert win.owner is None
+            assert ranged
             at = np.flatnonzero((ys == i) & (js >= j - 1))[:3]
             assert [k in win.nodes(w) for w in at] == [False, False, True]
             _assert_cell_windows(win, g, ys, js, ConeSpec(alpha, 4.0).caps(g.m_y[ys], g.t[js]))
@@ -390,7 +438,7 @@ def test_cone_windows_from_breakpoints_match_the_per_cell_search(nx, nt, rng):
 def _per_cell_windows(vals, g, spec):
     """The cone windows searched cell by cell at each cell's cap."""
     ys, js = np.nonzero(vals)
-    return ys, js, _Windows(g, g.points[ys], spec.caps(g.m_y[ys], g.t[js]))
+    return ys, js, _ball_windows(g, g.points[ys], spec.caps(g.m_y[ys], g.t[js]))
 
 
 @pytest.mark.parametrize("nx, nt", [(1024, 64), (300, 16), (2, 2)])
@@ -520,6 +568,26 @@ def test_carleson_C_single_ball_value(grid_small):
     admit = np.abs(g.points[:, 0] - 0.5) < min(1.0 * 0.4, 1.0)
     assert np.all(C.values[~admit] == 0.0)
     assert C.values[admit].max() == pytest.approx(want, rel=1e-12)
+
+
+def test_carleson_C_where_gamma_underflows():
+    # on [-64, 64] the far dictionary balls have gamma(B) = 0 in floats: a
+    # central bump leaves their tents empty and they read 0, but a nonzero
+    # value out there adds no mass (gamma_y is 0) and must not read 0
+    g = HalfSpaceGrid(((-64.0, 64.0),), (256,), 1e-3, 8.0, 16)
+    spec = ConeSpec(1.0, 1.0)
+    d = default_dictionary(g, 1.0)
+    y = g.points[:, 0]
+    far = np.abs(d.centers[:, 0]) > 30.0
+    C = carleson_C(_bump(g), 2.0, spec, d)
+    assert np.all(np.isfinite(C.values)) and C.values.max() > 0.0
+    assert np.all(C.values[np.abs(y) > 30.0] == 0.0)
+    assert carleson_C(_bump(g), 2.0, spec, BallDictionary(d.centers[far], d.radii[far])
+                      ).values.max() == 0.0
+    for support in (np.abs(y) > 40.0, np.ones(g.n_spatial, dtype=bool)):
+        f = GridFunction(g, np.repeat(support[:, None], g.nt, axis=1) * 1.0)
+        with pytest.raises(FloatingPointError, match="underflows past"):
+            carleson_C(f, 2.0, spec, d)
 
 
 def test_carleson_C_exponent_range(grid_small):
@@ -672,7 +740,7 @@ def _maximal_centered_loop(g: SpatialFunction, level: float) -> np.ndarray:
     out = np.zeros(grid.n_spatial)
     base = level * grid.m_y
     for k in range(7):
-        num, den = _Windows(grid, grid.points, base * 2.0 ** (-k)).gather(sums).T
+        num, den = _ball_windows(grid, grid.points, base * 2.0 ** (-k)).gather(sums).T
         np.maximum(out, num / den, out=out)
     return out
 
@@ -684,9 +752,9 @@ def test_centered_ladder_blocks_are_one_gather(rng):
     F = rng.random((g.n_spatial, 60)) < 0.5
     sums = np.column_stack([g.gamma_y[:, None] * F, g.gamma_y])
     base = 6.0 * g.m_y
-    assert len(_Windows(g, g.points, base).owner) * sums.shape[1] > 1 << 21
+    assert len(_ball_windows(g, g.points, base).ranges()[0]) * sums.shape[1] > 1 << 21
     for k, (num, den) in enumerate(_centered_ladder(g, 6.0, F)):
-        whole = _Windows(g, g.points, base * 2.0 ** (-k)).gather(sums)
+        whole = _ball_windows(g, g.points, base * 2.0 ** (-k)).gather(sums)
         assert num.tobytes() == whole[:, :-1].tobytes()
         assert den.tobytes() == whole[:, -1].tobytes()
 

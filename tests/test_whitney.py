@@ -3,9 +3,10 @@ import pytest
 
 from gausstent import atomic
 from gausstent.families import random_bump
-from gausstent.geometry import ConeSpec, _distance_rows
+from gausstent.duality import measured_K_beta
+from gausstent.geometry import ConeSpec, _distance_rows, _gamma_balls
 from gausstent.grid import GridFunction, HalfSpaceGrid, RegionMask
-from gausstent.functionals import cone_caps, default_dictionary
+from gausstent.functionals import BallDictionary, cone_caps, default_dictionary
 from gausstent.whitney import (
     _C_OVERLAP, _audit_cubes, _box_base_level, _edt, _shrunken_disjoint, complement_distance,
     containing_density_points, density_inequality_check,
@@ -566,3 +567,18 @@ def test_reverse_fubini_finite_ratio(grid_small, rng):
     assert np.isfinite(rep["ratio"]) and rep["ratio"] >= 0
     with pytest.raises(ValueError):
         reverse_fubini_check(F, H, 0.9, ConeSpec(2.0, 1.0), 1.0, d)  # delta < alpha
+
+
+def test_doubling_sup_skips_balls_whose_gamma_underflows():
+    # on [-64, 64] the far dictionary balls have gamma(B) = 0 in floats: the
+    # sups run over the others, as on the dictionary cut down to them
+    g = HalfSpaceGrid(((-64.0, 64.0),), (1024,), 1e-3, 8.0, 4)
+    d = default_dictionary(g, 1.0)
+    gam = _gamma_balls(d.centers, d.radii)
+    assert (gam == 0.0).any() and (gam > 0.0).any()
+    near = BallDictionary(d.centers[gam > 0.0], d.radii[gam > 0.0])
+    C = doubling_constant(1.0, d)
+    assert np.isfinite(C) and C > 1.0 and C == doubling_constant(1.0, near)
+    spec = ConeSpec(1.0, 1.0)       # B~ = B: the dictionary radii are at most m(c)
+    K = measured_K_beta(spec, d)
+    assert np.isfinite(K) and K > 1.0 and K == measured_K_beta(spec, near)
