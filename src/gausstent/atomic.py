@@ -38,10 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Ball, ConeSpec, _ball_tent, _distance_rows, cutoff_m, gamma_ball
-from .grid import (
-    GridFunction, HalfSpaceGrid, RegionMask, halfspace_integral, lp_gamma_norm,
-)
-from .functionals import area_S, area_S_sup, cone_caps, default_dictionary
+from .grid import GridFunction, HalfSpaceGrid, RegionMask, SpatialFunction, lp_gamma_norm
+from .functionals import _cone_area, area_S, area_S_sup, cone_caps, default_dictionary
 from .whitney import (
     _C_OVERLAP,
     _density_columns,
@@ -120,32 +118,37 @@ class Decomposition:
     unassigned: int = 0                # nonzero cells of f that no atom holds
 
 
-def _lq_halfspace_norm(f: GridFunction, q: float) -> float:
-    if q == np.inf:
-        return float(np.max(np.abs(f.values)))
-    return halfspace_integral(GridFunction(f.grid, np.abs(f.values) ** q)) ** (1.0 / q)
-
-
 def validate_atom(a: Atom, spec: ConeSpec) -> dict:
     """Three checks: tent support, the normalization bound, and the
-    L^1(gamma) bound on the area function of the atom (5% slack)."""
-    f = a.expand()
+    L^1(gamma) bound on the area function of the atom (5% slack).
+
+    All three run on the atom's box: the caps and the tent of its rows x t
+    columns, and the area function from the block's nonzero cells, which
+    are those np.nonzero finds on the expanded atom, in the same order, so
+    area_l1 is the whole-grid value to the bit.  norm_value sums the block,
+    an order other than a whole-grid sum, within 1e-12 relative of it; it
+    feeds only norm_ok, which has 1e-9 slack."""
     g = a.grid
-    in_tent = _ball_tent(g.points, a.ball.center_array, a.ball.radius, cone_caps(g, spec))
-    nz = f.values != 0.0
-    support_ok = bool(not np.any(nz & ~in_tent))
+    rows, cols = a.box
+    caps = spec.caps(g.m_y[rows][:, None], g.t[cols])
+    in_tent = _ball_tent(g.points[rows], a.ball.center_array, a.ball.radius, caps)
+    support_ok = bool(not np.any((a.block != 0.0) & ~in_tent))
 
     gB = gamma_ball(a.ball)
+    absf = np.abs(a.block)
     if a.q == np.inf:
-        norm_value = float(np.max(np.abs(f.values)))
+        norm_value = float(np.max(absf, initial=0.0))
         norm_bound = 1.0 / gB
-        S = area_S_sup(f, spec)
     else:
-        norm_value = _lq_halfspace_norm(f, a.q)
+        absf **= a.q
+        absf *= g.gamma_y[rows, None]
+        absf *= g.wt[None, cols]
+        norm_value = float(np.sum(absf)) ** (1.0 / a.q)
         norm_bound = gB ** (-(1.0 - 1.0 / a.q))
-        S = area_S(f, a.q, spec)
     norm_ok = bool(norm_value <= norm_bound * (1.0 + 1e-9))
-    s_l1 = lp_gamma_norm(S, 1)
+    r, c = np.nonzero(a.block)
+    S = _cone_area(g, spec, r + rows.start, c + cols.start, a.block[r, c], a.q)
+    s_l1 = lp_gamma_norm(SpatialFunction(g, S), 1)
     area_ok = bool(s_l1 <= 1.05)
     return {
         "support_ok": support_ok,

@@ -347,6 +347,7 @@ def _suite_tpp_identity(cfg, grid, rng):
             direct = halfspace_integral(
                 GridFunction(grid, np.abs(f.values) ** p)) ** (1.0 / p)
             worst = max(worst, abs(norm - direct) / direct)
+        del f                   # freed before the next draw
     return {"max_rel_err": worst, "ok": worst <= 1e-9}
 
 
@@ -363,8 +364,9 @@ def _suite_atom_bound(cfg, grid, rng):
 def _suite_duality_pq(cfg, grid, rng):
     all_ok = True
     for _ in range(6):
-        f, g = random_bump(grid, rng), random_bump(grid, rng)
-        rep = check_duality_pq(f, g, 2.0, 2.0, cfg.spec())
+        # the pair lives only for its call, so no draw overlaps the last one
+        rep = check_duality_pq(random_bump(grid, rng), random_bump(grid, rng), 2.0, 2.0,
+                               cfg.spec())
         all_ok &= rep["identity_ok"] and rep["holder1_ok"] and rep["holder2_ok"]
     return {"ok": bool(all_ok)}
 

@@ -220,7 +220,8 @@ def check_duality_pq(f: GridFunction, g: GridFunction, p: float, q: float,
     if not (1.0 < p < np.inf and 1.0 < q < np.inf):
         raise ValueError("need 1 < p, q < inf")
     pp, qp = p / (p - 1.0), q / (q - 1.0)
-    absfg = GridFunction(f.grid, np.abs(f.values * g.values))
+    absfg = f.values * g.values
+    absfg = GridFunction(f.grid, np.abs(absfg, out=absfg))
     lhs = halfspace_integral(absfg)
     rearranged = _cone_average_over(np.ones(f.grid.n_spatial), absfg, spec)
     del absfg                   # as large as f: freed before the area functions

@@ -27,10 +27,9 @@ def random_bump(grid: HalfSpaceGrid, rng: np.random.Generator) -> GridFunction:
         amp = rng.uniform(0.3, 3.0)
         wy = rng.uniform(0.2, 1.0)
         d = _distance_rows(grid.points, y0)
-        prof = amp * np.exp(-(d[:, None] / wy) ** 2) \
+        rows = np.flatnonzero(d <= 2.5 * wy)
+        vals[rows] += amp * np.exp(-(d[rows, None] / wy) ** 2) \
             * np.exp(-np.log(t[None, :] / t0) ** 2)
-        prof[d > 2.5 * wy, :] = 0.0
-        vals += prof
     return GridFunction(grid, vals)
 
 

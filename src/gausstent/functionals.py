@@ -38,20 +38,26 @@ O(ranges log N) with no cache, and every sum adds nonnegative terms only: a
 prefix-sum difference would cancel away the e^{-|y|^2} tails.
 
 The cone windows of S_q, S_inf and the cone averages hold one window per
-nonzero cell (y_i, t_j).  In 1-D they come from row breakpoints: the cap
-min(alpha t_j, beta m_i) ascends in j, so each node k in the row's widest
-window (at its top cap) enters the cell's window at one column, the first
-with alpha t_j > |x_k - x_i|, a searchsorted on alpha * grid.t.  A cell's
-[lo, hi) is its node widened by the breakpoints at or before its column,
-int32 ranges, for O(rows * reach + cells) work and no float per cell.
-Where the breakpoints number more than twice the cells (wide caps,
-beta = inf, sparse rows) and in 2-D, each cell's window is the ball window
-at its own cap instead.  Up to twice the cells the breakpoints take about
-the time of the ball windows, gather and scatter included, and half their
-memory; past that the ball windows are the faster, and past about 3.5
-times also the smaller, since the breakpoints grow as rows * reach.  Either
-way the ranges, and so every float, are those of _window_bounds at the
-cell's cap, to ==.
+nonzero cell (y_i, t_j), and they are built from those cells, given in
+np.nonzero order, never from an (N, nt) array: area_S reads |f|^q on the
+nonzero cells of f only, and drops the cells where it underflows to 0
+(1e-200 at q = 2), so the windows are those of the nonzero set of |f|^q;
+validate_atom passes the nonzero cells of an atom's block, offset by its
+box, which are the cells, in the order, of the expanded atom.  Work and
+memory follow the support, not the grid.  In 1-D the windows come from row
+breakpoints: the cap min(alpha t_j, beta m_i) ascends in j, so each node k
+in the row's widest window (at its top cap) enters the cell's window at one
+column, the first with alpha t_j > |x_k - x_i|, a searchsorted on alpha *
+grid.t.  A cell's [lo, hi) is its node widened by the breakpoints at or
+before its column, int32 ranges, for O(rows * reach + cells) work and no
+float per cell.  Where the breakpoints number more than twice the cells
+(wide caps, beta = inf, sparse rows) and in 2-D, each cell's window is the
+ball window at its own cap instead.  Up to twice the cells the breakpoints
+take about the time of the ball windows, gather and scatter included, and
+half their memory; past that the ball windows are the faster, and past
+about 3.5 times also the smaller, since the breakpoints grow as rows *
+reach.  Either way the ranges, and so every float, are those of
+_window_bounds at the cell's cap, to ==.
 Which (y, t) lie in T(B) is decided in one place, geometry._ball_tent.
 The centered ladder B(x, 2^-k level m(x)), k = 0..6, is built in one place,
 _centered_ladder, for any number of node columns at once.
@@ -325,22 +331,22 @@ def _ball_windows(grid: HalfSpaceGrid, centers: np.ndarray, radii: np.ndarray) -
     return _Windows(grid, lo + start, hi + start, owner)
 
 
-def _cone_windows(f_values: np.ndarray, grid: HalfSpaceGrid, spec: ConeSpec):
-    """(y, t) indices of the nonzero nodes and the windows of their cones.
+def _cone_windows(grid: HalfSpaceGrid, spec: ConeSpec, ys: np.ndarray, js: np.ndarray):
+    """The windows of the cones of the cells (ys, js), given in np.nonzero
+    order (rows ascending, columns ascending within a row).
 
     In 1-D the windows come from the breakpoints of each row's cells
     (_cone_ranges) unless those number more than twice the cells (see the
     module docstring); otherwise, and in 2-D, each cell's window is the
     ball window at its own cap."""
-    ys, js = np.nonzero(f_values)
     if grid.n == 1 and ys.size:
         last = np.flatnonzero(np.r_[ys[1:] != ys[:-1], True])
         rows = ys[last]
         lo, hi = _window_bounds(grid.axes[0], grid.axes[0][rows],
                                 spec.caps(grid.m_y[rows], grid.t[js[last]]))
         if np.sum(hi - lo - 1) <= 2 * ys.size:
-            return ys, js, _Windows(grid, *_cone_ranges(grid, spec, ys, js, rows, lo, hi))
-    return ys, js, _ball_windows(grid, grid.points[ys], spec.caps(grid.m_y[ys], grid.t[js]))
+            return _Windows(grid, *_cone_ranges(grid, spec, ys, js, rows, lo, hi))
+    return _ball_windows(grid, grid.points[ys], spec.caps(grid.m_y[ys], grid.t[js]))
 
 
 def _breakpoints(axis: np.ndarray, rows: np.ndarray, ends: np.ndarray,
@@ -390,22 +396,36 @@ def area_S(f: GridFunction, q: float, spec: ConeSpec) -> SpatialFunction:
     q = float(q)
     if not (1.0 <= q < np.inf):
         raise ValueError("q must lie in [1, inf)")
-    g = f.grid
-    absq = np.abs(f.values) ** q
-    ys, js, win = _cone_windows(absq, g, spec)
-    den = win.gather(g.gamma_y)
-    contrib = _per_gamma(absq[ys, js] * g.gamma_y[ys] * g.wt[js], den)
-    Sq = win.scatter(contrib)
-    return SpatialFunction(g, Sq ** (1.0 / q))
+    ys, js = np.nonzero(f.values)
+    return SpatialFunction(f.grid, _cone_area(f.grid, spec, ys, js, f.values[ys, js], q))
 
 
 def area_S_sup(f: GridFunction, spec: ConeSpec) -> SpatialFunction:
     """S_inf: pointwise sup of |f| over the cone nodes."""
-    g = f.grid
-    absf = np.abs(f.values)
-    ys, js, win = _cone_windows(absf, g, spec)
-    S = win.scatter(absf[ys, js], np.maximum)
-    return SpatialFunction(g, S)
+    ys, js = np.nonzero(f.values)
+    return SpatialFunction(f.grid, _cone_area(f.grid, spec, ys, js, f.values[ys, js], np.inf))
+
+
+def _cone_area(grid: HalfSpaceGrid, spec: ConeSpec, ys: np.ndarray, js: np.ndarray,
+               vals: np.ndarray, q: float) -> np.ndarray:
+    """S_q at every node (S_inf at q = inf) of the function that is vals on
+    the nonzero cells (ys, js), in np.nonzero order, and 0 elsewhere.
+
+    The cones are those of the cells where |f|^q is not 0 in floats: a
+    value that underflows there, such as 1e-200 at q = 2, adds nothing."""
+    if q == np.inf:
+        return _cone_windows(grid, spec, ys, js).scatter(np.abs(vals), np.maximum)
+    if not q >= 1.0:
+        raise ValueError("q must lie in [1, inf)")
+    absq = np.abs(vals)
+    absq **= q
+    keep = absq != 0.0
+    if not keep.all():
+        ys, js, absq = ys[keep], js[keep], absq[keep]
+    win = _cone_windows(grid, spec, ys, js)
+    den = win.gather(grid.gamma_y)
+    contrib = _per_gamma(absq * grid.gamma_y[ys] * grid.wt[js], den)
+    return win.scatter(contrib) ** (1.0 / q)
 
 
 def area_S_truncated(f: GridFunction, q: float, spec: ConeSpec, h: float) -> SpatialFunction:
@@ -429,7 +449,10 @@ def carleson_C(f: GridFunction, q: float, spec: ConeSpec,
     if not (1.0 < q < np.inf):
         raise ValueError("q must lie in (1, inf)")
     g = f.grid
-    weighted = np.abs(f.values) ** q * g.gamma_y[:, None] * g.wt[None, :]
+    weighted = np.abs(f.values)
+    weighted **= q
+    weighted *= g.gamma_y[:, None]
+    weighted *= g.wt[None, :]
     centers, radii = dict_.centers, dict_.radii
     caps = cone_caps(g, spec)
     mass = _tent_sums(g, centers, radii, weighted, caps)

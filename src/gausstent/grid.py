@@ -236,7 +236,9 @@ def halfspace_integral(f: GridFunction) -> float:
     numpy's pairwise reduction keeps order sensitivity below 1e-12 relative.
     """
     g = f.grid
-    return float(np.sum(f.values * g.gamma_y[:, None] * g.wt[None, :]))
+    w = f.values * g.gamma_y[:, None]
+    w *= g.wt[None, :]
+    return float(np.sum(w))
 
 
 def lp_gamma_norm(g: SpatialFunction, p) -> float:
@@ -351,7 +353,7 @@ def _write_gtnt(f: GridFunction, path: Path) -> None:
         for (a, b) in g.spatial_box:
             fh.write(struct.pack("<dd", a, b))
         fh.write(struct.pack("<dd", g.t_min, g.t_max))
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(f.values, dtype="<f8").data)
 
 
 def _unpack(fh, fmt: str) -> tuple:

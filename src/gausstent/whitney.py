@@ -358,7 +358,8 @@ def _cone_average_over(A_mask: np.ndarray, H: GridFunction,
     """int_A ( iint_{cone(x)} H / gamma(B(y, cap)) dgamma dt/t ) dgamma(x),
     evaluated by the exact grid rearrangement."""
     g = H.grid
-    ys, js, win = _cone_windows(H.values, g, spec)
+    ys, js = np.nonzero(H.values)
+    win = _cone_windows(g, spec, ys, js)
     den, mass_in_A = win.gather(np.stack([g.gamma_y, g.gamma_y * A_mask], axis=1)).T
     return float(np.sum(_per_gamma(H.values[ys, js] * g.gamma_y[ys] * g.wt[js] * mass_in_A,
                                    den)))

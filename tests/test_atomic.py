@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from gausstent import atomic, functionals, whitney
-from gausstent.families import random_bump, tent_indicator
-from gausstent.geometry import Ball, ConeSpec, _distance_rows, cutoff_m, gamma_ball
+from gausstent.families import random_atom, random_bump, tent_indicator
+from gausstent.geometry import Ball, ConeSpec, _ball_tent, _distance_rows, cutoff_m, gamma_ball
 from gausstent.grid import (
-    GridFunction, HalfSpaceGrid, RegionMask, lp_gamma_norm, read_grid_function,
+    GridFunction, HalfSpaceGrid, RegionMask, halfspace_integral, lp_gamma_norm,
+    read_grid_function,
 )
 from gausstent.functionals import (
     _ball_windows, _centered_ladder, area_S, area_S_sup, cone_caps,
@@ -73,6 +74,54 @@ def test_validate_atom_catches_bad_normalization(grid_small):
     big = Atom.crop(GridFunction(grid_small, 10.0 * a.expand().values),
                     a.ball, a.q, a.delta)
     assert not validate_atom(big, spec)["norm_ok"]
+
+
+def _whole_grid_validate(a, spec):
+    """validate_atom as it ran on the atom expanded to the whole grid."""
+    f, g = a.expand(), a.grid
+    in_tent = _ball_tent(g.points, a.ball.center_array, a.ball.radius, cone_caps(g, spec))
+    support_ok = bool(not np.any((f.values != 0.0) & ~in_tent))
+    gB = gamma_ball(a.ball)
+    if a.q == np.inf:
+        norm_value, norm_bound = float(np.max(np.abs(f.values))), 1.0 / gB
+        S = area_S_sup(f, spec)
+    else:
+        norm_value = halfspace_integral(GridFunction(g, np.abs(f.values) ** a.q)) ** (1.0 / a.q)
+        norm_bound = gB ** (-(1.0 - 1.0 / a.q))
+        S = area_S(f, a.q, spec)
+    norm_ok = bool(norm_value <= norm_bound * (1.0 + 1e-9))
+    s_l1 = lp_gamma_norm(S, 1)
+    return {"support_ok": support_ok, "norm_ok": norm_ok, "area_l1_ok": bool(s_l1 <= 1.05),
+            "norm_value": norm_value, "norm_bound": norm_bound, "area_l1": s_l1,
+            "all_ok": support_ok and norm_ok and bool(s_l1 <= 1.05)}
+
+
+def _assert_validates_as_on_the_whole_grid(atoms, spec):
+    for a in atoms:
+        got, want = validate_atom(a, spec), _whole_grid_validate(a, spec)
+        assert got.keys() == want.keys()
+        # the L^q norm is summed on the block, in another order; the max is exact
+        if a.q < np.inf:
+            assert got["norm_value"] == pytest.approx(want["norm_value"], rel=1e-12, abs=0.0)
+            got["norm_value"] = want["norm_value"]
+        assert got == want
+
+
+def test_validate_atom_on_its_box_matches_the_whole_grid_checks(grid_small, rng):
+    # atoms that fail a check, -0.0 cells and random atoms at every q
+    spec = ConeSpec(1.0, 1.0)
+    atoms = [_make_atom(grid_small, spec, q, center=c)
+             for q in (1.0, 1.5, 2.0, 4.0, np.inf) for c in (-2.0, 0.5)]
+    a = atoms[2]
+    vals = a.expand().values.copy()
+    vals[0, -1] = 1.0
+    vals[a.box[0].start + 3, a.box[1]] = -0.0
+    atoms.append(Atom.crop(GridFunction(grid_small, vals), a.ball, a.q, a.delta))
+    atoms.append(Atom.crop(10.0 * a.expand(), a.ball, a.q, a.delta))
+    atoms += [random_atom(grid_small, spec, q, rng) for q in (1.0, 2.0, 3.0, np.inf)]
+    atoms.append(Atom.crop(GridFunction.zero(grid_small), a.ball, 2.0, a.delta))
+    _assert_validates_as_on_the_whole_grid(atoms, spec)
+    assert not all(validate_atom(a, spec)["all_ok"] for a in atoms)
 
 
 # -- q < inf decomposition -------------------------------------------------
@@ -520,6 +569,17 @@ def test_decompose_sup_matches_the_dense_hat_loop(make, nx):
     assert d.audit == want.audit
     assert (d.source_norm, d.residual_mass, d.unassigned) \
         == (want.source_norm, want.residual_mass, want.unassigned)
+
+
+@pytest.mark.parametrize("make, nx", [(_bump_1d, 512), (_bump_1d, 1024),
+                                      (_bump_2d, 32), (_bump_2d, 48)],
+                         ids=["1d-512", "1d-1024", "2d-32", "2d-48"])
+def test_validate_atom_of_decompositions_matches_the_whole_grid_checks(make, nx):
+    # the atoms of both decompositions of the oracle inputs
+    f, spec = make(nx), ConeSpec(1.0, 1.0)
+    for d in (decompose(f, 2.0, spec), decompose_sup(f, spec)):
+        assert d.terms
+        _assert_validates_as_on_the_whole_grid([a for _, a in d.terms], spec)
 
 
 @pytest.mark.parametrize("make, nx", [(_bump_1d, 512), (_bump_2d, 32)],

@@ -16,6 +16,7 @@ from gausstent.functionals import (
     maximal_centered, maximal_noncentered, stopping_time, tent_norm,
 )
 from gausstent.duality import check_duality_pq
+from gausstent.families import random_bump
 from gausstent.whitney import _cone_average_over, containing_density_points
 
 
@@ -350,7 +351,8 @@ def test_cone_windows_take_the_caps_of_their_cells(box, nx, rng):
     sparse = rng.random((g.n_spatial, g.nt)) * (rng.random((g.n_spatial, g.nt)) < 0.2)
     for vals in (sparse, _low_band(g, rng)) if g.n == 1 else (sparse,):
         for spec in (ConeSpec(1.0, 1.0), ConeSpec(0.5, 2.0), ConeSpec(2.0, 0.5)):
-            ys, js, win = _cone_windows(vals, g, spec)
+            ys, js = np.nonzero(vals)
+            win = _cone_windows(g, spec, ys, js)
             assert ys.size > 0
             _assert_cell_windows(win, g, ys, js, cone_caps(g, spec)[ys, js])
 
@@ -369,7 +371,8 @@ def test_caps_from_grid_m_are_the_per_point_formula(box, nx, rng):
             a, b = spec.alpha, spec.beta
             whole = np.minimum(a * g.t, b * cutoff_m(g.points[:, None, :]))
             assert cone_caps(g, spec).tobytes() == whole.tobytes()
-            ys, js, win = _cone_windows(vals, g, spec)
+            ys, js = np.nonzero(vals)
+            win = _cone_windows(g, spec, ys, js)
             cells = np.minimum(a * g.t[js], b * cutoff_m(g.points[ys]))
             _assert_cell_windows(win, g, ys, js, cells)
 
@@ -410,8 +413,8 @@ def test_cone_windows_from_breakpoints_match_the_per_cell_search(nx, nt, rng,
     for spec in _CONE_SPECS:
         for vals in _supports(g, rng).values():
             ranged.clear()
-            ys, js, win = _cone_windows(vals, g, spec)
-            assert [ys.tolist(), js.tolist()] == [a.tolist() for a in np.nonzero(vals)]
+            ys, js = np.nonzero(vals)
+            win = _cone_windows(g, spec, ys, js)
             _assert_cell_windows(win, g, ys, js, spec.caps(g.m_y[ys], g.t[js]))
             if ys.size:
                 branches.add(bool(ranged))
@@ -428,7 +431,8 @@ def test_cone_windows_from_breakpoints_match_the_per_cell_search(nx, nt, rng,
             vals = np.zeros((g.n_spatial, g.nt))
             vals[i - 4:i + 5, :j + 2] = 1.0
             ranged.clear()
-            ys, js, win = _cone_windows(vals, g, ConeSpec(alpha, 4.0))
+            ys, js = np.nonzero(vals)
+            win = _cone_windows(g, ConeSpec(alpha, 4.0), ys, js)
             assert ranged
             at = np.flatnonzero((ys == i) & (js >= j - 1))[:3]
             assert [k in win.nodes(w) for w in at] == [False, False, True]
@@ -461,6 +465,57 @@ def test_cone_functionals_match_the_per_cell_windows_to_the_byte(nx, nt, rng):
             den, in_A = win.gather(np.stack([g.gamma_y, g.gamma_y * A], axis=1)).T
             want = float(np.sum(vals[ys, js] * g.gamma_y[ys] * g.wt[js] * in_A / den))
             assert _cone_average_over(A, f, spec) == want
+
+
+def _whole_grid_area(f, q, spec):
+    """area_S (q < inf) or area_S_sup (q = inf) as they ran on |f|^q over
+    the whole grid, the cones those of its nonzero cells."""
+    g = f.grid
+    absq = np.abs(f.values) ** (1.0 if q == np.inf else q)
+    ys, js = np.nonzero(absq)
+    win = _cone_windows(g, spec, ys, js)
+    if q == np.inf:
+        return win.scatter(absq[ys, js], np.maximum)
+    contrib = absq[ys, js] * g.gamma_y[ys] * g.wt[js] / win.gather(g.gamma_y)
+    return win.scatter(contrib) ** (1.0 / q)
+
+
+@pytest.mark.parametrize("box, nx, nt", [(((-8.0, 8.0),), (512,), 64),
+                                         (((-4.0, 4.0), (-3.0, 5.0)), (32, 24), 8)],
+                         ids=["1d-512", "2d-32x24"])
+def test_area_functions_on_cells_match_the_whole_grid(box, nx, nt, rng):
+    # the cells come from f, and a cell whose |f|^q underflows to 0 opens no
+    # cone: the same windows, and so the same bytes, as |f|^q on the grid
+    g = HalfSpaceGrid(box, nx, 1e-3, 8.0, nt)
+    vals = random_bump(g, rng).values.copy()
+    vals[::7] *= -1.0
+    far = np.flatnonzero(vals.any(axis=1) == 0)
+    vals[far[::5], 1::3] = 1e-200           # underflows at q >= 2
+    vals[far[2::5], ::2] = -1e-300          # and at q = 1.5
+    vals[far[4::5], 2::4] = -0.0
+    f = GridFunction(g, vals)
+    for spec in _CONE_SPECS:
+        for q in (1.0, 1.5, 2.0, 3.0):
+            if q > 1.0:
+                assert np.count_nonzero(np.abs(vals) ** q) < np.count_nonzero(vals)
+            want = _whole_grid_area(f, q, spec)
+            assert area_S(f, q, spec).values.tobytes() == want.tobytes()
+        want = _whole_grid_area(f, np.inf, spec)
+        assert area_S_sup(f, spec).values.tobytes() == want.tobytes()
+
+
+def test_a_cell_whose_power_underflows_opens_no_cone_where_gamma_does():
+    # past |y| = 27 gamma_y is 0, so a cone there has gamma 0 in floats: a
+    # cell whose |f|^q underflows to 0 must not divide by it
+    g = HalfSpaceGrid(((-40.0, 40.0),), (512,), 1e-3, 8.0, 16)
+    y = g.points[:, 0]
+    vals = np.where(np.abs(y)[:, None] < 1.0, 1.0, 0.0) * np.ones(g.nt)
+    vals[y > 35.0, ::3] = 1e-200
+    f, spec = GridFunction(g, vals), ConeSpec(1.0, 1.0)
+    for q in (2.0, 3.0):
+        assert area_S(f, q, spec).values.tobytes() == _whole_grid_area(f, q, spec).tobytes()
+    with pytest.raises(FloatingPointError, match="underflows"):
+        area_S(f, 1.0, spec)
 
 
 def test_area_S_takes_m_from_the_grid(grid_small, monkeypatch):
