@@ -125,9 +125,9 @@ def validate_atom(a: Atom, spec: ConeSpec) -> dict:
     All three run on the atom's box: the caps and the tent of its rows x t
     columns, and the area function from the block's nonzero cells, which
     are those np.nonzero finds on the expanded atom, in the same order, so
-    area_l1 is the whole-grid value to the bit.  norm_value sums the block,
-    an order other than a whole-grid sum, within 1e-12 relative of it; it
-    feeds only norm_ok, which has 1e-9 slack."""
+    area_l1 is the whole-grid value to the bit.  At q < inf norm_value sums
+    the block, an order other than a whole-grid sum, within 1e-12 relative
+    of it; it feeds only norm_ok, which has 1e-9 slack."""
     g = a.grid
     rows, cols = a.box
     caps = spec.caps(g.m_y[rows][:, None], g.t[cols])

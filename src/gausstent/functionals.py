@@ -411,8 +411,9 @@ def _cone_area(grid: HalfSpaceGrid, spec: ConeSpec, ys: np.ndarray, js: np.ndarr
     """S_q at every node (S_inf at q = inf) of the function that is vals on
     the nonzero cells (ys, js), in np.nonzero order, and 0 elsewhere.
 
-    The cones are those of the cells where |f|^q is not 0 in floats: a
-    value that underflows there, such as 1e-200 at q = 2, adds nothing."""
+    The cones are those of the cells where |f|^q is not 0 in floats, as
+    on the whole grid: a value whose power underflows, such as 1e-200 at
+    q = 2, opens none, so it never divides by a cone whose gamma is 0."""
     if q == np.inf:
         return _cone_windows(grid, spec, ys, js).scatter(np.abs(vals), np.maximum)
     if not q >= 1.0:
