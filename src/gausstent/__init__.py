@@ -3,24 +3,22 @@
 Modules:
     geometry     cutoff scale, admissible balls, cones, tents, ball measures
     grid         half-space grids, quadrature, grid functions, file formats
-    functionals  area/Carleson/maximal functionals and tent norms
+    functionals  area and Carleson functionals, tent norms, stopping times
     whitney      density points and Whitney cube/ball covers
     atomic       atom validation and the constructive atomic decomposition
     duality      pairings, Carleson-measure norms, duality inequalities
     embedding    the local convolution operator and H^1-atom checks
     families     seeded test functions and atoms for verify, embed and tests
     cli          command-line front end
+    _kernels     private kernels: ball measures, the tent predicate, the window
+                 layer; the only module a private name is imported from
 """
 
 from .geometry import (
     Ball,
     ConeSpec,
-    UpperPoint,
-    ball_tent_contains,
-    classical_tent_contains,
     compare_tents,
     comparison_lemma_check,
-    cone_contains,
     cutoff_m,
     gamma_ball,
     gamma_ball_bounds_check,
@@ -43,8 +41,6 @@ from .functionals import (
     area_S_truncated,
     carleson_C,
     default_dictionary,
-    maximal_centered,
-    maximal_noncentered,
     stopping_time,
     tent_norm,
 )

@@ -37,12 +37,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Ball, ConeSpec, _ball_tent, _distance_rows, cutoff_m, gamma_ball
+from ._kernels import _C_OVERLAP, _ball_tent, _cone_area, _density_columns, _distance_rows
+from .geometry import Ball, ConeSpec, cutoff_m, gamma_ball
 from .grid import GridFunction, HalfSpaceGrid, RegionMask, SpatialFunction, lp_gamma_norm
-from .functionals import _cone_area, area_S, area_S_sup, cone_caps, default_dictionary
+from .functionals import area_S, area_S_sup, cone_caps, default_dictionary
 from .whitney import (
-    _C_OVERLAP,
-    _density_columns,
     doubling_constant,
     etabar_from_doubling,
     whitney_balls,

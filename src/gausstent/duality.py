@@ -22,18 +22,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Ball, ConeSpec, _ball_averages, _ball_tent, _gamma_ratio_sup, cutoff_m
-from .grid import GridFunction, SpatialFunction, _csv_rows, halfspace_integral, lp_gamma_norm
+from ._kernels import (
+    _ball_averages, _ball_tent, _ball_windows, _cone_average_over, _csv_rows,
+    _gamma_ratio_sup, _ratio,
+)
+from .geometry import Ball, ConeSpec, cutoff_m
+from .grid import GridFunction, SpatialFunction, halfspace_integral, lp_gamma_norm
 from .functionals import (
     BallDictionary,
     ExponentPair,
-    _ball_windows,
     area_S,
     carleson_C,
     stopping_time,
     tent_norm,
 )
-from .whitney import _cone_average_over, _ratio
 
 __all__ = [
     "DiscreteMeasure",

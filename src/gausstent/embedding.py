@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import _distance_rows
 from .grid import GridFunction, SpatialFunction, lp_gamma_norm
-from .geometry import _distance_rows, gamma_ball
+from .geometry import gamma_ball
 
 __all__ = ["MotherFunction", "check_h1_atom", "default_phi", "pi_phi"]
 

@@ -10,7 +10,8 @@ import numpy as np
 
 from .atomic import Atom
 from .functionals import cone_caps
-from .geometry import Ball, ConeSpec, _ball_tent, _distance_rows, cutoff_m, gamma_ball
+from ._kernels import _ball_tent, _distance_rows
+from .geometry import Ball, ConeSpec, cutoff_m, gamma_ball
 from .grid import GridFunction, HalfSpaceGrid
 
 __all__ = ["boundary_atom", "random_atom", "random_bump", "tent_indicator"]

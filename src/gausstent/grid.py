@@ -14,13 +14,13 @@ box [-8, 8] the truncated Gaussian mass is below 1e-27.
 from __future__ import annotations
 
 import struct
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
+from ._kernels import _csv_rows
 from .geometry import cutoff_m
 
 __all__ = [
@@ -282,19 +282,6 @@ def _write_csv(f: GridFunction, path: Path) -> None:
             for j, tj in enumerate(g.t):
                 ys = ",".join(repr(float(c)) for c in y)
                 fh.write(f"{ys},{float(tj)!r},{float(f.values[i, j])!r}\n")
-
-
-def _csv_rows(path, skiprows: int, last: str) -> np.ndarray:
-    """The rows of a numeric CSV file: coordinates, t, then `last`."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")            # an empty file is rejected below
-        try:
-            data = np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
-        except ValueError as e:
-            raise ValueError(f"{path}: {e}") from None
-    if data.size == 0 or data.shape[1] < 3:
-        raise ValueError(f"{path}: no rows of coordinates, t and {last}")
-    return data
 
 
 def _read_csv(path: Path, grid: HalfSpaceGrid | None) -> GridFunction:

@@ -22,11 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ConeSpec, _distance, _gamma_ratio_sup, _per_gamma
-from .grid import GridFunction, HalfSpaceGrid, RegionMask
-from .functionals import (
-    BallDictionary, _ball_windows, _centered_ladder, _cone_windows, _expand, cone_caps,
+from ._kernels import (
+    _C_OVERLAP, _ball_windows, _cone_average_over, _density_columns, _distance, _expand,
+    _gamma_ratio_sup, _ratio,
 )
+from .geometry import ConeSpec
+from .grid import GridFunction, HalfSpaceGrid, RegionMask, halfspace_integral
+from .functionals import BallDictionary, cone_caps
 
 __all__ = [
     "WhitneyCover",
@@ -100,15 +102,6 @@ def tent_mask(O: RegionMask, caps: np.ndarray) -> np.ndarray:
 
 
 # -- density points --------------------------------------------------------
-
-
-def _density_columns(grid: HalfSpaceGrid, F: np.ndarray, eta: float,
-                     level: float) -> np.ndarray:
-    """density_points of every column of the (N, L) bool array F at once."""
-    ok = np.ones(F.shape, dtype=bool)
-    for num, den in _centered_ladder(grid, level, F):
-        ok &= num >= eta * den[:, None]
-    return ok
 
 
 def density_points(A: RegionMask, eta: float, level: float) -> RegionMask:
@@ -260,8 +253,6 @@ def _audit_cubes(O, levels, nodes_per, dist, edt) -> dict:
 
 # -- Whitney ball covers (Vitali-type, q = infinity path) ------------------
 
-_C_OVERLAP = 2.0    # ball radius dist(x, O^c) / C; C >= 2 keeps the cover exact
-
 
 def whitney_balls(O: RegionMask) -> WhitneyCover:
     """Greedy depth-first ball cover of O with radii dist(x, O^c)/C, C = 2.
@@ -347,24 +338,6 @@ def etabar_from_doubling(C: float) -> float:
     return 1.0 - 1.0 / (2.0 * C)
 
 
-def _ratio(lhs: float, rhs: float, key: str = "ratio") -> dict:
-    """{key: lhs / rhs, "vacuous": both zero}; x / 0 reads inf, 0 / 0 reads 0."""
-    return {key: lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf),
-            "vacuous": rhs == 0 and lhs == 0}
-
-
-def _cone_average_over(A_mask: np.ndarray, H: GridFunction,
-                       spec: ConeSpec) -> float:
-    """int_A ( iint_{cone(x)} H / gamma(B(y, cap)) dgamma dt/t ) dgamma(x),
-    evaluated by the exact grid rearrangement."""
-    g = H.grid
-    ys, js = np.nonzero(H.values)
-    win = _cone_windows(g, spec, ys, js)
-    den, mass_in_A = win.gather(np.stack([g.gamma_y, g.gamma_y * A_mask], axis=1)).T
-    return float(np.sum(_per_gamma(H.values[ys, js] * g.gamma_y[ys] * g.wt[js] * mass_in_A,
-                                   den)))
-
-
 def density_inequality_check(A: RegionMask, H: GridFunction, eta: float,
                              etabar: float, spec: ConeSpec,
                              dict_: BallDictionary | None = None) -> dict:
@@ -383,7 +356,7 @@ def density_inequality_check(A: RegionMask, H: GridFunction, eta: float,
     lam = spec.beta * (1.0 + spec.beta)
     A_eta = density_points(A, etabar, lam)
     R = ~tent_mask(RegionMask(g, ~A_eta.mask), (1.0 - eta) * cone_caps(g, spec))
-    lhs = float(np.sum(H.values * R * g.gamma_y[:, None] * g.wt[None, :]))
+    lhs = halfspace_integral(GridFunction(g, H.values * R))
     rhs = _cone_average_over(A.mask.astype(float), H, spec)
     report = {
         "lhs": lhs,
@@ -428,7 +401,7 @@ def reverse_fubini_check(F: RegionMask, H: GridFunction, eta: float,
     g = H.grid
     F_tilde = containing_density_points(F, eta, spec.beta, dict_)
     R = ~tent_mask(RegionMask(g, ~F_tilde.mask), cone_caps(g, spec))
-    lhs = float(np.sum(H.values * R * g.gamma_y[:, None] * g.wt[None, :]))
+    lhs = halfspace_integral(GridFunction(g, H.values * R))
     rhs = _cone_average_over(F.mask.astype(float), H, ConeSpec(delta, spec.beta))
     return {
         "lhs": lhs,

@@ -5,17 +5,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gausstent import atomic, functionals, whitney
+from gausstent import _kernels, atomic, functionals, whitney
+from gausstent._kernels import (
+    _C_OVERLAP, _ball_tent, _ball_windows, _centered_ladder, _density_columns,
+    _distance_rows,
+)
 from gausstent.families import random_atom, random_bump, tent_indicator
-from gausstent.geometry import Ball, ConeSpec, _ball_tent, _distance_rows, cutoff_m, gamma_ball
+from gausstent.geometry import Ball, ConeSpec, cutoff_m, gamma_ball
 from gausstent.grid import (
     GridFunction, HalfSpaceGrid, RegionMask, halfspace_integral, lp_gamma_norm,
     read_grid_function,
 )
-from gausstent.functionals import (
-    _ball_windows, _centered_ladder, area_S, area_S_sup, cone_caps,
-)
-from gausstent.whitney import _density_columns, complement_distance, tent_mask
+from gausstent.functionals import area_S, area_S_sup, cone_caps
+from gausstent.whitney import complement_distance, tent_mask
 from gausstent.atomic import (
     Atom, coefficient_report, decompose, decompose_sup, export_decomposition,
     import_decomposition, reconstruct, validate_atom,
@@ -241,7 +243,7 @@ def test_decompose_density_points_match_the_per_level_loop(monkeypatch, make, nx
         return _ball_windows(grid, centers, radii)
 
     monkeypatch.setattr(atomic, "_density_columns", recording)
-    monkeypatch.setattr(functionals, "_ball_windows", counting)
+    monkeypatch.setattr(_kernels, "_ball_windows", counting)
     decompose(f, 2.0, ConeSpec(1.0, 1.0))
     monkeypatch.undo()
     assert len(calls) == 1
@@ -399,7 +401,7 @@ def _per_cube_decompose(f, q, spec, eta=0.5):
             c_j = (lo + hi) / 2.0
             r_j = max(C_inflate * d_j, d_j + (dist_q + d_j) / shrink) + g.cell * 1e-9
             B_j = Ball(tuple(c_j), r_j)
-            piece = band[nodes] & atomic._ball_tent(g.points[nodes], c_j, r_j, caps[nodes])
+            piece = band[nodes] & _ball_tent(g.points[nodes], c_j, r_j, caps[nodes])
             vals = f.values[nodes] * piece
             mu = float(np.sum(np.abs(vals) ** q * weights[nodes]))
             assigned[nodes] |= piece
@@ -508,7 +510,7 @@ def _dense_hat_decompose_sup(f, spec):
     S = area_S_sup(f, spec)
     absf = np.abs(f.values)
     (kmin, kmax), O = atomic._level_sets(S, absf)
-    star = 2.0 * atomic._C_OVERLAP + 3.0
+    star = 2.0 * _C_OVERLAP + 3.0
     terms, diagnostics, partition_defect = [], [], 0.0
     assigned = np.zeros((g.n_spatial, g.nt), dtype=bool)
     for i, band in _tent_list_bands(g, O, cone_caps(g, spec)):
@@ -545,7 +547,7 @@ def _dense_hat_decompose_sup(f, spec):
     residual, unassigned = atomic._left_out(f, assigned, absf)
     return atomic.Decomposition(
         terms, lp_gamma_norm(S, 1), np.inf, spec, diagnostics, residual,
-        audit={"C_overlap": atomic._C_OVERLAP, "inflation_factor": star,
+        audit={"C_overlap": _C_OVERLAP, "inflation_factor": star,
                "k_range": (kmin, kmax), "partition_defect": partition_defect},
         unassigned=unassigned)
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from gausstent.geometry import (
-    Ball, ConeSpec, _distance_rows, cutoff_m, gamma_ball,
-)
+from gausstent._kernels import _distance_rows
+from gausstent.geometry import Ball, ConeSpec, cutoff_m, gamma_ball
 from gausstent.grid import GridFunction, HalfSpaceGrid, SpatialFunction
 from gausstent.functionals import (
     BallDictionary, ExponentPair, default_dictionary, tent_norm,

@@ -5,19 +5,21 @@ from gausstent.geometry import (
     Ball, ConeSpec, cutoff_m, gamma_ball, is_admissible,
 )
 from gausstent.grid import (
-    GridFunction, HalfSpaceGrid, RegionMask, SpatialFunction,
+    GridFunction, HalfSpaceGrid, RegionMask,
     halfspace_integral, lp_gamma_norm,
 )
-from gausstent import functionals
+from gausstent import _kernels
+from gausstent._kernels import (
+    _Windows, _ball_windows, _centered_ladder, _cone_average_over, _cone_ranges,
+    _cone_windows, _expand, _tent_sums, _window_bounds,
+)
 from gausstent.functionals import (
-    BallDictionary, ExponentPair, _Windows, _ball_windows, _centered_ladder, _cone_ranges,
-    _cone_windows, _expand, _tent_sums, _window_bounds, area_S,
-    area_S_sup, area_S_truncated, carleson_C, cone_caps, default_dictionary,
-    maximal_centered, maximal_noncentered, stopping_time, tent_norm,
+    BallDictionary, ExponentPair, area_S, area_S_sup, area_S_truncated, carleson_C,
+    cone_caps, default_dictionary, stopping_time, tent_norm,
 )
 from gausstent.duality import check_duality_pq
 from gausstent.families import random_bump
-from gausstent.whitney import _cone_average_over, containing_density_points
+from gausstent.whitney import containing_density_points
 
 
 def _bump(grid, y0=0.5, t0=0.1, wy=0.4):
@@ -408,7 +410,7 @@ def test_cone_windows_from_breakpoints_match_the_per_cell_search(nx, nt, rng,
         ranged.append(True)
         return _cone_ranges(*args)
 
-    monkeypatch.setattr(functionals, "_cone_ranges", spy)
+    monkeypatch.setattr(_kernels, "_cone_ranges", spy)
     branches = set()
     for spec in _CONE_SPECS:
         for vals in _supports(g, rng).values():
@@ -670,20 +672,6 @@ def _loop_carleson_C(f, q, alpha, beta, d):
     return out
 
 
-def _loop_maximal_noncentered(vals, grid, level, d):
-    gw = grid.gamma_y
-    out = np.zeros(grid.n_spatial)
-    for c, r in zip(d.centers, d.radii):
-        if not is_admissible(Ball(tuple(c), r), level):
-            continue
-        inside = np.linalg.norm(grid.points - c, axis=1) < r
-        if not inside.any():
-            continue
-        avg = (np.abs(vals[inside]) * gw[inside]).sum() / gw[inside].sum()
-        np.maximum(out, np.where(inside, avg, 0.0), out=out)
-    return out
-
-
 def _loop_containing_density_points(F, eta, beta, d):
     g = F.grid
     gw = g.gamma_y
@@ -714,23 +702,6 @@ def test_carleson_C_matches_per_ball_loop(request, grid_name, rng):
             for q, alpha in ((2.0, 1.0), (3.0, 0.5)):
                 want = _loop_carleson_C(f, q, alpha, beta, d)
                 assert np.array_equal(carleson_C(f, q, ConeSpec(alpha, beta), d).values, want)
-
-
-@pytest.mark.parametrize("grid_name", ["grid_small", "grid_2d"])
-def test_maximal_noncentered_matches_per_ball_loop(request, grid_name, rng):
-    g = request.getfixturevalue(grid_name)
-    vals = rng.random(g.n_spatial) * (rng.random(g.n_spatial) > 0.3)
-    ones = SpatialFunction(g, np.ones(g.n_spatial))
-    for beta in (0.5, 1.0, 2.0):
-        for d in _dictionaries(g, beta, rng):
-            want = _loop_maximal_noncentered(vals, g, beta, d)
-            got = maximal_noncentered(SpatialFunction(g, vals), beta, d).values
-            assert np.array_equal(got == 0.0, want == 0.0)
-            assert np.allclose(got, want, rtol=1e-15, atol=0.0)
-            M1 = maximal_noncentered(ones, beta, d).values
-            assert np.array_equal(M1 == 0.0, _loop_maximal_noncentered(
-                ones.values, g, beta, d) == 0.0)
-            assert np.all(M1[M1 != 0.0] == 1.0)
 
 
 @pytest.mark.parametrize("grid_name", ["grid_small", "grid_2d"])
@@ -766,39 +737,7 @@ def test_tent_norm_zero(grid_small):
                      ConeSpec(1.0, 1.0)) == 0.0
 
 
-# -- maximal functions -----------------------------------------------------
-
-def test_maximal_of_one_is_one(grid_small):
-    ones = SpatialFunction(grid_small, np.ones(grid_small.n_spatial))
-    d = default_dictionary(grid_small, 1.0)
-    M = maximal_noncentered(ones, 1.0, d)
-    covered = M.values > 0
-    assert covered.any()
-    assert np.all(M.values[covered] == 1.0)
-    Mc = maximal_centered(ones, 1.0)
-    assert np.allclose(Mc.values, 1.0)
-
-
-def test_maximal_dominates_function_at_small_radii(grid_small, rng):
-    vals = rng.random(grid_small.n_spatial)
-    Mc = maximal_centered(SpatialFunction(grid_small, vals), 1.0)
-    # the deepest ladder radius still holds >= 1 node, so M >= a local avg > 0
-    assert np.all(Mc.values > 0)
-
-
-def _maximal_centered_loop(g: SpatialFunction, level: float) -> np.ndarray:
-    """The rung loop maximal_centered ran on its own, one window set per
-    rung, before the centered ladder was shared with the density points."""
-    grid = g.grid
-    gw = grid.gamma_y
-    sums = np.stack([np.abs(g.values) * gw, gw], axis=1)
-    out = np.zeros(grid.n_spatial)
-    base = level * grid.m_y
-    for k in range(7):
-        num, den = _ball_windows(grid, grid.points, base * 2.0 ** (-k)).gather(sums).T
-        np.maximum(out, num / den, out=out)
-    return out
-
+# -- the centered ladder ----------------------------------------------------
 
 def test_centered_ladder_blocks_are_one_gather(rng):
     # wide 2-D windows and many columns: the rungs are gathered in several
@@ -812,20 +751,6 @@ def test_centered_ladder_blocks_are_one_gather(rng):
         whole = _ball_windows(g, g.points, base * 2.0 ** (-k)).gather(sums)
         assert num.tobytes() == whole[:, :-1].tobytes()
         assert den.tobytes() == whole[:, -1].tobytes()
-
-
-@pytest.mark.parametrize("grid", [
-    HalfSpaceGrid(((-8.0, 8.0),), (512,), 1e-3, 8.0, 4),
-    HalfSpaceGrid(((-8.0, 8.0),) * 2, (32, 32), 1e-3, 8.0, 4),
-    HalfSpaceGrid(((-4.0, 4.0),) * 2, (48, 48), 1e-3, 8.0, 4),
-], ids=["1d-512", "2d-32", "2d-48"])
-def test_maximal_centered_matches_the_rung_loop(grid, rng):
-    # in 2-D the windows span several grid rows
-    for level in (0.5, 2.0, 6.0):
-        vals = rng.normal(size=grid.n_spatial) * (rng.random(grid.n_spatial) < 0.5)
-        g = SpatialFunction(grid, vals)
-        assert maximal_centered(g, level).values.tobytes() \
-            == _maximal_centered_loop(g, level).tobytes()
 
 
 # -- stopping time ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -10,12 +11,12 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 import gausstent
+from gausstent._kernels import (
+    _MAXLOG, _ball_tent, _cone_windows, _erfc, _gamma_balls, _window_bounds,
+)
 from gausstent.geometry import (
-    AdmissibilityError, Ball, ConeSpec, UpperPoint, _MAXLOG, _ball_tent, _erfc,
-    _gamma_balls,
-    ball_tent_contains, classical_tent_contains, compare_tents,
-    comparison_lemma_check, cone_contains, cutoff_m, gamma_ball,
-    gamma_ball_bounds_check, is_admissible, lebesgue_ball,
+    AdmissibilityError, Ball, ConeSpec, compare_tents, comparison_lemma_check, cutoff_m,
+    gamma_ball, gamma_ball_bounds_check, is_admissible,
 )
 from gausstent.grid import HalfSpaceGrid
 
@@ -203,11 +204,6 @@ def test_gamma_ball_2d_offcenter_oracle():
     assert gamma_ball(Ball(tuple(c), r)) == pytest.approx(want, rel=1e-7)
 
 
-def test_lebesgue_ball():
-    assert lebesgue_ball(Ball((0.0,), 2.0)) == 4.0
-    assert lebesgue_ball(Ball((0.0, 0.0), 2.0)) == pytest.approx(4 * np.pi)
-
-
 # -- admissibility and the measure bracket ---------------------------------
 
 def test_admissibility_boundary_included():
@@ -250,22 +246,37 @@ def test_array_checks_equal_the_one_point_checks(rng):
 
 # -- cones and tents -------------------------------------------------------
 
+def _cone_vertices(axis, spec, y, t):
+    """The vertices x on axis whose cone holds (y, t): the window
+    |x - y| < min(alpha t, beta m(y)), the cap taken at the point y."""
+    axis = np.asarray(axis)
+    cap = spec.caps(cutoff_m(np.array([[y]])), np.array([t]))
+    lo, hi = _window_bounds(axis, np.array([y]), cap)
+    return axis[lo[0]:hi[0]].tolist()
+
+
 def test_cone_strict_boundary():
     spec = ConeSpec(1.0, 1.0)
-    # |y - x| = t exactly: excluded
-    assert not cone_contains(0.0, spec, UpperPoint((0.5,), 0.5))
-    assert cone_contains(0.0, spec, UpperPoint((0.5,), 0.5000001))
-    # cap by beta m(y)
-    assert not cone_contains(3.0, spec, UpperPoint((3.5,), 5.0))  # m(3.5) < 0.5
+    # |y - x| = alpha t exactly: excluded
+    assert _cone_vertices([0.0, 0.5, 1.0], spec, 0.5, 0.5) == [0.5]
+    assert _cone_vertices([0.0, 0.5, 1.0], spec, 0.5, 0.5000001) == [0.0, 0.5, 1.0]
+    # cap by beta m(y): m(3.5) < 0.5
+    assert _cone_vertices([3.0, 3.5], spec, 3.5, 5.0) == [3.5]
 
 
 def test_cone_variants_differ():
     # the pencil cap beta*m(y) is taken at the point, not at the vertex
     pencil = ConeSpec(1.0, 1.0)
-    p = UpperPoint((0.2,), 5.0)  # near the origin, m(y) = 1
-    assert cone_contains(0.0, pencil, p)
-    q = UpperPoint((4.0,), 5.0)  # m(y) = 0.25 caps the pencil cone
-    assert not cone_contains(4.3, pencil, q)
+    assert _cone_vertices([0.0, 0.2], pencil, 0.2, 5.0) == [0.0, 0.2]  # m(y) = 1
+    # |x - y| = 0.45 < m(2) = 0.5, though m(x) = m(2.45) < 0.45
+    assert cutoff_m(2.45) < 0.45
+    assert _cone_vertices([2.0, 2.45], pencil, 2.0, 5.0) == [2.0, 2.45]
+    assert _cone_vertices([4.0, 4.3], pencil, 4.0, 5.0) == [4.0]    # m(y) = 0.25
+    # the cone windows of a grid's cells take m at the cell too
+    g = HalfSpaceGrid(((-8.0, 8.0),), (321,), 1e-3, 5.0, 4)
+    i = g.nearest_spatial_index(2.0)
+    win = _cone_windows(g, pencil, np.array([i]), np.array([g.nt - 1]))
+    assert g.nearest_spatial_index(2.45) in win.nodes(0).tolist()
 
 
 def test_apertures_enter_only_as_a_cone_spec():
@@ -283,17 +294,46 @@ def test_apertures_enter_only_as_a_cone_spec():
         assert "_pencil_caps" not in path.read_text(), path.name
 
 
+def test_private_names_are_imported_only_from_the_kernels():
+    # _kernels is the one module a private name crosses from; it imports
+    # nothing from the package, and every name it defines is private
+    src = Path(gausstent.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert node.module == "_kernels" or not private, (path.name, private)
+    kernels = ast.parse((src / "_kernels.py").read_text())
+    for node in ast.walk(kernels):
+        if isinstance(node, ast.ImportFrom):
+            assert not node.level and not node.module.startswith("gausstent"), node.module
+        elif isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.startswith("gausstent")]
+    defined = [t.id for node in kernels.body if isinstance(node, ast.Assign)
+               for t in node.targets] + [node.name for node in kernels.body
+                                         if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert len(defined) > 30 and all(n.startswith("_") for n in defined), defined
+
+
+def _one_point_tents(B, spec, y, t):
+    """(Gaussian, classical) membership of the one point (y, t) in the tents
+    over B, the classical tent at aperture alpha with no cap."""
+    ys = np.array([y], dtype=float)
+    return tuple(bool(_ball_tent(ys, B.center_array, B.radius,
+                                 s.caps(cutoff_m(ys), np.array([[t]])))[0, 0])
+                 for s in (spec, ConeSpec(spec.alpha, np.inf)))
+
+
 def test_tent_nonstrict_boundary():
     B = Ball((0.0,), 1.0)
     # depth 0.5 at y = 0.5; t = 0.5 sits exactly on the boundary: included
-    assert ball_tent_contains(B, ConeSpec(1.0, 1.0), UpperPoint((0.5,), 0.5))
-    assert not ball_tent_contains(B, ConeSpec(1.0, 1.0), UpperPoint((0.5,), 0.5000001))
-    assert classical_tent_contains(B, 1.0, UpperPoint((0.5,), 0.5))
+    assert _one_point_tents(B, ConeSpec(1.0, 1.0), (0.5,), 0.5) == (True, True)
+    assert _one_point_tents(B, ConeSpec(1.0, 1.0), (0.5,), 0.5000001) == (False, False)
 
 
 def test_tent_outside_ball_excluded():
     B = Ball((0.0,), 1.0)
-    assert not ball_tent_contains(B, ConeSpec(1.0, 1.0), UpperPoint((1.5,), 1e-6))
+    assert _one_point_tents(B, ConeSpec(1.0, 1.0), (1.5,), 1e-6) == (False, False)
 
 
 def test_compare_tents_agreement_off_axis(rng):
@@ -310,11 +350,10 @@ def test_compare_tents_axis_disagreement_possible():
     # boundary-admissible ball: the axis column diverges between the tents
     c = 3.0
     B = Ball((c,), cutoff_m(c))
-    p = UpperPoint((c,), 2.0)  # classical needs t <= r; gaussian caps at m(c)
-    gau = ball_tent_contains(B, ConeSpec(1.0, 1.0), p)
-    cla = classical_tent_contains(B, 1.0, p)
+    y, t = (c,), 2.0  # classical needs t <= r; gaussian caps at m(c)
+    gau, cla = _one_point_tents(B, ConeSpec(1.0, 1.0), y, t)
     assert gau != cla
-    rep = compare_tents(B, ConeSpec(1.0, 1.0), [p.y], [p.t])
+    rep = compare_tents(B, ConeSpec(1.0, 1.0), [y], [t])
     assert rep["n_off_axis"] == 0
     assert len(rep["disagreements"]) == 1
     assert rep["disagreements"][0]["on_axis"]
@@ -330,10 +369,9 @@ def test_compare_tents_lists_the_one_point_disagreements_in_order(rng):
     rep = compare_tents(B, ConeSpec(1.0, 0.5), ys, ts)
     want = []
     for y, t in zip(ys.tolist(), ts.tolist()):
-        p = UpperPoint(tuple(y), t)
-        g, c = ball_tent_contains(B, ConeSpec(1.0, 0.5), p), classical_tent_contains(B, 1.0, p)
+        g, c = _one_point_tents(B, ConeSpec(1.0, 0.5), y, t)
         if g != c:
-            want.append({"y": p.y, "t": t, "gaussian": g, "classical": c,
+            want.append({"y": tuple(y), "t": t, "gaussian": g, "classical": c,
                          "on_axis": abs(y[0] - 0.4) <= 1e-12})
     assert rep["disagreements"] == want
     assert rep["n_off_axis"] == sum(not w["on_axis"] for w in want) > 0

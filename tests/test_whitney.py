@@ -4,11 +4,12 @@ import pytest
 from gausstent import atomic
 from gausstent.families import random_bump
 from gausstent.duality import measured_K_beta
-from gausstent.geometry import ConeSpec, _distance_rows, _gamma_balls
+from gausstent._kernels import _C_OVERLAP, _distance_rows, _gamma_balls
+from gausstent.geometry import ConeSpec
 from gausstent.grid import GridFunction, HalfSpaceGrid, RegionMask
 from gausstent.functionals import BallDictionary, cone_caps, default_dictionary
 from gausstent.whitney import (
-    _C_OVERLAP, _audit_cubes, _box_base_level, _edt, _shrunken_disjoint, complement_distance,
+    _audit_cubes, _box_base_level, _edt, _shrunken_disjoint, complement_distance,
     containing_density_points, density_inequality_check,
     density_points, doubling_constant, etabar_from_doubling, reverse_fubini_check,
     tent_mask, whitney_balls, whitney_cubes,
@@ -567,6 +568,29 @@ def test_reverse_fubini_finite_ratio(grid_small, rng):
     assert np.isfinite(rep["ratio"]) and rep["ratio"] >= 0
     with pytest.raises(ValueError):
         reverse_fubini_check(F, H, 0.9, ConeSpec(2.0, 1.0), 1.0, d)  # delta < alpha
+
+
+def _written_out_lhs(H, R):
+    """The integral of H over the cone union R, the quadrature written out."""
+    g = H.grid
+    return float(np.sum(H.values * R * g.gamma_y[:, None] * g.wt[None, :]))
+
+
+def test_integral_checks_take_lhs_from_the_one_quadrature(grid_small, rng):
+    # halfspace_integral does the written-out multiplications in their order,
+    # so both left sides are the same floats
+    g = grid_small
+    A = _interval_mask(g, -2.0, 2.0)
+    H = _positive_H(g, rng)
+    d = default_dictionary(g, 1.0)
+    spec = ConeSpec(1.0, 1.0)
+    etabar = etabar_from_doubling(doubling_constant(2.0, d))
+    A_eta = density_points(A, etabar, spec.beta * (1.0 + spec.beta))
+    R = ~tent_mask(RegionMask(g, ~A_eta.mask), 0.5 * cone_caps(g, spec))
+    assert density_inequality_check(A, H, 0.5, etabar, spec)["lhs"] == _written_out_lhs(H, R)
+    F_tilde = containing_density_points(A, 0.9, spec.beta, d)
+    R = ~tent_mask(RegionMask(g, ~F_tilde.mask), cone_caps(g, spec))
+    assert reverse_fubini_check(A, H, 0.9, spec, 2.0, d)["lhs"] == _written_out_lhs(H, R)
 
 
 def test_doubling_sup_skips_balls_whose_gamma_underflows():
