@@ -29,7 +29,6 @@ from .grid import (
     HalfSpaceGrid,
     RegionMask,
     SpatialFunction,
-    default_grid,
     halfspace_integral,
     lp_gamma_norm,
 )

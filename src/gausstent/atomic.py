@@ -73,14 +73,18 @@ class Atom:
     block: np.ndarray = field(repr=False)
     ball: Ball
     q: float
-    delta: float                      # realized admissibility level r_B/m(c_B)
+
+    @property
+    def delta(self) -> float:
+        """The realized admissibility level r_B / m(c_B) of the atom's ball."""
+        return self.ball.radius / cutoff_m(self.ball.center)
 
     @classmethod
-    def crop(cls, f: GridFunction, ball: Ball, q: float, delta: float) -> "Atom":
+    def crop(cls, f: GridFunction, ball: Ball, q: float) -> "Atom":
         """The atom with values f, kept on the bounding box of the values
         that are not +0.0.  A -0.0 counts, so expand() gives f back to the
         byte."""
-        return _atom_on_nodes(f.grid, np.arange(f.grid.n_spatial), f.values, ball, q, delta)
+        return _atom_on_nodes(f.grid, np.arange(f.grid.n_spatial), f.values, ball, q)
 
     def expand(self) -> GridFunction:
         """The atom on the whole grid."""
@@ -90,7 +94,7 @@ class Atom:
 
 
 def _atom_on_nodes(grid: HalfSpaceGrid, nodes: np.ndarray, values: np.ndarray,
-                   ball: Ball, q: float, delta: float) -> Atom:
+                   ball: Ball, q: float) -> Atom:
     """The atom whose values are `values` on the ascending spatial nodes
     `nodes` (every t column) and +0.0 elsewhere, cropped as in Atom.crop."""
     kept = np.signbit(values) | (values != 0.0)
@@ -102,7 +106,7 @@ def _atom_on_nodes(grid: HalfSpaceGrid, nodes: np.ndarray, values: np.ndarray,
     block = np.zeros((r1 - r0, c1 - c0))
     block[nodes[i0:i1] - r0] = values[i0:i1, c0:c1]
     block.setflags(write=False)
-    return Atom(grid, (slice(r0, r1), slice(c0, c1)), block, ball, q, delta)
+    return Atom(grid, (slice(r0, r1), slice(c0, c1)), block, ball, q)
 
 
 @dataclass
@@ -270,8 +274,7 @@ def decompose(f: GridFunction, q: float, spec: ConeSpec,
             B_j = Ball(tuple(c_j), r_j)
             gB = gamma_ball(B_j)
             lam_jk = gB ** qprime_exp * mu ** (1.0 / q)
-            terms.append((lam_jk, _atom_on_nodes(g, nodes, vals / lam_jk, B_j, q,
-                                                 delta=r_j / cutoff_m(c_j))))
+            terms.append((lam_jk, _atom_on_nodes(g, nodes, vals / lam_jk, B_j, q)))
             mu_bound_worst = max(mu_bound_worst, mu / (gB * 2.0 ** (q * k)))
 
     residual, unassigned = _left_out(f, assigned, np.abs(f.values) ** q)
@@ -333,8 +336,7 @@ def decompose_sup(f: GridFunction, spec: ConeSpec) -> Decomposition:
             mu = 2.0 ** (k + 1) * gamma_ball(B_star)
             block = np.where(piece, f.values[nodes] * phi[:, None] / mu, 0.0)
             assigned[nodes] |= piece
-            terms.append((mu, _atom_on_nodes(g, nodes, block, B_star, np.inf,
-                                             delta=B_star.radius / cutoff_m(c_j))))
+            terms.append((mu, _atom_on_nodes(g, nodes, block, B_star, np.inf)))
         active = relevant.any(axis=1) & (hat_total > 0)
         if active.any():
             partition_defect = max(partition_defect,
@@ -425,7 +427,7 @@ def import_decomposition(manifest_path) -> Decomposition:
             gf = gridio.read_grid_function(path.parent / entry["atom_file"])
             ball = Ball(tuple(entry["ball"]["center"]), entry["ball"]["radius"])
             aq = np.inf if entry["q"] == "inf" else float(entry["q"])
-            terms.append((entry["lambda"], Atom.crop(gf, ball, aq, entry["delta"])))
+            terms.append((entry["lambda"], Atom.crop(gf, ball, aq)))
         return Decomposition(terms, data["source_norm"], q, spec,
                              data.get("diagnostics", []),
                              data.get("residual_mass", 0.0),

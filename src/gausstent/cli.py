@@ -43,7 +43,7 @@ from .atomic import (
 from .duality import (
     check_carleson_pairing, check_duality_pq, carleson_norm, read_measure_csv,
 )
-from .embedding import check_h1_atom, default_phi
+from .embedding import check_h1_atom
 from .families import boundary_atom, random_atom, random_bump, tent_indicator
 
 EXIT_PARSE = 1
@@ -174,8 +174,6 @@ def _jsonify(obj):
         return obj.tolist()
     if isinstance(obj, Ball):
         return {"center": list(obj.center), "radius": obj.radius}
-    if obj is np.inf:
-        return "inf"
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
@@ -276,9 +274,8 @@ def _h1_checks(atoms, grid: HalfSpaceGrid, spec: ConeSpec):
     boundary atom, whose support check must fail.  Returns the reports,
     whether the sentinel failed, and whether everything came out right.
     `atoms` may be a generator; map drops each atom before drawing the next."""
-    phi = default_phi()
-    reports = list(map(lambda a: check_h1_atom(a, phi), atoms))
-    sentinel = check_h1_atom(boundary_atom(grid, spec), phi, local=False)
+    reports = list(map(check_h1_atom, atoms))
+    sentinel = check_h1_atom(boundary_atom(grid, spec), local=False)
     caught = not sentinel["support_ok"]
     return reports, caught, all(r["all_ok"] for r in reports) and caught
 
@@ -409,8 +406,6 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     unknown = set(selected) - known
     if unknown:
         raise ConfigError(f"unknown verify suites: {sorted(unknown)}")
-    if not selected:
-        raise ConfigError("empty battery selection")
     results = {}
     for name, fn in _VERIFY_SUITES:
         if name not in selected:

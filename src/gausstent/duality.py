@@ -26,7 +26,7 @@ from ._kernels import (
     _ball_averages, _ball_tent, _ball_windows, _cone_average_over, _csv_rows,
     _gamma_ratio_sup, _ratio,
 )
-from .geometry import Ball, ConeSpec, cutoff_m
+from .geometry import Ball, ConeSpec, cutoff_m, is_admissible
 from .grid import GridFunction, SpatialFunction, halfspace_integral, lp_gamma_norm
 from .functionals import (
     BallDictionary,
@@ -94,6 +94,9 @@ def measure_pairing(mu: DiscreteMeasure, f: GridFunction) -> float:
     g = f.grid
     total = 0.0
     for y, t, w in mu.points:
+        if len(y) != g.n:
+            raise ValueError(f"measure point {y} has {len(y)} spatial coordinates "
+                             f"on a grid with {g.n}")
         if not g.contains_spatial(y):
             raise ValueError(f"measure point {y} outside the grid box")
         if not (g.t_min <= t <= g.t_max):
@@ -112,7 +115,7 @@ def carleson_norm(mu: DiscreteMeasure, spec: ConeSpec, delta: float,
     tent holds no mass; mass over a gamma(B) that is 0 in floats raises
     FloatingPointError.
     """
-    bad = int(np.count_nonzero(~dict_._admits(delta)))
+    bad = int(np.count_nonzero(~is_admissible(dict_.centers, dict_.radii, delta)))
     if bad:
         raise ValueError(f"{bad} dictionary balls not admissible at level {delta}")
     n = dict_.centers.shape[1]

@@ -27,31 +27,13 @@ range; no log-space evaluation is needed for any supported box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._kernels import _distance_rows
 from .grid import GridFunction, SpatialFunction, lp_gamma_norm
 from .geometry import gamma_ball
 
-__all__ = ["MotherFunction", "check_h1_atom", "default_phi", "pi_phi"]
-
-
-@dataclass(frozen=True)
-class MotherFunction:
-    """Odd smooth bump c*x*exp(-1/(1-x^2)) on (-1, 1), scaled to peak 1."""
-
-    scale: float
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        inside = np.abs(x) < 1.0
-        xi = x[inside]
-        with np.errstate(over="ignore"):
-            out[inside] = self.scale * xi * np.exp(-1.0 / (1.0 - xi * xi))
-        return out
+__all__ = ["check_h1_atom", "pi_phi"]
 
 
 # The peak of x*exp(-1/(1-x^2)) on (0, 1) as scipy's bounded minimize_scalar
@@ -60,11 +42,18 @@ class MotherFunction:
 _PHI_PEAK = 0.13205928185506993
 
 
-def default_phi() -> MotherFunction:
-    return MotherFunction(scale=1.0 / _PHI_PEAK)
+def _phi(x: np.ndarray) -> np.ndarray:
+    """The mother function: the odd smooth bump x*exp(-1/(1-x^2)) on (-1, 1),
+    scaled to peak 1, and 0 elsewhere."""
+    out = np.zeros_like(x)
+    inside = np.abs(x) < 1.0
+    xi = x[inside]
+    with np.errstate(over="ignore"):
+        out[inside] = (1.0 / _PHI_PEAK) * xi * np.exp(-1.0 / (1.0 - xi * xi))
+    return out
 
 
-def pi_phi(f: GridFunction, phi: MotherFunction, local: bool = True) -> SpatialFunction:
+def pi_phi(f: GridFunction, local: bool = True) -> SpatialFunction:
     """Apply the operator; local=False drops the {t < m(y)} truncation.
 
     The untruncated variant exists only as a deliberate-bug sentinel for the
@@ -93,7 +82,7 @@ def pi_phi(f: GridFunction, phi: MotherFunction, local: bool = True) -> SpatialF
         cols = start[:, None] + np.arange(width)                # (rows, width)
         flat = (np.arange(rows.size) * n)[:, None] + cols
         d = x[cols] - y[rows, None]
-        kernel = phi(d / tj) / tj
+        kernel = _phi(d / tj) / tj
         support = np.abs(d) < tj
         # full-width rows keep the term order of the row sums and the gemv,
         # and with it the floats of the dense loop (module docstring)
@@ -109,12 +98,12 @@ def pi_phi(f: GridFunction, phi: MotherFunction, local: bool = True) -> SpatialF
     return SpatialFunction(g, acc * np.exp(x * x))
 
 
-def check_h1_atom(atom, phi: MotherFunction, local: bool = True) -> dict:
+def check_h1_atom(atom, local: bool = True) -> dict:
     """Three checks on u = pi_phi(atom): support inside the doubled ball,
     vanishing gamma-average, and the L^2(gamma) bound constant."""
     f = atom.expand()
     g = f.grid
-    u = pi_phi(f, phi, local=local)
+    u = pi_phi(f, local=local)
     cell = g.cell
     dist_c = _distance_rows(g.points, atom.ball.center_array)
     outside = dist_c >= 2.0 * atom.ball.radius + cell

@@ -57,7 +57,7 @@ def random_atom(grid: HalfSpaceGrid, spec: ConeSpec, q: float,
     shape *= tent_indicator(grid, spec, c, r).values
     g_safe = max(gamma_ball(B), float(
         grid.gamma_y[_distance_rows(grid.points, B.center_array) < r].sum()))
-    return Atom.crop(_normalized(grid, shape, g_safe, q), B, q, delta=r / cutoff_m(c))
+    return Atom.crop(_normalized(grid, shape, g_safe, q), B, q)
 
 
 def boundary_atom(grid: HalfSpaceGrid, spec: ConeSpec) -> Atom:
@@ -68,8 +68,7 @@ def boundary_atom(grid: HalfSpaceGrid, spec: ConeSpec) -> Atom:
     c = float(grid.points[i, 0])
     B = Ball((c,), spec.beta * cutoff_m(c))
     tent = tent_indicator(grid, spec, c, B.radius).values
-    return Atom.crop(_normalized(grid, tent, gamma_ball(B), 2.0), B, 2.0,
-                     delta=B.radius / cutoff_m(c))
+    return Atom.crop(_normalized(grid, tent, gamma_ball(B), 2.0), B, 2.0)
 
 
 def _normalized(grid: HalfSpaceGrid, shape: np.ndarray, gB: float,

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _GAMMA_UNDERFLOW, _ball_averages, _ball_windows, _cone_area, _tent_sums
-from .geometry import ConeSpec, cutoff_m
+from .geometry import ConeSpec, cutoff_m, is_admissible
 from .grid import GridFunction, HalfSpaceGrid, SpatialFunction, lp_gamma_norm
 
 __all__ = [
@@ -98,12 +98,8 @@ class BallDictionary:
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "radii", radii)
 
-    def _admits(self, level: float) -> np.ndarray:
-        """Which balls are admissible at level: r <= level * m(c)."""
-        return self.radii <= level * cutoff_m(self.centers)
-
     def admissible(self, level: float) -> "BallDictionary":
-        keep = self._admits(level)
+        keep = is_admissible(self.centers, self.radii, level)
         if not keep.any():
             raise ValueError(f"no dictionary ball admissible at level {level}")
         return BallDictionary(self.centers[keep], self.radii[keep])

@@ -97,9 +97,16 @@ class ConeSpec:
         return np.minimum(self.alpha * t, self.beta * m)
 
 
-def is_admissible(B: Ball, beta: float) -> bool:
-    """radius <= beta * m(center); the boundary radius is admissible."""
-    return B.radius <= beta * cutoff_m(B.center)
+def is_admissible(center, radius, level):
+    """radius <= level * m(center); the boundary radius is admissible.
+
+    One ball (a point and a radius) gives a bool; centers with coordinates
+    on the last axis, with radii (and levels) one per ball, give a bool
+    array.
+    """
+    c = np.atleast_1d(np.asarray(center, dtype=float))
+    ok = np.asarray(radius, dtype=float) <= level * cutoff_m(c)
+    return bool(ok) if c.ndim == 1 else ok
 
 
 def gamma_ball(B: Ball) -> float:
@@ -124,9 +131,9 @@ def gamma_ball_bounds_check(center, radius, beta):
     r, beta = np.asarray(radius, dtype=float), np.asarray(beta, dtype=float)
     if not np.all((r > 0) & np.isfinite(r)):
         raise ValueError("ball radius must be positive and finite")
-    cap = beta * cutoff_m(c)
-    over = ~(r <= cap)
+    over = ~np.asarray(is_admissible(c, r, beta))
     if over.any():
+        cap = beta * cutoff_m(c)
         raise AdmissibilityError(f"ball radius {r[over].flat[0]} exceeds "
                                  f"beta*m(center) = {cap[over].flat[0]}")
     n = c.shape[-1]
@@ -159,7 +166,7 @@ def compare_tents(B: Ball, spec: ConeSpec, ys, ts) -> dict:
         warnings.append("beta < 1")
     if q_dist < np.sqrt(spec.beta):
         warnings.append("|q_B| < sqrt(beta)")
-    if not is_admissible(B, spec.beta):
+    if not is_admissible(c, B.radius, spec.beta):
         warnings.append("ball not admissible at level beta")
 
     gau = _ball_tent(ys, c, B.radius, spec.caps(cutoff_m(ys), ts)[:, None])[:, 0]

@@ -28,7 +28,6 @@ __all__ = [
     "HalfSpaceGrid",
     "RegionMask",
     "SpatialFunction",
-    "default_grid",
     "halfspace_integral",
     "lp_gamma_norm",
     "read_grid_function",
@@ -157,12 +156,6 @@ class HalfSpaceGrid:
     def contains_spatial(self, y) -> bool:
         y = np.atleast_1d(np.asarray(y, dtype=float))
         return all(a <= yc <= b for (a, b), yc in zip(self.spatial_box, y))
-
-
-def default_grid() -> HalfSpaceGrid:
-    """The desk-scale default: n=1, 512 nodes on [-8, 8], 128 on t in [1e-3, 8]."""
-    return HalfSpaceGrid(spatial_box=((-8.0, 8.0),), nx=(512,),
-                         t_min=1e-3, t_max=8.0, nt=128)
 
 
 @dataclass

@@ -26,7 +26,7 @@ from ._kernels import (
     _C_OVERLAP, _ball_windows, _cone_average_over, _density_columns, _distance, _expand,
     _gamma_ratio_sup, _ratio,
 )
-from .geometry import ConeSpec
+from .geometry import ConeSpec, is_admissible
 from .grid import GridFunction, HalfSpaceGrid, RegionMask, halfspace_integral
 from .functionals import BallDictionary, cone_caps
 
@@ -327,7 +327,7 @@ def doubling_constant(level: float, dict_: BallDictionary) -> float:
     """Measured sup of gamma(2B)/gamma(B) over admissible dictionary balls;
     balls whose gamma(B) is 0 in floats (past |c| of about 27) are left
     out."""
-    keep = dict_._admits(level)
+    keep = is_admissible(dict_.centers, dict_.radii, level)
     return _gamma_ratio_sup(dict_.centers[keep], dict_.radii[keep], 2.0)
 
 
@@ -378,7 +378,7 @@ def containing_density_points(F: RegionMask, eta: float, beta: float,
     gamma(B & F) >= eta gamma(B) — the containing-ball variant."""
     g = F.grid
     gw = g.gamma_y
-    keep = dict_._admits(beta)
+    keep = is_admissible(dict_.centers, dict_.radii, beta)
     win = _ball_windows(g, dict_.centers[keep], dict_.radii[keep])
     in_F, full = win.gather(np.stack([gw * F.mask, gw], axis=1)).T
     bad = win.scatter((in_F < eta * full).astype(float), np.maximum)

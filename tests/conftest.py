@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gausstent.grid import HalfSpaceGrid, default_grid
+from gausstent.cli import RunConfig
+from gausstent.grid import HalfSpaceGrid
 
 
 @pytest.fixture(scope="session")
@@ -12,7 +13,7 @@ def grid_small():
 
 @pytest.fixture(scope="session")
 def grid_default():
-    return default_grid()
+    return RunConfig().grid()
 
 
 @pytest.fixture()

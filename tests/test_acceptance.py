@@ -12,17 +12,16 @@ import time
 import numpy as np
 import pytest
 
-from gausstent.cli import main
-from gausstent.families import random_atom, random_bump, tent_indicator
+from gausstent.cli import RunConfig, main
+from gausstent.families import boundary_atom, random_atom, random_bump, tent_indicator
 from gausstent.geometry import (
     Ball, ConeSpec, compare_tents, cutoff_m, gamma_ball_bounds_check,
 )
 from gausstent.grid import (
-    GridFunction, HalfSpaceGrid, RegionMask, default_grid, halfspace_integral,
+    GridFunction, HalfSpaceGrid, RegionMask, halfspace_integral,
 )
 from gausstent.functionals import (
-    ExponentPair, carleson_C, cone_caps, default_dictionary, stopping_time,
-    tent_norm,
+    ExponentPair, carleson_C, default_dictionary, stopping_time, tent_norm,
 )
 from gausstent.whitney import (
     density_inequality_check, doubling_constant, etabar_from_doubling,
@@ -35,12 +34,12 @@ from gausstent.duality import (
     DiscreteMeasure, carleson_norm, check_carleson_pairing, check_duality_1q,
     check_duality_pq, measured_K_beta, stopping_density,
 )
-from gausstent.embedding import check_h1_atom, default_phi
+from gausstent.embedding import check_h1_atom
 
 
 @pytest.fixture(scope="module")
 def grid():
-    return default_grid()
+    return RunConfig().grid()
 
 
 @pytest.fixture(scope="module")
@@ -348,14 +347,13 @@ def test_criterion_10_independence(grid, grid_fine):
 
 def test_criterion_11_pi_phi_atoms(grid):
     spec = ConeSpec(1.0, 1.0)
-    phi = default_phi()
     rng = np.random.default_rng(11)
     support_fail = 0
     avg_fail = 0
     consts = []
     for _ in range(20):
         a = random_atom(grid, spec, 2.0, rng)
-        rep = check_h1_atom(a, phi)
+        rep = check_h1_atom(a)
         support_fail += not rep["support_ok"]
         avg_fail += not rep["average_ok"]
         consts.append(rep["l2_constant"])
@@ -365,19 +363,9 @@ def test_criterion_11_pi_phi_atoms(grid):
     # the truncation-removed mutation must fail the support check; this
     # needs a node-centered ball at the admissibility boundary so the
     # tent carries the full axis column
-    i = grid.nearest_spatial_index(2.0)
-    c = float(grid.points[i, 0])
-    B = Ball((c,), cutoff_m(c))
-    caps = cone_caps(grid, spec)
-    depth = np.maximum(B.radius - np.abs(grid.points[:, 0] - c), 0.0)
-    tent = (depth[:, None] >= caps).astype(float)
-    w = grid.gamma_y[:, None] * grid.wt[None, :]
-    from gausstent.atomic import Atom
-    from gausstent.geometry import gamma_ball
-    sentinel = Atom.crop(GridFunction(grid, tent / np.sum(tent ** 2 * w) ** 0.5
-                                      * gamma_ball(B) ** -0.5), B, 2.0, 1.0)
-    assert check_h1_atom(sentinel, phi, local=True)["support_ok"]
-    sentinel_fails = not check_h1_atom(sentinel, phi, local=False)["support_ok"]
+    sentinel = boundary_atom(grid, spec)
+    assert check_h1_atom(sentinel, local=True)["support_ok"]
+    sentinel_fails = not check_h1_atom(sentinel, local=False)["support_ok"]
     ok = support_fail == 0 and avg_fail == 0 and stable and sentinel_fails
     _line(11, "convolution-operator atom checks", ok,
           f"{support_fail} support / {avg_fail} average failures, "

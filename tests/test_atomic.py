@@ -10,8 +10,9 @@ from gausstent._kernels import (
     _C_OVERLAP, _ball_tent, _ball_windows, _centered_ladder, _density_columns,
     _distance_rows,
 )
+from _families import bump, bump_2d, make_atom
 from gausstent.families import random_atom, random_bump, tent_indicator
-from gausstent.geometry import Ball, ConeSpec, cutoff_m, gamma_ball
+from gausstent.geometry import Ball, ConeSpec, gamma_ball
 from gausstent.grid import (
     GridFunction, HalfSpaceGrid, RegionMask, halfspace_integral, lp_gamma_norm,
     read_grid_function,
@@ -24,37 +25,12 @@ from gausstent.atomic import (
 )
 
 
-def _bump(grid, center):
-    y, t = grid.points[:, 0], grid.t
-    vals = np.exp(-((y[:, None] - center) / 0.4) ** 2) \
-        * np.exp(-np.log(t[None, :] / 0.1) ** 2)
-    vals[np.abs(y - center) > 1.0, :] = 0.0
-    return vals
-
-
-def _make_atom(grid, spec, q, center=0.5, frac=0.8):
-    c = center
-    r = frac * spec.beta * cutoff_m(c)
-    B = Ball((c,), r)
-    caps = cone_caps(grid, spec)
-    depth = np.maximum(r - np.abs(grid.points[:, 0] - c), 0.0)
-    tent = (depth[:, None] >= caps).astype(float)
-    gB = gamma_ball(B)
-    if q == np.inf:
-        vals = tent / gB
-    else:
-        w = grid.gamma_y[:, None] * grid.wt[None, :]
-        lq = np.sum(tent ** q * w) ** (1.0 / q)
-        vals = tent / lq * gB ** (-(1.0 - 1.0 / q))
-    return Atom.crop(GridFunction(grid, vals), B, q, delta=r / cutoff_m(c))
-
-
 # -- atom validation -------------------------------------------------------
 
 @pytest.mark.parametrize("q", [1.0, 2.0, 4.0, np.inf])
 def test_constructed_atom_validates(grid_small, q):
     spec = ConeSpec(1.0, 1.0)
-    rep = validate_atom(_make_atom(grid_small, spec, q), spec)
+    rep = validate_atom(make_atom(grid_small, spec, q), spec)
     assert rep["support_ok"]
     assert rep["norm_ok"]
     assert rep["area_l1_ok"], rep["area_l1"]
@@ -63,18 +39,18 @@ def test_constructed_atom_validates(grid_small, q):
 
 def test_validate_atom_catches_bad_support(grid_small):
     spec = ConeSpec(1.0, 1.0)
-    a = _make_atom(grid_small, spec, 2.0)
+    a = make_atom(grid_small, spec, 2.0)
     vals = a.expand().values.copy()
     vals[0, -1] = 1.0  # a far corner node, certainly outside the tent
-    bad = Atom.crop(GridFunction(grid_small, vals), a.ball, a.q, a.delta)
+    bad = Atom.crop(GridFunction(grid_small, vals), a.ball, a.q)
     assert not validate_atom(bad, spec)["support_ok"]
 
 
 def test_validate_atom_catches_bad_normalization(grid_small):
     spec = ConeSpec(1.0, 1.0)
-    a = _make_atom(grid_small, spec, 2.0)
+    a = make_atom(grid_small, spec, 2.0)
     big = Atom.crop(GridFunction(grid_small, 10.0 * a.expand().values),
-                    a.ball, a.q, a.delta)
+                    a.ball, a.q)
     assert not validate_atom(big, spec)["norm_ok"]
 
 
@@ -112,18 +88,28 @@ def _assert_validates_as_on_the_whole_grid(atoms, spec):
 def test_validate_atom_on_its_box_matches_the_whole_grid_checks(grid_small, rng):
     # atoms that fail a check, -0.0 cells and random atoms at every q
     spec = ConeSpec(1.0, 1.0)
-    atoms = [_make_atom(grid_small, spec, q, center=c)
+    atoms = [make_atom(grid_small, spec, q, center=c)
              for q in (1.0, 1.5, 2.0, 4.0, np.inf) for c in (-2.0, 0.5)]
     a = atoms[2]
     vals = a.expand().values.copy()
     vals[0, -1] = 1.0
     vals[a.box[0].start + 3, a.box[1]] = -0.0
-    atoms.append(Atom.crop(GridFunction(grid_small, vals), a.ball, a.q, a.delta))
-    atoms.append(Atom.crop(10.0 * a.expand(), a.ball, a.q, a.delta))
+    atoms.append(Atom.crop(GridFunction(grid_small, vals), a.ball, a.q))
+    atoms.append(Atom.crop(10.0 * a.expand(), a.ball, a.q))
     atoms += [random_atom(grid_small, spec, q, rng) for q in (1.0, 2.0, 3.0, np.inf)]
-    atoms.append(Atom.crop(GridFunction.zero(grid_small), a.ball, 2.0, a.delta))
+    atoms.append(Atom.crop(GridFunction.zero(grid_small), a.ball, 2.0))
     _assert_validates_as_on_the_whole_grid(atoms, spec)
     assert not all(validate_atom(a, spec)["all_ok"] for a in atoms)
+
+
+def test_an_atoms_level_is_read_off_its_ball(grid_small, tmp_path):
+    # r_B / m(c_B) where m(c) < 1: radius 0.8 beta m(c) is level 0.8 beta
+    spec = ConeSpec(1.0, 2.0)
+    a = make_atom(grid_small, spec, 2.0, center=-2.0)
+    assert a.delta == pytest.approx(1.6, rel=1e-15)
+    path = export_decomposition(atomic.Decomposition([(1.0, a)], 1.0, 2.0, spec), tmp_path)
+    assert json.loads(path.read_text())["terms"][0]["delta"] == a.delta
+    assert import_decomposition(path).terms[0][1].delta == a.delta
 
 
 # -- q < inf decomposition -------------------------------------------------
@@ -163,12 +149,7 @@ def test_decompose_roundtrip_bump(grid_default, rng):
 def test_bump_decomposition_is_pinned(grid_small):
     # the 128x32 bump of the CLI pins: cubes per level, every coefficient
     # and ball, to the last bit
-    g = grid_small
-    y, t = g.points[:, 0], g.t
-    vals = np.exp(-((y[:, None] - 0.5) / 0.4) ** 2) \
-        * np.exp(-np.log(t[None, :] / 0.1) ** 2)
-    vals[np.abs(y - 0.5) > 1.0, :] = 0.0
-    d = decompose(GridFunction(g, vals), 2.0, ConeSpec(1.0, 1.0), eta=0.5)
+    d = decompose(bump(grid_small), 2.0, ConeSpec(1.0, 1.0), eta=0.5)
     assert [(r["k"], r["n_cubes"]) for r in d.diagnostics] == [
         (-20, 13), (-19, 13), (-18, 12), (-17, 12), (-16, 12), (-15, 11),
         (-14, 11), (-13, 11), (-12, 10), (-11, 12), (-10, 11), (-9, 11),
@@ -184,11 +165,7 @@ def test_bump_decomposition_is_pinned(grid_small):
 
 
 def _bump_2d(nx):
-    g = HalfSpaceGrid(((-8.0, 8.0), (-8.0, 8.0)), (nx, nx), 1e-3, 8.0, 16)
-    r2 = np.sum((g.points - np.array([0.5, -1.0])) ** 2, axis=1)
-    vals = np.exp(-r2 / 2.0)[:, None] * np.exp(-np.log(g.t[None, :] / 0.5) ** 2)
-    vals[r2 > 9.0, :] = 0.0
-    return GridFunction(g, vals)
+    return bump_2d(HalfSpaceGrid(((-8.0, 8.0), (-8.0, 8.0)), (nx, nx), 1e-3, 8.0, 16))
 
 
 def test_decompose_roundtrip_2d():
@@ -217,8 +194,7 @@ def _ladder_loop(grid, column, level):
 
 
 def _bump_1d(nx):
-    g = HalfSpaceGrid(((-8.0, 8.0),), (nx,), 1e-3, 8.0, nx // 4)
-    return GridFunction(g, _bump(g, 0.5))
+    return bump(HalfSpaceGrid(((-8.0, 8.0),), (nx,), 1e-3, 8.0, nx // 4))
 
 
 @pytest.mark.parametrize("make, nx", [(_bump_1d, 512), (_bump_1d, 1024),
@@ -354,7 +330,7 @@ def test_decompose_mu_audit(grid_default):
     assert 0.0 < d.audit["etabar"] < 1.0
 
 
-def _atom_on_rows(grid, row0, values, ball, q, delta):
+def _atom_on_rows(grid, row0, values, ball, q):
     """The atom whose values are `values` on the rows row0, row0 + 1, ...,
     cropped to the bounding box of the values that are not +0.0."""
     kept = np.signbit(values) | (values != 0.0)
@@ -363,7 +339,7 @@ def _atom_on_rows(grid, row0, values, ball, q, delta):
     r0, r1 = (int(r[0]), int(r[-1]) + 1) if r.size else (0, 0)
     c0, c1 = (int(c[0]), int(c[-1]) + 1) if c.size else (0, 0)
     return Atom(grid, (slice(row0 + r0, row0 + r1), slice(c0, c1)),
-                values[r0:r1, c0:c1].copy(), ball, q, delta)
+                values[r0:r1, c0:c1].copy(), ball, q)
 
 
 def _per_cube_decompose(f, q, spec, eta=0.5):
@@ -412,7 +388,7 @@ def _per_cube_decompose(f, q, spec, eta=0.5):
             row0 = int(nodes[0])
             block = np.zeros((int(nodes[-1]) + 1 - row0, g.nt))
             block[nodes - row0] = vals / lam_jk
-            atom = _atom_on_rows(g, row0, block, B_j, q, delta=r_j / cutoff_m(c_j))
+            atom = _atom_on_rows(g, row0, block, B_j, q)
             terms.append((lam_jk, atom))
             mu_bound_worst = max(mu_bound_worst, mu / (gB * 2.0 ** (q * k)))
     residual, unassigned = atomic._left_out(f, assigned, np.abs(f.values) ** q)
@@ -537,9 +513,7 @@ def _dense_hat_decompose_sup(f, spec):
             mu = 2.0 ** (k + 1) * gamma_ball(B_star)
             block = np.where(piece, f.values[rows] * phi[:, None] / mu, 0.0)
             assigned[rows] |= piece
-            terms.append((mu, _atom_on_rows(
-                g, rows.start, block, B_star, np.inf,
-                delta=B_star.radius / cutoff_m(B_star.center_array))))
+            terms.append((mu, _atom_on_rows(g, rows.start, block, B_star, np.inf)))
         active = relevant.any(axis=1) & (hat_total > 0)
         if active.any():
             partition_defect = max(partition_defect,
@@ -604,12 +578,12 @@ def test_decompose_sup_builds_a_ball_only_for_an_atom(monkeypatch, make, nx):
 def test_decompose_sup_stores_atoms_on_their_boxes():
     # the blocks of a 512x128 bump hold at most 5% of the dense cells
     g = HalfSpaceGrid(((-8.0, 8.0),), (512,), 1e-3, 8.0, 128)
-    vals = _bump(g, 0.5)
-    d = decompose_sup(GridFunction(g, vals), ConeSpec(1.0, 1.0))
+    f = bump(g)
+    d = decompose_sup(f, ConeSpec(1.0, 1.0))
     assert d.terms
     assert sum(a.block.size for _, a in d.terms) \
         <= 0.05 * len(d.terms) * g.n_spatial * g.nt
-    assert np.max(np.abs(reconstruct(d).values - vals)) <= 1e-12 * vals.max()
+    assert np.max(np.abs(reconstruct(d).values - f.values)) <= 1e-12 * f.values.max()
 
 
 def test_decompose_sup_keeps_two_tents_alive():
@@ -676,9 +650,9 @@ def test_decomposition_bytes_are_pinned(grid_small, tmp_path, name, sup):
     # every atom file and the reconstruction, to the byte; the signed input
     # (a bump minus half a shifted bump) leaves -0.0 in its q = 2 atom files
     g, spec = grid_small, ConeSpec(1.0, 1.0)
-    f = {"bump": lambda: GridFunction(g, _bump(g, 0.5)),
+    f = {"bump": lambda: bump(g),
          "tent": lambda: tent_indicator(g, spec, 0.5, 0.4),
-         "signed": lambda: GridFunction(g, _bump(g, 0.5) - 0.5 * _bump(g, -0.3)),
+         "signed": lambda: GridFunction(g, bump(g).values - 0.5 * bump(g, -0.3).values),
          }[name]()
     d = decompose_sup(f, spec) if sup else decompose(f, 2.0, spec)
     manifest = json.loads(export_decomposition(d, tmp_path).read_text())

@@ -15,12 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _families import bump
 from gausstent.cli import (
-    EXIT_NUMERIC, EXIT_PARSE, EXIT_PRECONDITION, load_config, main,
+    EXIT_NUMERIC, EXIT_PARSE, EXIT_PRECONDITION, RunConfig, load_config, main,
 )
-from gausstent.grid import (
-    GridFunction, HalfSpaceGrid, default_grid, write_grid_function,
-)
+from gausstent.grid import GridFunction, HalfSpaceGrid, write_grid_function
 from gausstent.atomic import import_decomposition, reconstruct
 from gausstent.duality import DiscreteMeasure, write_measure_csv
 from gausstent.families import random_bump
@@ -29,13 +28,8 @@ from gausstent.families import random_bump
 @pytest.fixture(scope="module")
 def input_file(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli")
-    g = default_grid()
-    y, t = g.points[:, 0], g.t
-    vals = np.exp(-((y[:, None] - 0.5) / 0.4) ** 2) \
-        * np.exp(-np.log(t[None, :] / 0.1) ** 2)
-    vals[np.abs(y - 0.5) > 1.0, :] = 0.0
     path = tmp / "f.gtnt"
-    write_grid_function(GridFunction(g, vals), path)
+    write_grid_function(bump(RunConfig().grid()), path)
     return path
 
 
@@ -356,12 +350,8 @@ def test_carleson_command(tmp_path, measure_file, input_file):
 
 def _pinned_inputs(tmp):
     """A bump on the 128x32 grid and a 12-point measure, fixed for good."""
-    g = HalfSpaceGrid(((-8.0, 8.0),), (128,), 1e-3, 8.0, 32)
-    y, t = g.points[:, 0], g.t
-    vals = np.exp(-((y[:, None] - 0.5) / 0.4) ** 2) \
-        * np.exp(-np.log(t[None, :] / 0.1) ** 2)
-    vals[np.abs(y - 0.5) > 1.0, :] = 0.0
-    write_grid_function(GridFunction(g, vals), tmp / "f.gtnt")
+    write_grid_function(bump(HalfSpaceGrid(((-8.0, 8.0),), (128,), 1e-3, 8.0, 32)),
+                        tmp / "f.gtnt")
     rng = np.random.default_rng(0)
     pts = tuple(((float(rng.uniform(-2, 2)),),
                  float(np.exp(rng.uniform(np.log(0.01), 0.0))),
@@ -486,6 +476,16 @@ def test_carleson_rejects_measure_points_off_the_grid(tmp_path, input_file,
                "--function", str(input_file)])
     assert rc == EXIT_PRECONDITION
     assert _one_line_error(capsys)
+
+
+def test_carleson_pairing_with_a_2d_function_and_a_1d_measure(tmp_path, measure_file, capsys):
+    # the norm runs on the 1-D dictionary; the pairing meets the 2-D grid
+    g = HalfSpaceGrid(((-8.0, 8.0), (-8.0, 8.0)), (8, 8), 1e-3, 8.0, 4)
+    write_grid_function(GridFunction(g, np.ones((g.n_spatial, g.nt))), tmp_path / "f2.gtnt")
+    assert main(["--out", str(tmp_path), "carleson", "--measure", str(measure_file),
+                 "--function", str(tmp_path / "f2.gtnt"), "--infer-grid"]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "spatial coordinates" in err
 
 
 @pytest.mark.parametrize("manifest, named", [

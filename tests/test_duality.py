@@ -51,6 +51,18 @@ def test_measure_pairing_and_bounds(grid_small):
         measure_pairing(DiscreteMeasure((((0.0,), 1e-9, 1.0),)), f)
 
 
+@pytest.mark.parametrize("grid, y", [
+    (HalfSpaceGrid(((-8.0, 8.0),), (16,), 1e-3, 8.0, 4), (0.0, 99.0)),
+    (HalfSpaceGrid(((-8.0, 8.0), (-8.0, 8.0)), (8, 8), 1e-3, 8.0, 4), (0.0,)),
+], ids=["2-point-on-1d", "1-point-on-2d"])
+def test_measure_pairing_rejects_a_point_of_another_dimension(grid, y):
+    # no dropped coordinate nor numpy's multi_index error: one line naming the point
+    f = GridFunction(grid, np.ones((grid.n_spatial, grid.nt)))
+    with pytest.raises(ValueError) as e:
+        measure_pairing(DiscreteMeasure(((y, 0.5, 2.0),)), f)
+    assert str(y) in str(e.value) and len(str(e.value).splitlines()) == 1
+
+
 def test_pairing_bilinear(grid_small, rng):
     f, g = _bump(grid_small, rng), _bump(grid_small, rng)
     assert pairing(f, g) == pytest.approx(pairing(g, f), rel=1e-14)

@@ -1,34 +1,14 @@
 import numpy as np
 import pytest
 
-from gausstent.geometry import Ball, ConeSpec, cutoff_m, gamma_ball
+from _families import make_atom
+from gausstent.geometry import ConeSpec
 from gausstent.grid import GridFunction, HalfSpaceGrid, SpatialFunction
-from gausstent.functionals import cone_caps
-from gausstent.atomic import Atom
-from gausstent.embedding import _PHI_PEAK, check_h1_atom, default_phi, pi_phi
+from gausstent.embedding import _PHI_PEAK, _phi, check_h1_atom, pi_phi
+from gausstent.families import boundary_atom
 
 
-def _l2_atom(grid, spec, center, frac=0.8):
-    r = frac * spec.beta * cutoff_m(center)
-    B = Ball((center,), r)
-    caps = cone_caps(grid, spec)
-    depth = np.maximum(r - np.abs(grid.points[:, 0] - center), 0.0)
-    tent = (depth[:, None] >= caps).astype(float)
-    w = grid.gamma_y[:, None] * grid.wt[None, :]
-    l2 = np.sum(tent ** 2 * w) ** 0.5
-    vals = tent / l2 * gamma_ball(B) ** -0.5
-    return Atom.crop(GridFunction(grid, vals), B, 2.0, delta=r / cutoff_m(center))
-
-
-def _boundary_atom(grid, spec, center):
-    # node-centered, boundary-admissible radius: the tent carries the full
-    # axis column, the case the truncation sentinel needs
-    i = grid.nearest_spatial_index(center)
-    c = float(grid.points[i, 0])
-    return _l2_atom(grid, spec, c, frac=1.0)
-
-
-def _pi_phi_dense(f, phi, local=True):
+def _pi_phi_dense(f, local=True):
     """pi_phi with every kernel row evaluated across the whole grid: the
     oracle the banded kernel must reproduce to the bit."""
     g = f.grid
@@ -42,7 +22,7 @@ def _pi_phi_dense(f, phi, local=True):
             rows = rows[tj < g.m_y[rows]]
         if rows.size == 0:
             continue
-        kernel = phi((x[None, :] - y[rows, None]) / tj) / tj   # (rows, x)
+        kernel = _phi((x[None, :] - y[rows, None]) / tj) / tj  # (rows, x)
         support = np.abs(x[None, :] - y[rows, None]) < tj
         wsum = (kernel * g.wy[None, :]).sum(axis=1)
         wtot = (support * g.wy[None, :]).sum(axis=1)
@@ -53,47 +33,43 @@ def _pi_phi_dense(f, phi, local=True):
 
 
 def test_phi_peak_is_the_minimize_scalar_float():
-    # default_phi pins the peak so that embed and verify import no
+    # _phi pins the peak so that embed and verify import no
     # scipy.optimize; the pin must stay the float the optimizer returns
     from scipy.optimize import minimize_scalar
     res = minimize_scalar(lambda x: -x * np.exp(-1.0 / (1.0 - x * x)),
                           bounds=(1e-6, 1.0 - 1e-6), method="bounded")
     assert _PHI_PEAK == -res.fun
-    assert default_phi().scale == 1.0 / _PHI_PEAK
+    assert _phi(np.array([res.x]))[0] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_phi_shape():
-    phi = default_phi()
     xs = np.linspace(-2, 2, 1001)
-    vals = phi(xs)
+    vals = _phi(xs)
     assert np.all(vals[np.abs(xs) >= 1.0] == 0.0)
-    assert np.allclose(phi(xs), -phi(-xs))           # odd
+    assert np.allclose(_phi(xs), -_phi(-xs))         # odd
     # sampled peak sits within one grid step of the true peak value 1
     assert np.max(np.abs(vals)) == pytest.approx(1.0, rel=1e-4)
     assert np.max(np.abs(vals)) <= 1.0 + 1e-12
 
 
 def test_pi_phi_zero(grid_small):
-    phi = default_phi()
-    u = pi_phi(GridFunction.zero(grid_small), phi)
+    u = pi_phi(GridFunction.zero(grid_small))
     assert np.all(u.values == 0.0)
 
 
 def test_pi_phi_linear(grid_small, rng):
-    phi = default_phi()
     vals = rng.random((grid_small.n_spatial, grid_small.nt))
     vals[np.abs(grid_small.points[:, 0]) > 2, :] = 0.0
     f = GridFunction(grid_small, vals)
-    u1 = pi_phi(f, phi)
-    u2 = pi_phi(f * 2.0, phi)
+    u1 = pi_phi(f)
+    u2 = pi_phi(f * 2.0)
     assert np.allclose(u2.values, 2.0 * u1.values, rtol=1e-13, atol=1e-300)
 
 
 def test_pi_phi_gamma_average_vanishes(grid_small, rng):
-    phi = default_phi()
     vals = rng.random((grid_small.n_spatial, grid_small.nt))
     vals[np.abs(grid_small.points[:, 0]) > 2, :] = 0.0
-    u = pi_phi(GridFunction(grid_small, vals), phi)
+    u = pi_phi(GridFunction(grid_small, vals))
     avg = float(np.sum(u.values * grid_small.gamma_y))
     scale = float(np.sum(np.abs(u.values) * grid_small.gamma_y))
     assert abs(avg) <= 1e-12 * max(scale, 1e-300)
@@ -102,8 +78,7 @@ def test_pi_phi_gamma_average_vanishes(grid_small, rng):
 @pytest.mark.parametrize("center", [0.0, 1.5, -2.3])
 def test_atom_checks_pass(grid_default, center):
     spec = ConeSpec(1.0, 1.0)
-    phi = default_phi()
-    rep = check_h1_atom(_l2_atom(grid_default, spec, center), phi)
+    rep = check_h1_atom(make_atom(grid_default, spec, 2.0, center))
     assert rep["support_ok"]
     assert rep["average_ok"]
     assert np.isfinite(rep["l2_constant"])
@@ -112,19 +87,17 @@ def test_atom_checks_pass(grid_default, center):
 
 def test_truncation_sentinel_fails_support(grid_default):
     spec = ConeSpec(1.0, 1.0)
-    phi = default_phi()
-    atom = _boundary_atom(grid_default, spec, 2.0)
-    good = check_h1_atom(atom, phi, local=True)
-    bad = check_h1_atom(atom, phi, local=False)
+    atom = boundary_atom(grid_default, spec)
+    good = check_h1_atom(atom, local=True)
+    bad = check_h1_atom(atom, local=False)
     assert good["support_ok"]
     assert not bad["support_ok"]
 
 
 def test_pi_phi_rejects_2d():
-    from gausstent.grid import HalfSpaceGrid
     g = HalfSpaceGrid(((-2.0, 2.0), (-2.0, 2.0)), (8, 8), 0.1, 1.0, 4)
     with pytest.raises(ValueError):
-        pi_phi(GridFunction.zero(g), default_phi())
+        pi_phi(GridFunction.zero(g))
 
 
 @pytest.mark.parametrize("nx", [64, 128, 131, 300, 1024])
@@ -138,15 +111,13 @@ def test_banded_pi_phi_is_the_dense_loop_to_the_bit(nx, local):
     vals[rng.random(nx) < 0.3] = 0.0
     vals[[0, -1]] = rng.standard_normal((2, g.nt))
     f = GridFunction(g, vals)
-    phi = default_phi()
-    want = _pi_phi_dense(f, phi, local).values
-    assert pi_phi(f, phi, local).values.tobytes() == want.tobytes()
+    want = _pi_phi_dense(f, local).values
+    assert pi_phi(f, local).values.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("local", [True, False])
 def test_banded_pi_phi_on_the_boundary_atom_is_the_dense_loop(grid_default, local):
-    f = _boundary_atom(grid_default, ConeSpec(1.0, 1.0), 2.0).expand()
-    phi = default_phi()
-    want = _pi_phi_dense(f, phi, local).values
+    f = boundary_atom(grid_default, ConeSpec(1.0, 1.0)).expand()
+    want = _pi_phi_dense(f, local).values
     assert np.any(want != 0.0)
-    assert pi_phi(f, phi, local).values.tobytes() == want.tobytes()
+    assert pi_phi(f, local).values.tobytes() == want.tobytes()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _families import bump, bump_2d
 from gausstent.geometry import (
     Ball, ConeSpec, cutoff_m, gamma_ball, is_admissible,
 )
@@ -20,14 +21,6 @@ from gausstent.functionals import (
 from gausstent.duality import check_duality_pq
 from gausstent.families import random_bump
 from gausstent.whitney import containing_density_points
-
-
-def _bump(grid, y0=0.5, t0=0.1, wy=0.4):
-    y = grid.points[:, 0]
-    vals = np.exp(-((y[:, None] - y0) / wy) ** 2) \
-        * np.exp(-np.log(grid.t[None, :] / t0) ** 2)
-    vals[np.abs(y - y0) > 2.5 * wy, :] = 0.0
-    return GridFunction(grid, vals)
 
 
 # -- dense references for the window layer ---------------------------------
@@ -93,8 +86,7 @@ def test_default_dictionary_admissible(grid_small):
     for c, r in zip(d.centers, d.radii):
         assert r <= 1.0 * cutoff_m(c) + 1e-12
     sub = d.admissible(0.5)
-    assert all(is_admissible(Ball(tuple(c), r), 0.5)
-               for c, r in zip(sub.centers, sub.radii))
+    assert all(is_admissible(c, r, 0.5) for c, r in zip(sub.centers, sub.radii))
 
 
 @pytest.mark.parametrize("centers,radii", [
@@ -130,7 +122,7 @@ def test_area_S_bruteforce_oracle(grid_small, rng):
     """Double-loop reference computation at probe vertices."""
     g = grid_small
     spec = ConeSpec(1.0, 1.0)
-    f = _bump(g)
+    f = bump(g)
     q = 2.0
     S = area_S(f, q, spec)
     caps = cone_caps(g, spec)
@@ -171,7 +163,7 @@ def test_area_S_rejects_bad_args(grid_small):
 def test_area_S_zero_and_monotone_aperture(grid_small):
     g = grid_small
     assert np.all(area_S(GridFunction.zero(g), 2.0, ConeSpec(1.0, 1.0)).values == 0.0)
-    f = _bump(g)
+    f = bump(g)
     norm_small = lp_gamma_norm(area_S(f, 2.0, ConeSpec(0.5, 1.0)), 2)
     norm_large = lp_gamma_norm(area_S(f, 2.0, ConeSpec(2.0, 1.0)), 2)
     # L^2 norms agree exactly (the identity above); L^1 norms differ
@@ -181,7 +173,7 @@ def test_area_S_zero_and_monotone_aperture(grid_small):
 def test_area_sup_is_cone_sup(grid_small):
     g = grid_small
     spec = ConeSpec(1.0, 1.0)
-    f = _bump(g)
+    f = bump(g)
     S = area_S_sup(f, spec)
     caps = cone_caps(g, spec)
     D = _dense_dist(g)
@@ -529,7 +521,7 @@ def test_area_S_takes_m_from_the_grid(grid_small, monkeypatch):
         calls.append(x)
         return real(x)
 
-    f = _bump(grid_small)
+    f = bump(grid_small)
     grid_small.m_y
     for module in ("geometry", "grid", "functionals"):
         monkeypatch.setattr(f"gausstent.{module}.cutoff_m", counting)
@@ -551,16 +543,8 @@ def grid_2d():
     return HalfSpaceGrid(((-8.0, 8.0), (-8.0, 8.0)), (16, 16), 1e-3, 8.0, 8)
 
 
-def _bump_2d(grid):
-    p = grid.points
-    r2 = np.sum((p - np.array([0.5, -1.0])) ** 2, axis=1)
-    vals = np.exp(-r2 / 2.0)[:, None] * np.exp(-np.log(grid.t[None, :] / 0.5) ** 2)
-    vals[r2 > 9.0, :] = 0.0
-    return GridFunction(grid, vals)
-
-
 def test_area_2d_matches_dense_reference(grid_2d):
-    f = _bump_2d(grid_2d)
+    f = bump_2d(grid_2d)
     spec = ConeSpec(1.0, 1.0)
     want, want_sup = _dense_area(f, 2.0, spec)
     got = area_S(f, 2.0, spec).values
@@ -576,11 +560,11 @@ def test_area_2d_tpp_identity_and_duality_layer0(grid_2d, rng):
     f = GridFunction(g, vals)
     lhs = float(np.sum(area_S(f, 2.0, spec).values ** 2 * g.gamma_y))
     assert lhs == pytest.approx(halfspace_integral(GridFunction(g, vals ** 2)), rel=1e-12)
-    assert check_duality_pq(f, _bump_2d(g), 2.0, 2.0, spec)["identity_ok"]
+    assert check_duality_pq(f, bump_2d(g), 2.0, 2.0, spec)["identity_ok"]
 
 
 def test_area_truncated_monotone(grid_small):
-    f = _bump(grid_small)
+    f = bump(grid_small)
     spec = ConeSpec(1.0, 1.0)
     s1 = area_S_truncated(f, 2.0, spec, 0.05).values
     s2 = area_S_truncated(f, 2.0, spec, 1.0).values
@@ -612,7 +596,7 @@ def test_quadrature_convergence_exact_value():
 
 def test_carleson_C_single_ball_value(grid_small):
     g = grid_small
-    f = _bump(g)
+    f = bump(g)
     B = Ball((0.5,), 0.4)
     d = BallDictionary([B.center], [B.radius])
     C = carleson_C(f, 2.0, ConeSpec(1.0, 1.0), d)
@@ -636,10 +620,10 @@ def test_carleson_C_where_gamma_underflows():
     d = default_dictionary(g, 1.0)
     y = g.points[:, 0]
     far = np.abs(d.centers[:, 0]) > 30.0
-    C = carleson_C(_bump(g), 2.0, spec, d)
+    C = carleson_C(bump(g), 2.0, spec, d)
     assert np.all(np.isfinite(C.values)) and C.values.max() > 0.0
     assert np.all(C.values[np.abs(y) > 30.0] == 0.0)
-    assert carleson_C(_bump(g), 2.0, spec, BallDictionary(d.centers[far], d.radii[far])
+    assert carleson_C(bump(g), 2.0, spec, BallDictionary(d.centers[far], d.radii[far])
                       ).values.max() == 0.0
     for support in (np.abs(y) > 40.0, np.ones(g.n_spatial, dtype=bool)):
         f = GridFunction(g, np.repeat(support[:, None], g.nt, axis=1) * 1.0)
@@ -648,7 +632,7 @@ def test_carleson_C_where_gamma_underflows():
 
 
 def test_carleson_C_exponent_range(grid_small):
-    f = _bump(grid_small)
+    f = bump(grid_small)
     d = default_dictionary(grid_small, 1.0)
     with pytest.raises(ValueError):
         carleson_C(f, 1.0, ConeSpec(1.0, 1.0), d)
@@ -677,7 +661,7 @@ def _loop_containing_density_points(F, eta, beta, d):
     gw = g.gamma_y
     ok = np.ones(g.n_spatial, dtype=bool)
     for c, r in zip(d.centers, d.radii):
-        if not is_admissible(Ball(tuple(c), r), beta):
+        if not is_admissible(c, r, beta):
             continue
         inside = np.linalg.norm(g.points - c, axis=1) < r
         if inside.any() and (gw * F.mask)[inside].sum() < eta * gw[inside].sum():
@@ -696,7 +680,7 @@ def _dictionaries(grid, beta, rng):
 @pytest.mark.parametrize("grid_name", ["grid_small", "grid_2d"])
 def test_carleson_C_matches_per_ball_loop(request, grid_name, rng):
     g = request.getfixturevalue(grid_name)
-    f = _bump(g) if g.n == 1 else _bump_2d(g)
+    f = bump(g) if g.n == 1 else bump_2d(g)
     for beta in (0.5, 1.0, 2.0):
         for d in _dictionaries(g, beta, rng):
             for q, alpha in ((2.0, 1.0), (3.0, 0.5)):
@@ -719,7 +703,7 @@ def test_containing_density_points_matches_per_ball_loop(request, grid_name, rng
 # -- norms -----------------------------------------------------------------
 
 def test_tent_norm_dispatch(grid_small):
-    f = _bump(grid_small)
+    f = bump(grid_small)
     d = default_dictionary(grid_small, 1.0)
     spec = ConeSpec(1.0, 1.0)
     assert tent_norm(f, ExponentPair(2.0, 2.0), spec) > 0
@@ -770,7 +754,7 @@ def test_stopping_time_sentinels(grid_small):
 def test_stopping_time_picks_largest_passing(grid_small):
     g = grid_small
     spec = ConeSpec(1.0, 1.0)
-    f = _bump(g)
+    f = bump(g)
     d = default_dictionary(g, 1.0)
     cq = carleson_C(f, 2.0, spec, d)
     ladder = [0.01, 0.1, 1.0, 8.0]

@@ -207,9 +207,12 @@ def test_gamma_ball_2d_offcenter_oracle():
 # -- admissibility and the measure bracket ---------------------------------
 
 def test_admissibility_boundary_included():
-    assert is_admissible(Ball((4.0,), 0.25), 1.0)
-    assert not is_admissible(Ball((4.0,), 0.2500001), 1.0)
-    assert is_admissible(Ball((0.0,), 2.0), 2.0)
+    assert is_admissible((4.0,), 0.25, 1.0) is True
+    assert is_admissible(4.0, 0.2500001, 1.0) is False
+    assert is_admissible((0.0,), 2.0, 2.0)
+    # many balls give one bool each
+    got = is_admissible([[4.0], [4.0], [0.0], [-0.5]], [0.25, 0.2500001, 2.0, 1.0], 1.0)
+    assert got.dtype == bool and got.tolist() == [True, False, False, True]
 
 
 def test_bracket_rejects_non_admissible():
@@ -313,6 +316,18 @@ def test_private_names_are_imported_only_from_the_kernels():
                for t in node.targets] + [node.name for node in kernels.body
                                          if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
     assert len(defined) > 30 and all(n.startswith("_") for n in defined), defined
+
+
+def test_private_attributes_are_read_only_through_self_or_cls():
+    # a private method or field is its own class's business: only self._x or cls._x
+    src = Path(gausstent.__file__).parent
+    reads = [(path.name, node.lineno, ast.unparse(node))
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+             and not node.attr.startswith("__")
+             and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
+    assert not reads, reads
 
 
 def _one_point_tents(B, spec, y, t):

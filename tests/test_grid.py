@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from gausstent.cli import RunConfig
 from gausstent.grid import (
-    GridFunction, HalfSpaceGrid, RegionMask, SpatialFunction, default_grid,
+    GridFunction, HalfSpaceGrid, RegionMask, SpatialFunction,
     halfspace_integral, lp_gamma_norm, read_grid_function, write_grid_function,
 )
 
@@ -16,7 +17,7 @@ def test_weights_integrate_linear_exactly():
 
 
 def test_t_weights_realize_dt_over_t():
-    g = default_grid()
+    g = RunConfig().grid()
     # sum wt == int_{tmin}^{tmax} dt/t, exactly under the log-uniform rule
     assert g.wt.sum() == pytest.approx(np.log(g.t_max / g.t_min), rel=1e-12)
     # and t itself is log-uniform
