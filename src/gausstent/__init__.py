@@ -37,7 +37,6 @@ from .functionals import (
     ExponentPair,
     area_S,
     area_S_sup,
-    area_S_truncated,
     carleson_C,
     default_dictionary,
     stopping_time,

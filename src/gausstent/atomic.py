@@ -421,18 +421,20 @@ def import_decomposition(manifest_path) -> Decomposition:
         raise ValueError(f"{path}: decomposition manifest is not JSON ({e})") from None
     try:
         spec = ConeSpec(data["alpha"], data["beta"])
-        q = np.inf if data["q"] == "inf" else float(data["q"])
+        q = float(data["q"])
         terms = []
         for entry in data["terms"]:
             gf = gridio.read_grid_function(path.parent / entry["atom_file"])
             ball = Ball(tuple(entry["ball"]["center"]), entry["ball"]["radius"])
-            aq = np.inf if entry["q"] == "inf" else float(entry["q"])
-            terms.append((entry["lambda"], Atom.crop(gf, ball, aq)))
-        return Decomposition(terms, data["source_norm"], q, spec,
+            terms.append((float(entry["lambda"]),
+                          Atom.crop(gf, ball, float(entry["q"]))))
+        return Decomposition(terms, float(data["source_norm"]), q, spec,
                              data.get("diagnostics", []),
-                             data.get("residual_mass", 0.0),
+                             float(data.get("residual_mass", 0.0)),
                              data.get("audit", {}))
     except KeyError as e:
         raise ValueError(f"{path}: decomposition manifest has no key {e}") from None
     except TypeError as e:
         raise ValueError(f"{path}: not a decomposition manifest ({e})") from None
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

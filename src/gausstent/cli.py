@@ -119,7 +119,7 @@ def load_config(path: str | None) -> RunConfig:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
             cast = _CONFIG_KEYS[section][key]
             try:
-                value = np.inf if raw == "inf" and cast is float else cast(raw)
+                value = cast(raw)
             except ValueError as e:
                 raise ConfigError(f"[{section}] {key} expects {cast.__name__}, "
                                   f"got {raw!r}") from e
@@ -206,8 +206,7 @@ def cmd_decompose(cfg: RunConfig, args) -> int:
         d = decompose_sup(f, spec)
     else:
         d = decompose(f, cfg.q, spec, eta=cfg.eta)
-    if d.terms:
-        export_decomposition(d, Path(cfg.out) / "decomposition")
+    export_decomposition(d, Path(cfg.out) / "decomposition")
     rep = coefficient_report(d)
     rep["audit"] = d.audit
     _emit(rep, cfg, "decompose.json")
@@ -257,8 +256,7 @@ def cmd_carleson(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
     spec = cfg.spec()
     mu = read_measure_csv(args.measure)
-    dict_ = cfg.dictionary(grid).admissible(cfg.delta)
-    rep = carleson_norm(mu, spec, cfg.delta, dict_)
+    rep = carleson_norm(mu, spec, cfg.delta, cfg.dictionary(grid))
     out = {"norm": rep["norm"], "witness_ball": rep["witness_ball"],
            "n_balls": len(rep["values"]), "delta": cfg.delta}
     if args.function:

@@ -107,18 +107,20 @@ def measure_pairing(mu: DiscreteMeasure, f: GridFunction) -> float:
 
 def carleson_norm(mu: DiscreteMeasure, spec: ConeSpec, delta: float,
                   dict_: BallDictionary) -> dict:
-    """max over dictionary balls of |mu|(tent of B) / gamma(B), with witness.
+    """max over the delta-admissible balls of dict_ of |mu|(tent of B) / gamma(B).
 
-    The dictionary must consist of delta-admissible balls (Carleson-measure
-    convention; contrast the unrestricted Carleson-functional supremum).
-    values holds every ball's ratio, in dictionary order, 0 for a ball whose
-    tent holds no mass; mass over a gamma(B) that is 0 in floats raises
-    FloatingPointError.
+    The supremum keeps the delta-admissible balls of the dictionary, in its
+    order (Carleson-measure convention; contrast the unrestricted
+    Carleson-functional supremum); a dictionary with none is a ValueError.
+    values holds every kept ball's ratio, 0 for a ball whose tent holds no
+    mass, and witness_ball the first kept ball at the max; mass over a
+    gamma(B) that is 0 in floats raises FloatingPointError.
     """
-    bad = int(np.count_nonzero(~is_admissible(dict_.centers, dict_.radii, delta)))
-    if bad:
-        raise ValueError(f"{bad} dictionary balls not admissible at level {delta}")
-    n = dict_.centers.shape[1]
+    keep = is_admissible(dict_.centers, dict_.radii, delta)
+    if not keep.any():
+        raise ValueError(f"no dictionary ball admissible at level {delta}")
+    centers, radii = dict_.centers[keep], dict_.radii[keep]
+    n = centers.shape[1]
     if any(len(y) != n for y, _, _ in mu.points):
         raise ValueError(f"measure points need {n} spatial coordinates")
     ys = np.array([y for y, _, _ in mu.points], dtype=float).reshape(len(mu.points), n)
@@ -126,12 +128,12 @@ def carleson_norm(mu: DiscreteMeasure, spec: ConeSpec, delta: float,
     absw = np.array([abs(w) for _, _, w in mu.points])
     caps = spec.caps(cutoff_m(ys), ts)[:, None]
     mass = np.array([absw[_ball_tent(ys, c, r, caps)[:, 0]].sum()
-                     for c, r in zip(dict_.centers, dict_.radii)])
-    values = _ball_averages(mass, dict_.centers, dict_.radii)
+                     for c, r in zip(centers, radii)])
+    values = _ball_averages(mass, centers, radii)
     best, witness = float(np.fmax.reduce(values, initial=0.0)), None
     if best > 0:
         k = int(np.flatnonzero(values == best)[0])
-        witness = Ball(dict_.centers[k], float(dict_.radii[k]))
+        witness = Ball(centers[k], float(radii[k]))
     return {"norm": best, "witness_ball": witness, "values": values}
 
 

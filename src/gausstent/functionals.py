@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _GAMMA_UNDERFLOW, _ball_averages, _ball_windows, _cone_area, _tent_sums
-from .geometry import ConeSpec, cutoff_m, is_admissible
+from .geometry import ConeSpec, cutoff_m
 from .grid import GridFunction, HalfSpaceGrid, SpatialFunction, lp_gamma_norm
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "ExponentPair",
     "area_S",
     "area_S_sup",
-    "area_S_truncated",
     "carleson_C",
     "cone_caps",
     "default_dictionary",
@@ -98,12 +97,6 @@ class BallDictionary:
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "radii", radii)
 
-    def admissible(self, level: float) -> "BallDictionary":
-        keep = is_admissible(self.centers, self.radii, level)
-        if not keep.any():
-            raise ValueError(f"no dictionary ball admissible at level {level}")
-        return BallDictionary(self.centers[keep], self.radii[keep])
-
 
 def default_dictionary(grid: HalfSpaceGrid, beta: float,
                        stride: int = 4, n_levels: int = 7) -> BallDictionary:
@@ -138,12 +131,6 @@ def area_S_sup(f: GridFunction, spec: ConeSpec) -> SpatialFunction:
     """S_inf: pointwise sup of |f| over the cone nodes."""
     ys, js = np.nonzero(f.values)
     return SpatialFunction(f.grid, _cone_area(f.grid, spec, ys, js, f.values[ys, js], np.inf))
-
-
-def area_S_truncated(f: GridFunction, q: float, spec: ConeSpec, h: float) -> SpatialFunction:
-    """Area function over the truncated cone {t < h}."""
-    cut = np.where(f.grid.t[None, :] < h, f.values, 0.0)
-    return area_S(GridFunction(f.grid, cut), q, spec)
 
 
 def carleson_C(f: GridFunction, q: float, spec: ConeSpec,
@@ -197,7 +184,8 @@ def tent_norm(f: GridFunction, pq: ExponentPair, spec: ConeSpec,
 
 def stopping_time(g: GridFunction, qprime: float, spec: ConeSpec, M_const: float,
                   h_ladder, cq: SpatialFunction) -> SpatialFunction:
-    """h(x): the largest ladder height with S_{q',h} g(x) <= M * C_{q'} g(x).
+    """h(x): the largest ladder height with S_{q',h} g(x) <= M * C_{q'} g(x),
+    S_{q',h} the area function over the truncated cone {t < h}.
 
     cq must be the precomputed Carleson functional of g at exponent q'.
     Sentinels: 0.0 when no height qualifies, +inf when all do.
@@ -210,7 +198,8 @@ def stopping_time(g: GridFunction, qprime: float, spec: ConeSpec, M_const: float
     out = np.zeros(grid.n_spatial)
     all_pass = np.ones(grid.n_spatial, dtype=bool)
     for h in h_ladder:
-        ok = area_S_truncated(g, qprime, spec, h).values <= bound
+        cut = GridFunction(grid, np.where(grid.t[None, :] < h, g.values, 0.0))
+        ok = area_S(cut, qprime, spec).values <= bound
         out = np.where(ok, h, out)
         all_pass &= ok
     out[all_pass] = np.inf

@@ -114,10 +114,6 @@ def gamma_ball(B: Ball) -> float:
     return float(_gamma_balls(B.center_array[None, :], np.array([B.radius]))[0])
 
 
-class AdmissibilityError(ValueError):
-    """Raised when an operation requires an admissible ball and gets none."""
-
-
 def gamma_ball_bounds_check(center, radius, beta):
     """Two-sided bracket exp(+-(2+beta)*beta) * exp(-|c|^2) * |B| for
     gamma(B) of the ball B(center, radius).
@@ -125,7 +121,7 @@ def gamma_ball_bounds_check(center, radius, beta):
     One ball (a point, a radius and a level) gives a bool; centers with
     coordinates on the last axis, with radii and levels one per ball, give a
     bool array.  Valid for admissible balls only; a non-admissible ball is
-    an error, not a False.
+    a ValueError, not a False.
     """
     c = np.atleast_1d(np.asarray(center, dtype=float))
     r, beta = np.asarray(radius, dtype=float), np.asarray(beta, dtype=float)
@@ -134,8 +130,8 @@ def gamma_ball_bounds_check(center, radius, beta):
     over = ~np.asarray(is_admissible(c, r, beta))
     if over.any():
         cap = beta * cutoff_m(c)
-        raise AdmissibilityError(f"ball radius {r[over].flat[0]} exceeds "
-                                 f"beta*m(center) = {cap[over].flat[0]}")
+        raise ValueError(f"ball radius {r[over].flat[0]} exceeds "
+                         f"beta*m(center) = {cap[over].flat[0]}")
     n = c.shape[-1]
     g = _gamma_balls(c.reshape(-1, n), r.reshape(-1)).reshape(r.shape)
     e = (2.0 + beta) * beta

@@ -88,10 +88,6 @@ class HalfSpaceGrid:
         """One-cell tolerance scale: the largest spatial spacing."""
         return max(self.spacing)
 
-    @property
-    def shape(self) -> tuple:
-        return self.nx
-
     @cached_property
     def points(self) -> np.ndarray:
         """All spatial nodes, flattened C-order, shape (N, n)."""
@@ -167,7 +163,7 @@ class GridFunction:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape == self.grid.shape + (self.grid.nt,):
+        if v.shape == self.grid.nx + (self.grid.nt,):
             v = v.reshape(self.grid.n_spatial, self.grid.nt)
         if v.shape != (self.grid.n_spatial, self.grid.nt):
             raise ValueError(f"values shape {v.shape} does not match grid")
@@ -200,7 +196,7 @@ class SpatialFunction:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape == self.grid.shape:
+        if v.shape == self.grid.nx:
             v = v.ravel()
         if v.shape != (self.grid.n_spatial,):
             raise ValueError("values shape does not match grid")
@@ -216,7 +212,7 @@ class RegionMask:
 
     def __post_init__(self):
         m = np.asarray(self.mask, dtype=bool)
-        if m.shape == self.grid.shape:
+        if m.shape == self.grid.nx:
             m = m.ravel()
         if m.shape != (self.grid.n_spatial,):
             raise ValueError("spatial mask shape mismatch")
@@ -236,9 +232,9 @@ def halfspace_integral(f: GridFunction) -> float:
 
 def lp_gamma_norm(g: SpatialFunction, p) -> float:
     """(sum |g|^p exp(-|x|^2) wy)^{1/p}; p = inf gives max |g|."""
-    if p == np.inf or p == "inf":
-        return float(np.max(np.abs(g.values))) if g.values.size else 0.0
     p = float(p)
+    if p == np.inf:
+        return float(np.max(np.abs(g.values))) if g.values.size else 0.0
     if p < 1.0:
         raise ValueError("p must be >= 1")
     return float(np.sum(np.abs(g.values) ** p * g.grid.gamma_y) ** (1.0 / p))

@@ -85,7 +85,7 @@ def complement_distance(O: RegionMask) -> np.ndarray:
     it.  When O is the whole box, O^c is empty and every distance is inf.
     """
     g = O.grid
-    return _edt(~O.mask.reshape(g.shape), g.spacing).ravel()
+    return _edt(~O.mask.reshape(g.nx), g.spacing).ravel()
 
 
 def tent_mask(O: RegionMask, caps: np.ndarray) -> np.ndarray:
@@ -338,6 +338,19 @@ def etabar_from_doubling(C: float) -> float:
     return 1.0 - 1.0 / (2.0 * C)
 
 
+def _cone_union_report(H: GridFunction, D: RegionMask, caps: np.ndarray,
+                       source: RegionMask, spec: ConeSpec) -> dict:
+    """LHS integrates H over the cone union R(D) = complement of T(D^c),
+    the tent taken under `caps`; RHS is the source-restricted cone average
+    of H at `spec`.  Their ratio, and the size of D."""
+    g = H.grid
+    R = ~tent_mask(RegionMask(g, ~D.mask), caps)
+    lhs = halfspace_integral(GridFunction(g, H.values * R))
+    rhs = _cone_average_over(source.mask.astype(float), H, spec)
+    return {"lhs": lhs, "rhs": rhs, **_ratio(lhs, rhs),
+            "density_set_size": int(D.mask.sum())}
+
+
 def density_inequality_check(A: RegionMask, H: GridFunction, eta: float,
                              etabar: float, spec: ConeSpec,
                              dict_: BallDictionary | None = None) -> dict:
@@ -352,18 +365,9 @@ def density_inequality_check(A: RegionMask, H: GridFunction, eta: float,
     """
     if np.any(H.values < 0):
         raise ValueError("H must be nonnegative")
-    g = H.grid
     lam = spec.beta * (1.0 + spec.beta)
     A_eta = density_points(A, etabar, lam)
-    R = ~tent_mask(RegionMask(g, ~A_eta.mask), (1.0 - eta) * cone_caps(g, spec))
-    lhs = halfspace_integral(GridFunction(g, H.values * R))
-    rhs = _cone_average_over(A.mask.astype(float), H, spec)
-    report = {
-        "lhs": lhs,
-        "rhs": rhs,
-        **_ratio(lhs, rhs),
-        "density_set_size": int(A_eta.mask.sum()),
-    }
+    report = _cone_union_report(H, A_eta, (1.0 - eta) * cone_caps(H.grid, spec), A, spec)
     if dict_ is not None:
         C = doubling_constant(lam, dict_)
         K = np.exp(-3.0 * spec.beta * (2.0 + spec.beta))
@@ -398,16 +402,9 @@ def reverse_fubini_check(F: RegionMask, H: GridFunction, eta: float,
         raise ValueError("H must be nonnegative")
     if delta < spec.alpha:
         raise ValueError("delta >= alpha required")
-    g = H.grid
     F_tilde = containing_density_points(F, eta, spec.beta, dict_)
-    R = ~tent_mask(RegionMask(g, ~F_tilde.mask), cone_caps(g, spec))
-    lhs = halfspace_integral(GridFunction(g, H.values * R))
-    rhs = _cone_average_over(F.mask.astype(float), H, ConeSpec(delta, spec.beta))
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        **_ratio(lhs, rhs),
-        "analytic_constant": (delta / spec.alpha) ** g.n
-        * np.exp(-(2.0 + spec.beta) * spec.beta),
-        "density_set_size": int(F_tilde.mask.sum()),
-    }
+    report = _cone_union_report(H, F_tilde, cone_caps(H.grid, spec), F,
+                                ConeSpec(delta, spec.beta))
+    report["analytic_constant"] = (delta / spec.alpha) ** H.grid.n \
+        * np.exp(-(2.0 + spec.beta) * spec.beta)
+    return report

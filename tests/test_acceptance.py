@@ -281,8 +281,8 @@ def test_criterion_08_duality(grid):
                  float(rng.uniform(0.1, 1.0))) for _ in range(15))
     mu = DiscreteMeasure(pts)
     f = _bump_sum(grid, rng)
-    d4 = default_dictionary(grid, 1.0, stride=4).admissible(1.0)
-    d2 = default_dictionary(grid, 1.0, stride=2).admissible(1.0)
+    d4 = default_dictionary(grid, 1.0, stride=4)
+    d2 = default_dictionary(grid, 1.0, stride=2)
     c4 = check_carleson_pairing(mu, f, spec, carleson_norm(mu, spec, 1.0, d4)["norm"])["C_emp"]
     c2 = check_carleson_pairing(mu, f, spec, carleson_norm(mu, spec, 1.0, d2)["norm"])["C_emp"]
     mu_ok = np.isfinite(c4) and np.isfinite(c2) and 0.5 < c4 / c2 < 2.0

@@ -222,6 +222,26 @@ def test_decompose_command(tmp_path, input_file):
     assert len(manifest["terms"]) == rep["n_atoms"]
 
 
+def test_decompose_with_no_atoms_replaces_the_last_manifest(tmp_path, capsys):
+    # the zero function after a bump, into one --out: the manifest must list
+    # no atom, or embed --input would check the bump's atoms
+    g = HalfSpaceGrid(((-8.0, 8.0),), (128,), 1e-3, 8.0, 32)
+    manifest = tmp_path / "decomposition" / "decomposition.json"
+    n_atoms = []
+    for f in (random_bump(g, np.random.default_rng(0)), GridFunction.zero(g)):
+        write_grid_function(f, tmp_path / "f.gtnt")
+        assert main(["--out", str(tmp_path), "--grid", "128,32", "decompose",
+                     "--input", str(tmp_path / "f.gtnt")]) == 0
+        n_atoms.append(_load(tmp_path, "decompose.json")["n_atoms"])
+        assert len(json.loads(manifest.read_text())["terms"]) == n_atoms[-1]
+    assert n_atoms[0] > 0 and n_atoms[1] == 0
+    capsys.readouterr()
+    assert main(["--out", str(tmp_path), "embed", "--input", str(manifest)]) \
+        == EXIT_PRECONDITION
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "holds no q = 2 atom" in err
+
+
 @pytest.mark.parametrize("sup", [[], ["--sup"]])
 def test_decompose_of_an_input_that_never_vanishes(tmp_path, capsys, sup):
     # the constant 1 has S f > 0 at every node, so the lowest level set is
@@ -439,15 +459,40 @@ def test_a_malformed_aperture_is_a_precondition_error(tmp_path, input_file, meas
     assert not out.exists()
 
 
+def test_decompose_with_eta_outside_the_unit_interval_is_a_precondition_error(
+        tmp_path, input_file, capsys):
+    ini = tmp_path / "c.ini"
+    ini.write_text("[params]\neta = 1.5\n")
+    rc = main(["--config", str(ini), "--out", str(tmp_path / "out"), "decompose",
+               "--input", str(input_file)])
+    assert rc == EXIT_PRECONDITION
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "eta must lie in (0, 1)" in err
+
+
+def test_independence_of_the_zero_function_is_a_numeric_error(tmp_path, capsys):
+    # every norm of the sweep is 0, so no ratio between them exists
+    g = HalfSpaceGrid(((-8.0, 8.0),), (64,), 1e-3, 8.0, 16)
+    path = tmp_path / "zero.gtnt"
+    write_grid_function(GridFunction.zero(g), path)
+    rc = main(["--out", str(tmp_path), "--grid", "64,16", "independence",
+               "--input", str(path)])
+    assert rc == EXIT_NUMERIC
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "non-finite or zero norm in the sweep" in err
+
+
 @pytest.mark.parametrize("defect", ["coarser_grid", "missing_row",
-                                    "duplicate_row", "off_node_row"])
+                                    "duplicate_row", "off_node_row", "two_columns"])
 def test_csv_input_must_match_the_grid(tmp_path, capsys, defect):
-    # a 64-node file on the 128-node grid, or one row missing, repeated or
-    # half a cell off its node: no row may snap or zero-fill
+    # a 64-node file or a 2-D file on the 128-node grid, or one row missing,
+    # repeated or half a cell off its node: no row may snap or zero-fill
     nx = 64 if defect == "coarser_grid" else 128
     g = HalfSpaceGrid(((-8.0, 8.0),), (nx,), 1e-3, 8.0, 8)
+    if defect == "two_columns":
+        g = HalfSpaceGrid(((-8.0, 8.0),) * 2, (16, 8), 1e-3, 8.0, 8)
     path = tmp_path / "f.csv"
-    write_grid_function(GridFunction(g, np.ones((nx, 8))), path)
+    write_grid_function(GridFunction(g, np.ones((g.n_spatial, 8))), path)
     lines = path.read_text().splitlines()
     if defect == "missing_row":
         del lines[5]
@@ -504,6 +549,39 @@ def test_embed_rejects_a_malformed_manifest(tmp_path, capsys, manifest, named):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert str(path) in err and named in err
+
+
+@pytest.fixture(scope="module")
+def manifest_data(tmp_path_factory, input_file):
+    """The manifest of a decomposition of input_file, each atom file named
+    by its absolute path so that a copy elsewhere still finds it."""
+    out = tmp_path_factory.mktemp("decomposed")
+    assert main(["--out", str(out), "decompose", "--input", str(input_file)]) == 0
+    data = json.loads((out / "decomposition" / "decomposition.json").read_text())
+    for entry in data["terms"]:
+        entry["atom_file"] = str(out / "decomposition" / entry["atom_file"])
+    return data
+
+
+@pytest.mark.parametrize("key, value", [
+    ("q", "abc"), ("radius", -1), ("center", "xy"), ("alpha", -1), ("lambda", "x"),
+    ("source_norm", "x"), ("residual_mass", "x"),
+])
+def test_embed_names_the_manifest_of_a_value_of_the_wrong_type(tmp_path, capsys,
+                                                               manifest_data, key, value):
+    data = json.loads(json.dumps(manifest_data))
+    if key in ("radius", "center"):
+        data["terms"][0]["ball"][key] = value
+    elif key == "lambda":
+        data["terms"][0][key] = value
+    else:
+        data[key] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    rc = main(["--out", str(tmp_path), "embed", "--input", str(path)])
+    assert rc == EXIT_PRECONDITION
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and str(path) in err
 
 
 def _underflow_error(capsys):
@@ -574,16 +652,18 @@ def test_a_central_bump_on_a_box_where_gamma_underflows_runs(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("defect", ["short_header", "cut_header", "short_payload",
-                                    "bad_dimension"])
+                                    "bad_dimension", "bad_version", "nan_payload"])
 def test_malformed_gtnt_is_a_precondition_error(tmp_path, input_file, capsys,
                                                 defect):
     # cut inside the header (6 and 20 bytes) or the payload (8 bytes short),
-    # or a dimension field of 3
+    # a dimension field of 3, a version field of 2, or a NaN value
     raw = input_file.read_bytes()
     bad = tmp_path / "bad.gtnt"
     bad.write_bytes({"short_header": raw[:6], "cut_header": raw[:20],
                      "short_payload": raw[:-8],
-                     "bad_dimension": raw[:8] + struct.pack("<I", 3) + raw[12:]}[defect])
+                     "bad_dimension": raw[:8] + struct.pack("<I", 3) + raw[12:],
+                     "bad_version": raw[:4] + struct.pack("<I", 2) + raw[8:],
+                     "nan_payload": raw[:-8] + struct.pack("<d", np.nan)}[defect])
     rc = main(["--out", str(tmp_path), "norm", "--infer-grid",
                "--input", str(bad)])
     assert rc == EXIT_PRECONDITION

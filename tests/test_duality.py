@@ -73,7 +73,7 @@ def test_pairing_bilinear(grid_small, rng):
 
 def test_carleson_norm_zero_measure(grid_small):
     # the empty measure is a valid measure, and so is one of weight 0
-    d = default_dictionary(grid_small, 1.0).admissible(1.0)
+    d = default_dictionary(grid_small, 1.0)
     for points in (), (((0.0,), 0.5, 0.0),):
         rep = carleson_norm(DiscreteMeasure(points), ConeSpec(1.0, 1.0), 1.0, d)
         assert rep["norm"] == 0.0 and rep["witness_ball"] is None
@@ -86,8 +86,27 @@ def test_carleson_norm_rejects_inadmissible_dict(grid_small):
         carleson_norm(mu, ConeSpec(1.0, 1.0), 0.5, bad)
 
 
+def test_carleson_norm_keeps_the_admissible_balls_of_a_mixed_dict(grid_small, rng):
+    # B(0, 3) is not 1-admissible (m(0) = 1) and holds every point: the
+    # norm, its values and its witness are those of the admissible balls
+    d = default_dictionary(grid_small, 1.0)
+    k = len(d.radii) // 2
+    mixed = BallDictionary(np.insert(d.centers, k, [0.0], axis=0),
+                           np.insert(d.radii, k, 3.0))
+    pts = tuple(((float(rng.uniform(-1, 1)),),
+                 float(np.exp(rng.uniform(np.log(0.01), 0.0))),
+                 float(rng.uniform(0.1, 1.0))) for _ in range(10))
+    mu, spec = DiscreteMeasure(pts), ConeSpec(1.0, 1.0)
+    got, want = carleson_norm(mu, spec, 1.0, mixed), carleson_norm(mu, spec, 1.0, d)
+    assert np.array_equal(got["values"], want["values"])
+    assert len(got["values"]) == len(d.radii)
+    assert got["norm"] == want["norm"] > 0
+    assert got["witness_ball"] == want["witness_ball"]
+    assert got["witness_ball"].radius <= cutoff_m(got["witness_ball"].center)
+
+
 def test_carleson_norm_witness_bruteforce(grid_small, rng):
-    d = default_dictionary(grid_small, 1.0).admissible(1.0)
+    d = default_dictionary(grid_small, 1.0)
     pts = tuple(((float(rng.uniform(-2, 2)),),
                  float(np.exp(rng.uniform(np.log(0.01), 0.0))),
                  float(rng.uniform(0.1, 1.0))) for _ in range(15))
@@ -109,7 +128,7 @@ def test_carleson_norm_witness_bruteforce(grid_small, rng):
 def test_carleson_norm_matches_pointwise_tents(grid_small, rng):
     # every ball's value against the tent written out, point by point:
     # dist(y, B^c) >= min(alpha t, beta m(y)) at alpha = beta = 1
-    d = default_dictionary(grid_small, 1.0).admissible(2.0)
+    d = default_dictionary(grid_small, 1.0)
     pts = tuple(((float(rng.uniform(-3, 3)),),
                  float(np.exp(rng.uniform(np.log(0.01), np.log(2.0)))),
                  float(rng.uniform(-1.0, 1.0))) for _ in range(50))
@@ -138,7 +157,7 @@ def test_carleson_norm_matches_pointwise_tents(grid_small, rng):
 
 
 def test_carleson_pairing_constant_finite(grid_small, rng):
-    d = default_dictionary(grid_small, 1.0).admissible(1.0)
+    d = default_dictionary(grid_small, 1.0)
     pts = tuple(((float(rng.uniform(-1, 1)),),
                  float(np.exp(rng.uniform(np.log(0.01), 0.0))),
                  float(rng.uniform(0.1, 1.0))) for _ in range(10))

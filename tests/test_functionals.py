@@ -15,7 +15,7 @@ from gausstent._kernels import (
     _cone_windows, _expand, _tent_sums, _window_bounds,
 )
 from gausstent.functionals import (
-    BallDictionary, ExponentPair, area_S, area_S_sup, area_S_truncated, carleson_C,
+    BallDictionary, ExponentPair, area_S, area_S_sup, carleson_C,
     cone_caps, default_dictionary, stopping_time, tent_norm,
 )
 from gausstent.duality import check_duality_pq
@@ -85,8 +85,9 @@ def test_default_dictionary_admissible(grid_small):
     assert len(d.radii) > 0
     for c, r in zip(d.centers, d.radii):
         assert r <= 1.0 * cutoff_m(c) + 1e-12
-    sub = d.admissible(0.5)
-    assert all(is_admissible(c, r, 0.5) for c, r in zip(sub.centers, sub.radii))
+    # center-major, 7 levels: the radius m(c) of level 0 alone exceeds 0.5 m(c)
+    assert np.array_equal(is_admissible(d.centers, d.radii, 0.5),
+                          np.arange(len(d.radii)) % 7 != 0)
 
 
 @pytest.mark.parametrize("centers,radii", [
@@ -563,11 +564,17 @@ def test_area_2d_tpp_identity_and_duality_layer0(grid_2d, rng):
     assert check_duality_pq(f, bump_2d(g), 2.0, 2.0, spec)["identity_ok"]
 
 
+def _truncated(f, q, spec, h):
+    """S_{q,h} f: the area function over the truncated cone {t < h}."""
+    return area_S(GridFunction(f.grid, np.where(f.grid.t[None, :] < h, f.values, 0.0)),
+                  q, spec)
+
+
 def test_area_truncated_monotone(grid_small):
     f = bump(grid_small)
     spec = ConeSpec(1.0, 1.0)
-    s1 = area_S_truncated(f, 2.0, spec, 0.05).values
-    s2 = area_S_truncated(f, 2.0, spec, 1.0).values
+    s1 = _truncated(f, 2.0, spec, 0.05).values
+    s2 = _truncated(f, 2.0, spec, 1.0).values
     full = area_S(f, 2.0, spec).values
     assert np.all(s1 <= s2 + 1e-15)
     assert np.all(s2 <= full + 1e-15)
@@ -763,7 +770,7 @@ def test_stopping_time_picks_largest_passing(grid_small):
     finite = np.isfinite(h.values) & (h.values > 0)
     for i in np.nonzero(finite)[0][:20]:
         hv = h.values[i]
-        assert area_S_truncated(f, 2.0, spec, hv).values[i] <= bound[i]
+        assert _truncated(f, 2.0, spec, hv).values[i] <= bound[i]
         nxt = [v for v in ladder if v > hv]
         if nxt:
-            assert area_S_truncated(f, 2.0, spec, nxt[0]).values[i] > bound[i]
+            assert _truncated(f, 2.0, spec, nxt[0]).values[i] > bound[i]

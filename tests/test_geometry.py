@@ -15,7 +15,7 @@ from gausstent._kernels import (
     _MAXLOG, _ball_tent, _cone_windows, _erfc, _gamma_balls, _window_bounds,
 )
 from gausstent.geometry import (
-    AdmissibilityError, Ball, ConeSpec, compare_tents, comparison_lemma_check, cutoff_m,
+    Ball, ConeSpec, compare_tents, comparison_lemma_check, cutoff_m,
     gamma_ball, gamma_ball_bounds_check, is_admissible,
 )
 from gausstent.grid import HalfSpaceGrid
@@ -216,7 +216,7 @@ def test_admissibility_boundary_included():
 
 
 def test_bracket_rejects_non_admissible():
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(ValueError, match="exceeds beta"):
         gamma_ball_bounds_check((4.0,), 1.0, 1.0)
 
 
@@ -243,7 +243,7 @@ def test_array_checks_equal_the_one_point_checks(rng):
     with pytest.raises(ValueError):
         comparison_lemma_check(x[:, None], y[:, None], b)
     r[7] = 1.5 * b[7] * cutoff_m(y[7])
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(ValueError, match="exceeds beta"):
         gamma_ball_bounds_check(y[:, None], r, b)
 
 

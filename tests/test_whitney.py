@@ -47,7 +47,7 @@ def _scipy_distances(O):
     from scipy.ndimage import distance_transform_edt
 
     g = O.grid
-    shaped = O.mask.reshape(g.shape)
+    shaped = O.mask.reshape(g.nx)
     # padded with O: the box exterior is not part of O^c
     padded = np.pad(shaped, 1, constant_values=True)
     inner = tuple(slice(1, -1) for _ in range(g.n))
@@ -94,7 +94,7 @@ def test_distances_match_scipy_2d():
         if kind == 0:       # scattered
             mask = rng.random(g.n_spatial) < rng.uniform(0.05, 0.95)
         elif kind == 1:     # a rectangle touching the box edge
-            mask = np.zeros(g.shape, bool)
+            mask = np.zeros(g.nx, bool)
             mask[:rng.integers(1, nx + 1), rng.integers(0, ny):] = True
             mask = mask.ravel()
         elif kind == 2:     # a single-node complement
@@ -154,7 +154,7 @@ def _region_R_by_set_distance(F, alpha, beta, shrink):
     became the complement of a tent: nodes with dist(y, F) < cap."""
     g = F.grid
     caps = shrink * cone_caps(g, ConeSpec(alpha, beta))
-    d = _edt(F.mask.reshape(g.shape), g.spacing).ravel()
+    d = _edt(F.mask.reshape(g.nx), g.spacing).ravel()
     return d[:, None] < caps
 
 
@@ -346,7 +346,7 @@ def test_cube_walk_matches_recursion_2d():
         elif kind == 1:
             mask = rng.random(g.n_spatial) < 0.8
         elif kind == 2:     # a rectangle on the box edge plus single nodes
-            shaped = np.zeros(g.shape, bool)
+            shaped = np.zeros(g.nx, bool)
             shaped[:rng.integers(1, nx), :rng.integers(1, ny)] = True
             mask = shaped.ravel()
             mask[rng.choice(g.n_spatial, 5, replace=False)] = True
