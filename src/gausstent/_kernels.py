@@ -50,6 +50,19 @@ half their memory; past that the ball windows are the faster, and past
 about 3.5 times also the smaller, since the breakpoints grow as rows *
 reach.  Either way the ranges, and so every float, are those of
 _window_bounds at the cell's cap, to ==.
+_cone_area takes a tuple of cone specs and returns one area function per
+spec, from one pass over the cells: the support, |f|^q and its weights are
+taken once.  In 1-D the specs of one alpha build their windows and
+gamma-sums once, at the largest beta B among them, and every smaller beta
+is exact by nesting.  beta m <= B m in floats, so the cap min(alpha t_j,
+beta m_i) is min(min(alpha t_j, B m_i), beta m_i), and a cell's window at
+beta is its window at B cut to the row's ball window at beta m_i: the
+window at B itself where alpha t_j <= beta m_i, the row's ball window
+elsewhere.  A window's gamma-sum depends on its range alone (the same
+canonical tree nodes, added in the same order), so the gamma-sums at beta
+are a where between those at B and one gather over the rows' ball
+windows, to ==.  Only the scatter runs once per spec.  In 2-D each spec
+builds its own windows.
 Which (y, t) lie in T(B) is decided in one place, _ball_tent, for grid
 cells, measure points and sample points alike.
 The centered ladder B(x, 2^-k level m(x)), k = 0..6, is built in one place,
@@ -493,27 +506,74 @@ def _cone_ranges(grid: HalfSpaceGrid, spec: ConeSpec, ys: np.ndarray, js: np.nda
     return out_lo.astype(np.int32), out_hi
 
 
-def _cone_area(grid: HalfSpaceGrid, spec: ConeSpec, ys: np.ndarray, js: np.ndarray,
-               vals: np.ndarray, q: float) -> np.ndarray:
-    """S_q at every node (S_inf at q = inf) of the function that is vals on
-    the nonzero cells (ys, js), in np.nonzero order, and 0 elsewhere.
+def _cone_area(grid: HalfSpaceGrid, specs: tuple, ys: np.ndarray, js: np.ndarray,
+               vals: np.ndarray, q: float) -> list:
+    """S_q at every node (S_inf at q = inf), one array per ConeSpec of specs,
+    of the function that is vals on the nonzero cells (ys, js), in
+    np.nonzero order, and 0 elsewhere.
 
     The cones are those of the cells where |f|^q is not 0 in floats, as
     on the whole grid: a value whose power underflows, such as 1e-200 at
-    q = 2, opens none, so it never divides by a cone whose gamma is 0."""
+    q = 2, opens none, so it never divides by a cone whose gamma is 0.
+    In 1-D the specs of one alpha share the windows and the gamma-sums of
+    the largest beta among them (_narrowing, and the module docstring); in
+    2-D each spec builds its own."""
     if q == np.inf:
-        return _cone_windows(grid, spec, ys, js).scatter(np.abs(vals), np.maximum)
-    if not q >= 1.0:
+        weights = np.abs(vals)
+    elif not q >= 1.0:
         raise ValueError("q must lie in [1, inf)")
-    absq = np.abs(vals)
-    absq **= q
-    keep = absq != 0.0
-    if not keep.all():
-        ys, js, absq = ys[keep], js[keep], absq[keep]
-    win = _cone_windows(grid, spec, ys, js)
-    den = win.gather(grid.gamma_y)
-    contrib = _per_gamma(absq * grid.gamma_y[ys] * grid.wt[js], den)
-    return win.scatter(contrib) ** (1.0 / q)
+    else:
+        absq = np.abs(vals)
+        absq **= q
+        keep = absq != 0.0
+        if not keep.all():
+            ys, js, absq = ys[keep], js[keep], absq[keep]
+        weights = absq * grid.gamma_y[ys] * grid.wt[js]
+    groups = {}
+    for k, spec in enumerate(specs):
+        groups.setdefault(spec.alpha if grid.n == 1 else k, []).append(k)
+    out = [None] * len(specs)
+    for group in groups.values():
+        top = max((specs[k] for k in group), key=lambda s: s.beta)
+        win = _cone_windows(grid, top, ys, js)
+        den = None if q == np.inf else win.gather(grid.gamma_y)
+        narrowed = None
+        for k in group:
+            if specs[k].beta == top.beta:
+                w, d = win, den
+            else:
+                narrowed = narrowed or _narrowing(grid, top.alpha, win, den, ys, js)
+                w, d = narrowed(specs[k].beta)
+            out[k] = w.scatter(weights, np.maximum) if q == np.inf else \
+                w.scatter(_per_gamma(weights, d)) ** (1.0 / q)
+    return out
+
+
+def _narrowing(grid: HalfSpaceGrid, alpha: float, win: _Windows,
+               den: np.ndarray | None, ys: np.ndarray, js: np.ndarray):
+    """From the 1-D cone windows win of the cells (ys, js) at apertures
+    (alpha, B), and their gamma-sums den (None at q = inf): the function
+    that gives the windows and gamma-sums at (alpha, beta), beta < B.
+
+    A cell keeps its window where alpha t_j <= beta m_i, and elsewhere,
+    where its cap is beta m_i, takes its row's ball window at beta m_i
+    (see the module docstring)."""
+    first = np.ones(ys.size, dtype=bool)
+    first[1:] = ys[1:] != ys[:-1]
+    at = np.cumsum(first) - 1
+    rows = ys[first]
+    lo, hi = win.lo[win.run_of], win.hi[win.run_of]
+    alpha_t = alpha * grid.t[js]
+
+    def narrowed(beta: float):
+        reach = beta * grid.m_y[rows]
+        rlo, rhi = _window_bounds(grid.axes[0], grid.axes[0][rows], reach)
+        ball = alpha_t > reach[at]
+        nested = _Windows(grid, np.where(ball, rlo[at], lo), np.where(ball, rhi[at], hi))
+        if den is None:
+            return nested, None
+        return nested, np.where(ball, _Windows(grid, rlo, rhi).gather(grid.gamma_y)[at], den)
+    return narrowed
 
 
 def _cone_average_over(A_mask: np.ndarray, H: GridFunction,

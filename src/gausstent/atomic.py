@@ -150,7 +150,7 @@ def validate_atom(a: Atom, spec: ConeSpec) -> dict:
         norm_bound = gB ** (-(1.0 - 1.0 / a.q))
     norm_ok = bool(norm_value <= norm_bound * (1.0 + 1e-9))
     r, c = np.nonzero(a.block)
-    S = _cone_area(g, spec, r + rows.start, c + cols.start, a.block[r, c], a.q)
+    S, = _cone_area(g, (spec,), r + rows.start, c + cols.start, a.block[r, c], a.q)
     s_l1 = lp_gamma_norm(SpatialFunction(g, S), 1)
     area_ok = bool(s_l1 <= 1.05)
     return {
@@ -382,6 +382,8 @@ def coefficient_report(d: Decomposition) -> dict:
 
 
 def export_decomposition(d: Decomposition, out_dir) -> Path:
+    """Write the atoms and their manifest, decomposition.json, into out_dir,
+    and remove any atom file there that the manifest does not list."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -407,6 +409,11 @@ def export_decomposition(d: Decomposition, out_dir) -> Path:
     }
     path = out / "decomposition.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    # atom files of an earlier, larger decomposition in out_dir are not ours
+    listed = {entry["atom_file"] for entry in entries}
+    for stale in out.glob("atom_*.gtnt"):
+        if stale.name not in listed:
+            stale.unlink()
     return path
 
 
@@ -422,16 +429,19 @@ def import_decomposition(manifest_path) -> Decomposition:
     try:
         spec = ConeSpec(data["alpha"], data["beta"])
         q = float(data["q"])
+        diagnostics, audit = data.get("diagnostics", []), data.get("audit", {})
+        for key, value, kind in (("diagnostics", diagnostics, list), ("audit", audit, dict)):
+            if not isinstance(value, kind):
+                raise TypeError(f"{key} must be a {kind.__name__}, "
+                                f"not {type(value).__name__}")
         terms = []
         for entry in data["terms"]:
             gf = gridio.read_grid_function(path.parent / entry["atom_file"])
             ball = Ball(tuple(entry["ball"]["center"]), entry["ball"]["radius"])
             terms.append((float(entry["lambda"]),
                           Atom.crop(gf, ball, float(entry["q"]))))
-        return Decomposition(terms, float(data["source_norm"]), q, spec,
-                             data.get("diagnostics", []),
-                             float(data.get("residual_mass", 0.0)),
-                             data.get("audit", {}))
+        return Decomposition(terms, float(data["source_norm"]), q, spec, diagnostics,
+                             float(data.get("residual_mass", 0.0)), audit)
     except KeyError as e:
         raise ValueError(f"{path}: decomposition manifest has no key {e}") from None
     except TypeError as e:

@@ -35,7 +35,9 @@ from .geometry import (
     cutoff_m, gamma_ball_bounds_check,
 )
 from .grid import GridFunction, HalfSpaceGrid, halfspace_integral, read_grid_function
-from .functionals import BallDictionary, ExponentPair, default_dictionary, tent_norm
+from .functionals import (
+    BallDictionary, ExponentPair, default_dictionary, tent_norm, tent_norms,
+)
 from .atomic import (
     coefficient_report, decompose, decompose_sup, export_decomposition,
     import_decomposition, reconstruct, validate_atom,
@@ -217,9 +219,6 @@ def cmd_decompose(cfg: RunConfig, args) -> int:
 
 
 def cmd_independence(cfg: RunConfig, args) -> int:
-    # the only command with a pool; the import costs every other one
-    from concurrent.futures import ThreadPoolExecutor
-
     grid = cfg.grid()
     rng = np.random.default_rng(cfg.seed)
     if args.input:
@@ -229,9 +228,15 @@ def cmd_independence(cfg: RunConfig, args) -> int:
     pq = ExponentPair(cfg.p if cfg.p != np.inf else 1.0, cfg.q)
     specs = [ConeSpec(a, b) for a in APERTURE_GRID for b in APERTURE_GRID]
     summary = []
-    for fi, f in enumerate(funcs):
+    if min(cfg.threads, len(funcs)) > 1:
+        # the package's one pool, a sweep per task; imported here, as every
+        # other command and a one-task run would pay for it unused
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            norms = list(pool.map(lambda spec: tent_norm(f, pq, spec), specs))
+            sweeps = list(pool.map(lambda f: tent_norms(f, pq, specs), funcs))
+    else:
+        sweeps = [tent_norms(f, pq, specs) for f in funcs]
+    for fi, norms in enumerate(sweeps):
         norms = np.asarray(norms)
         if not np.all(np.isfinite(norms)) or np.any(norms <= 0):
             raise ArithmeticError("non-finite or zero norm in the sweep")
@@ -317,8 +322,9 @@ def _suite_tent_compare(cfg, grid, rng):
 
 
 def _suite_comparison_lemma(cfg, grid, rng):
-    # one draw at a time keeps the generator's stream; one array pass checks
-    yv, b, u = np.array([(rng.uniform(-5, 5), rng.choice((0.5, 1.0, 2.0)),
+    # one draw at a time keeps the generator's stream (integers(3) is the
+    # draw rng.choice makes of three values); one array pass checks
+    yv, b, u = np.array([(rng.uniform(-5, 5), (0.5, 1.0, 2.0)[rng.integers(3)],
                           rng.uniform(-1, 1)) for _ in range(5000)]).T
     x = yv + u * b * cutoff_m(yv[:, None]) * 0.999999
     bad = int(np.sum(~comparison_lemma_check(x[:, None], yv[:, None], b)))
@@ -326,7 +332,7 @@ def _suite_comparison_lemma(cfg, grid, rng):
 
 
 def _suite_ball_bracket(cfg, grid, rng):
-    c, beta, u = np.array([(rng.uniform(-6, 6), rng.choice((0.5, 1.0, 2.0)),
+    c, beta, u = np.array([(rng.uniform(-6, 6), (0.5, 1.0, 2.0)[rng.integers(3)],
                             rng.uniform(0.05, 1.0)) for _ in range(200)]).T
     r = u * beta * cutoff_m(c[:, None])
     bad = int(np.sum(~gamma_ball_bounds_check(c[:, None], r, beta)))

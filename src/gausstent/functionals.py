@@ -49,6 +49,7 @@ __all__ = [
     "default_dictionary",
     "stopping_time",
     "tent_norm",
+    "tent_norms",
 ]
 
 
@@ -124,13 +125,15 @@ def area_S(f: GridFunction, q: float, spec: ConeSpec) -> SpatialFunction:
     if not (1.0 <= q < np.inf):
         raise ValueError("q must lie in [1, inf)")
     ys, js = np.nonzero(f.values)
-    return SpatialFunction(f.grid, _cone_area(f.grid, spec, ys, js, f.values[ys, js], q))
+    S, = _cone_area(f.grid, (spec,), ys, js, f.values[ys, js], q)
+    return SpatialFunction(f.grid, S)
 
 
 def area_S_sup(f: GridFunction, spec: ConeSpec) -> SpatialFunction:
     """S_inf: pointwise sup of |f| over the cone nodes."""
     ys, js = np.nonzero(f.values)
-    return SpatialFunction(f.grid, _cone_area(f.grid, spec, ys, js, f.values[ys, js], np.inf))
+    S, = _cone_area(f.grid, (spec,), ys, js, f.values[ys, js], np.inf)
+    return SpatialFunction(f.grid, S)
 
 
 def carleson_C(f: GridFunction, q: float, spec: ConeSpec,
@@ -167,19 +170,37 @@ def carleson_C(f: GridFunction, q: float, spec: ConeSpec,
     return SpatialFunction(g, admit.scatter(np.array(val), np.maximum))
 
 
+_P_INF_NEEDS_DICT = "p = inf needs a ball dictionary for C_q"
+_Q_INF_NEEDS_INTENT = "q = inf requires continuous-intent values"
+
+
 def tent_norm(f: GridFunction, pq: ExponentPair, spec: ConeSpec,
               dict_: BallDictionary | None = None,
               continuous_intent: bool = False) -> float:
     """The T^{p,q} norm: ||S_q f||_{L^p(gamma)}, or ||C_q f||_inf at p = inf."""
     if pq.p == np.inf:
         if dict_ is None:
-            raise ValueError("p = inf needs a ball dictionary for C_q")
+            raise ValueError(_P_INF_NEEDS_DICT)
         return lp_gamma_norm(carleson_C(f, pq.q, spec, dict_), np.inf)
     if pq.q == np.inf:
         if not continuous_intent:
-            raise ValueError("q = inf requires continuous-intent values")
+            raise ValueError(_Q_INF_NEEDS_INTENT)
         return lp_gamma_norm(area_S_sup(f, spec), pq.p)
     return lp_gamma_norm(area_S(f, pq.q, spec), pq.p)
+
+
+def tent_norms(f: GridFunction, pq: ExponentPair, specs) -> list:
+    """[tent_norm(f, pq, spec) for spec in specs], the same floats, from one
+    sweep over the support of f (see _kernels._cone_area).  It takes no
+    dictionary and no continuous intent, so p = inf and q = inf raise what
+    tent_norm raises without them."""
+    if pq.p == np.inf:
+        raise ValueError(_P_INF_NEEDS_DICT)
+    if pq.q == np.inf:
+        raise ValueError(_Q_INF_NEEDS_INTENT)
+    ys, js = np.nonzero(f.values)
+    areas = _cone_area(f.grid, tuple(specs), ys, js, f.values[ys, js], float(pq.q))
+    return [lp_gamma_norm(SpatialFunction(f.grid, S), pq.p) for S in areas]
 
 
 def stopping_time(g: GridFunction, qprime: float, spec: ConeSpec, M_const: float,

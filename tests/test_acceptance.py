@@ -22,6 +22,7 @@ from gausstent.grid import (
 )
 from gausstent.functionals import (
     ExponentPair, carleson_C, default_dictionary, stopping_time, tent_norm,
+    tent_norms,
 )
 from gausstent.whitney import (
     density_inequality_check, doubling_constant, etabar_from_doubling,
@@ -328,8 +329,8 @@ def test_criterion_10_independence(grid, grid_fine):
         out = []
         for _ in range(5):
             f = random_bump(g, rng)
-            norms = np.array([tent_norm(f, pq, ConeSpec(a, b))
-                              for a in apertures for b in apertures])
+            norms = np.array(tent_norms(f, pq, [ConeSpec(a, b)
+                                                for a in apertures for b in apertures]))
             assert np.all(np.isfinite(norms)) and np.all(norms > 0)
             out.append(norms.max() / norms.min())
         return np.array(out)

@@ -242,6 +242,21 @@ def test_decompose_with_no_atoms_replaces_the_last_manifest(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "holds no q = 2 atom" in err
 
 
+def test_decompose_removes_the_atom_files_its_manifest_does_not_list(tmp_path):
+    # a bump, then the zero function, into one --out: the directory holds
+    # the manifest and the atom files it lists, no earlier run's
+    g = HalfSpaceGrid(((-8.0, 8.0),), (128,), 1e-3, 8.0, 32)
+    out = tmp_path / "decomposition"
+    for f in (random_bump(g, np.random.default_rng(0)), GridFunction.zero(g)):
+        write_grid_function(f, tmp_path / "f.gtnt")
+        assert main(["--out", str(tmp_path), "--grid", "128,32", "decompose",
+                     "--input", str(tmp_path / "f.gtnt")]) == 0
+        terms = json.loads((out / "decomposition.json").read_text())["terms"]
+        assert sorted(p.name for p in out.iterdir()) \
+            == sorted(["decomposition.json"] + [t["atom_file"] for t in terms])
+    assert terms == []
+
+
 @pytest.mark.parametrize("sup", [[], ["--sup"]])
 def test_decompose_of_an_input_that_never_vanishes(tmp_path, capsys, sup):
     # the constant 1 has S f > 0 at every node, so the lowest level set is
@@ -350,6 +365,19 @@ def test_independence_threads_match(tmp_path, input_file):
         == (out2 / "independence_f0.csv").read_text()
 
 
+def test_independence_of_the_default_sweep_on_a_pool_matches(tmp_path):
+    # five functions on two and on three pool threads, and on none
+    outs = [tmp_path / str(k) for k in (1, 2, 3)]
+    for out in outs:
+        assert main(["--out", str(out), "--grid", "128,32", "--threads", out.name,
+                     "independence"]) == 0
+    for out in outs[1:]:
+        assert _load(out, "independence.json") == _load(outs[0], "independence.json")
+        for fi in range(5):
+            name = f"independence_f{fi}.csv"
+            assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_is_a_parse_error(tmp_path, input_file, capsys, threads):
     rc = main(["--threads", threads, "--out", str(tmp_path), "independence",
@@ -413,6 +441,19 @@ def test_carleson_pairing_report_is_pinned(tmp_path):
                  "--function", str(tmp_path / "f.gtnt")]) == 0
     assert _report_sha256(out, "carleson.json") \
         == "97b9dd7c528483f14b2e6574a83b7886226640223589a9170ac0ce7fa5df81af"
+
+
+def test_independence_report_is_pinned(tmp_path):
+    # the nine tent norms of the sweep, to the last bit, in the report and
+    # in the ratio matrix
+    _pinned_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert main(["--grid", "128,32", "--out", str(out), "independence",
+                 "--input", str(tmp_path / "f.gtnt")]) == 0
+    assert _report_sha256(out, "independence.json") \
+        == "238dd7aa53f3627f79e05099109514901643291aed84eb9fe2a8f0f82b0da686"
+    assert hashlib.sha256((out / "independence_f0.csv").read_bytes()).hexdigest() \
+        == "b20835b845f06d105951c2a9723cd2d6c64afcf8d74078c559605f0ab97b5c6a"
 
 
 def test_embed_and_verify_reports_are_pinned(tmp_path):
@@ -565,7 +606,7 @@ def manifest_data(tmp_path_factory, input_file):
 
 @pytest.mark.parametrize("key, value", [
     ("q", "abc"), ("radius", -1), ("center", "xy"), ("alpha", -1), ("lambda", "x"),
-    ("source_norm", "x"), ("residual_mass", "x"),
+    ("source_norm", "x"), ("residual_mass", "x"), ("diagnostics", 5), ("audit", 7),
 ])
 def test_embed_names_the_manifest_of_a_value_of_the_wrong_type(tmp_path, capsys,
                                                                manifest_data, key, value):

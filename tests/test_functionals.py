@@ -16,8 +16,9 @@ from gausstent._kernels import (
 )
 from gausstent.functionals import (
     BallDictionary, ExponentPair, area_S, area_S_sup, carleson_C,
-    cone_caps, default_dictionary, stopping_time, tent_norm,
+    cone_caps, default_dictionary, stopping_time, tent_norm, tent_norms,
 )
+from gausstent.cli import APERTURE_GRID
 from gausstent.duality import check_duality_pq
 from gausstent.families import random_bump
 from gausstent.whitney import containing_density_points
@@ -497,6 +498,65 @@ def test_area_functions_on_cells_match_the_whole_grid(box, nx, nt, rng):
             assert area_S(f, q, spec).values.tobytes() == want.tobytes()
         want = _whole_grid_area(f, np.inf, spec)
         assert area_S_sup(f, spec).values.tobytes() == want.tobytes()
+
+
+_APERTURE_SWEEP = [ConeSpec(a, b) for a in APERTURE_GRID for b in APERTURE_GRID]
+
+
+@pytest.mark.parametrize("box, nx, nt", [(((-8.0, 8.0),), (512,), 64),
+                                         (((-4.0, 4.0), (-3.0, 5.0)), (24, 20), 8)],
+                         ids=["1d-512", "2d-24x20"])
+def test_cone_area_of_many_specs_is_the_area_of_each(box, nx, nt, rng, monkeypatch):
+    # the specs of one alpha share the windows and gamma-sums of their
+    # largest beta (inf in one group): each S_q and S_inf is, to the byte,
+    # the one-spec area's, and in 1-D those widest windows come from both
+    # sides of the cost rule, the per-cell side on a support at large t only
+    g = HalfSpaceGrid(box, nx, 1e-3, 8.0, nt)
+    late = np.zeros((g.n_spatial, g.nt))
+    late[rng.random(g.n_spatial) < 0.5, -3:] = 1.0 + rng.random(3)
+    supports = {**_supports(g, rng), "late": late,
+                "bump": random_bump(g, rng).values if g.n == 1 else bump_2d(g).values}
+    groups = (_APERTURE_SWEEP,
+              [ConeSpec(1.0, 0.5), ConeSpec(1.0, np.inf), ConeSpec(2.0, 1.0),
+               ConeSpec(1.0, 2.0), ConeSpec(1.0, 0.5)])
+    ranged, per_cell = [], []
+
+    def spy(name, log):
+        real = getattr(_kernels, name)
+        monkeypatch.setattr(_kernels, name, lambda *a: log.append(True) or real(*a))
+
+    spy("_cone_ranges", ranged)
+    spy("_ball_windows", per_cell)
+    sides = set()
+    for vals in supports.values():
+        f = GridFunction(g, vals)
+        ys, js = np.nonzero(vals)
+        for specs in groups:
+            for q in (1.0, 2.0, 3.0, np.inf):
+                ranged.clear()
+                per_cell.clear()
+                got = _kernels._cone_area(g, tuple(specs), ys, js, vals[ys, js], q)
+                sides |= {side for side, log in (("breakpoints", ranged),
+                                                 ("per cell", per_cell)) if log}
+                want = [area_S_sup(f, s) if q == np.inf else area_S(f, q, s)
+                        for s in specs]
+                assert [a.tobytes() for a in got] == [w.values.tobytes() for w in want]
+    assert sides == ({"breakpoints", "per cell"} if g.n == 1 else {"per cell"})
+
+
+def test_tent_norms_are_the_tent_norm_of_each_spec(grid_small):
+    f = bump(grid_small)
+    for pq in (ExponentPair(1.0, 2.0), ExponentPair(2.0, 1.0), ExponentPair(3.0, 3.0)):
+        assert tent_norms(f, pq, _APERTURE_SWEEP) \
+            == [tent_norm(f, pq, s) for s in _APERTURE_SWEEP]
+    assert tent_norms(GridFunction.zero(grid_small), ExponentPair(1.0, 2.0),
+                      _APERTURE_SWEEP) == [0.0] * 9
+    for pq in (ExponentPair(np.inf, 2.0), ExponentPair(1.0, np.inf)):
+        with pytest.raises(ValueError) as want:
+            tent_norm(f, pq, ConeSpec(1.0, 1.0))
+        with pytest.raises(ValueError) as got:
+            tent_norms(f, pq, _APERTURE_SWEEP)
+        assert str(got.value) == str(want.value)
 
 
 def test_a_cell_whose_power_underflows_opens_no_cone_where_gamma_does():
