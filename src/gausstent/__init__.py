@@ -41,6 +41,7 @@ from .functionals import (
     default_dictionary,
     stopping_time,
     tent_norm,
+    tent_norms,
 )
 
 __version__ = "0.1.0"

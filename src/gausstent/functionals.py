@@ -170,34 +170,27 @@ def carleson_C(f: GridFunction, q: float, spec: ConeSpec,
     return SpatialFunction(g, admit.scatter(np.array(val), np.maximum))
 
 
-_P_INF_NEEDS_DICT = "p = inf needs a ball dictionary for C_q"
-_Q_INF_NEEDS_INTENT = "q = inf requires continuous-intent values"
-
-
 def tent_norm(f: GridFunction, pq: ExponentPair, spec: ConeSpec,
               dict_: BallDictionary | None = None,
               continuous_intent: bool = False) -> float:
-    """The T^{p,q} norm: ||S_q f||_{L^p(gamma)}, or ||C_q f||_inf at p = inf."""
-    if pq.p == np.inf:
-        if dict_ is None:
-            raise ValueError(_P_INF_NEEDS_DICT)
+    """The T^{p,q} norm: ||S_q f||_{L^p(gamma)}, or ||C_q f||_inf at p = inf.
+
+    p = inf takes C_q over dict_ and q = inf needs continuous_intent; any
+    other call is tent_norms of the one spec, which raises without them."""
+    if pq.p == np.inf and dict_ is not None:
         return lp_gamma_norm(carleson_C(f, pq.q, spec, dict_), np.inf)
-    if pq.q == np.inf:
-        if not continuous_intent:
-            raise ValueError(_Q_INF_NEEDS_INTENT)
+    if pq.q == np.inf and continuous_intent:
         return lp_gamma_norm(area_S_sup(f, spec), pq.p)
-    return lp_gamma_norm(area_S(f, pq.q, spec), pq.p)
+    return tent_norms(f, pq, (spec,))[0]
 
 
 def tent_norms(f: GridFunction, pq: ExponentPair, specs) -> list:
-    """[tent_norm(f, pq, spec) for spec in specs], the same floats, from one
-    sweep over the support of f (see _kernels._cone_area).  It takes no
-    dictionary and no continuous intent, so p = inf and q = inf raise what
-    tent_norm raises without them."""
+    """||S_q f||_{L^p(gamma)} at each aperture of specs, finite p and q, from
+    one sweep over the support of f (see _kernels._cone_area)."""
     if pq.p == np.inf:
-        raise ValueError(_P_INF_NEEDS_DICT)
+        raise ValueError("p = inf needs a ball dictionary for C_q")
     if pq.q == np.inf:
-        raise ValueError(_Q_INF_NEEDS_INTENT)
+        raise ValueError("q = inf requires continuous-intent values")
     ys, js = np.nonzero(f.values)
     areas = _cone_area(f.grid, tuple(specs), ys, js, f.values[ys, js], float(pq.q))
     return [lp_gamma_norm(SpatialFunction(f.grid, S), pq.p) for S in areas]

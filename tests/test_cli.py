@@ -378,6 +378,27 @@ def test_independence_of_the_default_sweep_on_a_pool_matches(tmp_path):
             assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
 
 
+@pytest.mark.parametrize("threads, input_, on_main", [
+    ("1", False, True), ("2", False, False), ("2", True, True)])
+def test_independence_sweeps_off_the_main_thread_only_on_a_pool(
+        tmp_path, input_file, monkeypatch, threads, input_, on_main):
+    # a pool runs when there are two threads and more than one function
+    import threading
+    from gausstent import cli
+    ran_on = []
+
+    def spy(*args):
+        ran_on.append(threading.current_thread() is threading.main_thread())
+        return cli_tent_norms(*args)
+
+    cli_tent_norms = cli.tent_norms
+    monkeypatch.setattr(cli, "tent_norms", spy)
+    args = ["--input", str(input_file), "--infer-grid"] if input_ else []
+    assert main(["--out", str(tmp_path), "--grid", "64,16", "--threads", threads,
+                 "independence", *args]) == 0
+    assert ran_on == [on_main] * (1 if input_ else 5)
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_is_a_parse_error(tmp_path, input_file, capsys, threads):
     rc = main(["--threads", threads, "--out", str(tmp_path), "independence",

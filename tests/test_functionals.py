@@ -545,10 +545,12 @@ def test_cone_area_of_many_specs_is_the_area_of_each(box, nx, nt, rng, monkeypat
 
 
 def test_tent_norms_are_the_tent_norm_of_each_spec(grid_small):
+    # the norm of each spec's own area function, and tent_norm spec by spec
     f = bump(grid_small)
     for pq in (ExponentPair(1.0, 2.0), ExponentPair(2.0, 1.0), ExponentPair(3.0, 3.0)):
-        assert tent_norms(f, pq, _APERTURE_SWEEP) \
-            == [tent_norm(f, pq, s) for s in _APERTURE_SWEEP]
+        got = tent_norms(f, pq, _APERTURE_SWEEP)
+        assert got == [lp_gamma_norm(area_S(f, pq.q, s), pq.p) for s in _APERTURE_SWEEP]
+        assert got == [tent_norm(f, pq, s) for s in _APERTURE_SWEEP]
     assert tent_norms(GridFunction.zero(grid_small), ExponentPair(1.0, 2.0),
                       _APERTURE_SWEEP) == [0.0] * 9
     for pq in (ExponentPair(np.inf, 2.0), ExponentPair(1.0, np.inf)):
