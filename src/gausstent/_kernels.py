@@ -67,11 +67,15 @@ Which (y, t) lie in T(B) is decided in one place, _ball_tent, for grid
 cells, measure points and sample points alike.
 The centered ladder B(x, 2^-k level m(x)), k = 0..6, is built in one place,
 _centered_ladder, for any number of node columns at once.
+The GTNT writer, _write_gtnt, writes a band of flat spatial rows and leaves
+every other value a hole in the file, which reads back as +0.0: atom files
+store their box's rows only, with the bytes of the dense function.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -649,3 +653,27 @@ def _csv_rows(path, skiprows: int, last: str) -> np.ndarray:
     if data.size == 0 or data.shape[1] < 3:
         raise ValueError(f"{path}: no rows of coordinates, t and {last}")
     return data
+
+
+_GTNT_MAGIC = b"GTNT"
+_GTNT_VERSION = 1
+
+
+def _write_gtnt(grid: HalfSpaceGrid, path, rows: np.ndarray, row0: int = 0) -> None:
+    """The GTNT file of the function on grid whose flat spatial rows row0,
+    row0 + 1, ... are `rows` and whose other values are +0.0.  Those others
+    are not written: a seek past them, then a truncate to the full length,
+    leaves zero bytes, the bytes of +0.0."""
+    with open(path, "wb") as fh:
+        fh.write(_GTNT_MAGIC)
+        fh.write(struct.pack("<II", _GTNT_VERSION, grid.n))
+        for k in grid.nx:
+            fh.write(struct.pack("<I", k))
+        fh.write(struct.pack("<I", grid.nt))
+        for (a, b) in grid.spatial_box:
+            fh.write(struct.pack("<dd", a, b))
+        fh.write(struct.pack("<dd", grid.t_min, grid.t_max))
+        start = fh.tell()
+        fh.seek(start + 8 * row0 * grid.nt)
+        fh.write(np.ascontiguousarray(rows, dtype="<f8").data)
+        fh.truncate(start + 8 * grid.n_spatial * grid.nt)

@@ -37,7 +37,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._kernels import _C_OVERLAP, _ball_tent, _cone_area, _density_columns, _distance_rows
+from ._kernels import (
+    _C_OVERLAP, _ball_tent, _cone_area, _density_columns, _distance_rows, _write_gtnt,
+)
 from .geometry import Ball, ConeSpec, cutoff_m, gamma_ball
 from .grid import GridFunction, HalfSpaceGrid, RegionMask, SpatialFunction, lp_gamma_norm
 from .functionals import area_S, area_S_sup, cone_caps, default_dictionary
@@ -389,7 +391,11 @@ def export_decomposition(d: Decomposition, out_dir) -> Path:
     entries = []
     for i, (lam, atom) in enumerate(d.terms):
         fname = f"atom_{i:04d}.gtnt"
-        gridio.write_grid_function(atom.expand(), out / fname)
+        # the rows of the atom's box; the file is that of atom.expand()
+        rows, cols = atom.box
+        band = np.zeros((rows.stop - rows.start, atom.grid.nt))
+        band[:, cols] = atom.block
+        _write_gtnt(atom.grid, out / fname, band, rows.start)
         entries.append({
             "lambda": lam,
             "ball": {"center": list(atom.ball.center), "radius": atom.ball.radius},

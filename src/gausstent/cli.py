@@ -24,6 +24,7 @@ import configparser
 import csv
 import datetime
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -138,6 +139,13 @@ def load_config(path: str | None) -> RunConfig:
     return cfg
 
 
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _apply_flags(cfg: RunConfig, args) -> RunConfig:
     if args.grid:
         try:
@@ -186,6 +194,49 @@ def _grid_meta(grid: HalfSpaceGrid) -> dict:
             "t_min": grid.t_min, "t_max": grid.t_max, "nt": grid.nt}
 
 
+# -- worker processes ------------------------------------------------------
+
+_POOL_JOB = None                # (fn, tasks) in a worker of _pool_map
+
+
+def _pool_init(fn, tasks) -> None:
+    global _POOL_JOB
+    _POOL_JOB = fn, tasks
+    # a worker blocked on its task queue would outlive a command killed by a
+    # signal; this thread ends the worker when the command's process ends
+    import threading
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
+
+
+def _exit_with_parent() -> None:
+    import signal
+    from multiprocessing import connection, parent_process
+    connection.wait([parent_process().sentinel])
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _pool_task(i: int):
+    fn, tasks = _POOL_JOB
+    return fn(tasks[i])
+
+
+def _pool_map(fn, tasks: list, workers: int) -> list:
+    """[fn(t) for t in tasks], computed on min(workers, len(tasks)) worker
+    processes forked from this one, or in this process when that is 1.
+    The workers inherit fn and the tasks, so only indices and results are
+    pickled.  An exception in a worker is raised here, and every worker has
+    exited when this returns."""
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    # imported here, as every other command would pay for it unused
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             _pool_init, (fn, tasks)) as pool:
+        return list(pool.map(_pool_task, range(len(tasks))))
+
+
 # -- commands --------------------------------------------------------------
 
 
@@ -220,22 +271,15 @@ def cmd_decompose(cfg: RunConfig, args) -> int:
 
 def cmd_independence(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
-    rng = np.random.default_rng(cfg.seed)
     if args.input:
         funcs = [read_grid_function(args.input, None if args.infer_grid else grid)]
     else:
+        rng = np.random.default_rng(cfg.seed)
         funcs = [random_bump(grid, rng) for _ in range(5)]
     pq = ExponentPair(cfg.p if cfg.p != np.inf else 1.0, cfg.q)
     specs = [ConeSpec(a, b) for a in APERTURE_GRID for b in APERTURE_GRID]
     summary = []
-    if min(cfg.threads, len(funcs)) > 1:
-        # the package's one pool, a sweep per task; imported here, as every
-        # other command and a one-task run would pay for it unused
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            sweeps = list(pool.map(lambda f: tent_norms(f, pq, specs), funcs))
-    else:
-        sweeps = [tent_norms(f, pq, specs) for f in funcs]
+    sweeps = [tent_norms(f, pq, specs) for f in funcs]
     for fi, norms in enumerate(sweeps):
         norms = np.asarray(norms)
         if not np.all(np.isfinite(norms)) or np.any(norms <= 0):
@@ -410,14 +454,17 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     unknown = set(selected) - known
     if unknown:
         raise ConfigError(f"unknown verify suites: {sorted(unknown)}")
-    results = {}
-    for name, fn in _VERIFY_SUITES:
-        if name not in selected:
-            continue
-        # a fresh generator per suite keeps the suites order-independent
-        rng = np.random.default_rng([cfg.seed, *name.encode()])
-        results[name] = fn(cfg, grid, rng)
-        print(f"{name}: {'pass' if results[name]['ok'] else 'FAIL'}")
+    suites = [(name, fn) for name, fn in _VERIFY_SUITES if name in selected]
+
+    def run(suite):
+        name, fn = suite
+        # a fresh generator per suite: its result is the same wherever and
+        # in whatever order the suite runs
+        return fn(cfg, grid, np.random.default_rng([cfg.seed, *name.encode()]))
+
+    results = dict(zip([name for name, _ in suites], _pool_map(run, suites, cfg.threads)))
+    for name, rep in results.items():
+        print(f"{name}: {'pass' if rep['ok'] else 'FAIL'}")
     all_ok = all(r["ok"] for r in results.values())
     _emit({"suites": results, "all_ok": all_ok, "seed": cfg.seed,
            "grid_meta": _grid_meta(grid)}, cfg, "verify.json")
@@ -434,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="INI config file")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=_available_cpus(),
+                        help="worker processes of verify (default: the CPU count)")
     parser.add_argument("--grid", default=None, help="override as 'nx,nt'")
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._kernels import _csv_rows
+from ._kernels import _GTNT_MAGIC, _GTNT_VERSION, _csv_rows, _write_gtnt
 from .geometry import cutoff_m
 
 __all__ = [
@@ -34,8 +34,6 @@ __all__ = [
     "write_grid_function",
 ]
 
-_GTNT_MAGIC = b"GTNT"
-_GTNT_VERSION = 1
 _CSV_NODE_TOL = 1e-6           # cells a CSV row may sit off its grid node
 
 
@@ -249,7 +247,7 @@ def write_grid_function(f: GridFunction, path) -> None:
     if path.suffix == ".csv":
         _write_csv(f, path)
     else:
-        _write_gtnt(f, path)
+        _write_gtnt(f.grid, path, f.values)
 
 
 def read_grid_function(path, grid: HalfSpaceGrid | None = None) -> GridFunction:
@@ -318,20 +316,6 @@ def _infer_grid(ys: np.ndarray, ts: np.ndarray) -> HalfSpaceGrid:
     return HalfSpaceGrid(tuple(box), tuple(nx), float(tvals[0]), float(tvals[-1]), len(tvals))
 
 
-def _write_gtnt(f: GridFunction, path: Path) -> None:
-    g = f.grid
-    with open(path, "wb") as fh:
-        fh.write(_GTNT_MAGIC)
-        fh.write(struct.pack("<II", _GTNT_VERSION, g.n))
-        for k in g.nx:
-            fh.write(struct.pack("<I", k))
-        fh.write(struct.pack("<I", g.nt))
-        for (a, b) in g.spatial_box:
-            fh.write(struct.pack("<dd", a, b))
-        fh.write(struct.pack("<dd", g.t_min, g.t_max))
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").data)
-
-
 def _unpack(fh, fmt: str) -> tuple:
     size = struct.calcsize(fmt)
     raw = fh.read(size)
@@ -358,5 +342,6 @@ def _read_gtnt(path: Path) -> GridFunction:
     if len(payload) != 8 * grid.n_spatial * nt:
         raise ValueError(f"GTNT payload has {len(payload)} bytes, "
                          f"expected {8 * grid.n_spatial * nt}")
+    # read-only already, as GridFunction would make it: no copy
     values = np.frombuffer(payload, dtype="<f8").reshape(grid.n_spatial, nt)
-    return GridFunction(grid, values.copy())
+    return GridFunction(grid, values)

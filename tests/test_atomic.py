@@ -15,7 +15,7 @@ from gausstent.families import random_atom, random_bump, tent_indicator
 from gausstent.geometry import Ball, ConeSpec, gamma_ball
 from gausstent.grid import (
     GridFunction, HalfSpaceGrid, RegionMask, halfspace_integral, lp_gamma_norm,
-    read_grid_function,
+    read_grid_function, write_grid_function,
 )
 from gausstent.functionals import area_S, area_S_sup, cone_caps
 from gausstent.whitney import complement_distance, tent_mask
@@ -625,6 +625,43 @@ def test_export_import_roundtrip(grid_small, tmp_path):
         assert np.array_equal(a1.expand().values, a2.expand().values)
     r1, r2 = reconstruct(d), reconstruct(back)
     assert np.array_equal(r1.values, r2.values)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_atom_files_are_the_bytes_of_the_expanded_atoms(tmp_path, dim):
+    # a file holds its box's rows and leaves the rest a hole: boxes at the
+    # first and the last row, inside, over every row, empty, and a -0.0
+    g = HalfSpaceGrid(((-4.0, 4.0),) * dim, (12,) * dim, 1e-2, 4.0, 6)
+    n, rng = g.n_spatial, np.random.default_rng(dim)
+
+    def on(rows, cols=slice(None)):
+        v = np.zeros((n, g.nt))
+        v[rows, cols] = rng.uniform(-1.0, 1.0, v[rows, cols].shape)
+        return v
+
+    signed = on(slice(n - 3, n - 1), slice(1, 3))
+    signed[n - 1, 4] = -0.0
+    values = [on(slice(0, 1), slice(2, 5)), on(slice(n - 2, n)), on(slice(3, 7), 0),
+              on(slice(0, n)), signed, np.zeros((n, g.nt))]
+    ball = Ball((0.0,) * dim, 1.0)
+    atoms = [Atom.crop(GridFunction(g, v), ball, 2.0) for v in values]
+    assert [(a.box[0].start, a.box[0].stop) for a in atoms] \
+        == [(0, 1), (n - 2, n), (3, 7), (0, n), (n - 3, n), (0, 0)]
+    spec = ConeSpec(1.0, 1.0)
+    manifest = export_decomposition(
+        atomic.Decomposition([(1.0, a) for a in atoms], 1.0, 2.0, spec), tmp_path / "dec")
+    terms = json.loads(manifest.read_text())["terms"]
+    for entry, a in zip(terms, atoms):
+        write_grid_function(a.expand(), tmp_path / "dense.gtnt")
+        assert (tmp_path / "dec" / entry["atom_file"]).read_bytes() \
+            == (tmp_path / "dense.gtnt").read_bytes()
+
+
+def test_an_empty_decomposition_exports_its_manifest_alone(grid_small, tmp_path):
+    d = decompose_sup(GridFunction.zero(grid_small), ConeSpec(1.0, 1.0))
+    manifest = export_decomposition(d, tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["decomposition.json"]
+    assert json.loads(manifest.read_text())["terms"] == []
 
 
 # (input, q = inf path): atom count, sha256 of the atom files' sha256 digests

@@ -3,11 +3,14 @@ import contextlib
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import re
 import struct
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -366,7 +369,7 @@ def test_independence_threads_match(tmp_path, input_file):
 
 
 def test_independence_of_the_default_sweep_on_a_pool_matches(tmp_path):
-    # five functions on two and on three pool threads, and on none
+    # five functions at --threads 1, 2 and 3: the sweep runs the same
     outs = [tmp_path / str(k) for k in (1, 2, 3)]
     for out in outs:
         assert main(["--out", str(out), "--grid", "128,32", "--threads", out.name,
@@ -378,25 +381,114 @@ def test_independence_of_the_default_sweep_on_a_pool_matches(tmp_path):
             assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
 
 
-@pytest.mark.parametrize("threads, input_, on_main", [
-    ("1", False, True), ("2", False, False), ("2", True, True)])
-def test_independence_sweeps_off_the_main_thread_only_on_a_pool(
-        tmp_path, input_file, monkeypatch, threads, input_, on_main):
-    # a pool runs when there are two threads and more than one function
-    import threading
+def _fake_suite(cfg, grid, rng):
+    return {"ok": True, "pid": os.getpid()}
+
+
+def _underflowing_suite(cfg, grid, rng):
+    raise FloatingPointError("gamma(B) underflows to 0")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_suites_run_in_worker_processes_only_on_a_pool(tmp_path, monkeypatch, threads):
+    # verify's suites run in forked workers at two, in this process at one;
+    # independence sweeps its five functions here at any count
     from gausstent import cli
+    monkeypatch.setattr(cli, "_VERIFY_SUITES",
+                        tuple((name, _fake_suite) for name in ("a", "b", "c")))
+    assert main(["--out", str(tmp_path), "--threads", threads, "verify"]) == 0
+    pids = [rep["pid"] for rep in _load(tmp_path, "verify.json")["suites"].values()]
+    assert len(pids) == 3
+    if threads == "1":
+        assert pids == [os.getpid()] * 3
+    else:
+        assert os.getpid() not in pids
     ran_on = []
 
     def spy(*args):
-        ran_on.append(threading.current_thread() is threading.main_thread())
+        ran_on.append((os.getpid(), threading.current_thread() is threading.main_thread()))
         return cli_tent_norms(*args)
 
     cli_tent_norms = cli.tent_norms
     monkeypatch.setattr(cli, "tent_norms", spy)
-    args = ["--input", str(input_file), "--infer-grid"] if input_ else []
     assert main(["--out", str(tmp_path), "--grid", "64,16", "--threads", threads,
-                 "independence", *args]) == 0
-    assert ran_on == [on_main] * (1 if input_ else 5)
+                 "independence"]) == 0
+    assert ran_on == [(os.getpid(), True)] * 5
+
+
+def test_verify_is_the_same_on_one_two_and_three_workers(tmp_path, capsys):
+    outs, stdouts = [tmp_path / str(k) for k in (1, 2, 3)], []
+    for out in outs:
+        assert main(["--out", str(out), "--grid", "128,32", "--threads", out.name,
+                     "verify"]) == 0
+        stdouts.append(capsys.readouterr().out)
+        assert multiprocessing.active_children() == []
+    assert stdouts[0].startswith("tent_compare: pass\ncomparison_lemma: pass\n")
+    for out, stdout in zip(outs[1:], stdouts[1:]):
+        assert stdout == stdouts[0]
+        assert _report_sha256(out, "verify.json") == _report_sha256(outs[0], "verify.json")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_suite_error_in_a_worker_exits_as_in_process(tmp_path, capsys, monkeypatch, threads):
+    from gausstent import cli
+    monkeypatch.setattr(cli, "_VERIFY_SUITES",
+                        (("fine", _fake_suite), ("underflow", _underflowing_suite)))
+    assert main(["--out", str(tmp_path), "--threads", threads, "verify"]) == EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert err == "numeric error: gamma(B) underflows to 0\n"
+    assert out == ""
+    assert not (tmp_path / "verify.json").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_threads_default_to_the_available_cpus():
+    from gausstent.cli import build_parser
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert build_parser().parse_args(["verify"]).threads == cpus
+
+
+_SLOW_VERIFY = """
+import os, time
+from gausstent import cli
+
+def slow(cfg, grid, rng):
+    open(f"worker_{os.getpid()}", "w").close()
+    time.sleep(60)
+
+cli._VERIFY_SUITES = (("a", slow), ("b", slow))
+cli.main(["--out", "out", "--threads", "2", "verify"])
+"""
+
+
+def _running(pid):
+    """Whether the process pid exists and is no zombie (Linux /proc)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_workers_end_with_a_killed_command(tmp_path):
+    # SIGKILL leaves the command no time to stop its workers: they end
+    # themselves when its process is gone
+    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-c", _SLOW_VERIFY], cwd=tmp_path,
+                            env={**os.environ, "PYTHONPATH": path})
+    try:
+        deadline = time.monotonic() + 60
+        while len(list(tmp_path.glob("worker_*"))) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+    pids = [int(p.name.split("_")[1]) for p in tmp_path.glob("worker_*")]
+    assert len(pids) == 2
+    deadline = time.monotonic() + 10
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_running, pids))
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -811,23 +903,25 @@ def test_gtnt_bad_bounds_are_a_precondition_error(tmp_path_factory, n, field, da
 # -- what each command imports ----------------------------------------------
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
-_LIST_SCIPY = """
+_LIST_MODULES = """
 import sys
-print(" ".join(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(" ".join(m for m in sys.modules if m in {names!r} or m.split(".")[0] in {names!r}))
 """
 
 
-def _scipy_modules_after(tmp_path, script):
-    """Run `script` in a fresh interpreter; return the scipy modules it loaded."""
+def _modules_after(tmp_path, script, names=("scipy",)):
+    """Run `script` in a fresh interpreter; return the modules it loaded that
+    are named in `names` or lie in a package named there."""
     path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script + _LIST_SCIPY],
+    listing = _LIST_MODULES.format(names=tuple(names))
+    proc = subprocess.run([sys.executable, "-c", script + listing],
                           cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
     return set(proc.stdout.splitlines()[-1].split())
 
 
 def test_import_and_independence_load_no_scipy(tmp_path):
-    loaded = _scipy_modules_after(tmp_path, """
+    loaded = _modules_after(tmp_path, """
 from gausstent.cli import main
 assert main(["--out", "out", "--grid", "64,16", "independence"]) == 0
 """)
@@ -835,18 +929,23 @@ assert main(["--out", "out", "--grid", "64,16", "independence"]) == 0
 
 
 def test_import_loads_no_thread_pool(tmp_path):
-    # concurrent.futures is imported by independence alone
-    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
-    script = "import sys, gausstent.cli; print('concurrent.futures' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == ["False"]
+    # the worker pool's modules are imported by verify's pool alone
+    assert _modules_after(tmp_path, "import gausstent.cli",
+                          ("concurrent.futures", "multiprocessing")) == set()
+
+
+def test_independence_of_an_input_draws_no_generator(tmp_path):
+    _pinned_inputs(tmp_path)
+    loaded = _modules_after(tmp_path, """
+from gausstent.cli import main
+assert main(["--grid", "128,32", "--out", "out", "independence", "--input", "f.gtnt"]) == 0
+""", ("numpy.random", "secrets"))
+    assert loaded == set()
 
 
 def test_dictionary_commands_load_no_scipy(tmp_path):
     _pinned_inputs(tmp_path)
-    loaded = _scipy_modules_after(tmp_path, """
+    loaded = _modules_after(tmp_path, """
 from gausstent.cli import main
 assert main(["--config", "c.ini", "--grid", "128,32", "--out", "out", "norm",
              "--input", "f.gtnt"]) == 0
@@ -858,7 +957,7 @@ assert main(["--grid", "128,32", "--out", "out", "carleson", "--measure", "mu.cs
 def test_decompose_loads_no_scipy(tmp_path):
     # the distance transforms and the 1-D erfc are numpy and Python floats
     for sup in [], ["--sup"]:
-        loaded = _scipy_modules_after(tmp_path, f"""
+        loaded = _modules_after(tmp_path, f"""
 from gausstent.cli import main
 from gausstent.families import tent_indicator
 from gausstent.geometry import ConeSpec
@@ -872,7 +971,7 @@ assert main(["--out", "out", "--grid", "64,16", "decompose", *{sup}, "--input", 
 
 def test_embed_and_verify_load_no_scipy(tmp_path):
     # the mother function's peak is a pinned float, not a minimize_scalar call
-    loaded = _scipy_modules_after(tmp_path, """
+    loaded = _modules_after(tmp_path, """
 from gausstent.cli import main
 assert main(["--out", "out", "--grid", "128,32", "embed"]) == 0
 assert main(["--out", "out", "--grid", "128,32", "verify"]) == 0

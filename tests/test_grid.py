@@ -109,6 +109,16 @@ def test_csv_grid_inference(grid_small, rng, tmp_path):
     assert np.allclose(back.values, vals)
 
 
+def test_gtnt_read_is_the_file_read_only(grid_small, rng, tmp_path):
+    # the values are the file's buffer itself, already read-only
+    f = GridFunction(grid_small, rng.normal(size=(grid_small.n_spatial, grid_small.nt)))
+    path = tmp_path / "f.gtnt"
+    write_grid_function(f, path)
+    back = read_grid_function(path)
+    assert np.array_equal(back.values, f.values)
+    assert not back.values.flags.writeable
+
+
 def test_gtnt_grid_mismatch(grid_small, grid_default, tmp_path):
     f = GridFunction.zero(grid_small)
     path = tmp_path / "f.gtnt"
