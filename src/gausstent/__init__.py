@@ -12,36 +12,9 @@ Modules:
     cli          command-line front end
     _kernels     private kernels: ball measures, the tent predicate, the window
                  layer; the only module a private name is imported from
-"""
 
-from .geometry import (
-    Ball,
-    ConeSpec,
-    compare_tents,
-    comparison_lemma_check,
-    cutoff_m,
-    gamma_ball,
-    gamma_ball_bounds_check,
-    is_admissible,
-)
-from .grid import (
-    GridFunction,
-    HalfSpaceGrid,
-    RegionMask,
-    SpatialFunction,
-    halfspace_integral,
-    lp_gamma_norm,
-)
-from .functionals import (
-    BallDictionary,
-    ExponentPair,
-    area_S,
-    area_S_sup,
-    carleson_C,
-    default_dictionary,
-    stopping_time,
-    tent_norm,
-    tent_norms,
-)
+Each public name is imported from the module that defines it, as in
+`from gausstent.functionals import area_S`; the package re-exports nothing.
+"""
 
 __version__ = "0.1.0"

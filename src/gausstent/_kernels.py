@@ -525,7 +525,7 @@ def _cone_area(grid: HalfSpaceGrid, specs: tuple, ys: np.ndarray, js: np.ndarray
     if q == np.inf:
         weights = np.abs(vals)
     elif not q >= 1.0:
-        raise ValueError("q must lie in [1, inf)")
+        raise ValueError("q must lie in [1, inf]")
     else:
         absq = np.abs(vals)
         absq **= q

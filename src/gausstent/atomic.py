@@ -42,7 +42,7 @@ from ._kernels import (
 )
 from .geometry import Ball, ConeSpec, cutoff_m, gamma_ball
 from .grid import GridFunction, HalfSpaceGrid, RegionMask, SpatialFunction, lp_gamma_norm
-from .functionals import area_S, area_S_sup, cone_caps, default_dictionary
+from .functionals import area_S, cone_caps, default_dictionary
 from .whitney import (
     doubling_constant,
     etabar_from_doubling,
@@ -299,7 +299,7 @@ def decompose_sup(f: GridFunction, spec: ConeSpec) -> Decomposition:
     to sum to one wherever f is nonzero in the band).
     """
     g = f.grid
-    S = area_S_sup(f, spec)
+    S = area_S(f, np.inf, spec)
     absf = np.abs(f.values)
     levels = _level_sets(S, absf)
     if levels is None:

@@ -73,7 +73,6 @@ class RunConfig:
     dict_stride: int = 4
     dict_levels: int = 7
     seed: int = 42
-    threads: int = 1
     out: str = "."
 
     def grid(self) -> HalfSpaceGrid:
@@ -157,7 +156,7 @@ def _apply_flags(cfg: RunConfig, args) -> RunConfig:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
-    return replace(cfg, seed=args.seed, threads=args.threads, out=args.out)
+    return replace(cfg, seed=args.seed, out=args.out)
 
 
 def _report_path(cfg: RunConfig, name: str) -> Path:
@@ -224,17 +223,20 @@ def _pool_map(fn, tasks: list, workers: int) -> list:
     """[fn(t) for t in tasks], computed on min(workers, len(tasks)) worker
     processes forked from this one, or in this process when that is 1.
     The workers inherit fn and the tasks, so only indices and results are
-    pickled.  An exception in a worker is raised here, and every worker has
-    exited when this returns."""
+    pickled.  An exception in a worker is raised here, a worker that dies
+    raises ArithmeticError, and every worker has exited when this returns."""
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
     # imported here, as every other command would pay for it unused
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                              _pool_init, (fn, tasks)) as pool:
-        return list(pool.map(_pool_task, range(len(tasks))))
+        try:
+            return list(pool.map(_pool_task, range(len(tasks))))
+        except BrokenProcessPool:
+            raise ArithmeticError("a worker process ended without its result") from None
 
 
 # -- commands --------------------------------------------------------------
@@ -462,7 +464,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         # in whatever order the suite runs
         return fn(cfg, grid, np.random.default_rng([cfg.seed, *name.encode()]))
 
-    results = dict(zip([name for name, _ in suites], _pool_map(run, suites, cfg.threads)))
+    results = dict(zip([name for name, _ in suites], _pool_map(run, suites, args.threads)))
     for name, rep in results.items():
         print(f"{name}: {'pass' if rep['ok'] else 'FAIL'}")
     all_ok = all(r["ok"] for r in results.values())

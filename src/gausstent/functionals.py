@@ -43,7 +43,6 @@ __all__ = [
     "BallDictionary",
     "ExponentPair",
     "area_S",
-    "area_S_sup",
     "carleson_C",
     "cone_caps",
     "default_dictionary",
@@ -120,19 +119,10 @@ def cone_caps(grid: HalfSpaceGrid, spec: ConeSpec) -> np.ndarray:
 
 
 def area_S(f: GridFunction, q: float, spec: ConeSpec) -> SpatialFunction:
-    """The q-area function; evaluated at every grid vertex."""
-    q = float(q)
-    if not (1.0 <= q < np.inf):
-        raise ValueError("q must lie in [1, inf)")
+    """The q-area function, q in [1, inf]; evaluated at every grid vertex.
+    At q = inf it is S_inf, the pointwise sup of |f| over the cone nodes."""
     ys, js = np.nonzero(f.values)
-    S, = _cone_area(f.grid, (spec,), ys, js, f.values[ys, js], q)
-    return SpatialFunction(f.grid, S)
-
-
-def area_S_sup(f: GridFunction, spec: ConeSpec) -> SpatialFunction:
-    """S_inf: pointwise sup of |f| over the cone nodes."""
-    ys, js = np.nonzero(f.values)
-    S, = _cone_area(f.grid, (spec,), ys, js, f.values[ys, js], np.inf)
+    S, = _cone_area(f.grid, (spec,), ys, js, f.values[ys, js], float(q))
     return SpatialFunction(f.grid, S)
 
 
@@ -180,7 +170,7 @@ def tent_norm(f: GridFunction, pq: ExponentPair, spec: ConeSpec,
     if pq.p == np.inf and dict_ is not None:
         return lp_gamma_norm(carleson_C(f, pq.q, spec, dict_), np.inf)
     if pq.q == np.inf and continuous_intent:
-        return lp_gamma_norm(area_S_sup(f, spec), pq.p)
+        return lp_gamma_norm(area_S(f, np.inf, spec), pq.p)
     return tent_norms(f, pq, (spec,))[0]
 
 

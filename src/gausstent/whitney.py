@@ -33,6 +33,7 @@ from .functionals import BallDictionary, cone_caps
 __all__ = [
     "WhitneyCover",
     "complement_distance",
+    "containing_density_points",
     "density_inequality_check",
     "density_points",
     "doubling_constant",

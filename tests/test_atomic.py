@@ -17,7 +17,7 @@ from gausstent.grid import (
     GridFunction, HalfSpaceGrid, RegionMask, halfspace_integral, lp_gamma_norm,
     read_grid_function, write_grid_function,
 )
-from gausstent.functionals import area_S, area_S_sup, cone_caps
+from gausstent.functionals import area_S, cone_caps
 from gausstent.whitney import complement_distance, tent_mask
 from gausstent.atomic import (
     Atom, coefficient_report, decompose, decompose_sup, export_decomposition,
@@ -62,7 +62,7 @@ def _whole_grid_validate(a, spec):
     gB = gamma_ball(a.ball)
     if a.q == np.inf:
         norm_value, norm_bound = float(np.max(np.abs(f.values))), 1.0 / gB
-        S = area_S_sup(f, spec)
+        S = area_S(f, np.inf, spec)
     else:
         norm_value = halfspace_integral(GridFunction(g, np.abs(f.values) ** a.q)) ** (1.0 / a.q)
         norm_bound = gB ** (-(1.0 - 1.0 / a.q))
@@ -284,7 +284,7 @@ def test_bands_match_the_per_level_tent_list(monkeypatch, make, nx, sup):
     monkeypatch.setattr(atomic, "_bands", recording)
     d = decompose_sup(f, spec) if sup else decompose(f, 2.0, spec)
     monkeypatch.undo()
-    S = area_S_sup(f, spec) if sup else area_S(f, 2.0, spec)
+    S = area_S(f, np.inf, spec) if sup else area_S(f, 2.0, spec)
     k_range, O = _per_level_sets(S, np.abs(f.values) if sup else S.values)
     assert d.audit["k_range"] == k_range
     assert atomic._level_sets(S, np.abs(f.values) if sup else S.values)[1].tobytes() \
@@ -483,7 +483,7 @@ def _dense_hat_decompose_sup(f, spec):
     """decompose_sup as it ran with one whole-grid hat per cover ball, all
     alive for the level, and a Ball for every cover ball."""
     g = f.grid
-    S = area_S_sup(f, spec)
+    S = area_S(f, np.inf, spec)
     absf = np.abs(f.values)
     (kmin, kmax), O = atomic._level_sets(S, absf)
     star = 2.0 * _C_OVERLAP + 3.0

@@ -491,6 +491,34 @@ def test_workers_end_with_a_killed_command(tmp_path):
     assert not any(map(_running, pids))
 
 
+_KILLED_WORKER = """
+import multiprocessing, os, signal, sys
+from gausstent import cli
+
+def fine(cfg, grid, rng):
+    return {"ok": True}
+
+def killed(cfg, grid, rng):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+cli._VERIFY_SUITES = (("fine", fine), ("killed", killed))
+rc = cli.main(["--out", "out", "--threads", "2", "verify"])
+print(len(multiprocessing.active_children()))
+sys.exit(rc)
+"""
+
+
+def test_a_killed_worker_ends_verify_in_one_line(tmp_path):
+    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _KILLED_WORKER], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_NUMERIC
+    assert proc.stderr == "numeric error: a worker process ended without its result\n"
+    assert proc.stdout == "0\n"
+    assert not (tmp_path / "out" / "verify.json").exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_is_a_parse_error(tmp_path, input_file, capsys, threads):
     rc = main(["--threads", threads, "--out", str(tmp_path), "independence",
@@ -932,6 +960,12 @@ def test_import_loads_no_thread_pool(tmp_path):
     # the worker pool's modules are imported by verify's pool alone
     assert _modules_after(tmp_path, "import gausstent.cli",
                           ("concurrent.futures", "multiprocessing")) == set()
+
+
+def test_package_import_loads_no_module(tmp_path):
+    # the package re-exports nothing: a name is imported from its module
+    assert _modules_after(tmp_path, "import gausstent",
+                          ("gausstent", "numpy")) == {"gausstent"}
 
 
 def test_independence_of_an_input_draws_no_generator(tmp_path):

@@ -15,7 +15,7 @@ from gausstent._kernels import (
     _cone_windows, _expand, _tent_sums, _window_bounds,
 )
 from gausstent.functionals import (
-    BallDictionary, ExponentPair, area_S, area_S_sup, carleson_C,
+    BallDictionary, ExponentPair, area_S, carleson_C,
     cone_caps, default_dictionary, stopping_time, tent_norm, tent_norms,
 )
 from gausstent.cli import APERTURE_GRID
@@ -159,7 +159,7 @@ def test_area_S_rejects_bad_args(grid_small):
     with pytest.raises(ValueError):
         area_S(f, 0.5, ConeSpec(1.0, 1.0))
     with pytest.raises(ValueError):
-        area_S(f, np.inf, ConeSpec(1.0, 1.0))
+        area_S(f, np.nan, ConeSpec(1.0, 1.0))
 
 
 def test_area_S_zero_and_monotone_aperture(grid_small):
@@ -176,7 +176,7 @@ def test_area_sup_is_cone_sup(grid_small):
     g = grid_small
     spec = ConeSpec(1.0, 1.0)
     f = bump(g)
-    S = area_S_sup(f, spec)
+    S = area_S(f, np.inf, spec)
     caps = cone_caps(g, spec)
     D = _dense_dist(g)
     for i in (10, 64, 100):
@@ -306,7 +306,7 @@ def test_area_matches_dense_reference_two_bumps(grid_small, spec):
         got = area_S(f, q, spec).values
         assert np.array_equal(got == 0.0, want == 0.0)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
-    assert np.array_equal(area_S_sup(f, spec).values, want_sup)
+    assert np.array_equal(area_S(f, np.inf, spec).values, want_sup)
 
 
 def _assert_cell_windows(win, g, ys, js, caps):
@@ -443,7 +443,8 @@ def _per_cell_windows(vals, g, spec):
 
 @pytest.mark.parametrize("nx, nt", [(1024, 64), (300, 16), (2, 2)])
 def test_cone_functionals_match_the_per_cell_windows_to_the_byte(nx, nt, rng):
-    # area_S, area_S_sup and the cone average written out on per-cell windows
+    # area_S at finite q and at q = inf, and the cone average, written out
+    # on per-cell windows
     g = HalfSpaceGrid(((-8.0, 8.0),), (nx,), 1e-3, 8.0, nt)
     A = (rng.random(g.n_spatial) < 0.5).astype(float)
     for spec in _CONE_SPECS:
@@ -457,15 +458,15 @@ def test_cone_functionals_match_the_per_cell_windows_to_the_byte(nx, nt, rng):
                 assert area_S(f, q, spec).values.tobytes() == want.tobytes()
             ys, js, win = _per_cell_windows(vals, g, spec)
             want = win.scatter(np.abs(vals)[ys, js], np.maximum)
-            assert area_S_sup(f, spec).values.tobytes() == want.tobytes()
+            assert area_S(f, np.inf, spec).values.tobytes() == want.tobytes()
             den, in_A = win.gather(np.stack([g.gamma_y, g.gamma_y * A], axis=1)).T
             want = float(np.sum(vals[ys, js] * g.gamma_y[ys] * g.wt[js] * in_A / den))
             assert _cone_average_over(A, f, spec) == want
 
 
 def _whole_grid_area(f, q, spec):
-    """area_S (q < inf) or area_S_sup (q = inf) as they ran on |f|^q over
-    the whole grid, the cones those of its nonzero cells."""
+    """area_S as it ran on |f|^q (|f| at q = inf) over the whole grid, the
+    cones those of its nonzero cells."""
     g = f.grid
     absq = np.abs(f.values) ** (1.0 if q == np.inf else q)
     ys, js = np.nonzero(absq)
@@ -497,7 +498,7 @@ def test_area_functions_on_cells_match_the_whole_grid(box, nx, nt, rng):
             want = _whole_grid_area(f, q, spec)
             assert area_S(f, q, spec).values.tobytes() == want.tobytes()
         want = _whole_grid_area(f, np.inf, spec)
-        assert area_S_sup(f, spec).values.tobytes() == want.tobytes()
+        assert area_S(f, np.inf, spec).values.tobytes() == want.tobytes()
 
 
 _APERTURE_SWEEP = [ConeSpec(a, b) for a in APERTURE_GRID for b in APERTURE_GRID]
@@ -538,8 +539,7 @@ def test_cone_area_of_many_specs_is_the_area_of_each(box, nx, nt, rng, monkeypat
                 got = _kernels._cone_area(g, tuple(specs), ys, js, vals[ys, js], q)
                 sides |= {side for side, log in (("breakpoints", ranged),
                                                  ("per cell", per_cell)) if log}
-                want = [area_S_sup(f, s) if q == np.inf else area_S(f, q, s)
-                        for s in specs]
+                want = [area_S(f, q, s) for s in specs]
                 assert [a.tobytes() for a in got] == [w.values.tobytes() for w in want]
     assert sides == ({"breakpoints", "per cell"} if g.n == 1 else {"per cell"})
 
@@ -596,7 +596,7 @@ def test_area_zero_function_is_zero_everywhere(grid_small):
     zero = GridFunction.zero(grid_small)
     spec = ConeSpec(1.0, 1.0)
     assert np.all(area_S(zero, 2.0, spec).values == 0.0)
-    assert np.all(area_S_sup(zero, spec).values == 0.0)
+    assert np.all(area_S(zero, np.inf, spec).values == 0.0)
 
 
 # -- 2-D grids (row ranges of the window layer) ----------------------------
@@ -613,7 +613,7 @@ def test_area_2d_matches_dense_reference(grid_2d):
     got = area_S(f, 2.0, spec).values
     assert np.array_equal(got == 0.0, want == 0.0)
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
-    assert np.array_equal(area_S_sup(f, spec).values, want_sup)
+    assert np.array_equal(area_S(f, np.inf, spec).values, want_sup)
 
 
 def test_area_2d_tpp_identity_and_duality_layer0(grid_2d, rng):

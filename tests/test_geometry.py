@@ -318,6 +318,26 @@ def test_private_names_are_imported_only_from_the_kernels():
     assert len(defined) > 30 and all(n.startswith("_") for n in defined), defined
 
 
+def test_all_lists_only_names_its_module_defines():
+    # one route to each public name: no module re-exports an imported name
+    src = Path(gausstent.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        imported = {a.asname or a.name.split(".")[0] for node in body
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+        defined = {node.name for node in body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        listed = ()
+        for node in body:
+            if isinstance(node, ast.Assign):
+                targets = {t.id for t in node.targets if isinstance(t, ast.Name)}
+                defined |= targets
+                if "__all__" in targets:
+                    listed = ast.literal_eval(node.value)
+        stray = [n for n in listed if n in imported or n not in defined]
+        assert not stray, (path.name, stray)
+
+
 def test_private_attributes_are_read_only_through_self_or_cls():
     # a private method or field is its own class's business: only self._x or cls._x
     src = Path(gausstent.__file__).parent
