@@ -32,7 +32,7 @@ expanded to the whole grid only one at a time, to be checked or written.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +56,6 @@ __all__ = [
     "Decomposition",
     "coefficient_report",
     "decompose",
-    "decompose_sup",
     "export_decomposition",
     "import_decomposition",
     "reconstruct",
@@ -212,9 +211,12 @@ def _left_out(f: GridFunction, assigned: np.ndarray, power: np.ndarray):
 
 def decompose(f: GridFunction, q: float, spec: ConeSpec,
               eta: float = 0.5) -> Decomposition:
-    """Atomic decomposition of f in the T^{1,q} scale, q < inf."""
-    if not (1.0 <= q < np.inf):
-        raise ValueError("q must lie in [1, inf)")
+    """Atomic decomposition of f in the T^{1,q} scale, q in [1, inf].
+    `eta` shrinks the apertures of the q < inf bands; q = inf reads none."""
+    if not (1.0 <= q <= np.inf):
+        raise ValueError("q must lie in [1, inf]")
+    if q == np.inf:
+        return _decompose_sup(f, spec)
     if not (0.0 < eta < 1.0):
         raise ValueError("eta must lie in (0, 1)")
     g = f.grid
@@ -290,8 +292,8 @@ def decompose(f: GridFunction, q: float, spec: ConeSpec,
     )
 
 
-def decompose_sup(f: GridFunction, spec: ConeSpec) -> Decomposition:
-    """Atomic decomposition at q = inf (continuous-intent values).
+def _decompose_sup(f: GridFunction, spec: ConeSpec) -> Decomposition:
+    """decompose at q = inf (continuous-intent values).
 
     Level sets come from the sup area function, covers are Vitali-type
     Whitney balls, and overlapping pieces are split by a piecewise-linear
@@ -398,7 +400,7 @@ def export_decomposition(d: Decomposition, out_dir) -> Path:
         _write_gtnt(atom.grid, out / fname, band, rows.start)
         entries.append({
             "lambda": lam,
-            "ball": {"center": list(atom.ball.center), "radius": atom.ball.radius},
+            "ball": asdict(atom.ball),
             "q": "inf" if atom.q == np.inf else atom.q,
             "delta": atom.delta,
             "atom_file": fname,

@@ -26,7 +26,7 @@ import datetime
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,7 @@ from .functionals import (
     BallDictionary, ExponentPair, default_dictionary, tent_norm, tent_norms,
 )
 from .atomic import (
-    coefficient_report, decompose, decompose_sup, export_decomposition,
+    coefficient_report, decompose, export_decomposition,
     import_decomposition, reconstruct, validate_atom,
 )
 from .duality import (
@@ -112,7 +112,6 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"malformed config file {path}: {detail}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    delta_given = False
     for section, items in sections.items():
         if section not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
@@ -131,9 +130,7 @@ def load_config(path: str | None) -> RunConfig:
                 setattr(cfg, f"dict_{key}", value)
             else:
                 setattr(cfg, key, value)
-            if (section, key) == ("params", "delta"):
-                delta_given = True
-    if not delta_given:
+    if "delta" not in sections.get("params", {}):
         cfg.delta = 2.0 * cfg.beta
     return cfg
 
@@ -169,21 +166,9 @@ def _emit(report: dict, cfg: RunConfig, name: str) -> None:
     report = dict(report)
     report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     path = _report_path(cfg, name)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True, default=_jsonify))
+    path.write_text(json.dumps(report, indent=2, sort_keys=True))
     print(json.dumps({k: v for k, v in report.items() if k != "timestamp"},
-                     indent=2, sort_keys=True, default=_jsonify))
-
-
-def _jsonify(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, Ball):
-        return {"center": list(obj.center), "radius": obj.radius}
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
+                     indent=2, sort_keys=True))
 
 
 def _grid_meta(grid: HalfSpaceGrid) -> dict:
@@ -256,11 +241,9 @@ def cmd_norm(cfg: RunConfig, args) -> int:
 
 def cmd_decompose(cfg: RunConfig, args) -> int:
     f = read_grid_function(args.input, None if args.infer_grid else cfg.grid())
-    spec = cfg.spec()
-    if args.sup:
-        d = decompose_sup(f, spec)
-    else:
-        d = decompose(f, cfg.q, spec, eta=cfg.eta)
+    if cfg.q == np.inf and not args.sup:
+        raise ValueError("the config's q is inf; decompose at q = inf takes --sup")
+    d = decompose(f, np.inf if args.sup else cfg.q, cfg.spec(), eta=cfg.eta)
     export_decomposition(d, Path(cfg.out) / "decomposition")
     rep = coefficient_report(d)
     rep["audit"] = d.audit
@@ -308,7 +291,8 @@ def cmd_carleson(cfg: RunConfig, args) -> int:
     spec = cfg.spec()
     mu = read_measure_csv(args.measure)
     rep = carleson_norm(mu, spec, cfg.delta, cfg.dictionary(grid))
-    out = {"norm": rep["norm"], "witness_ball": rep["witness_ball"],
+    witness = rep["witness_ball"]
+    out = {"norm": rep["norm"], "witness_ball": witness and asdict(witness),
            "n_balls": len(rep["values"]), "delta": cfg.delta}
     if args.function:
         f = read_grid_function(args.function,
@@ -476,8 +460,15 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 # -- entry point -----------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A malformed flag is a ConfigError, one line from main, not a usage block."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="gausstent",
         description="Numerical toolkit for Gaussian tent spaces.")
     parser.add_argument("--config", default=None, help="INI config file")
@@ -530,18 +521,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_PARSE if e.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         cfg = _apply_flags(load_config(args.config), args)
+    except SystemExit:          # --help; a malformed flag is a ConfigError
+        return 0
     except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        return _COMMANDS[args.command](cfg, args)
+        # the first overflow ends the command as a numeric error, not a
+        # warning followed by an inf that fails later with another message
+        with np.errstate(over="raise"):
+            return _COMMANDS[args.command](cfg, args)
     except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

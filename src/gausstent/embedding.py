@@ -125,5 +125,5 @@ def check_h1_atom(atom, local: bool = True) -> dict:
         "l1_norm": l1,
         "l2_norm": l2,
         "l2_constant": c_emp,
-        "all_ok": support_ok and average_ok and np.isfinite(c_emp),
+        "all_ok": bool(support_ok and average_ok and np.isfinite(c_emp)),
     }

@@ -161,8 +161,6 @@ class GridFunction:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape == self.grid.nx + (self.grid.nt,):
-            v = v.reshape(self.grid.n_spatial, self.grid.nt)
         if v.shape != (self.grid.n_spatial, self.grid.nt):
             raise ValueError(f"values shape {v.shape} does not match grid")
         if not np.all(np.isfinite(v)):
@@ -194,8 +192,6 @@ class SpatialFunction:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape == self.grid.nx:
-            v = v.ravel()
         if v.shape != (self.grid.n_spatial,):
             raise ValueError("values shape does not match grid")
         self.values = v
@@ -210,8 +206,6 @@ class RegionMask:
 
     def __post_init__(self):
         m = np.asarray(self.mask, dtype=bool)
-        if m.shape == self.grid.nx:
-            m = m.ravel()
         if m.shape != (self.grid.n_spatial,):
             raise ValueError("spatial mask shape mismatch")
         self.mask = m

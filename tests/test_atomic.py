@@ -20,7 +20,7 @@ from gausstent.grid import (
 from gausstent.functionals import area_S, cone_caps
 from gausstent.whitney import complement_distance, tent_mask
 from gausstent.atomic import (
-    Atom, coefficient_report, decompose, decompose_sup, export_decomposition,
+    Atom, coefficient_report, decompose, export_decomposition,
     import_decomposition, reconstruct, validate_atom,
 )
 
@@ -178,7 +178,7 @@ def test_decompose_roundtrip_2d():
     assert d.audit["nesting_ok"]
     assert np.max(np.abs(reconstruct(d).values - f.values)) <= 1e-12
     assert all(validate_atom(a, spec)["all_ok"] for _, a in d.terms)
-    d = decompose_sup(f, spec)
+    d = decompose(f, np.inf, spec)
     assert d.residual_mass == 0.0
     assert d.unassigned == 0
     assert all(validate_atom(a, spec)["all_ok"] for _, a in d.terms)
@@ -282,7 +282,7 @@ def test_bands_match_the_per_level_tent_list(monkeypatch, make, nx, sup):
             yield i, band, c
 
     monkeypatch.setattr(atomic, "_bands", recording)
-    d = decompose_sup(f, spec) if sup else decompose(f, 2.0, spec)
+    d = decompose(f, np.inf, spec) if sup else decompose(f, 2.0, spec)
     monkeypatch.undo()
     S = area_S(f, np.inf, spec) if sup else area_S(f, 2.0, spec)
     k_range, O = _per_level_sets(S, np.abs(f.values) if sup else S.values)
@@ -314,7 +314,7 @@ def test_decompose_zero_function(grid_small):
 
 def test_decompose_rejects_bad_q(grid_small):
     with pytest.raises(ValueError):
-        decompose(GridFunction.zero(grid_small), np.inf, ConeSpec(1.0, 1.0))
+        decompose(GridFunction.zero(grid_small), np.nan, ConeSpec(1.0, 1.0))
     with pytest.raises(ValueError):
         decompose(GridFunction.zero(grid_small), 0.5, ConeSpec(1.0, 1.0))
 
@@ -451,7 +451,7 @@ def test_one_distance_transform_per_level_set(monkeypatch, make, nx, sup):
 
     monkeypatch.setattr(whitney, "_edt", counting)
     f, spec = make(nx), ConeSpec(1.0, 1.0)
-    d = decompose_sup(f, spec) if sup else decompose(f, 2.0, spec)
+    d = decompose(f, np.inf, spec) if sup else decompose(f, 2.0, spec)
     monkeypatch.undo()
     kmin, kmax = d.audit["k_range"]
     assert len(d.diagnostics) > 5
@@ -468,7 +468,7 @@ def test_decompose_sup_roundtrip(grid_default):
         * np.exp(-np.log(g.t[None, :] / 0.3) ** 2)
     vals[np.abs(y - 0.2) > 1.8, :] = 0.0
     f = GridFunction(g, vals)
-    d = decompose_sup(f, spec)
+    d = decompose(f, np.inf, spec)
     r = reconstruct(d)
     scale = np.max(np.abs(f.values))
     assert np.max(np.abs(r.values - f.values)) <= 1e-12 * scale
@@ -480,8 +480,8 @@ def test_decompose_sup_roundtrip(grid_default):
 
 
 def _dense_hat_decompose_sup(f, spec):
-    """decompose_sup as it ran with one whole-grid hat per cover ball, all
-    alive for the level, and a Ball for every cover ball."""
+    """decompose at q = inf as it ran with one whole-grid hat per cover
+    ball, all alive for the level, and a Ball for every cover ball."""
     g = f.grid
     S = area_S(f, np.inf, spec)
     absf = np.abs(f.values)
@@ -534,7 +534,7 @@ def test_decompose_sup_matches_the_dense_hat_loop(make, nx):
     # a piece that makes an atom: the same terms, to the bit
     f = make(nx)
     spec = ConeSpec(1.0, 1.0)
-    d, want = decompose_sup(f, spec), _dense_hat_decompose_sup(f, spec)
+    d, want = decompose(f, np.inf, spec), _dense_hat_decompose_sup(f, spec)
     assert len(d.terms) == len(want.terms) > 0
     for (lam, a), (lam_w, a_w) in zip(d.terms, want.terms):
         assert lam == lam_w
@@ -553,7 +553,7 @@ def test_decompose_sup_matches_the_dense_hat_loop(make, nx):
 def test_validate_atom_of_decompositions_matches_the_whole_grid_checks(make, nx):
     # the atoms of both decompositions of the oracle inputs
     f, spec = make(nx), ConeSpec(1.0, 1.0)
-    for d in (decompose(f, 2.0, spec), decompose_sup(f, spec)):
+    for d in (decompose(f, 2.0, spec), decompose(f, np.inf, spec)):
         assert d.terms
         _assert_validates_as_on_the_whole_grid([a for _, a in d.terms], spec)
 
@@ -569,7 +569,7 @@ def test_decompose_sup_builds_a_ball_only_for_an_atom(monkeypatch, make, nx):
         post_init(self)
 
     monkeypatch.setattr(Ball, "__post_init__", counting)
-    d = decompose_sup(make(nx), ConeSpec(1.0, 1.0))
+    d = decompose(make(nx), np.inf, ConeSpec(1.0, 1.0))
     monkeypatch.undo()
     assert sum(r["n_balls"] for r in d.diagnostics) > 2 * len(d.terms)
     assert len(built) == len(d.terms)
@@ -579,7 +579,7 @@ def test_decompose_sup_stores_atoms_on_their_boxes():
     # the blocks of a 512x128 bump hold at most 5% of the dense cells
     g = HalfSpaceGrid(((-8.0, 8.0),), (512,), 1e-3, 8.0, 128)
     f = bump(g)
-    d = decompose_sup(f, ConeSpec(1.0, 1.0))
+    d = decompose(f, np.inf, ConeSpec(1.0, 1.0))
     assert d.terms
     assert sum(a.block.size for _, a in d.terms) \
         <= 0.05 * len(d.terms) * g.n_spatial * g.nt
@@ -593,7 +593,7 @@ def test_decompose_sup_keeps_two_tents_alive():
     f = random_bump(g, np.random.default_rng(0))
     tracemalloc.start()
     try:
-        d = decompose_sup(f, ConeSpec(1.0, 1.0))
+        d = decompose(f, np.inf, ConeSpec(1.0, 1.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -602,7 +602,7 @@ def test_decompose_sup_keeps_two_tents_alive():
 
 
 def test_decompose_sup_zero(grid_small):
-    d = decompose_sup(GridFunction.zero(grid_small), ConeSpec(1.0, 1.0))
+    d = decompose(GridFunction.zero(grid_small), np.inf, ConeSpec(1.0, 1.0))
     assert d.terms == []
 
 
@@ -658,7 +658,7 @@ def test_atom_files_are_the_bytes_of_the_expanded_atoms(tmp_path, dim):
 
 
 def test_an_empty_decomposition_exports_its_manifest_alone(grid_small, tmp_path):
-    d = decompose_sup(GridFunction.zero(grid_small), ConeSpec(1.0, 1.0))
+    d = decompose(GridFunction.zero(grid_small), np.inf, ConeSpec(1.0, 1.0))
     manifest = export_decomposition(d, tmp_path)
     assert [p.name for p in tmp_path.iterdir()] == ["decomposition.json"]
     assert json.loads(manifest.read_text())["terms"] == []
@@ -691,7 +691,7 @@ def test_decomposition_bytes_are_pinned(grid_small, tmp_path, name, sup):
          "tent": lambda: tent_indicator(g, spec, 0.5, 0.4),
          "signed": lambda: GridFunction(g, bump(g).values - 0.5 * bump(g, -0.3).values),
          }[name]()
-    d = decompose_sup(f, spec) if sup else decompose(f, 2.0, spec)
+    d = decompose(f, np.inf, spec) if sup else decompose(f, 2.0, spec)
     manifest = json.loads(export_decomposition(d, tmp_path).read_text())
     files = [tmp_path / e["atom_file"] for e in manifest["terms"]]
     digests = "".join(hashlib.sha256(p.read_bytes()).hexdigest() for p in files)

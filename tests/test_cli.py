@@ -22,6 +22,8 @@ from _families import bump
 from gausstent.cli import (
     EXIT_NUMERIC, EXIT_PARSE, EXIT_PRECONDITION, RunConfig, load_config, main,
 )
+from gausstent.functionals import default_dictionary
+from gausstent.geometry import is_admissible
 from gausstent.grid import GridFunction, HalfSpaceGrid, write_grid_function
 from gausstent.atomic import import_decomposition, reconstruct
 from gausstent.duality import DiscreteMeasure, write_measure_csv
@@ -121,6 +123,37 @@ def test_dictionary_sizes_below_one_are_a_parse_error(tmp_path, input_file, caps
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and f"[dictionary] {key}" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "abc", "verify"], ["bogus"], ["norm"],
+    ["--config", "{missing}", "verify"],
+], ids=["seed-not-an-int", "unknown-command", "norm-without-input", "missing-config"])
+def test_a_malformed_flag_is_a_one_line_parse_error(tmp_path, capsys, argv):
+    # argparse's usage block would come before its own error line
+    argv = [a.format(missing=tmp_path / "nope.ini") for a in argv]
+    assert main(["--out", str(tmp_path / "out"), *argv]) == EXIT_PARSE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert main(["decompose", "--help"]) == 0
+    assert "--sup" in capsys.readouterr().out
+
+
+def test_a_dictionary_section_sizes_the_carleson_dictionary(tmp_path, measure_file):
+    ini = tmp_path / "c.ini"
+    ini.write_text("[dictionary]\nstride = 8\nlevels = 3\n")
+    assert main(["--config", str(ini), "--grid", "128,32", "--out", str(tmp_path),
+                 "carleson", "--measure", str(measure_file)]) == 0
+    cfg = load_config(str(ini))
+    grid = HalfSpaceGrid(((-8.0, 8.0),), (128,), 1e-3, 8.0, 32)
+    d = default_dictionary(grid, cfg.beta, 8, 3)
+    admissible = int(np.count_nonzero(is_admissible(d.centers, d.radii, cfg.delta)))
+    assert _load(tmp_path, "carleson.json")["n_balls"] == admissible == 48
 
 
 def test_missing_input_is_parse_error(tmp_path):
@@ -357,26 +390,20 @@ def test_independence_command(tmp_path):
         assert float(cells[1 + k]) == 1.0
 
 
-def test_independence_threads_match(tmp_path, input_file):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["--out", str(out1), "--threads", "1", "independence",
-                 "--input", str(input_file)]) == 0
-    assert main(["--out", str(out2), "--threads", "4", "independence",
-                 "--input", str(input_file)]) == 0
-    assert _load(out1, "independence.json") == _load(out2, "independence.json")
-    assert (out1 / "independence_f0.csv").read_text() \
-        == (out2 / "independence_f0.csv").read_text()
-
-
-def test_independence_of_the_default_sweep_on_a_pool_matches(tmp_path):
-    # five functions at --threads 1, 2 and 3: the sweep runs the same
+@pytest.mark.parametrize("source", ["default_sweep", "input"])
+def test_independence_output_does_not_depend_on_threads(tmp_path, input_file, source):
+    # the five functions of the default sweep at 128x32, or the one of
+    # --input, at --threads 1, 2 and 3: the reports and CSVs are the same bytes
+    flags, command, n_funcs = {
+        "default_sweep": (["--grid", "128,32"], ["independence"], 5),
+        "input": ([], ["independence", "--input", str(input_file)], 1),
+    }[source]
     outs = [tmp_path / str(k) for k in (1, 2, 3)]
     for out in outs:
-        assert main(["--out", str(out), "--grid", "128,32", "--threads", out.name,
-                     "independence"]) == 0
+        assert main(["--out", str(out), *flags, "--threads", out.name, *command]) == 0
     for out in outs[1:]:
         assert _load(out, "independence.json") == _load(outs[0], "independence.json")
-        for fi in range(5):
+        for fi in range(n_funcs):
             name = f"independence_f{fi}.csv"
             assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
 
@@ -650,6 +677,48 @@ def test_decompose_with_eta_outside_the_unit_interval_is_a_precondition_error(
     assert rc == EXIT_PRECONDITION
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "eta must lie in (0, 1)" in err
+
+
+def test_q_inf_in_the_config_needs_the_sup_flag(tmp_path, capsys):
+    # decompose takes q = inf from --sup alone, and --sup reads no eta
+    g = HalfSpaceGrid(((-8.0, 8.0),), (64,), 1e-3, 8.0, 16)
+    path = tmp_path / "f.gtnt"
+    write_grid_function(random_bump(g, np.random.default_rng(0)), path)
+    ini = tmp_path / "c.ini"
+    ini.write_text("[params]\nq = inf\neta = 1.5\n")
+    argv = ["--config", str(ini), "--grid", "64,16", "--out", str(tmp_path / "out"),
+            "decompose", "--input", str(path)]
+    assert main(argv) == EXIT_PRECONDITION
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "--sup" in err[0]
+    assert not (tmp_path / "out").exists()
+    assert main([*argv, "--sup"]) == 0
+    assert _load(tmp_path / "out", "decompose.json")["n_atoms"] > 0
+
+
+@pytest.mark.parametrize("case,command", [
+    (case, command) for case in ("huge_values", "q = 1e308", "p = 1e308")
+    for command in ("norm", "decompose", "independence")
+    if (case, command) != ("p = 1e308", "decompose")       # decompose reads no p
+])
+def test_an_overflow_is_a_one_line_numeric_error(tmp_path, capsys, case, command):
+    # numpy's overflow warning used to come first, and decompose then
+    # failed on an inf with a message that named no overflow
+    g = HalfSpaceGrid(((-8.0, 8.0),), (64,), 1e-3, 8.0, 16)
+    values = np.zeros((64, 16))
+    values[28:36, 4:9] = 1e200 if case == "huge_values" else 3.0
+    path = tmp_path / "f.gtnt"
+    write_grid_function(GridFunction(g, values), path)
+    ini = tmp_path / "c.ini"
+    ini.write_text("" if case == "huge_values" else f"[params]\n{case}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["--config", str(ini), "--grid", "64,16", "--out", str(tmp_path / "out"),
+                   command, "--input", str(path)])
+    assert not caught
+    assert rc == EXIT_NUMERIC
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric error: overflow")
 
 
 def test_independence_of_the_zero_function_is_a_numeric_error(tmp_path, capsys):

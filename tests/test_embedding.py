@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from _families import make_atom
-from gausstent.geometry import ConeSpec
+from gausstent.atomic import Atom
+from gausstent.geometry import Ball, ConeSpec
 from gausstent.grid import GridFunction, HalfSpaceGrid, SpatialFunction
 from gausstent.embedding import _PHI_PEAK, _phi, check_h1_atom, pi_phi
 from gausstent.families import boundary_atom
@@ -83,6 +84,18 @@ def test_atom_checks_pass(grid_default, center):
     assert rep["average_ok"]
     assert np.isfinite(rep["l2_constant"])
     assert rep["all_ok"]
+
+
+def test_an_atom_the_operator_maps_to_zero_passes(grid_default):
+    # values only at t >= 1, at or above m(y) everywhere: the local operator
+    # keeps no row, and the average check takes its zero-norm branch
+    g = grid_default
+    vals = (np.abs(g.points[:, 0])[:, None] < 0.5) & (g.t[None, :] >= 1.0)
+    atom = Atom.crop(GridFunction(g, vals.astype(float)), Ball((0.0,), 0.8), 2.0)
+    assert not np.any(pi_phi(atom.expand()).values)
+    rep = check_h1_atom(atom)
+    assert rep["l1_norm"] == 0.0 and rep["average_ok"] is True
+    assert rep["all_ok"] is True
 
 
 def test_truncation_sentinel_fails_support(grid_default):

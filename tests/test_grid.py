@@ -72,6 +72,20 @@ def test_grid_function_protection(grid_small):
         GridFunction(grid_small, np.zeros((3, 3)))
 
 
+def test_grid_types_take_flat_arrays_only():
+    # a 2-D array shaped (nx0, nx1[, nt]) is not reshaped onto the grid
+    g = HalfSpaceGrid(((-2.0, 2.0), (-2.0, 2.0)), (8, 6), 0.1, 1.0, 4)
+    assert GridFunction(g, np.zeros((48, 4))).values.shape == (48, 4)
+    assert SpatialFunction(g, np.zeros(48)).values.shape == (48,)
+    assert RegionMask(g, np.zeros(48, dtype=bool)).mask.shape == (48,)
+    with pytest.raises(ValueError, match="does not match grid"):
+        GridFunction(g, np.zeros((8, 6, 4)))
+    with pytest.raises(ValueError, match="does not match grid"):
+        SpatialFunction(g, np.zeros((8, 6)))
+    with pytest.raises(ValueError, match="mask shape mismatch"):
+        RegionMask(g, np.zeros((8, 6), dtype=bool))
+
+
 def test_grid_function_algebra(grid_small, rng):
     a = rng.normal(size=(grid_small.n_spatial, grid_small.nt))
     f = GridFunction(grid_small, a)

@@ -520,7 +520,7 @@ def test_ball_cover_matches_the_dense_greedy_loop_on_bump_level_sets(grid_small,
 
     monkeypatch.setattr(atomic, "whitney_balls", recording)
     f = random_bump(grid_small, np.random.default_rng(3))
-    atomic.decompose_sup(f, ConeSpec(1.0, 1.0))
+    atomic.decompose(f, np.inf, ConeSpec(1.0, 1.0))
     assert len(seen) > 5
     for O in seen:
         _assert_balls_match_dense(O)
